@@ -209,9 +209,19 @@ def cmd_train_multilabel(cfg: RunConfig, args) -> int:
     return _train_stage(cfg, "multilabel")
 
 
-def _check_vocab_hash(trained: M.TrainedModel, vocab: C.Vocabulary) -> None:
+def _load_checkpoint(cfg: RunConfig, vocab: C.Vocabulary, kind: str) -> M.TrainedModel:
+    """The stage's checkpoint, checked against the vocabulary and, for the
+    tagger, against the configured sequence length it was built for."""
+    trained = M.load_model(_checkpoint_path(cfg, kind), expect_kind=kind)
     if trained.vocab_hash and trained.vocab_hash != vocab.content_hash():
         raise DataError("checkpoint was trained with a different vocabulary")
+    max_len = cfg["tokenize.max_len"]
+    if kind == "multilabel" and trained.model.seq_len != max_len:
+        raise ConfigError(
+            f"tokenize.max_len is {max_len} but the multilabel checkpoint was "
+            f"built for sequence length {trained.model.seq_len}"
+        )
+    return trained
 
 
 def _write_csv(path: Path, header: str, rows) -> None:
@@ -221,8 +231,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 
 def _evaluate_binary(cfg: RunConfig, docs, vocab) -> int:
-    trained = M.load_model(_checkpoint_path(cfg, "binary"), expect_kind="binary")
-    _check_vocab_hash(trained, vocab)
+    trained = _load_checkpoint(cfg, vocab, "binary")
     members = _fold_documents(cfg, docs, "test")
     if any(d.toxic is None for d in members):
         raise DataError("test fold has documents without gold toxic flags")
@@ -256,9 +265,7 @@ def _evaluate_binary(cfg: RunConfig, docs, vocab) -> int:
 
 
 def _evaluate_multilabel(cfg: RunConfig, docs, vocab) -> int:
-    trained = M.load_model(_checkpoint_path(cfg, "multilabel"),
-                           expect_kind="multilabel")
-    _check_vocab_hash(trained, vocab)
+    trained = _load_checkpoint(cfg, vocab, "multilabel")
     members = [d for d in _fold_documents(cfg, docs, "test") if d.toxic]
     if not members:
         raise DataError("test fold has no toxic documents to tag")
@@ -297,11 +304,8 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 
 
 def _load_pipeline(cfg: RunConfig, vocab: C.Vocabulary) -> M.TwoStagePipeline:
-    binary = M.load_model(_checkpoint_path(cfg, "binary"), expect_kind="binary")
-    multi = M.load_model(_checkpoint_path(cfg, "multilabel"),
-                         expect_kind="multilabel")
-    _check_vocab_hash(binary, vocab)
-    _check_vocab_hash(multi, vocab)
+    binary = _load_checkpoint(cfg, vocab, "binary")
+    multi = _load_checkpoint(cfg, vocab, "multilabel")
     return M.TwoStagePipeline(
         binary=binary.model, multilabel=multi.model, vocab=vocab,
         preprocess_config=cfg.preprocess_config(),
@@ -342,8 +346,7 @@ def cmd_explain(cfg: RunConfig, args) -> int:
     max_len = cfg["tokenize.max_len"]
     text = C.preprocess(args.text, pconf)
     if args.stage == "binary":
-        trained = M.load_model(_checkpoint_path(cfg, "binary"), expect_kind="binary")
-        _check_vocab_hash(trained, vocab)
+        trained = _load_checkpoint(cfg, vocab, "binary")
         model = trained.model
 
         def predict(t: str) -> np.ndarray:
@@ -352,9 +355,7 @@ def cmd_explain(cfg: RunConfig, args) -> int:
         class_index, class_name = 0, "toxic"
         k = cfg["explain.features.binary"]
     else:
-        trained = M.load_model(_checkpoint_path(cfg, "multilabel"),
-                               expect_kind="multilabel")
-        _check_vocab_hash(trained, vocab)
+        trained = _load_checkpoint(cfg, vocab, "multilabel")
         model = trained.model
 
         def predict(t: str) -> np.ndarray:

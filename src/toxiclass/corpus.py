@@ -170,6 +170,10 @@ def build_vocab(corpus, max_size: int = 50_000, min_freq: int = 1) -> Vocabulary
     counts: Counter[str] = Counter()
     for text in corpus:
         counts.update(text.split())
+    # Reserved tokens met in the text are out of vocabulary: tokenize maps
+    # them to UNK_ID, so a real position never carries PAD_ID.
+    for reserved in (PAD_TOKEN, UNK_TOKEN):
+        counts.pop(reserved, None)
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     kept = [tok for tok, freq in ranked if freq >= min_freq]
     return Vocabulary(kept[: max_size - 2])
@@ -199,7 +203,7 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN) -> To
     ids = np.full(max_len, PAD_ID, dtype=np.int64)
     mask = np.zeros(max_len, dtype=np.float64)
     for i, tok in enumerate(tokens):
-        ids[i] = vocab.get(tok)
+        ids[i] = UNK_ID if tok == PAD_TOKEN else vocab.get(tok)
         mask[i] = 1.0
     return TokenSequence(ids, mask, len(tokens))
 

@@ -494,6 +494,15 @@ def load_model(path, expect_kind: str | None = None) -> TrainedModel:
         raise CheckpointError(f"checkpoint {path} failed its checksum")
     if body[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"checkpoint {path} has a bad magic header")
+    try:
+        return _decode_checkpoint(body, path, expect_kind)
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        # ValueError includes UnicodeDecodeError and json.JSONDecodeError
+        raise CheckpointError(
+            f"checkpoint {path} has a malformed header: {exc!r}") from exc
+
+
+def _decode_checkpoint(body: bytes, path, expect_kind: str | None) -> TrainedModel:
     offset = len(CHECKPOINT_MAGIC)
     (header_len,) = struct.unpack_from("<I", body, offset)
     offset += 4

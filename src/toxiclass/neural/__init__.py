@@ -13,8 +13,6 @@ from .layers import (
     Param,
     ReLULayer,
     SigmoidLayer,
-    leaky_relu,
-    relu,
     sigmoid,
     softmax,
 )
@@ -40,8 +38,6 @@ __all__ = [
     "bce_loss",
     "grad_check",
     "l2_penalty",
-    "leaky_relu",
-    "relu",
     "sigmoid",
     "softmax",
 ]

@@ -13,24 +13,15 @@ import numpy as np
 DEFAULT_LEAKY_SLOPE = 0.01
 
 
-def relu(x):
-    return np.maximum(0.0, x)
-
-
-def leaky_relu(x, slope: float = DEFAULT_LEAKY_SLOPE):
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0.0, x, slope * x)
-
-
 def sigmoid(x):
-    """Numerically stable branch form: never exponentiates a large positive."""
+    """Numerically stable and branch-free: never exponentiates a positive.
+
+    Gives the same bits as ``1 / (1 + exp(-x))`` for ``x >= 0`` and
+    ``exp(x) / (1 + exp(x))`` below zero.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softmax(v):
@@ -333,54 +324,60 @@ class LSTM(Layer):
             raise ValueError(f"lstm expects input dim {self.input_dim}, got {dim}")
         h_dim = self.hidden_dim
         valid = np.ones(length, dtype=bool) if mask is None else np.asarray(mask) > 0.5
-        h = np.zeros(h_dim)
-        c = np.zeros(h_dim)
-        out = np.zeros((length, h_dim))
-        steps = []
-        for t in range(length):
-            if not valid[t]:
-                steps.append(None)
-                out[t] = h
-                continue
-            z = self.w_x.value @ x[t] + self.w_h.value @ h + self.b.value
-            i = sigmoid(z[:h_dim])
-            f = sigmoid(z[h_dim:2 * h_dim])
-            g = np.tanh(z[2 * h_dim:3 * h_dim])
-            o = sigmoid(z[3 * h_dim:])
-            c_new = f * c + i * g
-            tanh_c = np.tanh(c_new)
-            h_new = o * tanh_c
-            steps.append((x[t], h, c, i, f, g, o, tanh_c))
-            h, c = h_new, c_new
-            out[t] = h
-        self._cache = (steps, x.shape)
-        return out
+        # Only real steps change the state, so the recurrence walks those
+        # alone; each output row is the state after the last real step at or
+        # before it (h0 = 0 before the first).
+        real = np.flatnonzero(valid)
+        steps = len(real)
+        x_real = x[real]
+        z_x = x_real @ self.w_x.value.T + self.b.value
+        w_h = self.w_h.value
+        gates = np.empty((steps, 4 * h_dim))  # i, f, g, o after activation
+        tanh_c = np.empty((steps, h_dim))
+        h = np.zeros((steps + 1, h_dim))
+        c = np.zeros((steps + 1, h_dim))
+        for k in range(steps):
+            z = z_x[k] + w_h @ h[k]
+            a = gates[k]
+            a[:] = sigmoid(z)
+            a[2 * h_dim:3 * h_dim] = np.tanh(z[2 * h_dim:3 * h_dim])
+            c[k + 1] = a[h_dim:2 * h_dim] * c[k] + a[:h_dim] * a[2 * h_dim:3 * h_dim]
+            tanh_c[k] = np.tanh(c[k + 1])
+            h[k + 1] = a[3 * h_dim:] * tanh_c[k]
+        self._cache = (real, x_real, gates, c, tanh_c, h, x.shape)
+        return h[np.cumsum(valid)]
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        steps, in_shape = self._cache
+        real, x_real, gates, c, tanh_c, h, in_shape = self._cache
         h_dim = self.hidden_dim
-        dx = np.zeros(in_shape)
+        steps = len(real)
+        i, f, g, o = (gates[:, j * h_dim:(j + 1) * h_dim] for j in range(4))
+        # Gradients of output rows that copy a real step's state all reach
+        # that step's h.
+        dh_out = np.add.reduceat(np.asarray(dout, dtype=np.float64), real, axis=0)
+        # Per-step factors that do not depend on the incoming gradient:
+        # dz[:, :3] = dc * from_dc, dz[:, 3] = dh * from_dh, dc += dh * dc_dh.
+        from_dc = np.stack([g * i * (1.0 - i), c[:-1] * f * (1.0 - f),
+                            i * (1.0 - g ** 2)], axis=1)
+        from_dh = tanh_c * o * (1.0 - o)
+        dc_dh = o * (1.0 - tanh_c ** 2)
+        dz = np.empty((steps, 4, h_dim))
+        w_h = self.w_h.value
         dh_next = np.zeros(h_dim)
         dc_next = np.zeros(h_dim)
-        for t in range(len(steps) - 1, -1, -1):
-            dh = dout[t] + dh_next
-            if steps[t] is None:
-                dh_next = dh
-                continue
-            x_t, h_prev, c_prev, i, f, g, o, tanh_c = steps[t]
-            dc = dc_next + dh * o * (1.0 - tanh_c ** 2)
-            dz = np.concatenate([
-                dc * g * i * (1.0 - i),
-                dc * c_prev * f * (1.0 - f),
-                dc * i * (1.0 - g ** 2),
-                dh * tanh_c * o * (1.0 - o),
-            ])
-            self.w_x.grad += np.outer(dz, x_t)
-            self.w_h.grad += np.outer(dz, h_prev)
-            self.b.grad += dz
-            dx[t] = self.w_x.value.T @ dz
-            dh_next = self.w_h.value.T @ dz
-            dc_next = dc * f
+        for k in range(steps - 1, -1, -1):
+            dh = dh_out[k] + dh_next
+            dc = dc_next + dh * dc_dh[k]
+            np.multiply(from_dc[k], dc, out=dz[k, :3])
+            np.multiply(from_dh[k], dh, out=dz[k, 3])
+            dh_next = dz[k].reshape(-1) @ w_h
+            dc_next = dc * f[k]
+        dz = dz.reshape(steps, 4 * h_dim)
+        self.w_x.grad += dz.T @ x_real
+        self.w_h.grad += dz.T @ h[:-1]
+        self.b.grad += dz.sum(axis=0)
+        dx = np.zeros(in_shape)
+        dx[real] = dz @ self.w_x.value
         return dx
 
 

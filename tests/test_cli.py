@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -188,6 +189,20 @@ class TestPrepareAndSplit:
             assert (alt / rel).read_bytes() \
                 == (workspace["out"] / rel).read_bytes(), rel
 
+    def test_prepare_with_reserved_tokens_in_text(self, workspace, tmp_path):
+        csv_path = tmp_path / "reserved.csv"
+        _make_corpus_csv(csv_path, n=12)
+        with open(csv_path, "a", encoding="utf-8") as fh:
+            fh.write("r1,river <pad> cloud <unk>,0," + ",".join("0" * 6) + "\n")
+        alt = tmp_path / "out"
+        assert cli.main(workspace["base"] + ["--set", f"data.path={csv_path}",
+                                             "--set", f"output.dir={alt}",
+                                             "prepare"]) == 0
+        tokens = (alt / "prepared" / "vocab.txt").read_text(
+            encoding="utf-8").splitlines()
+        assert tokens[:2] == ["<pad>", "<unk>"]
+        assert "<pad>" not in tokens[2:] and "<unk>" not in tokens[2:]
+
 
 class TestTrainAndEvaluate:
     def test_history_artifacts(self, workspace):
@@ -235,6 +250,33 @@ class TestTrainAndEvaluate:
                            "evaluate", "--stage", "binary"]) == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_malformed_checkpoint_header(self, workspace, tmp_path, capsys,
+                                         rewrite_header):
+        alt = tmp_path / "out"
+        shutil.copytree(workspace["out"], alt)
+        rewrite_header(alt / "binary.ckpt", {"drop": "kind"})
+        assert cli.main(workspace["base"]
+                        + ["--set", f"output.dir={alt}",
+                           "evaluate", "--stage", "binary"]) == 3
+        err = capsys.readouterr().err
+        assert "malformed header" in err and "binary.ckpt" in err
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--stage", "multilabel"],
+        ["explain", "--text", "hax hox", "--stage", "multilabel",
+         "--label", "hate"],
+    ])
+    @pytest.mark.parametrize("max_len", [2, 20])
+    def test_seq_len_must_match_tagger(self, workspace, capsys, command,
+                                       max_len):
+        # 2 is too short for the 8x3 conv stack, 20 is longer than the
+        # checkpoint's 12
+        assert cli.main(workspace["base"]
+                        + ["--set", f"tokenize.max_len={max_len}"]
+                        + command) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{max_len}" in err and "12" in err
+
 
 class TestClassify:
     def test_classify_file(self, workspace):
@@ -263,6 +305,16 @@ class TestClassify:
                 assert "Non-toxic" not in r["labels"]
         assert rows[1]["labels"] == ["Non-toxic"]  # pure filler text
         assert rows[0]["labels"] != ["Non-toxic"]  # signature-heavy text
+
+    @pytest.mark.parametrize("max_len", [2, 20])
+    def test_seq_len_must_match_tagger(self, workspace, capsys, max_len):
+        in_path = workspace["root"] / "seq_len.txt"
+        in_path.write_text("vix vox vix vox river\n", encoding="utf-8")
+        assert cli.main(workspace["base"]
+                        + ["--set", f"tokenize.max_len={max_len}",
+                           "classify", "--input", str(in_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{max_len}" in err and "12" in err
 
     def test_missing_input_file(self, workspace, capsys):
         assert cli.main(workspace["base"]

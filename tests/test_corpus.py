@@ -99,6 +99,12 @@ class TestVocabulary:
         with pytest.raises(DataError):
             C.Vocabulary.load(path)
 
+    def test_reserved_tokens_in_text_are_skipped(self):
+        text = C.preprocess("a <pad> b <unk> <pad> a")
+        assert text == "a <pad> b <unk> <pad> a"  # < and > are not punctuation
+        v = C.build_vocab([text])
+        assert v.id_to_token == [C.PAD_TOKEN, C.UNK_TOKEN, "a", "b"]
+
 
 class TestTokenize:
     @pytest.fixture
@@ -120,6 +126,12 @@ class TestTokenize:
     def test_unknown_token(self, vocab):
         seq = C.tokenize("zebra", vocab, max_len=3)
         assert seq.input_ids[0] == C.UNK_ID
+
+    def test_reserved_tokens_map_to_unk(self, vocab):
+        seq = C.tokenize("<pad> dog <unk>", vocab, max_len=4)
+        assert seq.input_ids.tolist() == [C.UNK_ID, vocab.get("dog"), C.UNK_ID,
+                                          C.PAD_ID]
+        assert seq.mask.tolist() == [1.0, 1.0, 1.0, 0.0]
 
     def test_empty_text(self, vocab):
         seq = C.tokenize("", vocab, max_len=3)

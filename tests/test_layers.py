@@ -28,6 +28,90 @@ def check_layer_grads(layer, x, seed=0, mask=None, reduce=None):
     return N.grad_check(loss, arrays, analytic)
 
 
+def ref_sigmoid(x):
+    """The branch form that the branch-free ``sigmoid`` must match bit for bit."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def ref_lstm(lstm, x, mask, dout):
+    """Step-by-step LSTM over every slot, the reference for ``LSTM``.
+
+    Returns the outputs, the input gradient and the gradients of w_x, w_h
+    and b for the output gradient ``dout``; ``lstm`` is only read.
+    """
+    w_x, w_h, b = (p.value for p in lstm.params())
+    length, h_dim = x.shape[0], lstm.hidden_dim
+    valid = np.ones(length, dtype=bool) if mask is None else np.asarray(mask) > 0.5
+    h, c = np.zeros(h_dim), np.zeros(h_dim)
+    out = np.zeros((length, h_dim))
+    steps = []
+    for t in range(length):
+        if not valid[t]:
+            steps.append(None)
+            out[t] = h
+            continue
+        z = w_x @ x[t] + w_h @ h + b
+        i = ref_sigmoid(z[:h_dim])
+        f = ref_sigmoid(z[h_dim:2 * h_dim])
+        g = np.tanh(z[2 * h_dim:3 * h_dim])
+        o = ref_sigmoid(z[3 * h_dim:])
+        c_new = f * c + i * g
+        tanh_c = np.tanh(c_new)
+        steps.append((x[t], h, c, i, f, g, o, tanh_c))
+        h, c = o * tanh_c, c_new
+        out[t] = h
+
+    grads = [np.zeros_like(w_x), np.zeros_like(w_h), np.zeros_like(b)]
+    dx = np.zeros(x.shape)
+    dh_next, dc_next = np.zeros(h_dim), np.zeros(h_dim)
+    for t in range(length - 1, -1, -1):
+        dh = dout[t] + dh_next
+        if steps[t] is None:
+            dh_next = dh
+            continue
+        x_t, h_prev, c_prev, i, f, g, o, tanh_c = steps[t]
+        dc = dc_next + dh * o * (1.0 - tanh_c ** 2)
+        dz = np.concatenate([
+            dc * g * i * (1.0 - i),
+            dc * c_prev * f * (1.0 - f),
+            dc * i * (1.0 - g ** 2),
+            dh * tanh_c * o * (1.0 - o),
+        ])
+        grads[0] += np.outer(dz, x_t)
+        grads[1] += np.outer(dz, h_prev)
+        grads[2] += dz
+        dx[t] = w_x.T @ dz
+        dh_next = w_h.T @ dz
+        dc_next = dc * f
+    return out, dx, grads
+
+
+def ref_bilstm(bilstm, x, mask, dout):
+    """``ref_lstm`` in both directions, laid out as ``BiLSTM`` does."""
+    h = bilstm.hidden_dim
+    rev_mask = None if mask is None else mask[::-1]
+    out_f, dx_f, grads_f = ref_lstm(bilstm.fwd, x, mask, dout[:, :h])
+    out_b, dx_b, grads_b = ref_lstm(bilstm.bwd, x[::-1], rev_mask, dout[::-1, h:])
+    return (np.concatenate([out_f, out_b[::-1]], axis=1), dx_f + dx_b[::-1],
+            grads_f + grads_b)
+
+
+LSTM_MASKS = {
+    "none": None,
+    "all_ones": [1, 1, 1, 1, 1],
+    "trailing_pads": [1, 1, 1, 0, 0],
+    "gaps_and_trailing_pads": [1, 0, 1, 1, 0, 0],
+    "one_leading_real_step": [1, 0, 0, 0],
+    "fully_masked": [0, 0, 0, 0, 0],
+}
+
+
 class TestActivations:
     def test_sigmoid_stable_at_extremes(self):
         assert N.sigmoid(np.array([800.0]))[0] == 1.0
@@ -39,10 +123,13 @@ class TestActivations:
         assert np.allclose(N.softmax(x), N.softmax(x + 1000.0))
         assert N.softmax(x).sum() == pytest.approx(1.0)
 
-    def test_relu_and_leaky(self):
-        x = np.array([-2.0, 0.0, 3.0])
-        assert N.relu(x).tolist() == [0.0, 0.0, 3.0]
-        assert N.leaky_relu(x).tolist() == [-0.02, 0.0, 3.0]
+    def test_sigmoid_bits_match_branch_form(self):
+        special = [800.0, -800.0, 0.0, -0.0, 5e-324, -5e-324, 37.0, -37.0]
+        scales = np.repeat([1.0, 10.0, 100.0, 1000.0], 1000)
+        normals = rng(44).standard_normal(scales.size) * scales
+        x = np.concatenate([special, normals])
+        got = N.sigmoid(x)
+        assert np.array_equal(got.view(np.int64), ref_sigmoid(x).view(np.int64))
 
 
 class TestDense:
@@ -188,6 +275,33 @@ class TestLSTM:
         mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
         assert check_layer_grads(
             lstm, rng(23).standard_normal((6, 2)), mask=mask) < 1e-5
+
+    @pytest.mark.parametrize("mask", [[1, 1, 1, 0, 0], [0, 0, 0, 0, 0]],
+                             ids=["trailing_pads", "fully_masked"])
+    def test_grad_padded(self, mask):
+        lstm = N.LSTM(2, 3, rng(45))
+        assert check_layer_grads(
+            lstm, rng(46).standard_normal((5, 2)), mask=np.array(mask, float)) < 1e-5
+
+
+@pytest.mark.parametrize("layer_cls, reference", [(N.LSTM, ref_lstm),
+                                                   (N.BiLSTM, ref_bilstm)],
+                         ids=["lstm", "bilstm"])
+@pytest.mark.parametrize("mask", LSTM_MASKS.values(), ids=LSTM_MASKS.keys())
+def test_lstm_matches_step_loop_reference(layer_cls, reference, mask):
+    length = 5 if mask is None else len(mask)
+    mask = None if mask is None else np.array(mask, dtype=np.float64)
+    layer = layer_cls(4, 3, rng(47))
+    x = rng(48).standard_normal((length, 4))
+    width = 6 if layer_cls is N.BiLSTM else 3
+    dout = rng(49).standard_normal((length, width))
+    want_out, want_dx, want_grads = reference(layer, x, mask, dout)
+    out = layer.forward(x, mask)
+    layer.zero_grad()
+    dx = layer.backward(dout)
+    for got, want in zip([out, dx] + [p.grad for p in layer.params()],
+                         [want_out, want_dx] + want_grads):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestBiLSTM:

@@ -409,6 +409,28 @@ class TestCheckpoint:
         assert (tmp_path / "a.ckpt").read_bytes() \
             == (tmp_path / "b.ckpt").read_bytes()
 
+    @pytest.mark.parametrize("header", [
+        b"\xff\xfe{}",  # not UTF-8
+        b"{not json",
+        b"[]",
+        {"drop": "kind"},
+        {"drop": "tensors"},
+        {"drop": "embedding"},
+        {"set": ("model_config", 7)},
+        {"set": ("model_config", "lstm_units")},
+        {"set": ("model_config", {"lstm_units": 4, "bogus": 1})},
+        {"set": ("embedding", [])},
+        {"set": ("tensors", 5)},
+        {"set": ("history", [[0, 1.0]])},
+    ])
+    def test_malformed_header_with_valid_checksum(self, tmp_path, header,
+                                                  rewrite_header):
+        _, path = self._trained_binary(tmp_path)
+        rewrite_header(path, header)
+        with pytest.raises(CheckpointError, match="malformed header") as info:
+            M.load_model(path)
+        assert str(path) in str(info.value)
+
 
 class TestPipeline:
     def _pipeline(self, trained_enough=False):
