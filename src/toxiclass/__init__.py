@@ -21,9 +21,7 @@ from .corpus import (
 )
 from .embedding import (
     EmbeddingTable,
-    embed_sequence,
     load_table,
-    pool_max,
     random_table,
     write_table,
 )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import re
 import unicodedata
@@ -96,9 +97,35 @@ def load_stopwords(path) -> frozenset[str]:
         raise ConfigError(f"cannot read stop-word file {path}: {exc}") from exc
 
 
-def _is_emoticon(ch: str, ranges) -> bool:
-    cp = ord(ch)
-    return any(lo <= cp <= hi for lo, hi in ranges)
+class _CharFilter(dict):
+    """``str.translate`` table for one config: maps each code point met so
+    far to itself when kept and to None when dropped, deciding on first
+    sight."""
+
+    def __init__(self, cfg: PreprocessConfig):
+        super().__init__()
+        self.cfg = cfg
+
+    def __missing__(self, cp: int) -> int | None:
+        cfg = self.cfg
+        value = cp
+        if cfg.remove_punctuation and unicodedata.category(chr(cp))[0] == "P":
+            value = None
+        elif cfg.remove_emoticons:
+            for lo, hi in cfg.emoticon_ranges:
+                if lo <= cp <= hi:
+                    value = None
+                    break
+        self[cp] = value
+        return value
+
+
+@functools.lru_cache(maxsize=8)
+def _char_filter(cfg: PreprocessConfig) -> _CharFilter:
+    """The table of ``cfg``, shared by every call with an equal config. It
+    holds one entry per distinct character met, a few thousand for real
+    text."""
+    return _CharFilter(cfg)
 
 
 def preprocess(text: str, config: PreprocessConfig | None = None) -> str:
@@ -110,14 +137,7 @@ def preprocess(text: str, config: PreprocessConfig | None = None) -> str:
     if cfg.remove_urls:
         text = _URL_RE.sub(" ", text)
     if cfg.remove_emoticons or cfg.remove_punctuation:
-        kept = []
-        for ch in text:
-            if cfg.remove_punctuation and unicodedata.category(ch).startswith("P"):
-                continue
-            if cfg.remove_emoticons and _is_emoticon(ch, cfg.emoticon_ranges):
-                continue
-            kept.append(ch)
-        text = "".join(kept)
+        text = text.translate(_char_filter(cfg))
     tokens = [t for t in text.split() if t not in cfg.stopwords]
     return " ".join(tokens)
 

@@ -1,14 +1,13 @@
-"""Token-sequence feature representations: lookup table, per-token vectors,
-and sentence-level masked max pooling."""
+"""Embedding tables: seeded random initialisation and the text file format.
+The models look rows up through ``models.EmbeddingLayer``."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PAD_ID, TokenSequence, Vocabulary
+from .corpus import PAD_ID, Vocabulary
 from .errors import DataError
 
 DEFAULT_DIM = 768
@@ -109,36 +108,3 @@ def write_table(path, table: EmbeddingTable, vocab: Vocabulary) -> None:
         fh.write(f"{table.vocab_size} {table.dim}\n")
         for token, row in zip(vocab.id_to_token, table.matrix):
             fh.write(token + " " + " ".join(repr(float(v)) for v in row) + "\n")
-
-
-@dataclass
-class SequenceEmbedding:
-    """Per-token vectors for one sequence; masked rows are zero."""
-
-    matrix: np.ndarray  # (L, D)
-    mask: np.ndarray  # (L,)
-
-
-def embed_sequence(seq: TokenSequence, table: EmbeddingTable) -> SequenceEmbedding:
-    """Row i = table[input_ids[i]] * mask[i]."""
-    ids = seq.input_ids
-    if ids.min() < 0 or ids.max() >= table.vocab_size:
-        raise DataError(
-            f"token id out of range for table of size {table.vocab_size}"
-        )
-    matrix = table.matrix[ids] * seq.mask[:, None]
-    return SequenceEmbedding(matrix, seq.mask.copy())
-
-
-def pool_max(emb: SequenceEmbedding) -> np.ndarray:
-    """Elementwise maximum over mask=1 positions only.
-
-    A fully masked sequence yields the zero vector and a warning (degenerate
-    sentence).
-    """
-    valid = emb.mask > 0.5
-    if not valid.any():
-        warnings.warn("pool_max over a fully masked sequence; returning zeros",
-                      RuntimeWarning, stacklevel=2)
-        return np.zeros(emb.matrix.shape[1], dtype=np.float64)
-    return emb.matrix[valid].max(axis=0)

@@ -4,7 +4,9 @@ checkpoint serialization."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -469,6 +471,35 @@ def _header_dict(trained: TrainedModel) -> dict:
     }
 
 
+def _tensor_shapes(config, vocab_size: int, dim: int) -> list[tuple[str, tuple]]:
+    """Names and shapes of a model's tensors in ``named_tensors`` order,
+    worked out from its sizes without building it."""
+    def lstm(prefix, d_in, units):
+        return [(f"{prefix}.w_x", (4 * units, d_in)),
+                (f"{prefix}.w_h", (4 * units, units)), (f"{prefix}.b", (4 * units,))]
+
+    def dense(prefix, d_in, d_out):
+        return [(f"{prefix}.w", (d_out, d_in)), (f"{prefix}.b", (d_out,))]
+
+    shapes = [("embedding.table", (vocab_size, dim))]
+    if isinstance(config, BinaryModelConfig):
+        shapes += lstm("lstm", dim, config.lstm_units)
+        dims = (config.lstm_units, *config.dense_hidden)
+        for i in range(len(dims) - 1):
+            shapes += dense(f"hidden{i}", dims[i], dims[i + 1])
+        return shapes + dense("out", dims[-1], 1)
+    c_in = dim
+    for i, (filters, kernel) in enumerate(config.conv_stack):
+        shapes += [(f"conv{i}.filters", (kernel, c_in, filters)),
+                   (f"conv{i}.b", (filters,))]
+        c_in = filters
+    units = config.bilstm_units
+    shapes += lstm("bilstm.fwd", c_in, units) + lstm("bilstm.bwd", c_in, units)
+    if config.use_attention:
+        shapes += [("attention.w", (2 * units,)), ("attention.b", (1,))]
+    return shapes + dense("out", 2 * units, NUM_LABELS)
+
+
 def save_model(trained: TrainedModel, path) -> None:
     """Versioned binary container: magic, JSON header, fp64 tensors, SHA-256."""
     header = json.dumps(_header_dict(trained), sort_keys=True).encode("utf-8")
@@ -519,37 +550,45 @@ def _decode_checkpoint(body: bytes, path, expect_kind: str | None) -> TrainedMod
         )
 
     emb = header["embedding"]
+    if kind == "binary":
+        config = BinaryModelConfig.from_dict(header["model_config"])
+    elif kind == "multilabel":
+        config = MultiLabelModelConfig.from_dict(header["model_config"])
+    else:
+        raise CheckpointError(f"unknown model kind {kind!r}")
+    # Check the header's sizes against its tensor list, and the tensor list
+    # against the bytes in the file, before a size is used to allocate.
+    expected = _tensor_shapes(config, emb["vocab_size"], emb["dim"])
+    declared = [(meta["name"], tuple(meta["shape"])) for meta in header["tensors"]]
+    for have, want in itertools.zip_longest(declared, expected):
+        if have != want:
+            raise CheckpointError(
+                f"checkpoint {path}: tensor mismatch: file has {have}, its "
+                f"embedding and model_config sizes give {want}"
+            )
+    nbytes = 8 * sum(math.prod(shape) for _, shape in declared)
+    left = len(body) - offset
+    if nbytes > left:
+        raise CheckpointError(
+            f"checkpoint {path} is truncated: {nbytes} tensor bytes declared, "
+            f"{left} present")
+    if nbytes < left:
+        raise CheckpointError(
+            f"checkpoint {path} has {left - nbytes} trailing bytes")
+
     table = EmbeddingTable(np.zeros((emb["vocab_size"], emb["dim"])),
                            trainable=emb["trainable"], source=emb["source"])
     if kind == "binary":
-        model = BinaryModel(BinaryModelConfig.from_dict(header["model_config"]),
-                            table, seed=0)
-    elif kind == "multilabel":
-        model = MultiLabelModel(
-            MultiLabelModelConfig.from_dict(header["model_config"]), table,
-            seq_len=int(header["seq_len"]), seed=0)
+        model = BinaryModel(config, table, seed=0)
     else:
-        raise CheckpointError(f"unknown model kind {kind!r}")
-
-    named = model.named_tensors()
-    declared = header["tensors"]
-    if len(named) != len(declared):
-        raise CheckpointError("checkpoint tensor list does not match model")
-    for (name, param), meta in zip(named, declared):
-        if meta["name"] != name or tuple(meta["shape"]) != param.value.shape:
-            raise CheckpointError(
-                f"tensor mismatch: file has {meta['name']}{meta['shape']}, "
-                f"model expects {name}{list(param.value.shape)}"
-            )
+        model = MultiLabelModel(config, table, seq_len=int(header["seq_len"]),
+                                seed=0)
+    for _, param in model.named_tensors():
         nbytes = param.value.size * 8
-        if offset + nbytes > len(body):
-            raise CheckpointError(f"checkpoint {path} is truncated")
         param.value[...] = np.frombuffer(
             body[offset:offset + nbytes], dtype="<f8"
         ).reshape(param.value.shape)
         offset += nbytes
-    if offset != len(body):
-        raise CheckpointError(f"checkpoint {path} has trailing bytes")
 
     train_config = None
     if header["train_config"]:

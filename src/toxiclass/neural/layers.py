@@ -48,6 +48,18 @@ class Param:
         return f"Param({self.name!r}, shape={self.value.shape})"
 
 
+def _constant_tail(x: np.ndarray) -> int:
+    """First row of the run of trailing rows of ``x`` that are bit-for-bit
+    equal to its last row.
+
+    Padding gives such a run. Bits are compared, not values, so a row that
+    differs only in a NaN payload or in the sign of a zero ends it too.
+    """
+    bits = x.view(np.uint64)
+    differs = np.flatnonzero((bits != bits[-1]).any(axis=1))
+    return int(differs[-1]) + 1 if differs.size else 0
+
+
 def glorot(rng: np.random.Generator, shape) -> np.ndarray:
     fan_in, fan_out = shape[-1], shape[0]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -138,9 +150,14 @@ class Conv1D(Layer):
             )
         self._x = x
         out_len = length - k + 1
-        y = np.tile(self.b.value, (out_len, 1))
+        # Windows that lie wholly in the constant tail all give its first
+        # window's row: compute rows up to that one and copy it onward.
+        n = min(_constant_tail(x), out_len - 1) + 1
+        y = np.empty((out_len, self.b.value.shape[0]))
+        y[:n] = self.b.value
         for j in range(k):
-            y += x[j:j + out_len] @ self.filters.value[j]
+            y[:n] += x[j:j + n] @ self.filters.value[j]
+        y[n:] = y[n - 1]
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
@@ -177,10 +194,18 @@ class MaxPool1D(Layer):
         if length < self.pool:
             raise ValueError(f"sequence length {length} shorter than pool {self.pool}")
         out_len = length // self.pool
-        windows = x[: out_len * self.pool].reshape(out_len, self.pool, channels)
-        self._argmax = windows.argmax(axis=1)  # first occurrence per window
+        # Windows that lie wholly in the constant tail all give its first
+        # such window's row, with argmax 0: compute up to it and copy it.
+        first_in_tail = -(-_constant_tail(x) // self.pool)
+        n = min(first_in_tail, out_len - 1) + 1
+        windows = x[: n * self.pool].reshape(n, self.pool, channels)
+        self._argmax = np.zeros((out_len, channels), dtype=np.intp)
+        self._argmax[:n] = windows.argmax(axis=1)  # first occurrence per window
         self._in_shape = x.shape
-        return windows.max(axis=1)
+        y = np.empty((out_len, channels))
+        y[:n] = windows.max(axis=1)
+        y[n:] = y[n - 1]
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         dy = np.asarray(dy, dtype=np.float64)
@@ -195,8 +220,7 @@ class MaxPool1D(Layer):
 class MaxOverTime(Layer):
     """Masked elementwise max over the time axis: (L, d) -> (d,).
 
-    A fully masked input yields zeros (degenerate flag set); backward then
-    routes nothing.
+    A fully masked input yields zeros; backward then routes nothing.
     """
 
     kind = "max_over_time"
@@ -204,17 +228,14 @@ class MaxOverTime(Layer):
     def __init__(self):
         self._rows = None
         self._in_shape = None
-        self.degenerate = False
 
     def forward(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         self._in_shape = x.shape
         valid = np.ones(x.shape[0], dtype=bool) if mask is None else np.asarray(mask) > 0.5
         if not valid.any():
-            self.degenerate = True
             self._rows = None
             return np.zeros(x.shape[1], dtype=np.float64)
-        self.degenerate = False
         idx = np.flatnonzero(valid)
         sub = x[idx]
         self._rows = idx[sub.argmax(axis=0)]  # first argmax among valid rows

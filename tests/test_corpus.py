@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import unicodedata
 
 import numpy as np
 import pytest
@@ -52,6 +54,71 @@ class TestPreprocess:
         out = C.preprocess(text)
         assert "  " not in out and out == out.strip()
 
+
+
+@pytest.fixture(scope="module")
+def code_points():
+    """Every code point but the surrogates, with its punctuation flag."""
+    cps = np.array([c for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF])
+    punct = np.array([unicodedata.category(chr(c)).startswith("P") for c in cps])
+    return cps, punct
+
+
+def ref_char_filter(cps, punct, cfg):
+    """The per-character rule of preprocess before its decisions were
+    cached: drop punctuation (category P*) and code points in an emoticon
+    range, each when its flag is on. Returns the kept mask."""
+    drop = np.zeros(len(cps), dtype=bool)
+    if cfg.remove_punctuation:
+        drop |= punct
+    if cfg.remove_emoticons:
+        for lo, hi in cfg.emoticon_ranges:
+            drop |= (cps >= lo) & (cps <= hi)
+    return ~drop
+
+
+class TestPreprocessCharFilter:
+    """Cached keep/drop decisions give the output of the per-character rule."""
+
+    CHUNK = 4096
+    NO_URLS = C.PreprocessConfig(remove_urls=False)
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        C._char_filter.cache_clear()
+        yield
+        C._char_filter.cache_clear()
+
+    def check(self, cps, punct, cfg):
+        keep = ref_char_filter(cps, punct, cfg)
+        for start in range(0, len(cps), self.CHUNK):
+            part = slice(start, start + self.CHUNK)
+            text = "".join(map(chr, cps[part]))
+            kept = "".join(map(chr, cps[part][keep[part]]))
+            assert C.preprocess(text, cfg) == " ".join(kept.split()), start
+
+    def test_every_code_point(self, code_points):
+        self.check(*code_points, self.NO_URLS)
+
+    @pytest.mark.parametrize("change", [
+        {"remove_punctuation": False},
+        {"remove_emoticons": False},
+        {"remove_punctuation": False, "remove_emoticons": False},
+        {"emoticon_ranges": ((0x41, 0x5A), (0x980, 0x9FF), (0x1F600, 0x1F600))},
+    ])
+    def test_flags_and_ranges(self, code_points, change):
+        cps, punct = code_points
+        # every code point of the scripts and emoticon blocks the config
+        # touches, and a stride through the rest
+        sample = (cps < 0x3000) | ((cps >= 0x1F000) & (cps <= 0x1FAFF)) | (cps % 17 == 0)
+        self.check(cps[sample], punct[sample], dataclasses.replace(self.NO_URLS, **change))
+
+    def test_decisions_are_per_config(self):
+        text = "a\U0001F600b, c"
+        assert C.preprocess(text) == "ab c"
+        plain = C.PreprocessConfig(remove_punctuation=False, remove_emoticons=False)
+        assert C.preprocess(text, plain) == text
+        assert C.preprocess(text) == "ab c"
 
 class TestVocabulary:
     def test_reserved_ids(self):

@@ -68,42 +68,3 @@ class TestFileTable:
         with pytest.raises(DataError):
             E.load_table(path, vocab)
 
-
-class TestEmbedSequence:
-    def test_masked_rows_are_zero(self, vocab):
-        table = E.random_table(len(vocab), dim=4, seed=3)
-        seq = C.tokenize("apple banana", vocab, max_len=5)
-        emb = E.embed_sequence(seq, table)
-        assert emb.matrix.shape == (5, 4)
-        assert np.array_equal(emb.matrix[0], table.matrix[vocab.get("apple")])
-        assert np.all(emb.matrix[2:] == 0.0)
-
-    def test_out_of_range_id_rejected(self, vocab):
-        table = E.random_table(3, dim=4, seed=3)  # smaller than the vocab
-        seq = C.tokenize("apple banana cherry", vocab, max_len=4)
-        with pytest.raises(DataError):
-            E.embed_sequence(seq, table)
-
-
-class TestPoolMax:
-    def test_elementwise_max_over_real_positions(self, vocab):
-        table = E.random_table(len(vocab), dim=3, seed=4)
-        seq = C.tokenize("apple banana cherry", vocab, max_len=6)
-        emb = E.embed_sequence(seq, table)
-        pooled = E.pool_max(emb)
-        rows = table.matrix[[vocab.get(w) for w in ("apple", "banana", "cherry")]]
-        assert np.array_equal(pooled, rows.max(axis=0))
-
-    def test_padding_cannot_win(self, vocab):
-        # all-negative embeddings: a zero PAD row would otherwise dominate
-        table = E.EmbeddingTable(-np.ones((len(vocab), 2)))
-        seq = C.tokenize("apple", vocab, max_len=4)
-        pooled = E.pool_max(E.embed_sequence(seq, table))
-        assert np.array_equal(pooled, [-1.0, -1.0])
-
-    def test_empty_sequence_warns_and_zeroes(self, vocab):
-        table = E.random_table(len(vocab), dim=2, seed=5)
-        seq = C.tokenize("", vocab, max_len=3)
-        with pytest.warns(RuntimeWarning):
-            pooled = E.pool_max(E.embed_sequence(seq, table))
-        assert np.array_equal(pooled, [0.0, 0.0])

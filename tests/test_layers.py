@@ -102,6 +102,121 @@ def ref_bilstm(bilstm, x, mask, dout):
             grads_f + grads_b)
 
 
+def ref_conv1d(conv, x):
+    """``Conv1D.forward`` computing every output row, the reference for the
+    constant-tail forward. Caches what ``Conv1D.backward`` reads."""
+    k = conv.kernel_size
+    out_len = x.shape[0] - k + 1
+    y = np.tile(conv.b.value, (out_len, 1))
+    for j in range(k):
+        y += x[j:j + out_len] @ conv.filters.value[j]
+    conv._x = x
+    return y
+
+
+def ref_maxpool(pool, x):
+    """``MaxPool1D.forward`` over every window, the reference for the
+    constant-tail forward. Caches what ``MaxPool1D.backward`` reads."""
+    out_len = x.shape[0] // pool.pool
+    windows = x[: out_len * pool.pool].reshape(out_len, pool.pool, x.shape[1])
+    pool._argmax = windows.argmax(axis=1)
+    pool._in_shape = x.shape
+    return windows.max(axis=1)
+
+
+def tail_input(length, tail, row=0.0, channels=4, seed=50):
+    """Random rows whose last ``tail`` rows are ``row``: zeros, as padding
+    gives, unless another row is passed."""
+    x = rng(seed).standard_normal((length, channels))
+    x[length - tail:] = row
+    return x
+
+
+def set_rows(x, rows, value):
+    x[rows] = value
+    return x
+
+
+TOKEN_ROW = rng(51).standard_normal(4)
+# Inputs for a kernel of 3: tails of length 0, 1, k - 1, k and k + 1, longer
+# runs broken by a NaN row or by a zero of the other sign, a fully constant
+# input, and repeated real rows (a repeated token) with and without padding
+# after them.
+TAIL_INPUTS = {
+    "tail_0": lambda n: tail_input(n, 0),
+    "tail_1": lambda n: tail_input(n, 1),
+    "tail_k_minus_1": lambda n: tail_input(n, 2),
+    "tail_k": lambda n: tail_input(n, 3),
+    "tail_k_plus_1": lambda n: tail_input(n, 4),
+    "tail_most": lambda n: tail_input(n, n - 1),
+    "fully_constant": lambda n: tail_input(n, n, TOKEN_ROW),
+    "fully_zero": lambda n: tail_input(n, n),
+    "nan_row_in_tail": lambda n: set_rows(tail_input(n, 7), n - 3, np.nan),
+    "negative_zero_in_tail": lambda n: set_rows(tail_input(n, 7), n - 4, -0.0),
+    "repeated_token_then_padding": lambda n: set_rows(tail_input(n, 5),
+                                                      slice(n - 8, n - 5), TOKEN_ROW),
+    "repeated_token_at_end": lambda n: tail_input(n, 5, TOKEN_ROW),
+}
+
+
+def _conv_pair():
+    """The layer under test and a copy with the same parameters for the
+    reference, with a bias that keeps padded windows off zero."""
+    layers = [N.Conv1D(3, 4, 5, rng(52)) for _ in range(2)]
+    for layer in layers:
+        layer.b.value[...] = rng(53).standard_normal(5)
+    return layers
+
+
+class TestConstantTail:
+    """Conv1D and MaxPool1D compute a run of identical trailing windows once
+    and give what the full computation gives.
+
+    Pooling is compared bit for bit. Conv output is compared to 1e-12: BLAS
+    can sum a product with fewer rows in another order (OpenBLAS uses gemv
+    for one row, and on AVX-512 a small-matrix kernel), so the shorter
+    product may differ from the full one in the last bits.
+    """
+
+    @pytest.mark.parametrize("length", [11, 12])
+    @pytest.mark.parametrize("make", TAIL_INPUTS.values(), ids=TAIL_INPUTS.keys())
+    def test_conv1d_matches_full_computation(self, make, length):
+        x = make(length)
+        layer, ref = _conv_pair()
+        got = layer.forward(x)
+        want = ref_conv1d(ref, x)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        dy = rng(54).standard_normal(got.shape)
+        for got_g, want_g in zip([layer.backward(dy), layer.filters.grad, layer.b.grad],
+                                 [ref.backward(dy), ref.filters.grad, ref.b.grad]):
+            np.testing.assert_allclose(got_g, want_g, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("pool_size", [2, 3])
+    @pytest.mark.parametrize("length", [11, 12])
+    @pytest.mark.parametrize("make", TAIL_INPUTS.values(), ids=TAIL_INPUTS.keys())
+    def test_maxpool_matches_full_computation(self, make, length, pool_size):
+        x = make(length)
+        layer, ref = N.MaxPool1D(pool_size), N.MaxPool1D(pool_size)
+        got = layer.forward(x)
+        want = ref_maxpool(ref, x)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(layer._argmax, ref._argmax)
+        dy = rng(55).standard_normal(got.shape)
+        np.testing.assert_allclose(layer.backward(dy), ref.backward(dy),
+                                   rtol=0, atol=1e-12)
+
+    def test_copied_rows_equal_the_computed_one(self):
+        layer, _ = _conv_pair()
+        y = layer.forward(tail_input(12, 7))
+        assert np.array_equal(y[5:], np.tile(y[5], (5, 1)))  # windows 5.. lie in the tail
+        assert not np.array_equal(y[4], y[5])
+
+    def test_grad_on_padded_input(self):
+        conv = N.Conv1D(3, 2, 4, rng(56))
+        conv.b.value[...] = rng(57).standard_normal(4)
+        assert check_layer_grads(conv, tail_input(10, 6, channels=2)) < 1e-6
+
+
 LSTM_MASKS = {
     "none": None,
     "all_ones": [1, 1, 1, 1, 1],

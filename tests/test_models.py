@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from test_layers import ref_conv1d, ref_maxpool
 
 from toxiclass import models as M
 from toxiclass.corpus import LABELS, PAD_ID, build_vocab, tokenize
@@ -124,6 +127,25 @@ class TestForward:
     def test_construction_rejects_impossible_length(self):
         with pytest.raises(ConfigError):
             _multilabel(seq_len=3)
+
+    @pytest.mark.parametrize("real", [0, 1, 2, 15, 296, 297, 299, 300])
+    def test_multilabel_matches_full_length_reference(self, real):
+        """The tagger over 300 slots gives what computing every conv and pool
+        window gives, whatever share of the slots is padding."""
+        model = M.MultiLabelModel(M.desk_multilabel_config(),
+                                  random_table(len(VOCAB), 6, seed=1),
+                                  seq_len=300, seed=1)
+        r = np.random.default_rng(2)
+        for conv, _, _ in model.blocks:  # trained biases are not zero
+            conv.b.value[...] = 0.1 * r.standard_normal(conv.b.value.shape)
+        seq = _seq(" ".join(WORDS[i % len(WORDS)] for i in range(real)), 300)
+        got = model.forward(seq)
+        x = model.embedding.forward(seq.input_ids, seq.mask)
+        for conv, act, pool in model.blocks:
+            x = ref_maxpool(pool, act.forward(ref_conv1d(conv, x)))
+        _, z = model.attention.forward(model.bilstm.forward(x))
+        want = model.out_act.forward(model.out.forward(z))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestParams:
@@ -408,6 +430,76 @@ class TestCheckpoint:
         M.save_model(b, tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() \
             == (tmp_path / "b.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("model", [
+        _binary(), _binary(pooled_input=True),
+        M.BinaryModel(M.BinaryModelConfig(lstm_units=3, dense_hidden=()),
+                      random_table(len(VOCAB), 4)),
+        _multilabel(),
+        M.MultiLabelModel(M.MultiLabelModelConfig(conv_stack=((6, 3),),
+                                                  bilstm_units=3,
+                                                  use_attention=False),
+                          random_table(len(VOCAB), 5), seq_len=12),
+    ], ids=["binary", "pooled", "no_hidden", "multilabel", "max_over_time"])
+    def test_tensor_shapes_from_sizes(self, model):
+        table = model.embedding.table
+        assert M._tensor_shapes(model.config, table.vocab_size, table.dim) \
+            == [(name, p.value.shape) for name, p in model.named_tensors()]
+
+    def _wide_binary(self, tmp_path):
+        """A small binary checkpoint with 4096-wide embeddings: a
+        10**7-unit LSTM over them would need over 10**12 bytes, which numpy
+        refuses outright instead of filling memory."""
+        path = tmp_path / "wide.ckpt"
+        M.save_model(M.TrainedModel(model=_binary(dim=4096), vocab_hash=""), path)
+        return path
+
+    @pytest.mark.parametrize("key, change", [
+        ("embedding", {"vocab_size": 10 ** 8, "dim": 10 ** 6}),
+        ("model_config", {"lstm_units": 10 ** 7}),
+        ("model_config", {"dense_hidden": [10 ** 12]}),
+    ])
+    def test_header_sizes_checked_before_allocation(self, tmp_path, key, change,
+                                                    rewrite_header):
+        path = self._wide_binary(tmp_path)
+        header = M._header_dict(M.load_model(path))
+        rewrite_header(path, {"set": (key, {**header[key], **change})})
+        with pytest.raises(CheckpointError, match="tensor mismatch"):
+            M.load_model(path)
+
+    def test_rejected_header_allocates_little(self, tmp_path, rewrite_header):
+        path = self._wide_binary(tmp_path)
+        config = M._header_dict(M.load_model(path))["model_config"]
+        rewrite_header(path, {"set": ("model_config",
+                                      {**config, "lstm_units": 2000})})
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="tensor mismatch"):
+                M.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * path.stat().st_size
+
+    @pytest.mark.parametrize("tensors, message", [
+        (lambda t: t[:-1], "tensor mismatch"),
+        (lambda t: t + [{"name": "extra", "shape": [1]}], "tensor mismatch"),
+        (lambda t: [{**m, "shape": [1, 1]} if m["name"] == "out.w" else m
+                    for m in t], "tensor mismatch"),
+    ], ids=["missing", "extra", "reshaped"])
+    def test_tensor_list_must_match_sizes(self, tmp_path, tensors, message,
+                                          rewrite_header):
+        _, path = self._trained_binary(tmp_path)
+        header = M._header_dict(M.load_model(path))
+        rewrite_header(path, {"set": ("tensors", tensors(header["tensors"]))})
+        with pytest.raises(CheckpointError, match=message):
+            M.load_model(path)
+
+    def test_tensor_bytes_must_fill_the_body(self, tmp_path):
+        _, path = self._trained_binary(tmp_path)
+        self._rewrite(path, lambda body: body.__delitem__(slice(-8, None)))
+        with pytest.raises(CheckpointError, match="truncated"):
+            M.load_model(path)
 
     @pytest.mark.parametrize("header", [
         b"\xff\xfe{}",  # not UTF-8
