@@ -72,12 +72,6 @@ class Document:
                     f"document {self.id!r}: toxic=True but no label is set"
                 )
 
-    @property
-    def label_array(self) -> np.ndarray:
-        if self.labels is None:
-            raise DataError(f"document {self.id!r} carries no labels")
-        return np.asarray(self.labels, dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class PreprocessConfig:

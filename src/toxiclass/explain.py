@@ -26,13 +26,11 @@ class Perturbation:
     """One masked variant of the instance.
 
     ``mask`` has one slot per distinct word (1 = kept); ``text`` is the
-    instance with deactivated words removed; ``output`` is filled with the
-    model's probability vector once the model has been run.
+    instance with deactivated words removed.
     """
 
     mask: np.ndarray
     text: str
-    output: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -203,13 +201,13 @@ def explain_instance(predict, document: str, class_index: int,
     words = distinct_words(tokens)
     targets = np.empty(len(perturbations))
     for i, p in enumerate(perturbations):
-        p.output = np.asarray(predict(p.text), dtype=np.float64)
-        if class_index >= p.output.size or class_index < 0:
+        output = np.asarray(predict(p.text), dtype=np.float64)
+        if class_index >= output.size or class_index < 0:
             raise DataError(
                 f"class index {class_index} out of range for model with "
-                f"{p.output.size} outputs"
+                f"{output.size} outputs"
             )
-        targets[i] = p.output[class_index]
+        targets[i] = output[class_index]
     weights = np.array([kernel_weight(p.mask) for p in perturbations])
     masks = np.stack([p.mask for p in perturbations]).astype(np.float64)
 

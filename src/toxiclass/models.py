@@ -30,6 +30,7 @@ from .neural import (
     ReLULayer,
     SigmoidLayer,
 )
+from .neural.layers import Layer
 from .neural.losses import add_l2_gradients, bce_loss, l2_penalty
 
 CHECKPOINT_MAGIC = b"TXCKPT01"
@@ -61,6 +62,8 @@ class MultiLabelModelConfig:
     def __post_init__(self):
         if not self.conv_stack:
             raise ConfigError("conv stack must be non-empty")
+        if self.pool < 1:
+            raise ConfigError(f"pool must be >= 1, got {self.pool}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "MultiLabelModelConfig":
@@ -98,10 +101,8 @@ def desk_multilabel_config() -> MultiLabelModelConfig:
     return MultiLabelModelConfig(conv_stack=((16, 4), (12, 3), (8, 2)), bilstm_units=8)
 
 
-class EmbeddingLayer:
+class EmbeddingLayer(Layer):
     """Lookup with masking; PAD row pinned to zero and never updated."""
-
-    kind = "embedding"
 
     def __init__(self, table: EmbeddingTable):
         self.table = table
@@ -121,7 +122,26 @@ class EmbeddingLayer:
         self.param.grad[PAD_ID, :] = 0.0
 
 
-class BinaryModel:
+class Model:
+    """What both models derive from ``named_tensors()``, the one list of
+    their tensors that each subclass writes. Checkpoints, Adam and the L2
+    penalty all take its order."""
+
+    def params(self) -> list[Param]:
+        """The trainable tensors: all but a frozen embedding table."""
+        frozen = None if self.embedding.table.trainable else self.embedding.param
+        return [p for _, p in self.named_tensors() if p is not frozen]
+
+    def decayed_params(self) -> list[Param]:
+        """The tensors under the L2 penalty (``Param.decay``)."""
+        return [p for _, p in self.named_tensors() if p.decay]
+
+    def zero_grad(self) -> None:
+        for p in self.params():
+            p.zero_grad()
+
+
+class BinaryModel(Model):
     """Embedding -> LSTM -> max over time -> dropout -> dense stack -> sigmoid."""
 
     kind = "binary"
@@ -169,35 +189,14 @@ class BinaryModel:
         self.embedding.backward(dx)
 
     def named_tensors(self) -> list[tuple[str, Param]]:
-        named = [("embedding.table", self.embedding.param)]
-        for p in self.lstm.params():
-            named.append((f"lstm.{p.name}", p))
+        named = (self.embedding.named_tensors("embedding")
+                 + self.lstm.named_tensors("lstm"))
         for i, (dense, _) in enumerate(self.hidden):
-            for p in dense.params():
-                named.append((f"hidden{i}.{p.name}", p))
-        for p in self.out.params():
-            named.append((f"out.{p.name}", p))
-        return named
-
-    def params(self) -> list[Param]:
-        trainable = [] if not self.embedding.table.trainable else [self.embedding.param]
-        trainable += self.lstm.params()
-        for dense, _ in self.hidden:
-            trainable += dense.params()
-        return trainable + self.out.params()
-
-    def weight_params(self) -> list[Param]:
-        weights = self.lstm.weight_params()
-        for dense, _ in self.hidden:
-            weights += dense.weight_params()
-        return weights + self.out.weight_params()
-
-    def zero_grad(self) -> None:
-        for _, p in self.named_tensors():
-            p.zero_grad()
+            named += dense.named_tensors(f"hidden{i}")
+        return named + self.out.named_tensors("out")
 
 
-class MultiLabelModel:
+class MultiLabelModel(Model):
     """Embedding -> (conv + ReLU + pool) x N -> BiLSTM -> attention -> sigmoid."""
 
     kind = "multilabel"
@@ -267,42 +266,13 @@ class MultiLabelModel:
         self.embedding.backward(dx)
 
     def named_tensors(self) -> list[tuple[str, Param]]:
-        named = [("embedding.table", self.embedding.param)]
+        named = self.embedding.named_tensors("embedding")
         for i, (conv, _, _) in enumerate(self.blocks):
-            for p in conv.params():
-                named.append((f"conv{i}.{p.name}", p))
-        for p in self.bilstm.fwd.params():
-            named.append((f"bilstm.fwd.{p.name}", p))
-        for p in self.bilstm.bwd.params():
-            named.append((f"bilstm.bwd.{p.name}", p))
+            named += conv.named_tensors(f"conv{i}")
+        named += self.bilstm.named_tensors("bilstm")
         if self.attention is not None:
-            for p in self.attention.params():
-                named.append((f"attention.{p.name}", p))
-        for p in self.out.params():
-            named.append((f"out.{p.name}", p))
-        return named
-
-    def params(self) -> list[Param]:
-        trainable = [] if not self.embedding.table.trainable else [self.embedding.param]
-        for conv, _, _ in self.blocks:
-            trainable += conv.params()
-        trainable += self.bilstm.params()
-        if self.attention is not None:
-            trainable += self.attention.params()
-        return trainable + self.out.params()
-
-    def weight_params(self) -> list[Param]:
-        weights = []
-        for conv, _, _ in self.blocks:
-            weights += conv.weight_params()
-        weights += self.bilstm.weight_params()
-        if self.attention is not None:
-            weights += self.attention.weight_params()
-        return weights + self.out.weight_params()
-
-    def zero_grad(self) -> None:
-        for _, p in self.named_tensors():
-            p.zero_grad()
+            named += self.attention.named_tensors("attention")
+        return named + self.out.named_tensors("out")
 
 
 def predict_binary(model: BinaryModel, seq: TokenSequence) -> float:
@@ -319,7 +289,7 @@ def predict_multilabel(model: MultiLabelModel, seq: TokenSequence) -> np.ndarray
 class TrainedModel:
     """A trained model plus everything needed to reproduce and reload it."""
 
-    model: object  # BinaryModel | MultiLabelModel
+    model: Model
     vocab_hash: str
     history: list[dict] = field(default_factory=list)
     train_config: TrainingConfig | None = None
@@ -343,7 +313,7 @@ def train(model, train_set, val_set, config: TrainingConfig,
     config.validate()
     rng = np.random.default_rng(np.random.PCG64(config.seed))
     opt = Adam(model.params(), config.learning_rate)
-    weights = model.weight_params()
+    weights = model.decayed_params()
 
     def validation_loss() -> float:
         total = 0.0
@@ -520,8 +490,9 @@ def load_model(path, expect_kind: str | None = None) -> TrainedModel:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if len(data) < len(CHECKPOINT_MAGIC) + 4 + 32:
         raise CheckpointError(f"checkpoint {path} is truncated")
-    body, digest = data[:-32], data[-32:]
-    if hashlib.sha256(body).digest() != digest:
+    # One copy of the file: the body is a view and tensors are read in place.
+    body = memoryview(data)[:-32]
+    if hashlib.sha256(body).digest() != data[-32:]:
         raise CheckpointError(f"checkpoint {path} failed its checksum")
     if body[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"checkpoint {path} has a bad magic header")
@@ -533,11 +504,11 @@ def load_model(path, expect_kind: str | None = None) -> TrainedModel:
             f"checkpoint {path} has a malformed header: {exc!r}") from exc
 
 
-def _decode_checkpoint(body: bytes, path, expect_kind: str | None) -> TrainedModel:
+def _decode_checkpoint(body: memoryview, path, expect_kind: str | None) -> TrainedModel:
     offset = len(CHECKPOINT_MAGIC)
     (header_len,) = struct.unpack_from("<I", body, offset)
     offset += 4
-    header = json.loads(body[offset:offset + header_len].decode("utf-8"))
+    header = json.loads(bytes(body[offset:offset + header_len]).decode("utf-8"))
     offset += header_len
     if header["format_version"] != CHECKPOINT_VERSION:
         raise CheckpointError(
@@ -584,11 +555,10 @@ def _decode_checkpoint(body: bytes, path, expect_kind: str | None) -> TrainedMod
         model = MultiLabelModel(config, table, seq_len=int(header["seq_len"]),
                                 seed=0)
     for _, param in model.named_tensors():
-        nbytes = param.value.size * 8
         param.value[...] = np.frombuffer(
-            body[offset:offset + nbytes], dtype="<f8"
+            body, dtype="<f8", count=param.value.size, offset=offset
         ).reshape(param.value.shape)
-        offset += nbytes
+        offset += param.value.size * 8
 
     train_config = None
     if header["train_config"]:

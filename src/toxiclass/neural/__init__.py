@@ -16,7 +16,7 @@ from .layers import (
     sigmoid,
     softmax,
 )
-from .losses import bce_l2_loss, bce_loss, l2_penalty
+from .losses import bce_loss, l2_penalty
 from .optim import Adam
 from .gradcheck import grad_check
 
@@ -34,7 +34,6 @@ __all__ = [
     "Param",
     "ReLULayer",
     "SigmoidLayer",
-    "bce_l2_loss",
     "bce_loss",
     "grad_check",
     "l2_penalty",

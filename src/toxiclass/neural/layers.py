@@ -32,14 +32,18 @@ def softmax(v):
 
 
 class Param:
-    """Named parameter tensor with a same-shaped gradient buffer."""
+    """Named parameter tensor with a same-shaped gradient buffer.
 
-    __slots__ = ("name", "value", "grad")
+    ``decay`` marks the tensor for the trainer's L2 penalty.
+    """
 
-    def __init__(self, name: str, value: np.ndarray):
+    __slots__ = ("name", "value", "grad", "decay")
+
+    def __init__(self, name: str, value: np.ndarray, decay: bool = False):
         self.name = name
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
+        self.decay = decay
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
@@ -67,14 +71,19 @@ def glorot(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 class Layer:
-    kind = "layer"
+    def named_tensors(self, prefix: str) -> list[tuple[str, Param]]:
+        """This layer's parameters and its sub-layers', in attribute order:
+        ``prefix.name`` for its own, ``prefix.attr.name`` for a sub-layer's."""
+        named = []
+        for attr, value in vars(self).items():
+            if isinstance(value, Param):
+                named.append((f"{prefix}.{value.name}", value))
+            elif isinstance(value, Layer):
+                named += value.named_tensors(f"{prefix}.{attr}")
+        return named
 
     def params(self) -> list[Param]:
-        return []
-
-    def weight_params(self) -> list[Param]:
-        """Parameters subject to L2 (weight matrices, not biases)."""
-        return []
+        return [p for _, p in self.named_tensors("")]
 
     def zero_grad(self) -> None:
         for p in self.params():
@@ -84,18 +93,10 @@ class Layer:
 class Dense(Layer):
     """y = W x + b over vectors."""
 
-    kind = "dense"
-
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
-        self.w = Param("w", glorot(rng, (n_out, n_in)))
+        self.w = Param("w", glorot(rng, (n_out, n_in)), decay=True)
         self.b = Param("b", np.zeros(n_out))
         self._x = None
-
-    def params(self):
-        return [self.w, self.b]
-
-    def weight_params(self):
-        return [self.w]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -117,23 +118,16 @@ class Dense(Layer):
 class Conv1D(Layer):
     """Valid (no-padding) cross-correlation along the sequence axis."""
 
-    kind = "conv1d"
-
     def __init__(self, kernel_size: int, c_in: int, c_out: int,
                  rng: np.random.Generator):
         limit = np.sqrt(6.0 / (kernel_size * c_in + c_out))
         self.filters = Param(
-            "filters", rng.uniform(-limit, limit, size=(kernel_size, c_in, c_out))
+            "filters", rng.uniform(-limit, limit, size=(kernel_size, c_in, c_out)),
+            decay=True,
         )
         self.b = Param("b", np.zeros(c_out))
         self.kernel_size = kernel_size
         self._x = None
-
-    def params(self):
-        return [self.filters, self.b]
-
-    def weight_params(self):
-        return [self.filters]
 
     def out_length(self, length: int) -> int:
         return length - self.kernel_size + 1
@@ -178,8 +172,6 @@ class MaxPool1D(Layer):
     Backward routes each output's gradient to the first argmax in its window.
     """
 
-    kind = "maxpool1d"
-
     def __init__(self, pool: int = 2):
         self.pool = pool
         self._argmax = None
@@ -223,8 +215,6 @@ class MaxOverTime(Layer):
     A fully masked input yields zeros; backward then routes nothing.
     """
 
-    kind = "max_over_time"
-
     def __init__(self):
         self._rows = None
         self._in_shape = None
@@ -252,8 +242,6 @@ class Dropout(Layer):
     """Inverted dropout: training scales survivors by 1/(1-rate); inference
     is the identity."""
 
-    kind = "dropout"
-
     def __init__(self, rate: float):
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -279,8 +267,6 @@ class Dropout(Layer):
 
 
 class ReLULayer(Layer):
-    kind = "relu"
-
     def forward(self, x):
         self._pos = np.asarray(x) > 0.0
         return np.where(self._pos, x, 0.0)
@@ -290,8 +276,6 @@ class ReLULayer(Layer):
 
 
 class LeakyReLULayer(Layer):
-    kind = "leaky_relu"
-
     def __init__(self, slope: float = DEFAULT_LEAKY_SLOPE):
         self.slope = slope
 
@@ -304,8 +288,6 @@ class LeakyReLULayer(Layer):
 
 
 class SigmoidLayer(Layer):
-    kind = "sigmoid"
-
     def forward(self, x):
         self._y = sigmoid(x)
         return self._y
@@ -322,21 +304,13 @@ class LSTM(Layer):
     gradient.
     """
 
-    kind = "lstm"
-
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
-        self.w_x = Param("w_x", glorot(rng, (4 * hidden_dim, input_dim)))
-        self.w_h = Param("w_h", glorot(rng, (4 * hidden_dim, hidden_dim)))
+        self.w_x = Param("w_x", glorot(rng, (4 * hidden_dim, input_dim)), decay=True)
+        self.w_h = Param("w_h", glorot(rng, (4 * hidden_dim, hidden_dim)), decay=True)
         self.b = Param("b", np.zeros(4 * hidden_dim))
         self._cache = None
-
-    def params(self):
-        return [self.w_x, self.w_h, self.b]
-
-    def weight_params(self):
-        return [self.w_x, self.w_h]
 
     def forward(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -405,18 +379,10 @@ class LSTM(Layer):
 class BiLSTM(Layer):
     """Forward and reversed LSTMs, outputs concatenated per timestep."""
 
-    kind = "bilstm"
-
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         self.hidden_dim = hidden_dim
         self.fwd = LSTM(input_dim, hidden_dim, rng)
         self.bwd = LSTM(input_dim, hidden_dim, rng)
-
-    def params(self):
-        return self.fwd.params() + self.bwd.params()
-
-    def weight_params(self):
-        return self.fwd.weight_params() + self.bwd.weight_params()
 
     def forward(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         h_f = self.fwd.forward(x, mask)
@@ -439,18 +405,10 @@ class Attention(Layer):
     weight-convex combination of the rows of H.
     """
 
-    kind = "attention"
-
     def __init__(self, dim: int, rng: np.random.Generator):
-        self.w = Param("w", glorot(rng, (1, dim)).reshape(dim))
+        self.w = Param("w", glorot(rng, (1, dim)).reshape(dim), decay=True)
         self.b = Param("b", np.zeros(1))
         self._cache = None
-
-    def params(self):
-        return [self.w, self.b]
-
-    def weight_params(self):
-        return [self.w]
 
     def forward(self, h: np.ndarray, mask: np.ndarray | None = None):
         h = np.asarray(h, dtype=np.float64)

@@ -36,15 +36,9 @@ def l2_penalty(weights, lam: float) -> float:
     return 0.5 * lam * float(sum(np.sum(np.square(w)) for w in weights))
 
 
-def bce_l2_loss(p, y, weights=(), lam: float = 0.0) -> float:
-    """BCE plus L2 penalty over weight (not bias) tensors; scalar only."""
-    loss, _ = bce_loss(p, y)
-    return loss + l2_penalty(weights, lam)
-
-
-def add_l2_gradients(weight_params, lam: float) -> None:
+def add_l2_gradients(params, lam: float) -> None:
     """Accumulate d/dW of the L2 penalty (= lam * W) into the grad buffers."""
     if lam == 0.0:
         return
-    for p in weight_params:
+    for p in params:
         p.grad += lam * p.value

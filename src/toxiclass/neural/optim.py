@@ -41,7 +41,3 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * np.square(g)
             p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()

@@ -128,7 +128,7 @@ def test_criterion_01_gradient_suite():
     seq = TokenSequence(input_ids=r2.integers(2, 30, 20), mask=np.ones(20),
                         true_length=20)
     y6 = r2.integers(0, 2, 6).astype(np.float64)
-    weights = model.weight_params()
+    weights = model.decayed_params()
 
     def composed_loss():
         return bce_loss(model.forward(seq), y6)[0] \

@@ -422,6 +422,11 @@ class TestExitCodes:
         assert cli.main(["--set", "train.epochs=soon", "stats"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_pool_below_one(self, workspace, capsys):
+        assert cli.main(workspace["base"] + ["--set", "multilabel.pool=0",
+                                             "train-multilabel"]) == 2
+        assert "pool must be >= 1" in capsys.readouterr().err
+
     def test_split_before_prepare(self, tmp_path, capsys):
         assert cli.main(["--set", f"output.dir={tmp_path / 'none'}",
                          "split"]) == 3

@@ -3,7 +3,7 @@ import pytest
 
 from toxiclass import neural as N
 from toxiclass.errors import NumericError
-from toxiclass.neural.losses import add_l2_gradients, bce_l2_loss, bce_loss, l2_penalty
+from toxiclass.neural.losses import add_l2_gradients, bce_loss, l2_penalty
 
 
 def rng(seed=0):
@@ -258,9 +258,9 @@ class TestDense:
         d = N.Dense(5, 3, rng(2))
         assert check_layer_grads(d, rng(3).standard_normal(5)) < 1e-6
 
-    def test_weight_params_exclude_bias(self):
+    def test_only_weight_decays(self):
         d = N.Dense(2, 2, rng(1))
-        assert d.weight_params() == [d.w]
+        assert [p for p in d.params() if p.decay] == [d.w]
 
 
 class TestConv1D:
@@ -502,6 +502,43 @@ class TestAttention:
         assert np.allclose(z0, z1, atol=1e-12)
 
 
+class TestRegistry:
+    def test_sub_layer_names_nest(self):
+        b = N.BiLSTM(3, 2, rng(1))
+        named = b.named_tensors("bilstm")
+        assert [n for n, _ in named] == [
+            "bilstm.fwd.w_x", "bilstm.fwd.w_h", "bilstm.fwd.b",
+            "bilstm.bwd.w_x", "bilstm.bwd.w_h", "bilstm.bwd.b"]
+        want = [b.fwd.w_x, b.fwd.w_h, b.fwd.b, b.bwd.w_x, b.bwd.w_h, b.bwd.b]
+        assert [p for _, p in named] == want
+        assert b.params() == want
+
+    @pytest.mark.parametrize("layer, decayed", [
+        (N.Dense(3, 2, rng(1)), ["x.w"]),
+        (N.Conv1D(2, 3, 4, rng(1)), ["x.filters"]),
+        (N.LSTM(3, 2, rng(1)), ["x.w_x", "x.w_h"]),
+        (N.Attention(3, rng(1)), ["x.w"]),
+    ], ids=["dense", "conv1d", "lstm", "attention"])
+    def test_names_and_decay(self, layer, decayed):
+        for attr, value in vars(layer).items():
+            if isinstance(value, N.Param):
+                assert value.name == attr
+        assert [n for n, p in layer.named_tensors("x") if p.decay] == decayed
+
+    def test_parameter_free_layers(self):
+        for layer in (N.MaxPool1D(2), N.MaxOverTime(), N.Dropout(0.1),
+                      N.ReLULayer(), N.LeakyReLULayer(), N.SigmoidLayer()):
+            assert layer.named_tensors("x") == []
+            assert layer.params() == []
+
+    def test_zero_grad_clears_sub_layers(self):
+        b = N.BiLSTM(3, 2, rng(1))
+        for p in b.params():
+            p.grad[...] = 1.0
+        b.zero_grad()
+        assert not any(p.grad.any() for p in b.params())
+
+
 class TestLosses:
     def test_bce_ln2_fixed_point(self):
         loss, _ = bce_loss(np.array([0.5]), np.array([1.0]))
@@ -532,11 +569,6 @@ class TestLosses:
         param = N.Param("w", w)
         add_l2_gradients([param], 0.1)
         assert np.allclose(param.grad, 0.1 * w)
-
-    def test_combined_loss(self):
-        w = np.ones((2, 2))
-        total = bce_l2_loss(np.array([0.5]), np.array([1.0]), weights=[w], lam=0.5)
-        assert total == pytest.approx(np.log(2.0) + 1.0)
 
 
 class TestAdam:
@@ -571,13 +603,6 @@ class TestAdam:
         p.grad[...] = np.nan
         with pytest.raises(NumericError):
             opt.step()
-
-    def test_zero_grad_clears(self):
-        p = N.Param("x", np.array([1.0]))
-        opt = N.Adam([p], learning_rate=0.1)
-        p.grad[...] = 2.0
-        opt.zero_grad()
-        assert p.grad[0] == 0.0
 
 
 class TestGradCheck:

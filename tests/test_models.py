@@ -1,7 +1,10 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from test_layers import ref_conv1d, ref_maxpool
 
 from toxiclass import models as M
@@ -45,6 +48,11 @@ class TestConfigs:
     def test_empty_conv_stack_rejected(self):
         with pytest.raises(ConfigError):
             M.MultiLabelModelConfig(conv_stack=())
+
+    @pytest.mark.parametrize("pool", [0, -1])
+    def test_pool_below_one_rejected(self, pool):
+        with pytest.raises(ConfigError, match="pool"):
+            M.MultiLabelModelConfig(pool=pool)
 
     def test_from_dict_round_trips(self):
         from dataclasses import asdict
@@ -161,18 +169,28 @@ class TestParams:
         assert sum(p.value.size for p in model.params()) == expected
 
     def test_frozen_embedding_excluded_from_params(self):
-        cfg = M.BinaryModelConfig(lstm_units=4, dense_hidden=(4,))
-        model = M.BinaryModel(cfg, random_table(len(VOCAB), 5, seed=0,
-                                                trainable=False), seed=0)
-        names = {id(p) for p in model.params()}
-        assert id(model.embedding.param) not in names
-
-    def test_weight_params_exclude_biases(self):
         for model in (_binary(), _multilabel()):
-            weights = model.weight_params()
-            assert weights
-            assert all(not p.name.startswith("b") for p in weights)
-            assert id(model.embedding.param) not in {id(p) for p in weights}
+            named = [p for _, p in model.named_tensors()]
+            assert model.params() == named
+            model.embedding.table.trainable = False
+            assert model.params() == named[1:]
+            assert model.embedding.param is named[0]
+
+    def test_decayed_set_is_exact(self):
+        no_attention = M.MultiLabelModel(
+            M.MultiLabelModelConfig(conv_stack=((6, 3),), bilstm_units=3,
+                                    use_attention=False),
+            random_table(len(VOCAB), 5), seq_len=12)
+        tagger = ["bilstm.fwd.w_x", "bilstm.fwd.w_h", "bilstm.bwd.w_x",
+                  "bilstm.bwd.w_h"]
+        for model, decayed in [
+            (_binary(), ["lstm.w_x", "lstm.w_h", "hidden0.w", "out.w"]),
+            (_multilabel(), ["conv0.filters", "conv1.filters", *tagger,
+                             "attention.w", "out.w"]),
+            (no_attention, ["conv0.filters", *tagger, "out.w"]),
+        ]:
+            names = {id(p): n for n, p in model.named_tensors()}
+            assert [names[id(p)] for p in model.decayed_params()] == decayed
 
     def test_named_tensors_cover_params(self):
         for model in (_binary(), _multilabel()):
@@ -275,7 +293,7 @@ class TestTrain:
         from toxiclass.neural.losses import bce_loss, l2_penalty
         total = sum(bce_loss(model.forward(s), y)[0] for s, y in data)
         val = total / len(data) + l2_penalty(
-            (w.value for w in model.weight_params()), trained.train_config.l2_lambda)
+            (w.value for w in model.decayed_params()), trained.train_config.l2_lambda)
         assert val == pytest.approx(best_val, abs=1e-12)
 
     def test_empty_folds_rejected(self):
@@ -481,6 +499,20 @@ class TestCheckpoint:
             tracemalloc.stop()
         assert peak < 4 * path.stat().st_size
 
+    def test_valid_load_holds_the_file_once(self, tmp_path):
+        """Paper-size gate over a 20,000 x 100 table: the file, the tensors
+        and their gradient buffers, with no copy of the file's body."""
+        model = M.BinaryModel(M.BinaryModelConfig(), random_table(20_000, 100))
+        path = tmp_path / "big.ckpt"
+        M.save_model(M.TrainedModel(model=model, vocab_hash=""), path)
+        tracemalloc.start()
+        try:
+            M.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * path.stat().st_size
+
     @pytest.mark.parametrize("tensors, message", [
         (lambda t: t[:-1], "tensor mismatch"),
         (lambda t: t + [{"name": "extra", "shape": [1]}], "tensor mismatch"),
@@ -522,6 +554,67 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="malformed header") as info:
             M.load_model(path)
         assert str(path) in str(info.value)
+
+
+# Sizes and values a rewritten header field may take: small and huge ints,
+# and values of the wrong type.
+_SIZES = st.one_of(st.integers(-2, 40),
+                   st.sampled_from([10 ** 7, 10 ** 12, 2 ** 63, -(2 ** 63)]))
+_JUNK = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+                  st.lists(st.integers(-1, 3), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+_VALUES = st.one_of(_SIZES, _JUNK, st.lists(_SIZES, max_size=3),
+                    st.lists(st.lists(_SIZES, max_size=3), max_size=4))
+
+
+def _rewritten(field: dict) -> st.SearchStrategy:
+    """The field with up to three keys set to other values, or junk."""
+    changes = st.dictionaries(st.sampled_from(sorted(field) + ["bogus"]), _VALUES,
+                              min_size=1, max_size=3)
+    return st.one_of(changes.map(lambda c: {**field, **c}), _JUNK)
+
+
+def _rewritten_tensors(tensors: list) -> st.SearchStrategy:
+    names = st.sampled_from([t["name"] for t in tensors] + ["extra"])
+    entry = st.one_of(st.sampled_from(tensors), _JUNK,
+                      st.fixed_dictionaries({"name": names,
+                                             "shape": st.lists(_SIZES, max_size=3)}))
+    return st.one_of(st.lists(entry, max_size=len(tensors) + 1), _JUNK)
+
+
+@pytest.fixture(scope="module")
+def desk_checkpoints(tmp_path_factory):
+    out = {}
+    for model in (M.BinaryModel(M.desk_binary_config(), random_table(len(VOCAB), 5)),
+                  M.MultiLabelModel(M.desk_multilabel_config(),
+                                    random_table(len(VOCAB), 5), seq_len=40)):
+        trained = M.TrainedModel(model=model, vocab_hash="")
+        path = tmp_path_factory.mktemp("desk") / f"{model.kind}.ckpt"
+        M.save_model(trained, path)
+        out[model.kind] = (path.read_bytes(), M._header_dict(trained))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["binary", "multilabel"])
+# Each example starts from the original bytes, so the fixtures are safe to share.
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_rewritten_header_fails_only_as_checkpoint_error(kind, data, tmp_path,
+                                                         desk_checkpoints,
+                                                         rewrite_header):
+    original, header = desk_checkpoints[kind]
+    fields = data.draw(st.fixed_dictionaries({}, optional={
+        "tensors": _rewritten_tensors(header["tensors"]),
+        "embedding": _rewritten(header["embedding"]),
+        "model_config": _rewritten(header["model_config"]),
+    }).filter(bool))
+    path = tmp_path / "desk.ckpt"
+    path.write_bytes(original)
+    for key, value in fields.items():
+        rewrite_header(path, {"set": (key, value)})
+    with contextlib.suppress(CheckpointError):
+        M.load_model(path, expect_kind=kind)
 
 
 class TestPipeline:
