@@ -62,6 +62,7 @@ from .models import (
     TrainingConfig,
     TwoStagePipeline,
     load_model,
+    predict,
     predict_binary,
     predict_multilabel,
     route,

@@ -236,7 +236,7 @@ def _evaluate_binary(cfg: RunConfig, docs, vocab) -> int:
     if any(d.toxic is None for d in members):
         raise DataError("test fold has documents without gold toxic flags")
     seqs = _sequences(members, vocab, cfg["tokenize.max_len"])
-    scores = np.array([M.predict_binary(trained.model, s) for s in seqs])
+    scores = M.predict(trained.model, seqs)[:, 0]
     gold = np.array([1 if d.toxic else 0 for d in members])
     pred = (scores >= cfg["thresholds.binary"]).astype(int)
     conf = MT.confusion(pred, gold)
@@ -272,7 +272,7 @@ def _evaluate_multilabel(cfg: RunConfig, docs, vocab) -> int:
     if any(d.labels is None for d in members):
         raise DataError("test fold has toxic documents without gold labels")
     seqs = _sequences(members, vocab, cfg["tokenize.max_len"])
-    scores = np.stack([M.predict_multilabel(trained.model, s) for s in seqs])
+    scores = M.predict(trained.model, seqs)
     gold = np.array([d.labels for d in members])
     pred = (scores >= cfg["thresholds.label"]).astype(int)
     report = MT.multilabel_report(pred, gold)
@@ -345,22 +345,15 @@ def cmd_explain(cfg: RunConfig, args) -> int:
     pconf = cfg.preprocess_config()
     max_len = cfg["tokenize.max_len"]
     text = C.preprocess(args.text, pconf)
+    model = _load_checkpoint(cfg, vocab, args.stage).model
+
+    def predict(texts: list[str]) -> np.ndarray:
+        return M.predict(model, [C.tokenize(t, vocab, max_len) for t in texts])
+
     if args.stage == "binary":
-        trained = _load_checkpoint(cfg, vocab, "binary")
-        model = trained.model
-
-        def predict(t: str) -> np.ndarray:
-            return np.array([M.predict_binary(model, C.tokenize(t, vocab, max_len))])
-
         class_index, class_name = 0, "toxic"
         k = cfg["explain.features.binary"]
     else:
-        trained = _load_checkpoint(cfg, vocab, "multilabel")
-        model = trained.model
-
-        def predict(t: str) -> np.ndarray:
-            return M.predict_multilabel(model, C.tokenize(t, vocab, max_len))
-
         if args.label not in C.LABELS:
             raise ConfigError(
                 f"--label must be one of {', '.join(C.LABELS)}; got {args.label!r}"

@@ -167,8 +167,11 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\n") for line in fh]
+        try:
+            with open(path, encoding="utf-8") as fh:
+                tokens = [line.rstrip("\n") for line in fh]
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read vocabulary file {path}: {exc}") from exc
         if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise DataError(f"vocabulary file {path} lacks reserved PAD/UNK header")
         return cls(tokens[2:])

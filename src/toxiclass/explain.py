@@ -193,21 +193,27 @@ def explain_instance(predict, document: str, class_index: int,
                      seed: int = 0, class_name: str | None = None) -> Explanation:
     """Explain one class probability of ``predict`` on ``document``.
 
-    ``predict`` maps a text string to a probability vector; perturbed texts
-    re-enter the model through whatever tokenization ``predict`` applies.
+    ``predict`` maps a list of n texts to an (n, classes) array of
+    probabilities; perturbed texts re-enter the model through whatever
+    tokenization ``predict`` applies. It is called once, on the distinct
+    perturbed texts.
     """
     tokens = document.split()
     perturbations = sample_perturbations(tokens, n=n, seed=seed)
     words = distinct_words(tokens)
-    targets = np.empty(len(perturbations))
-    for i, p in enumerate(perturbations):
-        output = np.asarray(predict(p.text), dtype=np.float64)
-        if class_index >= output.size or class_index < 0:
-            raise DataError(
-                f"class index {class_index} out of range for model with "
-                f"{output.size} outputs"
-            )
-        targets[i] = output[class_index]
+    row = {}
+    for p in perturbations:
+        row.setdefault(p.text, len(row))
+    outputs = np.asarray(predict(list(row)), dtype=np.float64)
+    if outputs.ndim != 2 or len(outputs) != len(row):
+        raise DataError(
+            f"predict returned shape {outputs.shape} for {len(row)} texts")
+    if class_index >= outputs.shape[1] or class_index < 0:
+        raise DataError(
+            f"class index {class_index} out of range for model with "
+            f"{outputs.shape[1]} outputs"
+        )
+    targets = outputs[[row[p.text] for p in perturbations], class_index]
     weights = np.array([kernel_weight(p.mask) for p in perturbations])
     masks = np.stack([p.mask for p in perturbations]).astype(np.float64)
 

@@ -189,12 +189,14 @@ def roc_auc(scores, gold) -> RocCurve:
     if pos == 0 or neg == 0:
         return RocCurve(points=(), auc=float("nan"))
 
+    # One operating point per distinct score, highest first: the positives
+    # and negatives scoring at or above it are running sums of the counts
+    # per distinct score. The threshold is that score's first occurrence.
+    distinct, first, group = np.unique(scores, return_index=True, return_inverse=True)
+    tp = np.bincount(group, weights=gold, minlength=distinct.size)[::-1].cumsum()
+    fp = np.bincount(group, weights=1 - gold, minlength=distinct.size)[::-1].cumsum()
     points = [(0.0, 0.0, float("inf"))]
-    for threshold in sorted(set(scores.tolist()), reverse=True):
-        predicted = scores >= threshold
-        tpr = float((predicted & (gold == 1)).sum() / pos)
-        fpr = float((predicted & (gold == 0)).sum() / neg)
-        points.append((fpr, tpr, threshold))
+    points += zip((fp / neg).tolist(), (tp / pos).tolist(), scores[first[::-1]].tolist())
 
     auc = 0.0
     for (fpr0, tpr0, _), (fpr1, tpr1, _) in zip(points, points[1:]):

@@ -35,6 +35,15 @@ from .neural.losses import add_l2_gradients, bce_loss, l2_penalty
 
 CHECKPOINT_MAGIC = b"TXCKPT01"
 CHECKPOINT_VERSION = 1
+# Documents per batched forward in ``predict``: bounds peak memory whatever
+# the number of documents.
+PREDICT_CHUNK = 8
+
+
+def _check_sizes(**sizes) -> None:
+    for name, size in sizes.items():
+        if size < 1:
+            raise ConfigError(f"{name} must be >= 1, got {size}")
 
 
 @dataclass(frozen=True)
@@ -44,6 +53,13 @@ class BinaryModelConfig:
     dropout_rate: float = 0.3
     leaky_slope: float = 0.01
     pooled_input: bool = False  # feed the max-pooled sentence vector instead of (L, D)
+
+    def __post_init__(self):
+        _check_sizes(lstm_units=self.lstm_units)
+        for size in self.dense_hidden:
+            _check_sizes(dense_hidden=size)
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "BinaryModelConfig":
@@ -64,6 +80,9 @@ class MultiLabelModelConfig:
             raise ConfigError("conv stack must be non-empty")
         if self.pool < 1:
             raise ConfigError(f"pool must be >= 1, got {self.pool}")
+        _check_sizes(bilstm_units=self.bilstm_units)
+        for filters, kernel in self.conv_stack:
+            _check_sizes(conv_filters=filters, conv_kernel=kernel)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MultiLabelModelConfig":
@@ -101,6 +120,21 @@ def desk_multilabel_config() -> MultiLabelModelConfig:
     return MultiLabelModelConfig(conv_stack=((16, 4), (12, 3), (8, 2)), bilstm_units=8)
 
 
+def _real_length(mask: np.ndarray) -> np.ndarray:
+    """Per row of ``mask``: the slots up to and including its last real one."""
+    valid = np.asarray(mask) > 0.5
+    return np.where(valid.any(axis=-1),
+                    valid.shape[-1] - valid[..., ::-1].argmax(axis=-1), 0)
+
+
+def _stack(seqs) -> tuple[np.ndarray, np.ndarray, int]:
+    """A batch's (B, L) ids and mask, and the length of its real prefix:
+    the slots up to the last real one of any row."""
+    mask = np.stack([s.mask for s in seqs])
+    return (np.stack([s.input_ids for s in seqs]), mask,
+            int(_real_length(mask).max()))
+
+
 class EmbeddingLayer(Layer):
     """Lookup with masking; PAD row pinned to zero and never updated."""
 
@@ -113,19 +147,24 @@ class EmbeddingLayer(Layer):
     def forward(self, ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
         self._ids = ids
         self._mask = mask
-        return self.param.value[ids] * mask[:, None]
+        return self.param.value[ids] * mask[..., None]
 
     def backward(self, dx: np.ndarray) -> None:
         if not self.table.trainable:
             return
-        np.add.at(self.param.grad, self._ids, dx * self._mask[:, None])
+        np.add.at(self.param.grad, self._ids, dx * self._mask[..., None])
         self.param.grad[PAD_ID, :] = 0.0
 
 
 class Model:
     """What both models derive from ``named_tensors()``, the one list of
     their tensors that each subclass writes. Checkpoints, Adam and the L2
-    penalty all take its order."""
+    penalty all take its order.
+
+    ``forward(seqs, train, rng)`` maps a list of B equal-length
+    ``TokenSequence`` to (B, output_dim) probabilities; ``backward`` takes
+    their (B, output_dim) gradient.
+    """
 
     def params(self) -> list[Param]:
         """The trainable tensors: all but a frozen embedding table."""
@@ -163,13 +202,16 @@ class BinaryModel(Model):
         self.out = Dense(dims[-1], 1, rng)
         self.out_act = SigmoidLayer()
 
-    def forward(self, seq: TokenSequence, train: bool = False,
+    def forward(self, seqs, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        x = self.embedding.forward(seq.input_ids, seq.mask)
-        mask = seq.mask
+        ids, mask, real = _stack(seqs)
+        # The masked max ignores every slot after the last real one, so the
+        # LSTM stops there.
+        ids, mask = ids[:, :max(real, 1)], mask[:, :max(real, 1)]
+        x = self.embedding.forward(ids, mask)
         if self.input_pool is not None:
-            x = self.input_pool.forward(x, mask)[None, :]
-            mask = np.ones(1)
+            x = self.input_pool.forward(x, mask)[:, None]
+            mask = np.ones((len(x), 1))
         h = self.lstm.forward(x, mask)
         v = self.time_pool.forward(h, mask)
         v = self.dropout.forward(v, train, rng)
@@ -185,7 +227,7 @@ class BinaryModel(Model):
         dh = self.time_pool.backward(dv)
         dx = self.lstm.backward(dh)
         if self.input_pool is not None:
-            dx = self.input_pool.backward(dx[0])
+            dx = self.input_pool.backward(dx[:, 0])
         self.embedding.backward(dx)
 
     def named_tensors(self) -> list[tuple[str, Param]]:
@@ -205,6 +247,7 @@ class MultiLabelModel(Model):
     def __init__(self, config: MultiLabelModelConfig, table: EmbeddingTable,
                  seq_len: int, seed: int = 0):
         self.post_stack_length(config, seq_len)  # raises if the stack collapses
+        self.stride, self.receptive_field = self.stack_window(config)
         rng = np.random.default_rng(np.random.PCG64(seed))
         self.config = config
         self.seq_len = seq_len
@@ -222,7 +265,8 @@ class MultiLabelModel(Model):
         self.time_pool = None if config.use_attention else MaxOverTime()
         self.out = Dense(feat, NUM_LABELS, rng)
         self.out_act = SigmoidLayer()
-        self.last_alpha: np.ndarray | None = None
+        self.last_alpha: np.ndarray | None = None  # (B, slots), last forward's
+        self._repeats = 0  # stack output rows the last forward repeated
 
     @staticmethod
     def post_stack_length(config: MultiLabelModelConfig, length: int) -> int:
@@ -241,11 +285,29 @@ class MultiLabelModel(Model):
             length //= config.pool
         return length
 
-    def forward(self, seq: TokenSequence, train: bool = False,
+    @staticmethod
+    def stack_window(config: MultiLabelModelConfig) -> tuple[int, int]:
+        """(stride, receptive field) of the conv/pool stack: its output row i
+        reads input rows ``[stride * i, stride * i + receptive field)``."""
+        field = 1
+        for _, kernel in reversed(config.conv_stack):
+            field = field * config.pool + kernel - 1
+        return config.pool ** len(config.conv_stack), field
+
+    def forward(self, seqs, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        x = self.embedding.forward(seq.input_ids, seq.mask)
+        ids, mask, real = _stack(seqs)
+        length = ids.shape[1]
+        # Stack output rows from ceil(real / stride) on read padding alone
+        # and are all equal: the stack runs on the input rows that give rows
+        # up to the first of them, which is then repeated. The BiLSTM and
+        # attention still see every slot.
+        cut = self.stride * -(-real // self.stride) + self.receptive_field
+        x = self.embedding.forward(ids[:, :cut], mask[:, :cut])
         for conv, act, pool in self.blocks:
             x = pool.forward(act.forward(conv.forward(x)))
+        self._repeats = self.post_stack_length(self.config, length) - x.shape[1]
+        x = np.concatenate([x, np.repeat(x[:, -1:], self._repeats, axis=1)], axis=1)
         h = self.bilstm.forward(x)
         if self.attention is not None:
             alpha, z = self.attention.forward(h)
@@ -261,6 +323,9 @@ class MultiLabelModel(Model):
         else:
             dh = self.time_pool.backward(dz)
         dx = self.bilstm.backward(dh)
+        kept = dx.shape[1] - self._repeats
+        dx[:, kept - 1] += dx[:, kept:].sum(axis=1)
+        dx = dx[:, :kept]
         for conv, act, pool in reversed(self.blocks):
             dx = conv.backward(act.backward(pool.backward(dx)))
         self.embedding.backward(dx)
@@ -275,14 +340,32 @@ class MultiLabelModel(Model):
         return named + self.out.named_tensors("out")
 
 
+def predict(model: Model, seqs) -> np.ndarray:
+    """(n, output_dim) probabilities of ``seqs``, in their order.
+
+    The documents go through the model sorted by real length,
+    ``PREDICT_CHUNK`` at a time, so that each batch's real prefix is close
+    to its documents' own.
+    """
+    seqs = list(seqs)
+    out = np.empty((len(seqs), model.output_dim))
+    if seqs:
+        order = np.argsort(_real_length(np.stack([s.mask for s in seqs])),
+                           kind="stable")
+        for lo in range(0, len(seqs), PREDICT_CHUNK):
+            rows = order[lo:lo + PREDICT_CHUNK]
+            out[rows] = model.forward([seqs[i] for i in rows])
+    return out
+
+
 def predict_binary(model: BinaryModel, seq: TokenSequence) -> float:
     """Probability of the toxic class, in (0, 1)."""
-    return float(model.forward(seq)[0])
+    return float(predict(model, [seq])[0, 0])
 
 
 def predict_multilabel(model: MultiLabelModel, seq: TokenSequence) -> np.ndarray:
     """Six per-class probabilities in the fixed label order."""
-    return model.forward(seq)
+    return predict(model, [seq])[0]
 
 
 @dataclass
@@ -316,9 +399,9 @@ def train(model, train_set, val_set, config: TrainingConfig,
     weights = model.decayed_params()
 
     def validation_loss() -> float:
+        probs = predict(model, [seq for seq, _ in val_set])
         total = 0.0
-        for seq, y in val_set:
-            p = model.forward(seq)
+        for p, (_, y) in zip(probs, val_set):
             loss, _ = bce_loss(p, y)
             total += loss
         return total / len(val_set) + l2_penalty((w.value for w in weights),
@@ -338,9 +421,9 @@ def train(model, train_set, val_set, config: TrainingConfig,
             batch_loss = 0.0
             for idx in batch:
                 seq, y = train_set[idx]
-                p = model.forward(seq, train=True, rng=rng)
+                p = model.forward([seq], train=True, rng=rng)[0]
                 loss, dp = bce_loss(p, y)
-                model.backward(dp / len(batch))
+                model.backward(dp[None] / len(batch))
                 batch_loss += loss
             add_l2_gradients(weights, config.l2_lambda)
             opt.step()

@@ -1,8 +1,10 @@
 """Layers with hand-derived backward passes.
 
+Every layer takes a leading batch axis: sequences are ``(B, L, D)`` with
+``(B, L)`` masks and vectors are ``(B, D)``; one document is a batch of one.
 Every layer caches what its backward pass needs during forward; the intended
-call pattern is one forward followed by one backward per instance (models are
-single-threaded per instance). Parameter gradients accumulate into
+call pattern is one forward followed by one backward per instance (models
+are single-threaded per instance). Parameter gradients accumulate into
 ``Param.grad`` buffers and are zeroed explicitly between optimizer steps.
 """
 
@@ -52,16 +54,9 @@ class Param:
         return f"Param({self.name!r}, shape={self.value.shape})"
 
 
-def _constant_tail(x: np.ndarray) -> int:
-    """First row of the run of trailing rows of ``x`` that are bit-for-bit
-    equal to its last row.
-
-    Padding gives such a run. Bits are compared, not values, so a row that
-    differs only in a NaN payload or in the sign of a zero ends it too.
-    """
-    bits = x.view(np.uint64)
-    differs = np.flatnonzero((bits != bits[-1]).any(axis=1))
-    return int(differs[-1]) + 1 if differs.size else 0
+def _valid(mask, shape) -> np.ndarray:
+    """Boolean ``(B, L)`` real-slot mask; no mask means every slot is real."""
+    return np.ones(shape, dtype=bool) if mask is None else np.asarray(mask) > 0.5
 
 
 def glorot(rng: np.random.Generator, shape) -> np.ndarray:
@@ -91,7 +86,7 @@ class Layer:
 
 
 class Dense(Layer):
-    """y = W x + b over vectors."""
+    """y = W x + b over a batch of vectors: (B, n_in) -> (B, n_out)."""
 
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         self.w = Param("w", glorot(rng, (n_out, n_in)), decay=True)
@@ -100,23 +95,26 @@ class Dense(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.w.value.shape[1],):
-            raise ValueError(
-                f"dense expects input of shape ({self.w.value.shape[1]},), "
-                f"got {x.shape}"
-            )
+        n_in = self.w.value.shape[1]
+        if x.ndim != 2 or x.shape[1] != n_in:
+            raise ValueError(f"dense expects input of shape (B, {n_in}), got {x.shape}")
         self._x = x
-        return self.w.value @ x + self.b.value
+        return x @ self.w.value.T + self.b.value
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         dy = np.asarray(dy, dtype=np.float64)
-        self.w.grad += np.outer(dy, self._x)
-        self.b.grad += dy
-        return self.w.value.T @ dy
+        self.w.grad += dy.T @ self._x
+        self.b.grad += dy.sum(axis=0)
+        return dy @ self.w.value
 
 
 class Conv1D(Layer):
-    """Valid (no-padding) cross-correlation along the sequence axis."""
+    """Valid (no-padding) cross-correlation along the sequence axis.
+
+    The batch's sequences are laid end to end and each kernel tap is one
+    GEMM over all their rows; the windows that straddle two sequences are
+    computed and dropped.
+    """
 
     def __init__(self, kernel_size: int, c_in: int, c_out: int,
                  rng: np.random.Generator):
@@ -129,12 +127,9 @@ class Conv1D(Layer):
         self.kernel_size = kernel_size
         self._x = None
 
-    def out_length(self, length: int) -> int:
-        return length - self.kernel_size + 1
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        length, c_in = x.shape
+        batch, length, c_in = x.shape
         k = self.kernel_size
         if length < k:
             raise ValueError(f"sequence length {length} shorter than kernel {k}")
@@ -143,27 +138,30 @@ class Conv1D(Layer):
                 f"conv1d expects {self.filters.value.shape[1]} channels, got {c_in}"
             )
         self._x = x
-        out_len = length - k + 1
-        # Windows that lie wholly in the constant tail all give its first
-        # window's row: compute rows up to that one and copy it onward.
-        n = min(_constant_tail(x), out_len - 1) + 1
-        y = np.empty((out_len, self.b.value.shape[0]))
+        rows = x.reshape(batch * length, c_in)
+        n = batch * length - k + 1
+        y = np.empty((batch * length, self.b.value.shape[0]))
         y[:n] = self.b.value
         for j in range(k):
-            y[:n] += x[j:j + n] @ self.filters.value[j]
-        y[n:] = y[n - 1]
-        return y
+            y[:n] += rows[j:j + n] @ self.filters.value[j]
+        return y.reshape(batch, length, -1)[:, :length - k + 1]
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        dy = np.asarray(dy, dtype=np.float64)
         x = self._x
-        out_len = dy.shape[0]
-        dx = np.zeros_like(x)
+        batch, length, c_in = x.shape
+        out_len = length - self.kernel_size + 1
+        # dy laid end to end like the rows, zero at the dropped windows
+        dy_rows = np.zeros((batch, length, dy.shape[2]))
+        dy_rows[:, :out_len] = dy
+        n = batch * length - self.kernel_size + 1
+        dy_rows = dy_rows.reshape(batch * length, -1)[:n]
+        rows = x.reshape(batch * length, c_in)
+        dx = np.zeros_like(rows)
         for j in range(self.kernel_size):
-            self.filters.grad[j] += x[j:j + out_len].T @ dy
-            dx[j:j + out_len] += dy @ self.filters.value[j].T
-        self.b.grad += dy.sum(axis=0)
-        return dx
+            self.filters.grad[j] += rows[j:j + n].T @ dy_rows
+            dx[j:j + n] += dy_rows @ self.filters.value[j].T
+        self.b.grad += dy_rows.sum(axis=0)
+        return dx.reshape(x.shape)
 
 
 class MaxPool1D(Layer):
@@ -177,64 +175,52 @@ class MaxPool1D(Layer):
         self._argmax = None
         self._in_shape = None
 
-    def out_length(self, length: int) -> int:
-        return length // self.pool
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        length, channels = x.shape
+        batch, length, channels = x.shape
         if length < self.pool:
             raise ValueError(f"sequence length {length} shorter than pool {self.pool}")
         out_len = length // self.pool
-        # Windows that lie wholly in the constant tail all give its first
-        # such window's row, with argmax 0: compute up to it and copy it.
-        first_in_tail = -(-_constant_tail(x) // self.pool)
-        n = min(first_in_tail, out_len - 1) + 1
-        windows = x[: n * self.pool].reshape(n, self.pool, channels)
-        self._argmax = np.zeros((out_len, channels), dtype=np.intp)
-        self._argmax[:n] = windows.argmax(axis=1)  # first occurrence per window
+        windows = x[:, :out_len * self.pool].reshape(batch, out_len, self.pool, channels)
+        self._argmax = windows.argmax(axis=2)  # first occurrence per window
         self._in_shape = x.shape
-        y = np.empty((out_len, channels))
-        y[:n] = windows.max(axis=1)
-        y[n:] = y[n - 1]
-        return y
+        return windows.max(axis=2)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        dy = np.asarray(dy, dtype=np.float64)
+        batch, out_len, channels = dy.shape
+        windows = np.zeros((batch, out_len, self.pool, channels))
+        np.put_along_axis(windows, self._argmax[:, :, None], dy[:, :, None], axis=2)
         dx = np.zeros(self._in_shape)
-        out_len, channels = dy.shape
-        rows = np.arange(out_len)[:, None] * self.pool + self._argmax
-        cols = np.broadcast_to(np.arange(channels), (out_len, channels))
-        np.add.at(dx, (rows, cols), dy)
+        dx[:, :out_len * self.pool] = windows.reshape(batch, -1, channels)
         return dx
 
 
 class MaxOverTime(Layer):
-    """Masked elementwise max over the time axis: (L, d) -> (d,).
+    """Masked elementwise max over the time axis: (B, L, d) -> (B, d).
 
-    A fully masked input yields zeros; backward then routes nothing.
+    A fully masked row yields zeros; backward then routes nothing to it.
     """
 
     def __init__(self):
         self._rows = None
+        self._empty = None
         self._in_shape = None
 
     def forward(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
+        valid = _valid(mask, x.shape[:2])
         self._in_shape = x.shape
-        valid = np.ones(x.shape[0], dtype=bool) if mask is None else np.asarray(mask) > 0.5
-        if not valid.any():
-            self._rows = None
-            return np.zeros(x.shape[1], dtype=np.float64)
-        idx = np.flatnonzero(valid)
-        sub = x[idx]
-        self._rows = idx[sub.argmax(axis=0)]  # first argmax among valid rows
-        return sub.max(axis=0)
+        self._empty = ~valid.any(axis=1)
+        # first argmax among each row's real slots
+        self._rows = np.where(valid[:, :, None], x, -np.inf).argmax(axis=1)[:, None]
+        y = np.take_along_axis(x, self._rows, axis=1)[:, 0]
+        y[self._empty] = 0.0
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         dx = np.zeros(self._in_shape)
-        if self._rows is not None:
-            np.add.at(dx, (self._rows, np.arange(len(dy))), dy)
+        dy = np.where(self._empty[:, None], 0.0, dy)
+        np.put_along_axis(dx, self._rows, dy[:, None], axis=1)
         return dx
 
 
@@ -297,11 +283,17 @@ class SigmoidLayer(Layer):
 
 
 class LSTM(Layer):
-    """Single-direction LSTM over an (L, D) sequence, h0 = c0 = 0.
+    """Single-direction LSTM over a (B, L, D) batch, h0 = c0 = 0.
 
     Gate layout in the stacked 4h dimension: input, forget, candidate, output.
     Masked steps copy both states forward unchanged and contribute no
     gradient.
+
+    Only real steps change the state, so the recurrence walks those alone,
+    packed: rows sorted by their count of real steps, longest first, and
+    step k updates the leading rows that still have a k-th real step. The
+    input GEMM runs once over every real step, and each output slot is its
+    row's state after the last real step at or before it.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
@@ -314,65 +306,95 @@ class LSTM(Layer):
 
     def forward(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        length, dim = x.shape
+        batch, length, dim = x.shape
         if dim != self.input_dim:
             raise ValueError(f"lstm expects input dim {self.input_dim}, got {dim}")
         h_dim = self.hidden_dim
-        valid = np.ones(length, dtype=bool) if mask is None else np.asarray(mask) > 0.5
-        # Only real steps change the state, so the recurrence walks those
-        # alone; each output row is the state after the last real step at or
-        # before it (h0 = 0 before the first).
-        real = np.flatnonzero(valid)
-        steps = len(real)
-        x_real = x[real]
-        z_x = x_real @ self.w_x.value.T + self.b.value
-        w_h = self.w_h.value
-        gates = np.empty((steps, 4 * h_dim))  # i, f, g, o after activation
-        tanh_c = np.empty((steps, h_dim))
-        h = np.zeros((steps + 1, h_dim))
-        c = np.zeros((steps + 1, h_dim))
-        for k in range(steps):
-            z = z_x[k] + w_h @ h[k]
-            a = gates[k]
+        valid = _valid(mask, (batch, length))
+        seen = np.cumsum(valid, axis=1)  # real steps at or before each slot
+        counts = seen[:, -1]
+        rank = np.empty(batch, dtype=np.intp)
+        rank[np.argsort(-counts, kind="stable")] = np.arange(batch)
+        # Step k is packed rows start[k]:start[k + 1], one per active row in
+        # rank order. States live in rows ``batch + packed index`` of ``hs``
+        # and ``cs``; their first ``batch`` rows are the zero initial states.
+        active = (counts > np.arange(counts.max(initial=0))[:, None]).sum(axis=1)
+        start = np.concatenate([[0], np.cumsum(active)])
+        rows, slots = np.nonzero(valid)
+        packed = start[seen[rows, slots] - 1] + rank[rows]
+        x_real = np.empty((start[-1], dim))
+        x_real[packed] = x[rows, slots]
+        # the input part of every step's gates, each step's slice turned
+        # into i, f, g, o after activation in place
+        gates = x_real @ self.w_x.value.T + self.b.value
+        hs = np.zeros((batch + start[-1], h_dim))
+        cs = np.zeros((batch + start[-1], h_dim))
+        tanh_c = np.empty((start[-1], h_dim))
+        w_h = self.w_h.value.T
+        bounds = start.tolist()
+        prev = 0  # state row of the previous step's first active row
+        for lo, hi in zip(bounds, bounds[1:]):
+            m = hi - lo
+            a = gates[lo:hi]
+            z = a + hs[prev:prev + m] @ w_h
             a[:] = sigmoid(z)
-            a[2 * h_dim:3 * h_dim] = np.tanh(z[2 * h_dim:3 * h_dim])
-            c[k + 1] = a[h_dim:2 * h_dim] * c[k] + a[:h_dim] * a[2 * h_dim:3 * h_dim]
-            tanh_c[k] = np.tanh(c[k + 1])
-            h[k + 1] = a[3 * h_dim:] * tanh_c[k]
-        self._cache = (real, x_real, gates, c, tanh_c, h, x.shape)
-        return h[np.cumsum(valid)]
+            g = a[:, 2 * h_dim:3 * h_dim]
+            np.tanh(z[:, 2 * h_dim:3 * h_dim], out=g)
+            c = cs[batch + lo:batch + hi]
+            np.multiply(a[:, h_dim:2 * h_dim], cs[prev:prev + m], out=c)
+            c += a[:, :h_dim] * g
+            np.tanh(c, out=tanh_c[lo:hi])
+            prev = batch + lo
+            np.multiply(a[:, 3 * h_dim:], tanh_c[lo:hi], out=hs[prev:prev + m])
+        out = np.where(seen > 0, batch + start[np.maximum(seen - 1, 0)], 0) + rank[:, None]
+        self._cache = (rows, slots, packed, start, x_real, gates, cs, tanh_c, hs,
+                       out, x.shape)
+        return hs[out]
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        real, x_real, gates, c, tanh_c, h, in_shape = self._cache
+        rows, slots, packed, start, x_real, gates, cs, tanh_c, hs, out, in_shape = \
+            self._cache
+        batch = in_shape[0]
         h_dim = self.hidden_dim
-        steps = len(real)
+        total = len(x_real)
+        steps = len(start) - 1
+        # Gradients of output slots that copy a real step's state all reach
+        # that step's h; those of slots before a row's first step go nowhere.
+        dh_out = np.zeros((batch + total, h_dim))
+        np.add.at(dh_out, out, np.asarray(dout, dtype=np.float64))
+        dh_out = dh_out[batch:]
+        # state row of each packed step's predecessor: its row's previous
+        # step, or the zero initial state
+        step = np.repeat(np.arange(steps), np.diff(start))
+        offset = np.arange(total) - start[step]
+        prev = np.where(step > 0, batch + start[np.maximum(step - 1, 0)], 0) + offset
+        h_prev, c_prev = hs[prev], cs[prev]
         i, f, g, o = (gates[:, j * h_dim:(j + 1) * h_dim] for j in range(4))
-        # Gradients of output rows that copy a real step's state all reach
-        # that step's h.
-        dh_out = np.add.reduceat(np.asarray(dout, dtype=np.float64), real, axis=0)
         # Per-step factors that do not depend on the incoming gradient:
         # dz[:, :3] = dc * from_dc, dz[:, 3] = dh * from_dh, dc += dh * dc_dh.
-        from_dc = np.stack([g * i * (1.0 - i), c[:-1] * f * (1.0 - f),
+        from_dc = np.stack([g * i * (1.0 - i), c_prev * f * (1.0 - f),
                             i * (1.0 - g ** 2)], axis=1)
         from_dh = tanh_c * o * (1.0 - o)
         dc_dh = o * (1.0 - tanh_c ** 2)
-        dz = np.empty((steps, 4, h_dim))
+        dz = np.empty((total, 4, h_dim))
         w_h = self.w_h.value
-        dh_next = np.zeros(h_dim)
-        dc_next = np.zeros(h_dim)
-        for k in range(steps - 1, -1, -1):
-            dh = dh_out[k] + dh_next
-            dc = dc_next + dh * dc_dh[k]
-            np.multiply(from_dc[k], dc, out=dz[k, :3])
-            np.multiply(from_dh[k], dh, out=dz[k, 3])
-            dh_next = dz[k].reshape(-1) @ w_h
-            dc_next = dc * f[k]
-        dz = dz.reshape(steps, 4 * h_dim)
+        dh_next = np.zeros((batch, h_dim))
+        dc_next = np.zeros((batch, h_dim))
+        bounds = start.tolist()
+        for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
+            m = hi - lo
+            dh = dh_out[lo:hi] + dh_next[:m]
+            dc = dc_next[:m] + dh * dc_dh[lo:hi]
+            np.multiply(from_dc[lo:hi], dc[:, None], out=dz[lo:hi, :3])
+            np.multiply(from_dh[lo:hi], dh, out=dz[lo:hi, 3])
+            dh_next[:m] = dz[lo:hi].reshape(m, -1) @ w_h
+            dc_next[:m] = dc * f[lo:hi]
+        dz = dz.reshape(total, 4 * h_dim)
         self.w_x.grad += dz.T @ x_real
-        self.w_h.grad += dz.T @ h[:-1]
+        self.w_h.grad += dz.T @ h_prev
         self.b.grad += dz.sum(axis=0)
         dx = np.zeros(in_shape)
-        dx[real] = dz @ self.w_x.value
+        dx[rows, slots] = (dz @ self.w_x.value)[packed]
         return dx
 
 
@@ -385,15 +407,16 @@ class BiLSTM(Layer):
         self.bwd = LSTM(input_dim, hidden_dim, rng)
 
     def forward(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
         h_f = self.fwd.forward(x, mask)
-        rev_mask = None if mask is None else np.asarray(mask)[::-1]
-        h_b = self.bwd.forward(np.asarray(x, dtype=np.float64)[::-1], rev_mask)[::-1]
-        return np.concatenate([h_f, h_b], axis=1)
+        rev_mask = None if mask is None else np.asarray(mask)[:, ::-1]
+        h_b = self.bwd.forward(x[:, ::-1], rev_mask)[:, ::-1]
+        return np.concatenate([h_f, h_b], axis=2)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         h = self.hidden_dim
-        dx_f = self.fwd.backward(dout[:, :h])
-        dx_b = self.bwd.backward(dout[::-1, h:])[::-1]
+        dx_f = self.fwd.backward(dout[:, :, :h])
+        dx_b = self.bwd.backward(dout[:, ::-1, h:])[:, ::-1]
         return dx_f + dx_b
 
 
@@ -411,27 +434,25 @@ class Attention(Layer):
         self._cache = None
 
     def forward(self, h: np.ndarray, mask: np.ndarray | None = None):
+        """(B, L, d) states -> (B, L) weights and (B, d) context vectors."""
         h = np.asarray(h, dtype=np.float64)
-        length = h.shape[0]
-        valid = np.ones(length, dtype=bool) if mask is None else np.asarray(mask) > 0.5
-        if not valid.any():
+        valid = _valid(mask, h.shape[:2])
+        if not valid.any(axis=1).all():
             raise ValueError("attention over a fully masked sequence")
         scores = h @ self.w.value + self.b.value[0]
-        shifted = np.where(valid, scores - scores[valid].max(), -np.inf)
-        ex = np.exp(shifted)  # exp(-inf) = 0 at masked positions
-        alpha = ex / ex.sum()
-        z = alpha @ h
+        top = np.where(valid, scores, -np.inf).max(axis=1, keepdims=True)
+        ex = np.exp(np.where(valid, scores - top, -np.inf))  # exp(-inf) = 0 when masked
+        alpha = ex / ex.sum(axis=1, keepdims=True)
+        z = (alpha[:, None, :] @ h)[:, 0]
         self._cache = (h, alpha)
         return alpha, z
 
-    def backward(self, dz: np.ndarray, dalpha: np.ndarray | None = None) -> np.ndarray:
+    def backward(self, dz: np.ndarray) -> np.ndarray:
         h, alpha = self._cache
-        da = h @ np.asarray(dz, dtype=np.float64)
-        if dalpha is not None:
-            da = da + dalpha
-        dh = np.outer(alpha, dz)
-        ds = alpha * (da - alpha @ da)  # softmax backward; masked rows have alpha=0
-        self.w.grad += h.T @ ds
+        dz = np.asarray(dz, dtype=np.float64)
+        da = (h @ dz[:, :, None])[:, :, 0]
+        # softmax backward; masked slots have alpha = 0
+        ds = alpha * (da - (alpha * da).sum(axis=1, keepdims=True))
+        self.w.grad += ds.reshape(-1) @ h.reshape(-1, h.shape[2])
         self.b.grad += ds.sum()
-        dh += np.outer(ds, self.w.value)
-        return dh
+        return alpha[:, :, None] * dz[:, None, :] + ds[:, :, None] * self.w.value

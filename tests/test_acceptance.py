@@ -37,14 +37,15 @@ from toxiclass.neural.losses import add_l2_gradients, bce_loss, l2_penalty
 
 
 def _layer_check(layer, x, rng, with_mask=False):
-    """FD-check one layer's parameters and its input gradient."""
+    """FD-check one layer's parameters and its input gradient; ``x`` has a
+    leading batch axis."""
     for p in layer.params():
         p.zero_grad()
-    out = layer.forward(x, np.ones(x.shape[0])) if with_mask else layer.forward(x)
+    out = layer.forward(x, np.ones(x.shape[:2])) if with_mask else layer.forward(x)
     r = rng.standard_normal(out.shape)
 
     def loss_fn():
-        o = layer.forward(x, np.ones(x.shape[0])) if with_mask else layer.forward(x)
+        o = layer.forward(x, np.ones(x.shape[:2])) if with_mask else layer.forward(x)
         return float((o * r).sum())
 
     dx = layer.backward(r)
@@ -59,14 +60,14 @@ def test_criterion_01_gradient_suite():
     worst_smooth = 0.0
 
     dense = Dense(5, 3, rng)
-    worst_smooth = max(worst_smooth, _layer_check(dense, rng.standard_normal(5), rng))
+    worst_smooth = max(worst_smooth, _layer_check(dense, rng.standard_normal((1, 5)), rng))
 
     conv = Conv1D(3, 4, 5, rng)
     worst_smooth = max(worst_smooth,
-                       _layer_check(conv, rng.standard_normal((10, 4)), rng))
+                       _layer_check(conv, rng.standard_normal((1, 10, 4)), rng))
 
     pool = MaxPool1D(2)
-    x = rng.standard_normal((10, 3))  # distinct entries: locally linear
+    x = rng.standard_normal((1, 10, 3))  # distinct entries: locally linear
     out = pool.forward(x)
     r = rng.standard_normal(out.shape)
     dx = pool.backward(r)
@@ -75,12 +76,12 @@ def test_criterion_01_gradient_suite():
 
     lstm = LSTM(4, 5, rng)
     worst_smooth = max(worst_smooth,
-                       _layer_check(lstm, rng.standard_normal((7, 4)), rng,
+                       _layer_check(lstm, rng.standard_normal((1, 7, 4)), rng,
                                     with_mask=True))
 
     bilstm = BiLSTM(3, 4, rng)
     worst_smooth = max(worst_smooth,
-                       _layer_check(bilstm, rng.standard_normal((6, 3)), rng,
+                       _layer_check(bilstm, rng.standard_normal((1, 6, 3)), rng,
                                     with_mask=True))
 
     # attention: FD on the score weight and the input; the score bias shifts
@@ -88,7 +89,7 @@ def test_criterion_01_gradient_suite():
     att = Attention(6, rng)
     for p in att.params():
         p.zero_grad()
-    h = rng.standard_normal((5, 6))
+    h = rng.standard_normal((1, 5, 6))
     _, z = att.forward(h)
     r = rng.standard_normal(z.shape)
     dh = att.backward(r)
@@ -131,12 +132,12 @@ def test_criterion_01_gradient_suite():
     weights = model.decayed_params()
 
     def composed_loss():
-        return bce_loss(model.forward(seq), y6)[0] \
+        return bce_loss(model.forward([seq])[0], y6)[0] \
             + l2_penalty((w.value for w in weights), lam)
 
     model.zero_grad()
-    _, dp = bce_loss(model.forward(seq), y6)
-    model.backward(dp)
+    _, dp = bce_loss(model.forward([seq])[0], y6)
+    model.backward(dp[None])
     add_l2_gradients(weights, lam)
     named = [(n, p) for n, p in model.named_tensors() if n != "attention.b"]
     worst_composed = grad_check(composed_loss, [p.value for _, p in named],
@@ -159,20 +160,20 @@ def test_criterion_02_analytic_fixed_points():
     lstm = LSTM(4, 5, rng)
     for p in lstm.params():
         p.value[...] = 0.0
-    h = lstm.forward(rng.standard_normal((9, 4)), np.ones(9))
+    h = lstm.forward(rng.standard_normal((1, 9, 4)), np.ones((1, 9)))
     assert np.all(h == 0.0)
 
     bilstm = BiLSTM(4, 3, rng)
     for p in bilstm.params():
         p.value[...] = 0.0
-    hb = bilstm.forward(rng.standard_normal((7, 4)), np.ones(7))
+    hb = bilstm.forward(rng.standard_normal((1, 7, 4)), np.ones((1, 7)))[0]
     assert hb.shape == (7, 6) and np.all(hb == 0.0)
 
     att = Attention(5, rng)
     for p in att.params():
         p.value[...] = 0.0
     H = rng.standard_normal((8, 5))
-    alpha, z = att.forward(H)
+    alpha, z = att.forward(H[None])
     assert np.allclose(alpha, 1.0 / 8.0, atol=1e-15)
     assert np.allclose(z, H.mean(axis=0), atol=1e-15)
 
@@ -182,14 +183,14 @@ def test_criterion_02_analytic_fixed_points():
                            random_table(len(vocab), 6, seed=0), seed=0)
     for _, p in binary.named_tensors():
         p.value[...] = 0.0
-    assert binary.forward(seq)[0] == 0.5
+    assert binary.forward([seq])[0, 0] == 0.5
 
     multi = M.MultiLabelModel(M.desk_multilabel_config(),
                               random_table(len(vocab), 6, seed=0),
                               seq_len=20, seed=0)
     for _, p in multi.named_tensors():
         p.value[...] = 0.0
-    assert np.all(multi.forward(seq) == 0.5)
+    assert np.all(multi.forward([seq]) == 0.5)
 
     ln2_err = abs(bce_loss(np.array([0.5]), np.array([1.0]))[0] - math.log(2.0))
     assert ln2_err < 1e-12
@@ -374,10 +375,13 @@ def test_criterion_06_lime_fidelity():
             coef[i] = (0.5 + rng.random()) * (1 if rng.random() < 0.5 else -1)
         bias = rng.random()
 
-        def predict(text, coef=coef, bias=bias, words=words):
+        def predict_one(text, coef=coef, bias=bias, words=words):
             present = set(text.split())
             v = bias + sum(c for w, c in zip(words, coef) if c and w in present)
             return np.array([1.0 - v, v])
+
+        def predict(texts, predict_one=predict_one):
+            return np.array([predict_one(t) for t in texts])
 
         exp = X.explain_instance(predict, " ".join(words), class_index=1,
                                  n=500, k=len(support), seed=seed)

@@ -427,6 +427,46 @@ class TestExitCodes:
                                              "train-multilabel"]) == 2
         assert "pool must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting, command", [
+        ("binary.lstm_units=0", "train-binary"),
+        ("binary.dense_hidden=4,0", "train-binary"),
+        ("binary.dropout=1", "train-binary"),
+        ("multilabel.bilstm_units=0", "train-multilabel"),
+        ("multilabel.conv_stack=0x3", "train-multilabel"),
+        ("multilabel.conv_stack=8x-1", "train-multilabel"),
+    ])
+    def test_model_sizes_below_one(self, workspace, tmp_path, capsys, setting, command):
+        alt = tmp_path / "out"
+        shutil.copytree(workspace["out"], alt)
+        assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}",
+                                             "--set", setting, command]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind, change", [
+        ("binary", {"lstm_units": 0}),
+        ("binary", {"dropout_rate": -0.5}),
+        ("multilabel", {"bilstm_units": 0}),
+        ("multilabel", {"conv_stack": [[0, 3]]}),
+    ])
+    def test_checkpoint_sizes_below_one(self, workspace, tmp_path, capsys,
+                                        rewrite_header, kind, change):
+        from toxiclass import models as M
+        alt = tmp_path / "out"
+        shutil.copytree(workspace["out"], alt)
+        config = M._header_dict(M.load_model(alt / f"{kind}.ckpt"))["model_config"]
+        rewrite_header(alt / f"{kind}.ckpt", {"set": ("model_config", {**config, **change})})
+        assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}",
+                                             "evaluate", "--stage", kind]) == 3
+        assert "malformed header" in capsys.readouterr().err
+
+    def test_vocabulary_not_utf8(self, workspace, tmp_path, capsys):
+        alt = tmp_path / "out"
+        shutil.copytree(workspace["out"], alt)
+        (alt / "prepared" / "vocab.txt").write_bytes(b"<pad>\n<unk>\n\xff\xfe\n")
+        assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}",
+                                             "evaluate", "--stage", "binary"]) == 3
+        assert "cannot read vocabulary" in capsys.readouterr().err
+
     def test_split_before_prepare(self, tmp_path, capsys):
         assert cli.main(["--set", f"output.dir={tmp_path / 'none'}",
                          "split"]) == 3

@@ -1,14 +1,15 @@
+import contextlib
 import dataclasses
 import json
 import unicodedata
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from toxiclass import corpus as C
-from toxiclass.errors import ConfigError, DataError, IngestError
+from toxiclass.errors import ConfigError, DataError, IngestError, ToxiclassError
 
 
 class TestPreprocess:
@@ -159,6 +160,30 @@ class TestVocabulary:
     def test_hash_tracks_content(self):
         assert (C.build_vocab(["a b"]).content_hash()
                 != C.build_vocab(["a c"]).content_hash())
+
+    @pytest.mark.parametrize("content", [b"<pad>\n<unk>\n\xffa\n", b"\x80"])
+    def test_load_rejects_non_utf8(self, tmp_path, content):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match="cannot read vocabulary"):
+            C.Vocabulary.load(path)
+
+    def test_load_rejects_unreadable(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read vocabulary"):
+            C.Vocabulary.load(tmp_path)  # a directory
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(body=st.one_of(st.binary(max_size=40),
+                          st.binary(max_size=40).map(lambda b: b"<pad>\n<unk>\n" + b),
+                          st.lists(st.sampled_from([b"a", b"<pad>", b"\r", b"\n", b"\xc3",
+                                                    b"\xa9", b"\x00", b" "]),
+                                   max_size=12).map(lambda p: b"<pad>\n<unk>\n" + b"".join(p))))
+    def test_load_of_any_bytes_fails_only_as_toxiclass_error(self, tmp_path, body):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(body)
+        with contextlib.suppress(ToxiclassError):
+            C.Vocabulary.load(path)
 
     def test_load_rejects_missing_header(self, tmp_path):
         path = tmp_path / "vocab.txt"

@@ -179,11 +179,14 @@ class TestFitSurrogate:
 
 
 def _linear_model(support: dict[str, float], bias: float):
-    """Text -> 2-vector whose [1] entry is linear in word presence."""
-    def predict(text: str):
+    """Texts -> rows of 2-vectors whose [1] entry is linear in word presence."""
+    def predict_one(text: str):
         present = set(text.split())
         v = bias + sum(w for word, w in support.items() if word in present)
         return np.array([1.0 - v, v])
+
+    def predict(texts: list[str]):
+        return np.array([predict_one(t) for t in texts])
     return predict
 
 
@@ -255,3 +258,25 @@ class TestExplainInstance:
         assert isinstance(d["features"], list)
         text = exp.render()
         assert "hate" in text and "beta" in text
+
+    def test_predict_called_once_on_distinct_texts(self):
+        calls = []
+        linear = _linear_model({"beta": 0.6}, bias=0.2)
+
+        def predict(texts):
+            calls.append(texts)
+            return linear(texts)
+
+        EX.explain_instance(predict, self.DOC, 1, n=300, k=2, seed=5)
+        sampled = EX.sample_perturbations(self.DOC.split(), n=300, seed=5)
+        assert len(calls) == 1
+        assert sorted(calls[0]) == sorted({p.text for p in sampled})
+        assert len(calls[0]) < len(sampled)
+
+    @pytest.mark.parametrize("predict", [
+        lambda texts: np.zeros(len(texts)),
+        lambda texts: np.zeros((len(texts) + 1, 2)),
+    ], ids=["one_dimensional", "wrong_row_count"])
+    def test_predict_shape_checked(self, predict):
+        with pytest.raises(DataError, match="predict returned shape"):
+            EX.explain_instance(predict, self.DOC, class_index=0, n=10)

@@ -11,7 +11,8 @@ def rng(seed=0):
 
 
 def check_layer_grads(layer, x, seed=0, mask=None, reduce=None):
-    """Finite-difference check of every parameter and the input gradient."""
+    """Finite-difference check of every parameter and the input gradient.
+    ``x`` and ``mask`` carry the leading batch axis."""
     r = rng(seed)
     y = layer.forward(x, mask) if mask is not None else layer.forward(x)
     dout = r.standard_normal(np.shape(y)) if reduce is None else reduce
@@ -102,26 +103,35 @@ def ref_bilstm(bilstm, x, mask, dout):
             grads_f + grads_b)
 
 
-def ref_conv1d(conv, x):
-    """``Conv1D.forward`` computing every output row, the reference for the
-    constant-tail forward. Caches what ``Conv1D.backward`` reads."""
-    k = conv.kernel_size
-    out_len = x.shape[0] - k + 1
-    y = np.tile(conv.b.value, (out_len, 1))
-    for j in range(k):
-        y += x[j:j + out_len] @ conv.filters.value[j]
-    conv._x = x
-    return y
+def ref_conv1d(conv, x, dy=None):
+    """``Conv1D`` on one (L, c_in) sequence, window by window: the output,
+    and for an output gradient ``dy`` also the gradients of the input, the
+    filters and the bias. ``conv`` is only read."""
+    k, w = conv.kernel_size, conv.filters.value
+    windows = [x[t:t + k] for t in range(x.shape[0] - k + 1)]
+    y = np.array([conv.b.value + np.einsum("jc,jco->o", win, w) for win in windows])
+    if dy is None:
+        return y
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for t, (win, d) in enumerate(zip(windows, dy)):
+        dx[t:t + k] += np.einsum("jco,o->jc", w, d)
+        dw += np.einsum("jc,o->jco", win, d)
+    return y, dx, dw, dy.sum(axis=0)
 
 
-def ref_maxpool(pool, x):
-    """``MaxPool1D.forward`` over every window, the reference for the
-    constant-tail forward. Caches what ``MaxPool1D.backward`` reads."""
-    out_len = x.shape[0] // pool.pool
-    windows = x[: out_len * pool.pool].reshape(out_len, pool.pool, x.shape[1])
-    pool._argmax = windows.argmax(axis=1)
-    pool._in_shape = x.shape
-    return windows.max(axis=1)
+def ref_maxpool(pool, x, dy=None):
+    """``MaxPool1D`` on one (L, c) sequence, window by window: the output
+    and its first-argmax rows, and for ``dy`` the input gradient."""
+    p = pool.pool
+    starts = range(0, x.shape[0] // p * p, p)
+    y = np.array([x[t:t + p].max(axis=0) for t in starts])
+    rows = np.array([t + x[t:t + p].argmax(axis=0) for t in starts])
+    if dy is None:
+        return y, rows
+    dx = np.zeros_like(x)
+    for r, d in zip(rows, dy):
+        dx[r, np.arange(x.shape[1])] += d
+    return y, rows, dx
 
 
 def tail_input(length, tail, row=0.0, channels=4, seed=50):
@@ -159,36 +169,33 @@ TAIL_INPUTS = {
 }
 
 
-def _conv_pair():
-    """The layer under test and a copy with the same parameters for the
-    reference, with a bias that keeps padded windows off zero."""
-    layers = [N.Conv1D(3, 4, 5, rng(52)) for _ in range(2)]
-    for layer in layers:
-        layer.b.value[...] = rng(53).standard_normal(5)
-    return layers
+def _conv_layer():
+    """A kernel-3 conv with a bias that keeps padded windows off zero."""
+    layer = N.Conv1D(3, 4, 5, rng(52))
+    layer.b.value[...] = rng(53).standard_normal(5)
+    return layer
 
 
 class TestConstantTail:
-    """Conv1D and MaxPool1D compute a run of identical trailing windows once
-    and give what the full computation gives.
+    """Conv1D and MaxPool1D over inputs that end in a run of identical rows,
+    as padding gives, match the window-by-window references; the tagger's
+    real-prefix cut relies on windows in such a run being equal.
 
-    Pooling is compared bit for bit. Conv output is compared to 1e-12: BLAS
-    can sum a product with fewer rows in another order (OpenBLAS uses gemv
-    for one row, and on AVX-512 a small-matrix kernel), so the shorter
-    product may differ from the full one in the last bits.
+    Pooling is compared bit for bit. Conv is compared to 1e-12, since BLAS
+    may sum a product in another order than the reference.
     """
 
     @pytest.mark.parametrize("length", [11, 12])
     @pytest.mark.parametrize("make", TAIL_INPUTS.values(), ids=TAIL_INPUTS.keys())
     def test_conv1d_matches_full_computation(self, make, length):
         x = make(length)
-        layer, ref = _conv_pair()
-        got = layer.forward(x)
-        want = ref_conv1d(ref, x)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        layer = _conv_layer()
+        got = layer.forward(x[None])[0]
         dy = rng(54).standard_normal(got.shape)
-        for got_g, want_g in zip([layer.backward(dy), layer.filters.grad, layer.b.grad],
-                                 [ref.backward(dy), ref.filters.grad, ref.b.grad]):
+        want, *want_grads = ref_conv1d(layer, x, dy)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        got_grads = [layer.backward(dy[None])[0], layer.filters.grad, layer.b.grad]
+        for got_g, want_g in zip(got_grads, want_grads):
             np.testing.assert_allclose(got_g, want_g, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("pool_size", [2, 3])
@@ -196,25 +203,24 @@ class TestConstantTail:
     @pytest.mark.parametrize("make", TAIL_INPUTS.values(), ids=TAIL_INPUTS.keys())
     def test_maxpool_matches_full_computation(self, make, length, pool_size):
         x = make(length)
-        layer, ref = N.MaxPool1D(pool_size), N.MaxPool1D(pool_size)
-        got = layer.forward(x)
-        want = ref_maxpool(ref, x)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert np.array_equal(layer._argmax, ref._argmax)
+        layer = N.MaxPool1D(pool_size)
+        got = layer.forward(x[None])[0]
         dy = rng(55).standard_normal(got.shape)
-        np.testing.assert_allclose(layer.backward(dy), ref.backward(dy),
-                                   rtol=0, atol=1e-12)
+        want, rows, dx = ref_maxpool(layer, x, dy)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(layer._argmax[0], rows - np.arange(len(rows))[:, None] * pool_size)
+        np.testing.assert_allclose(layer.backward(dy[None])[0], dx, rtol=0, atol=1e-12)
 
     def test_copied_rows_equal_the_computed_one(self):
-        layer, _ = _conv_pair()
-        y = layer.forward(tail_input(12, 7))
+        layer = _conv_layer()
+        y = layer.forward(tail_input(12, 7)[None])[0]
         assert np.array_equal(y[5:], np.tile(y[5], (5, 1)))  # windows 5.. lie in the tail
         assert not np.array_equal(y[4], y[5])
 
     def test_grad_on_padded_input(self):
         conv = N.Conv1D(3, 2, 4, rng(56))
         conv.b.value[...] = rng(57).standard_normal(4)
-        assert check_layer_grads(conv, tail_input(10, 6, channels=2)) < 1e-6
+        assert check_layer_grads(conv, tail_input(10, 6, channels=2)[None]) < 1e-6
 
 
 LSTM_MASKS = {
@@ -252,11 +258,11 @@ class TestDense:
         d = N.Dense(2, 2, rng(1))
         d.w.value[...] = [[1.0, 2.0], [3.0, 4.0]]
         d.b.value[...] = [0.5, -0.5]
-        assert np.allclose(d.forward(np.array([1.0, 1.0])), [3.5, 6.5])
+        assert np.allclose(d.forward(np.array([[1.0, 1.0]])), [[3.5, 6.5]])
 
     def test_grad(self):
         d = N.Dense(5, 3, rng(2))
-        assert check_layer_grads(d, rng(3).standard_normal(5)) < 1e-6
+        assert check_layer_grads(d, rng(3).standard_normal((1, 5))) < 1e-6
 
     def test_only_weight_decays(self):
         d = N.Dense(2, 2, rng(1))
@@ -266,56 +272,56 @@ class TestDense:
 class TestConv1D:
     def test_output_length(self):
         c = N.Conv1D(3, 2, 4, rng(1))
-        y = c.forward(rng(2).standard_normal((10, 2)))
-        assert y.shape == (8, 4)
+        y = c.forward(rng(2).standard_normal((1, 10, 2)))
+        assert y.shape == (1, 8, 4)
 
     def test_known_value(self):
         c = N.Conv1D(2, 1, 1, rng(1))
         c.filters.value[...] = np.array([[[1.0]], [[2.0]]])
         c.b.value[...] = [0.25]
-        y = c.forward(np.array([[1.0], [2.0], [3.0]]))
-        assert np.allclose(y[:, 0], [1 + 4 + 0.25, 2 + 6 + 0.25])
+        y = c.forward(np.array([[[1.0], [2.0], [3.0]]]))
+        assert np.allclose(y[0, :, 0], [1 + 4 + 0.25, 2 + 6 + 0.25])
 
     def test_grad(self):
         c = N.Conv1D(3, 2, 4, rng(4))
-        assert check_layer_grads(c, rng(5).standard_normal((9, 2))) < 1e-6
+        assert check_layer_grads(c, rng(5).standard_normal((1, 9, 2))) < 1e-6
 
 
 class TestMaxPool1D:
     def test_values_and_truncation(self):
         p = N.MaxPool1D(2)
-        y = p.forward(np.array([[1.0], [5.0], [2.0], [3.0], [9.0]]))
-        assert y[:, 0].tolist() == [5.0, 3.0]  # trailing odd row dropped
+        y = p.forward(np.array([[[1.0], [5.0], [2.0], [3.0], [9.0]]]))
+        assert y[0, :, 0].tolist() == [5.0, 3.0]  # trailing odd row dropped
 
     def test_grad_routes_to_argmax(self):
         p = N.MaxPool1D(2)
-        x = np.array([[1.0], [5.0], [7.0], [3.0]])
+        x = np.array([[[1.0], [5.0], [7.0], [3.0]]])
         p.forward(x)
-        dx = p.backward(np.array([[1.0], [2.0]]))
-        assert dx[:, 0].tolist() == [0.0, 1.0, 2.0, 0.0]
+        dx = p.backward(np.array([[[1.0], [2.0]]]))
+        assert dx[0, :, 0].tolist() == [0.0, 1.0, 2.0, 0.0]
 
     def test_grad_numeric(self):
         p = N.MaxPool1D(2)
-        assert check_layer_grads(p, rng(6).standard_normal((8, 3))) < 1e-6
+        assert check_layer_grads(p, rng(6).standard_normal((1, 8, 3))) < 1e-6
 
 
 class TestMaxOverTime:
     def test_masked(self):
         m = N.MaxOverTime()
-        x = np.array([[1.0, -1.0], [5.0, -9.0], [9.0, 0.0]])
-        y = m.forward(x, np.array([1.0, 1.0, 0.0]))
-        assert y.tolist() == [5.0, -1.0]
+        x = np.array([[[1.0, -1.0], [5.0, -9.0], [9.0, 0.0]]])
+        y = m.forward(x, np.array([[1.0, 1.0, 0.0]]))
+        assert y.tolist() == [[5.0, -1.0]]
 
     def test_grad(self):
         m = N.MaxOverTime()
-        x = rng(7).standard_normal((6, 4))
-        assert check_layer_grads(m, x, mask=np.array([1, 1, 1, 1, 0, 0.0])) < 1e-6
+        x = rng(7).standard_normal((1, 6, 4))
+        assert check_layer_grads(m, x, mask=np.array([[1, 1, 1, 1, 0, 0.0]])) < 1e-6
 
     def test_fully_masked_is_zero_and_blocks_grads(self):
         m = N.MaxOverTime()
-        y = m.forward(np.ones((3, 2)), np.zeros(3))
-        assert y.tolist() == [0.0, 0.0]
-        assert m.backward(np.ones(2)).tolist() == [[0.0, 0.0]] * 3
+        y = m.forward(np.ones((1, 3, 2)), np.zeros((1, 3)))
+        assert y.tolist() == [[0.0, 0.0]]
+        assert m.backward(np.ones((1, 2))).tolist() == [[[0.0, 0.0]] * 3]
 
 
 class TestDropout:
@@ -352,14 +358,14 @@ class TestDropout:
 class TestLSTM:
     def test_shapes(self):
         lstm = N.LSTM(3, 4, rng(12))
-        h = lstm.forward(rng(13).standard_normal((5, 3)))
-        assert h.shape == (5, 4)
+        h = lstm.forward(rng(13).standard_normal((1, 5, 3)))
+        assert h.shape == (1, 5, 4)
 
     def test_masked_steps_copy_state(self):
         lstm = N.LSTM(3, 4, rng(14))
-        x = rng(15).standard_normal((5, 3))
-        mask = np.array([1.0, 1.0, 0.0, 0.0, 1.0])
-        h = lstm.forward(x, mask)
+        x = rng(15).standard_normal((1, 5, 3))
+        mask = np.array([[1.0, 1.0, 0.0, 0.0, 1.0]])
+        h = lstm.forward(x, mask)[0]
         assert np.array_equal(h[2], h[1])
         assert np.array_equal(h[3], h[1])
         assert not np.array_equal(h[4], h[3])
@@ -367,9 +373,9 @@ class TestLSTM:
     def test_padding_invariance(self):
         lstm = N.LSTM(3, 4, rng(16))
         x = rng(17).standard_normal((3, 3))
-        h_short = lstm.forward(x, np.ones(3))
+        h_short = lstm.forward(x[None], np.ones((1, 3)))[0]
         padded = np.vstack([x, np.zeros((2, 3))])
-        h_long = lstm.forward(padded, np.array([1, 1, 1, 0, 0.0]))
+        h_long = lstm.forward(padded[None], np.array([[1, 1, 1, 0, 0.0]]))[0]
         assert np.allclose(h_long[:3], h_short)
         assert np.allclose(h_long[3:], h_short[-1])
 
@@ -377,26 +383,26 @@ class TestLSTM:
         lstm = N.LSTM(3, 4, rng(18))
         for p in lstm.params():
             p.value[...] = 0.0
-        h = lstm.forward(rng(19).standard_normal((6, 3)))
+        h = lstm.forward(rng(19).standard_normal((1, 6, 3)))
         assert np.all(h == 0.0)
 
     def test_grad_full_mask(self):
         lstm = N.LSTM(3, 4, rng(20))
         assert check_layer_grads(
-            lstm, rng(21).standard_normal((5, 3)), mask=np.ones(5)) < 1e-5
+            lstm, rng(21).standard_normal((1, 5, 3)), mask=np.ones((1, 5))) < 1e-5
 
     def test_grad_with_gaps(self):
         lstm = N.LSTM(2, 3, rng(22))
-        mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+        mask = np.array([[1.0, 0.0, 1.0, 1.0, 0.0, 1.0]])
         assert check_layer_grads(
-            lstm, rng(23).standard_normal((6, 2)), mask=mask) < 1e-5
+            lstm, rng(23).standard_normal((1, 6, 2)), mask=mask) < 1e-5
 
     @pytest.mark.parametrize("mask", [[1, 1, 1, 0, 0], [0, 0, 0, 0, 0]],
                              ids=["trailing_pads", "fully_masked"])
     def test_grad_padded(self, mask):
         lstm = N.LSTM(2, 3, rng(45))
         assert check_layer_grads(
-            lstm, rng(46).standard_normal((5, 2)), mask=np.array(mask, float)) < 1e-5
+            lstm, rng(46).standard_normal((1, 5, 2)), mask=np.array([mask], float)) < 1e-5
 
 
 @pytest.mark.parametrize("layer_cls, reference", [(N.LSTM, ref_lstm),
@@ -411,79 +417,170 @@ def test_lstm_matches_step_loop_reference(layer_cls, reference, mask):
     width = 6 if layer_cls is N.BiLSTM else 3
     dout = rng(49).standard_normal((length, width))
     want_out, want_dx, want_grads = reference(layer, x, mask, dout)
-    out = layer.forward(x, mask)
+    out = layer.forward(x[None], None if mask is None else mask[None])[0]
     layer.zero_grad()
-    dx = layer.backward(dout)
+    dx = layer.backward(dout[None])[0]
     for got, want in zip([out, dx] + [p.grad for p in layer.params()],
                          [want_out, want_dx] + want_grads):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+# Ragged batches: a full-length row, an empty row, gaps, trailing padding
+# and one real step after leading padding.
+RAGGED_MASK = np.array([[1, 1, 1, 1, 1, 1, 1],
+                        [0, 0, 0, 0, 0, 0, 0],
+                        [1, 0, 1, 1, 0, 0, 1],
+                        [1, 1, 1, 0, 0, 0, 0],
+                        [0, 0, 1, 0, 0, 0, 0]], dtype=np.float64)
+# layer factory, input shape, mask (None: the layer takes none)
+RAGGED_CASES = {
+    "dense": (lambda: N.Dense(4, 3, rng(60)), (5, 4), None),
+    "conv1d": (lambda: N.Conv1D(3, 4, 2, rng(60)), (5, 7, 4), None),
+    "maxpool": (lambda: N.MaxPool1D(2), (5, 7, 4), None),
+    "max_over_time": (lambda: N.MaxOverTime(), (5, 7, 4), RAGGED_MASK),
+    "lstm": (lambda: N.LSTM(4, 3, rng(60)), (5, 7, 4), RAGGED_MASK),
+    "bilstm": (lambda: N.BiLSTM(4, 3, rng(60)), (5, 7, 4), RAGGED_MASK),
+    # attention needs a real slot in every row
+    "attention": (lambda: N.Attention(4, rng(60)), (4, 7, 4), RAGGED_MASK[[0, 2, 3, 4]]),
+    "leaky_relu": (lambda: N.LeakyReLULayer(0.1), (5, 7, 4), None),
+    "sigmoid": (lambda: N.SigmoidLayer(), (5, 7, 4), None),
+}
+
+
+def _ragged_forward(layer, x, mask):
+    """The layer's output for the loss; attention's is its context vector."""
+    out = layer.forward(x) if mask is None else layer.forward(x, mask)
+    return out[1] if isinstance(layer, N.Attention) else out
+
+
+@pytest.mark.parametrize("make, shape, mask", RAGGED_CASES.values(),
+                         ids=RAGGED_CASES.keys())
+class TestRaggedBatch:
+    def test_batch_equals_per_document(self, make, shape, mask):
+        """A batch's outputs, input gradients and summed parameter gradients
+        are what one document at a time gives."""
+        layer = make()
+        x = rng(61).standard_normal(shape)
+        y = _ragged_forward(layer, x, mask)
+        dy = rng(62).standard_normal(y.shape)
+        layer.zero_grad()
+        dx = layer.backward(dy)
+        grads = [p.grad.copy() for p in layer.params()]
+        summed = [np.zeros_like(g) for g in grads]
+        for b in range(shape[0]):
+            row = slice(b, b + 1)
+            y_b = _ragged_forward(layer, x[row], None if mask is None else mask[row])
+            np.testing.assert_allclose(y_b, y[row], rtol=0, atol=1e-12)
+            layer.zero_grad()
+            np.testing.assert_allclose(layer.backward(dy[row]), dx[row], rtol=0, atol=1e-12)
+            for total, p in zip(summed, layer.params()):
+                total += p.grad
+        for got, want in zip(grads, summed):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_grad(self, make, shape, mask):
+        layer = make()
+        x = rng(63).standard_normal(shape)
+        dy = rng(64).standard_normal(_ragged_forward(layer, x, mask).shape)
+        layer.zero_grad()
+        dx = layer.backward(dy)
+        # attention's score bias cancels in the softmax (see TestAttention)
+        params = [p for p in layer.params()
+                  if not (isinstance(layer, N.Attention) and p is layer.b)]
+
+        def loss():
+            return float(np.sum(_ragged_forward(layer, x, mask) * dy))
+
+        worst = N.grad_check(loss, [p.value for p in params] + [x],
+                             [p.grad for p in params] + [dx])
+        assert worst < 1e-6
+
+
+def test_lstm_packs_rows_by_real_steps():
+    """Rows are walked longest first: every row of a ragged batch matches
+    the step-loop reference of its own."""
+    layer = N.LSTM(4, 3, rng(65))
+    x = rng(66).standard_normal((5, 7, 4))
+    dout = rng(67).standard_normal((5, 7, 3))
+    out = layer.forward(x, RAGGED_MASK)
+    layer.zero_grad()
+    dx = layer.backward(dout)
+    summed = [np.zeros_like(p.value) for p in layer.params()]
+    for b in range(5):
+        want_out, want_dx, want_grads = ref_lstm(layer, x[b], RAGGED_MASK[b], dout[b])
+        np.testing.assert_allclose(out[b], want_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dx[b], want_dx, rtol=0, atol=1e-12)
+        for total, g in zip(summed, want_grads):
+            total += g
+    for p, want in zip(layer.params(), summed):
+        np.testing.assert_allclose(p.grad, want, rtol=0, atol=1e-12)
+
+
 class TestBiLSTM:
     def test_concatenates_directions(self):
         b = N.BiLSTM(3, 4, rng(24))
-        x = rng(25).standard_normal((5, 3))
+        x = rng(25).standard_normal((1, 5, 3))
         h = b.forward(x)
-        assert h.shape == (5, 8)
-        assert np.allclose(h[:, :4], b.fwd.forward(x))
-        assert np.allclose(h[:, 4:], b.bwd.forward(x[::-1])[::-1])
+        assert h.shape == (1, 5, 8)
+        assert np.allclose(h[..., :4], b.fwd.forward(x))
+        assert np.allclose(h[..., 4:], b.bwd.forward(x[:, ::-1])[:, ::-1])
 
     def test_zero_weights_give_zero_states(self):
         b = N.BiLSTM(2, 3, rng(26))
         for p in b.params():
             p.value[...] = 0.0
-        assert np.all(b.forward(rng(27).standard_normal((4, 2))) == 0.0)
+        assert np.all(b.forward(rng(27).standard_normal((1, 4, 2))) == 0.0)
 
     def test_grad(self):
         b = N.BiLSTM(3, 2, rng(28))
-        mask = np.array([1.0, 1.0, 1.0, 0.0])
+        mask = np.array([[1.0, 1.0, 1.0, 0.0]])
         assert check_layer_grads(
-            b, rng(29).standard_normal((4, 3)), mask=mask) < 1e-5
+            b, rng(29).standard_normal((1, 4, 3)), mask=mask) < 1e-5
 
 
 class TestAttention:
     def test_weights_form_distribution(self):
         a = N.Attention(4, rng(30))
-        h = rng(31).standard_normal((6, 4))
+        h = rng(31).standard_normal((1, 6, 4))
         alpha, z = a.forward(h)
-        assert alpha.shape == (6,) and z.shape == (4,)
+        assert alpha.shape == (1, 6) and z.shape == (1, 4)
         assert alpha.sum() == pytest.approx(1.0)
         assert np.all(alpha > 0)
 
     def test_masked_positions_get_zero_weight(self):
         a = N.Attention(4, rng(32))
-        h = rng(33).standard_normal((5, 4))
-        mask = np.array([1.0, 1.0, 0.0, 1.0, 0.0])
+        h = rng(33).standard_normal((1, 5, 4))
+        mask = np.array([[1.0, 1.0, 0.0, 1.0, 0.0]])
         alpha, z = a.forward(h, mask)
-        assert alpha[2] == 0.0 and alpha[4] == 0.0
+        assert alpha[0, 2] == 0.0 and alpha[0, 4] == 0.0
         assert alpha.sum() == pytest.approx(1.0)
 
     def test_zero_weights_give_uniform_alpha_and_mean_context(self):
         a = N.Attention(4, rng(34))
         a.w.value[...] = 0.0
         a.b.value[...] = 0.0
-        h = rng(35).standard_normal((5, 4))
+        h = rng(35).standard_normal((1, 5, 4))
         alpha, z = a.forward(h)
         assert np.allclose(alpha, 0.2)
-        assert np.allclose(z, h.mean(axis=0))
+        assert np.allclose(z, h.mean(axis=1))
 
     def test_fully_masked_rejected(self):
         a = N.Attention(3, rng(36))
         with pytest.raises(ValueError):
-            a.forward(np.ones((4, 3)), np.zeros(4))
+            a.forward(np.ones((1, 4, 3)), np.zeros((1, 4)))
 
     def test_grad(self):
         a = N.Attention(4, rng(37))
-        h = rng(38).standard_normal((6, 4))
-        mask = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 1.0])
-        dz = rng(39).standard_normal(4)
+        h = rng(38).standard_normal((1, 6, 4))
+        mask = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 1.0]])
+        dz = rng(39).standard_normal((1, 4))
         a.forward(h, mask)
         a.zero_grad()
         dh = a.backward(dz)
 
         def loss():
             _, z = a.forward(h, mask)
-            return float(z @ dz)
+            return float(np.sum(z * dz))
 
         worst = N.grad_check(loss, [a.w.value, h], [a.w.grad, dh])
         assert worst < 1e-6
@@ -492,10 +589,10 @@ class TestAttention:
         # the softmax is shift invariant, so the score bias never reaches the
         # output: its true gradient is identically zero
         a = N.Attention(4, rng(37))
-        h = rng(38).standard_normal((6, 4))
+        h = rng(38).standard_normal((1, 6, 4))
         _, z0 = a.forward(h)
         a.zero_grad()
-        a.backward(np.ones(4))
+        a.backward(np.ones((1, 4)))
         assert abs(a.b.grad[0]) < 1e-12
         a.b.value[0] += 123.0
         _, z1 = a.forward(h)

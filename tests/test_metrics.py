@@ -207,6 +207,70 @@ class TestRocAuc:
             MT.roc_auc([np.nan, 0.5], [1, 0])
 
 
+def sweep_roc(scores, gold):
+    """The threshold sweep that ``roc_auc`` replaced, kept as its reference:
+    one pass over the scores per distinct score."""
+    scores = np.asarray(scores, dtype=np.float64)
+    gold = np.asarray(gold, dtype=np.int64)
+    pos = int(gold.sum())
+    neg = gold.size - pos
+    points = [(0.0, 0.0, float("inf"))]
+    for threshold in sorted(set(scores.tolist()), reverse=True):
+        predicted = scores >= threshold
+        tpr = float((predicted & (gold == 1)).sum() / pos)
+        fpr = float((predicted & (gold == 0)).sum() / neg)
+        points.append((fpr, tpr, threshold))
+    auc = 0.0
+    for (fpr0, tpr0, _), (fpr1, tpr1, _) in zip(points, points[1:]):
+        auc += (fpr1 - fpr0) * (tpr1 + tpr0) / 2.0
+    return points, auc
+
+
+def _bits(points):
+    return [tuple(np.float64(v).view(np.int64) for v in p) for p in points]
+
+
+class TestRocAucMatchesSweep:
+    """Points and AUC are bit for bit those of the threshold sweep."""
+
+    @pytest.mark.parametrize("scores", [
+        lambda r: r.random(10_000),
+        lambda r: r.integers(0, 50, 10_000) / 49.0,
+        lambda r: np.round(r.standard_normal(10_000), 2),
+    ], ids=["untied", "tied", "tied_signed"])
+    def test_large(self, scores):
+        r = np.random.default_rng(70)
+        s = scores(r)
+        gold = r.integers(0, 2, s.size)
+        curve = MT.roc_auc(s, gold)
+        points, auc = sweep_roc(s, gold)
+        assert _bits(curve.points) == _bits(points)
+        assert np.float64(curve.auc).view(np.int64) == np.float64(auc).view(np.int64)
+
+    @pytest.mark.parametrize("scores, gold", [
+        ([0.0, -0.0, 0.5, -0.0], [1, 0, 0, 1]),  # signed zeros tie
+        ([-0.0, 0.0, 0.5], [1, 0, 1]),
+        ([0.3, 0.3, 0.3], [1, 0, 1]),  # one distinct score
+        ([0.9, 0.1], [0, 1]),
+    ])
+    def test_small(self, scores, gold):
+        curve = MT.roc_auc(scores, gold)
+        points, auc = sweep_roc(scores, gold)
+        assert _bits(curve.points) == _bits(points)
+        assert curve.auc == auc
+
+    @settings(max_examples=200, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.25, 2.0]),
+                              st.integers(0, 1)), min_size=2, max_size=30)
+           .filter(lambda rows: len({g for _, g in rows}) == 2))
+    def test_property(self, rows):
+        scores, gold = zip(*rows)
+        curve = MT.roc_auc(scores, gold)
+        points, auc = sweep_roc(scores, gold)
+        assert _bits(curve.points) == _bits(points)
+        assert curve.auc == auc
+
+
 class TestCohensKappa:
     def test_identical_annotations(self):
         assert MT.cohens_kappa([1, 0, 2, 1], [1, 0, 2, 1]) == 1.0

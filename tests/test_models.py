@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from test_layers import ref_conv1d, ref_maxpool
-
 from toxiclass import models as M
-from toxiclass.corpus import LABELS, PAD_ID, build_vocab, tokenize
+from toxiclass.corpus import LABELS, PAD_ID, TokenSequence, build_vocab, tokenize
 from toxiclass.embedding import random_table
 from toxiclass.errors import CheckpointError, ConfigError, DataError
+from toxiclass.neural import grad_check
 
 WORDS = ["ash", "bat", "cod", "dew", "elm", "fig", "gnu", "hay", "ivy", "jay"]
 VOCAB = build_vocab([" ".join(WORDS)] * 3)
@@ -54,6 +53,23 @@ class TestConfigs:
         with pytest.raises(ConfigError, match="pool"):
             M.MultiLabelModelConfig(pool=pool)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"lstm_units": 0}, {"lstm_units": -2}, {"dense_hidden": (4, 0)},
+        {"dense_hidden": (-1,)}, {"dropout_rate": 1.0}, {"dropout_rate": -0.1},
+        {"dropout_rate": float("nan")},
+    ])
+    def test_binary_sizes_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            M.BinaryModelConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"bilstm_units": 0}, {"conv_stack": ((0, 3),)}, {"conv_stack": ((8, 0),)},
+        {"conv_stack": ((8, 3), (-1, 2))}, {"conv_stack": ((8, -1),)},
+    ])
+    def test_multilabel_sizes_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            M.MultiLabelModelConfig(**kwargs)
+
     def test_from_dict_round_trips(self):
         from dataclasses import asdict
         b = M.BinaryModelConfig(lstm_units=7, dense_hidden=(3, 2))
@@ -94,7 +110,7 @@ class TestPostStackLength:
 class TestForward:
     def test_binary_output_is_probability(self):
         model = _binary()
-        p = model.forward(_seq("ash bat cod"))
+        p = model.forward([_seq("ash bat cod")])[0]
         assert p.shape == (1,) and 0.0 < p[0] < 1.0
 
     def test_predict_binary_returns_float(self):
@@ -108,20 +124,20 @@ class TestForward:
 
     def test_attention_weights_exposed(self):
         model = _multilabel()
-        model.forward(_seq("fig gnu hay"))
+        model.forward([_seq("fig gnu hay")])
         assert model.last_alpha is not None
         assert model.last_alpha.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(model.last_alpha >= 0.0)
 
     def test_binary_output_invariant_to_pad_width(self):
         model = _binary()
-        a = model.forward(_seq("ash bat cod", max_len=8))
-        b = model.forward(_seq("ash bat cod", max_len=20))
+        a = model.forward([_seq("ash bat cod", max_len=8)])[0]
+        b = model.forward([_seq("ash bat cod", max_len=20)])[0]
         assert a[0] == pytest.approx(b[0], abs=1e-12)
 
     def test_pooled_input_variant_runs(self):
         model = _binary(pooled_input=True)
-        p = model.forward(_seq("ash bat"))
+        p = model.forward([_seq("ash bat")])[0]
         assert 0.0 < p[0] < 1.0
 
     def test_max_over_time_variant_runs(self):
@@ -129,7 +145,7 @@ class TestForward:
                                       use_attention=False)
         model = M.MultiLabelModel(cfg, random_table(len(VOCAB), 5, seed=0),
                                   seq_len=12, seed=0)
-        probs = model.forward(_seq("ash bat cod dew elm"))
+        probs = model.forward([_seq("ash bat cod dew elm")])[0]
         assert probs.shape == (6,) and model.last_alpha is None
 
     def test_construction_rejects_impossible_length(self):
@@ -138,22 +154,146 @@ class TestForward:
 
     @pytest.mark.parametrize("real", [0, 1, 2, 15, 296, 297, 299, 300])
     def test_multilabel_matches_full_length_reference(self, real):
-        """The tagger over 300 slots gives what computing every conv and pool
-        window gives, whatever share of the slots is padding."""
-        model = M.MultiLabelModel(M.desk_multilabel_config(),
-                                  random_table(len(VOCAB), 6, seed=1),
-                                  seq_len=300, seed=1)
-        r = np.random.default_rng(2)
-        for conv, _, _ in model.blocks:  # trained biases are not zero
-            conv.b.value[...] = 0.1 * r.standard_normal(conv.b.value.shape)
+        """The tagger over 300 slots gives what running the conv stack over
+        every slot gives, whatever share of the slots is padding."""
+        model = _desk_tagger(300)
         seq = _seq(" ".join(WORDS[i % len(WORDS)] for i in range(real)), 300)
-        got = model.forward(seq)
-        x = model.embedding.forward(seq.input_ids, seq.mask)
-        for conv, act, pool in model.blocks:
-            x = ref_maxpool(pool, act.forward(ref_conv1d(conv, x)))
-        _, z = model.attention.forward(model.bilstm.forward(x))
-        want = model.out_act.forward(model.out.forward(z))
+        got = model.forward([seq])[0]
+        want, _ = _untruncated(model, seq, np.zeros(6))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_paper_stack_window(self):
+        config = M.MultiLabelModelConfig()
+        assert M.MultiLabelModel.stack_window(config) == (8, 19)
+        assert M.MultiLabelModel.stack_window(M.desk_multilabel_config()) == (8, 19)
+        assert M.MultiLabelModel.stack_window(
+            M.MultiLabelModelConfig(conv_stack=((6, 3),), pool=3)) == (3, 5)
+
+    @pytest.mark.parametrize("length", [40, 41])
+    def test_truncated_tagger_matches_untruncated(self, length):
+        """Forward and every parameter gradient, at every real length."""
+        model = _desk_tagger(length)
+        dp = np.random.default_rng(3).standard_normal(6)
+        for real in range(length + 1):
+            seq = _seq(" ".join(WORDS[i % len(WORDS)] for i in range(real)), length)
+            want, want_grads = _untruncated(model, seq, dp)
+            model.zero_grad()
+            got = model.forward([seq])
+            model.backward(dp[None])
+            np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-12)
+            for p, g in zip(model.params(), want_grads):
+                np.testing.assert_allclose(p.grad, g, rtol=0, atol=1e-12)
+
+    def test_tagger_cut_covers_real_prefix_plus_field(self):
+        model = _desk_tagger(300)
+        for real in (0, 1, 8, 9, 100, 274, 275):
+            seq = _seq(" ".join(WORDS[i % len(WORDS)] for i in range(real)), 300)
+            model.forward([seq])
+            assert model.embedding._ids.shape[1] == min(300, 8 * -(-real // 8) + 19)
+            assert model.embedding._ids.shape[1] <= real + 26
+
+
+def _desk_tagger(seq_len):
+    """The desk tagger with biases that keep padded windows off zero, as
+    trained ones are."""
+    model = M.MultiLabelModel(M.desk_multilabel_config(),
+                              random_table(len(VOCAB), 6, seed=1, trainable=True),
+                              seq_len=seq_len, seed=1)
+    r = np.random.default_rng(2)
+    for conv, _, _ in model.blocks:
+        conv.b.value[...] = 0.1 * r.standard_normal(conv.b.value.shape)
+    return model
+
+
+def _untruncated(model, seq, dp):
+    """The tagger's probabilities for one sequence, and every parameter
+    gradient for the output gradient ``dp``, with the conv stack run over
+    every slot."""
+    model.zero_grad()
+    x = model.embedding.forward(seq.input_ids[None], seq.mask[None])
+    for conv, act, pool in model.blocks:
+        x = pool.forward(act.forward(conv.forward(x)))
+    _, z = model.attention.forward(model.bilstm.forward(x))
+    probs = model.out_act.forward(model.out.forward(z))
+    dx = model.bilstm.backward(model.attention.backward(
+        model.out.backward(model.out_act.backward(dp[None]))))
+    for conv, act, pool in reversed(model.blocks):
+        dx = conv.backward(act.backward(pool.backward(dx)))
+    model.embedding.backward(dx)
+    return probs[0], [p.grad.copy() for p in model.params()]
+
+
+def _ragged_batch(max_len=12):
+    """Sequences with empty, full-length, gapped and trailing-pad masks."""
+    r = np.random.default_rng(7)
+    masks = [np.zeros(max_len), np.ones(max_len),
+             (np.arange(max_len) % 3 != 1).astype(float),
+             (np.arange(max_len) < 5).astype(float),
+             (np.arange(max_len) == 6).astype(float)]
+    seqs = []
+    for mask in masks:
+        ids = np.where(mask > 0, r.integers(2, len(VOCAB), max_len), PAD_ID)
+        seqs.append(TokenSequence(ids, mask, int(mask.sum())))
+    return seqs
+
+
+@pytest.mark.parametrize("make", [_binary, lambda: _binary(pooled_input=True),
+                                  _multilabel],
+                         ids=["binary", "pooled", "multilabel"])
+class TestBatch:
+    def test_batch_equals_per_document(self, make):
+        model = make()
+        seqs = _ragged_batch()
+        got = model.forward(seqs)
+        for seq, row in zip(seqs, got):
+            np.testing.assert_allclose(row, model.forward([seq])[0], rtol=0, atol=1e-12)
+
+    def test_predict_keeps_order_across_chunks(self, make):
+        model = make()
+        seqs = _ragged_batch() * 4 + [_seq(" ".join(WORDS[:n])) for n in range(12)]
+        assert len(seqs) > M.PREDICT_CHUNK
+        got = M.predict(model, seqs)
+        assert got.shape == (len(seqs), model.output_dim)
+        for seq, row in zip(seqs, got):
+            np.testing.assert_allclose(row, model.forward([seq])[0], rtol=0, atol=1e-12)
+        assert M.predict(model, []).shape == (0, model.output_dim)
+
+    def test_grad(self, make):
+        """Finite differences over every parameter for a ragged batch.
+
+        Along one random direction per tensor the check holds at 1e-6.
+        Entry by entry it holds at the composed-stack bound of criterion 1:
+        entries near 1e-6 carry central-difference roundoff of about 1e-11.
+        """
+        model = make()
+        r = np.random.default_rng(0)
+        for name, p in model.named_tensors():  # biases off the ReLU kinks
+            if name.endswith(".b"):
+                p.value[...] = 0.5 * r.standard_normal(p.value.shape)
+        seqs = _ragged_batch()
+        dp = np.random.default_rng(8).standard_normal((len(seqs), model.output_dim))
+        model.zero_grad()
+        model.forward(seqs)
+        model.backward(dp)
+        named = [p for n, p in model.named_tensors() if n != "attention.b"]
+
+        def loss():
+            return float(np.sum(model.forward(seqs) * dp))
+
+        worst = 0.0
+        for p in named:
+            v = r.standard_normal(p.value.shape)
+            base = p.value.copy()
+            step = np.zeros(1)
+
+            def along():
+                p.value[...] = base + step[0] * v
+                return loss()
+
+            worst = max(worst, grad_check(along, [step], [np.array([np.sum(p.grad * v)])]))
+            p.value[...] = base
+        assert worst < 1e-6
+        assert grad_check(loss, [p.value for p in named], [p.grad for p in named]) < 1e-4
 
 
 class TestParams:
@@ -291,7 +431,7 @@ class TestTrain:
         assert trained.history[trained.best_epoch]["val_loss"] == best_val
         # recomputing validation loss on the restored weights matches the best
         from toxiclass.neural.losses import bce_loss, l2_penalty
-        total = sum(bce_loss(model.forward(s), y)[0] for s, y in data)
+        total = sum(bce_loss(model.forward([s])[0], y)[0] for s, y in data)
         val = total / len(data) + l2_penalty(
             (w.value for w in model.decayed_params()), trained.train_config.l2_lambda)
         assert val == pytest.approx(best_val, abs=1e-12)
@@ -531,6 +671,16 @@ class TestCheckpoint:
         _, path = self._trained_binary(tmp_path)
         self._rewrite(path, lambda body: body.__delitem__(slice(-8, None)))
         with pytest.raises(CheckpointError, match="truncated"):
+            M.load_model(path)
+
+    @pytest.mark.parametrize("change", [
+        {"lstm_units": 0}, {"dense_hidden": [0]}, {"dropout_rate": 1.5},
+    ])
+    def test_header_sizes_below_one(self, tmp_path, change, rewrite_header):
+        _, path = self._trained_binary(tmp_path)
+        config = M._header_dict(M.load_model(path))["model_config"]
+        rewrite_header(path, {"set": ("model_config", {**config, **change})})
+        with pytest.raises(CheckpointError, match="malformed header"):
             M.load_model(path)
 
     @pytest.mark.parametrize("header", [
