@@ -282,7 +282,7 @@ def _rows_from_file(path, spec: FormatSpec):
                     continue
                 try:
                     yield lineno, json.loads(line)
-                except json.JSONDecodeError as exc:
+                except (json.JSONDecodeError, RecursionError) as exc:
                     yield lineno, exc
     else:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -301,12 +301,17 @@ def ingest(path, spec: FormatSpec) -> list[Document]:
     bad: list[tuple[int, str]] = []
     try:
         rows = list(_rows_from_file(path, spec))
-    except OSError as exc:
+    except UnicodeDecodeError as exc:
+        raise DataError(f"dataset {path} is not UTF-8: {exc.reason}") from exc
+    except (OSError, csv.Error) as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
 
     for lineno, record in rows:
         if isinstance(record, Exception):
             bad.append((lineno, f"unparseable row: {record}"))
+            continue
+        if not isinstance(record, dict):
+            bad.append((lineno, "not a JSON object"))
             continue
         try:
             text = record[spec.text_field]

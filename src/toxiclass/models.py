@@ -35,8 +35,9 @@ from .neural.losses import add_l2_gradients, bce_loss, l2_penalty
 
 CHECKPOINT_MAGIC = b"TXCKPT01"
 CHECKPOINT_VERSION = 1
-# Documents per batched forward in ``predict``: bounds peak memory whatever
-# the number of documents.
+# Documents per batched forward, in ``predict`` and in each training
+# mini-batch: the backward caches of one chunk are what the layers hold, so
+# this bounds peak memory whatever the number of documents or the batch size.
 PREDICT_CHUNK = 8
 
 
@@ -383,6 +384,25 @@ class TrainedModel:
         return self.model.kind
 
 
+def _add_batch_gradients(model: Model, batch, rng: np.random.Generator) -> float:
+    """Add the gradient of the mean loss over ``batch``, a list of
+    (TokenSequence, target vector), to the model's gradient buffers and
+    return the summed loss.
+
+    The batch goes through the model in consecutive chunks of up to
+    ``PREDICT_CHUNK`` documents, in its order, so that dropout draws each
+    document's mask as one forward per document would.
+    """
+    total = 0.0
+    for lo in range(0, len(batch), PREDICT_CHUNK):
+        rows = batch[lo:lo + PREDICT_CHUNK]
+        p = model.forward([seq for seq, _ in rows], train=True, rng=rng)
+        loss, dp = bce_loss(p, np.stack([y for _, y in rows]))
+        model.backward(dp / len(batch))
+        total += loss
+    return total
+
+
 def train(model, train_set, val_set, config: TrainingConfig,
           vocab_hash: str = "") -> TrainedModel:
     """Mini-batch Adam with seeded shuffling and best-validation checkpointing.
@@ -399,11 +419,8 @@ def train(model, train_set, val_set, config: TrainingConfig,
     weights = model.decayed_params()
 
     def validation_loss() -> float:
-        probs = predict(model, [seq for seq, _ in val_set])
-        total = 0.0
-        for p, (_, y) in zip(probs, val_set):
-            loss, _ = bce_loss(p, y)
-            total += loss
+        total, _ = bce_loss(predict(model, [seq for seq, _ in val_set]),
+                            np.stack([y for _, y in val_set]))
         return total / len(val_set) + l2_penalty((w.value for w in weights),
                                                  config.l2_lambda)
 
@@ -418,13 +435,8 @@ def train(model, train_set, val_set, config: TrainingConfig,
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             model.zero_grad()
-            batch_loss = 0.0
-            for idx in batch:
-                seq, y = train_set[idx]
-                p = model.forward([seq], train=True, rng=rng)[0]
-                loss, dp = bce_loss(p, y)
-                model.backward(dp[None] / len(batch))
-                batch_loss += loss
+            batch_loss = _add_batch_gradients(model, [train_set[i] for i in batch],
+                                              rng)
             add_l2_gradients(weights, config.l2_lambda)
             opt.step()
             penalty = l2_penalty((w.value for w in weights), config.l2_lambda)
@@ -554,15 +566,21 @@ def _tensor_shapes(config, vocab_size: int, dim: int) -> list[tuple[str, tuple]]
 
 
 def save_model(trained: TrainedModel, path) -> None:
-    """Versioned binary container: magic, JSON header, fp64 tensors, SHA-256."""
+    """Versioned binary container: magic, JSON header, fp64 tensors, SHA-256.
+
+    Each tensor is hashed and written from its own memory, so saving holds
+    no copy of the checkpoint.
+    """
     header = json.dumps(_header_dict(trained), sort_keys=True).encode("utf-8")
-    parts = [CHECKPOINT_MAGIC, struct.pack("<I", len(header)), header]
-    for _, p in trained.model.named_tensors():
-        parts.append(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
-    blob = b"".join(parts)
+    tensors = (np.ascontiguousarray(p.value, dtype="<f8")
+               for _, p in trained.model.named_tensors())
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(blob)
-        fh.write(hashlib.sha256(blob).digest())
+        for part in itertools.chain(
+                [CHECKPOINT_MAGIC, struct.pack("<I", len(header)), header], tensors):
+            digest.update(part)
+            fh.write(part)
+        fh.write(digest.digest())
 
 
 def load_model(path, expect_kind: str | None = None) -> TrainedModel:

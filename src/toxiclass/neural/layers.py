@@ -182,7 +182,8 @@ class MaxPool1D(Layer):
             raise ValueError(f"sequence length {length} shorter than pool {self.pool}")
         out_len = length // self.pool
         windows = x[:, :out_len * self.pool].reshape(batch, out_len, self.pool, channels)
-        self._argmax = windows.argmax(axis=2)  # first occurrence per window
+        # first occurrence per window, in the smallest type that holds pool - 1
+        self._argmax = windows.argmax(axis=2).astype(np.min_scalar_type(self.pool - 1))
         self._in_shape = x.shape
         return windows.max(axis=2)
 

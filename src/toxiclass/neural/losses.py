@@ -10,7 +10,9 @@ PROB_EPS = 1e-12
 
 
 def bce_loss(p: np.ndarray, y: np.ndarray):
-    """Mean binary cross entropy over the output units.
+    """Binary cross entropy averaged over the output units (the last axis)
+    and summed over any leading batch axes, so that a (B, C) batch costs the
+    sum of its rows' losses.
 
     Probabilities are clamped to [1e-12, 1 - 1e-12] before the logs.
     Returns (loss, dloss/dp); the clamp is treated as the identity in the
@@ -21,7 +23,7 @@ def bce_loss(p: np.ndarray, y: np.ndarray):
     if p.shape != y.shape:
         raise ValueError(f"prediction shape {p.shape} != target shape {y.shape}")
     pc = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-    k = p.size
+    k = p.shape[-1] if p.ndim else 1
     loss = -np.sum(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)) / k
     if not np.isfinite(loss):
         raise NumericError("non-finite BCE loss")

@@ -2,11 +2,20 @@
 
 import hashlib
 import json
+import os
 import struct
 
 import pytest
+from hypothesis import settings
 
 from toxiclass import models as M
+
+# ``HYPOTHESIS_PROFILE=ci`` draws the same examples on every run and keeps no
+# example database, so a property that fails in CI fails the same way when
+# run locally with that profile. Each test keeps its own example count and
+# deadline.
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def _rewrite_header(path, header):

@@ -467,6 +467,24 @@ class TestExitCodes:
                                              "evaluate", "--stage", "binary"]) == 3
         assert "cannot read vocabulary" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["prepare", "stats"])
+    @pytest.mark.parametrize("name, body, message", [
+        ("data.csv", b"id,text,toxic\nd0,\xff,1\n", "is not UTF-8"),
+        ("data.jsonl", b'{"id": "d0", "text": "\xff", "toxic": 1}\n', "is not UTF-8"),
+        ("data.jsonl", b'{"id": "d0", "text": "a", "toxic": 1}\n[]\n',
+         "row 2: not a JSON object"),
+    ])
+    def test_bad_data_file(self, tmp_path, capsys, command, name, body, message):
+        path = tmp_path / name
+        path.write_bytes(body)
+        assert cli.main(["--set", f"data.path={path}",
+                         "--set", f"data.format={name.split('.')[1]}",
+                         "--set", "data.toxic_field=toxic",
+                         "--set", "data.label_fields=none",
+                         "--set", f"output.dir={tmp_path / 'out'}", command]) == 3
+        err = capsys.readouterr().err
+        assert "data error" in err and str(path) in err and message in err
+
     def test_split_before_prepare(self, tmp_path, capsys):
         assert cli.main(["--set", f"output.dir={tmp_path / 'none'}",
                          "split"]) == 3

@@ -271,6 +271,13 @@ def _write_csv(path, rows, header="id,text,toxic,vulgar,hate,religious,threat,tr
     path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
 
 
+# Pieces of CSV and JSONL files, well and badly formed, for the ingest
+# property: headers, separators, quotes, JSON values and non-UTF-8 bytes.
+DATA_PIECES = [b"id,text,toxic\n", ",".join(C.LABELS).encode() + b"\n", b",", b"\n",
+               b"\r\n", b'"', b"1", b"0", b"yes", b"x y", b"\x00", b"\xff", b"\xc3",
+               b"\xc3\xa9", b'{"text": "a", "toxic": 1, "id": 2}', b"{", b"}", b"[",
+               b"]", b"null", b'"toxic": ', b'"text": ', b'"vulgar": 1, ', b"3.5"]
+
 CSV_SPEC = C.FormatSpec(kind="csv", text_field="text", toxic_field="toxic",
                         label_fields=C.LABELS, id_field="id")
 
@@ -315,6 +322,51 @@ class TestIngest:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             C.ingest(tmp_path / "nope.csv", CSV_SPEC)
+
+    @pytest.mark.parametrize("name, body", [
+        ("d.csv", b"id,text,toxic\na,caf\xe9,1\n"),
+        ("d.jsonl", b'{"id": "a", "text": "ok", "toxic": 0}\n{"text": "\xff"}\n'),
+    ])
+    def test_not_utf8_is_data_error(self, tmp_path, name, body):
+        path = tmp_path / name
+        path.write_bytes(body)
+        spec = C.FormatSpec(kind=name.split(".")[1], toxic_field="toxic", id_field="id")
+        with pytest.raises(DataError, match=f"dataset .*{name} is not UTF-8"):
+            C.ingest(path, spec)
+
+    @pytest.mark.parametrize("line", [b"[]", b"[1, 2]", b'"text"', b"3", b"null", b"true"])
+    def test_non_object_jsonl_line_is_bad_row(self, tmp_path, line):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b'{"text": "hi", "toxic": 0}\n' + line + b"\n")
+        with pytest.raises(IngestError, match="row 2: not a JSON object") as err:
+            C.ingest(path, C.FormatSpec(kind="jsonl", toxic_field="toxic"))
+        assert err.value.rows == [(2, "not a JSON object")]
+
+    def test_deeply_nested_jsonl_line_is_bad_row(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(b'{"text": "hi", "toxic": 0}\n' + b"[" * 100_000 + b"\n")
+        with pytest.raises(IngestError, match="row 2: unparseable row"):
+            C.ingest(path, C.FormatSpec(kind="jsonl", toxic_field="toxic"))
+
+    def test_oversized_csv_field_is_data_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"text,toxic\n" + b"x" * 200_000 + b",1\n")
+        with pytest.raises(DataError, match="cannot read dataset"):
+            C.ingest(path, C.FormatSpec(kind="csv", toxic_field="toxic"))
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(["csv", "jsonl"]),
+           body=st.one_of(st.binary(max_size=60),
+                          st.lists(st.sampled_from(DATA_PIECES), max_size=16)
+                          .map(b"".join)))
+    def test_ingest_of_any_bytes_fails_only_as_toxiclass_error(self, tmp_path, kind, body):
+        path = tmp_path / f"d.{kind}"
+        path.write_bytes(body)
+        for spec in (C.FormatSpec(kind=kind, toxic_field="toxic", id_field="id"),
+                     C.FormatSpec(kind=kind, label_fields=C.LABELS)):
+            with contextlib.suppress(ToxiclassError):
+                C.stats(C.ingest(path, spec))
 
     def test_format_spec_needs_some_gold(self):
         with pytest.raises(ConfigError):

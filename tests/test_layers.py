@@ -4,6 +4,7 @@ import pytest
 from toxiclass import neural as N
 from toxiclass.errors import NumericError
 from toxiclass.neural.losses import add_l2_gradients, bce_loss, l2_penalty
+from toxiclass.neural.optim import BLOCK
 
 
 def rng(seed=0):
@@ -299,6 +300,23 @@ class TestMaxPool1D:
         p.forward(x)
         dx = p.backward(np.array([[[1.0], [2.0]]]))
         assert dx[0, :, 0].tolist() == [0.0, 1.0, 2.0, 0.0]
+        assert p._argmax.dtype == np.uint8  # the smallest type holding pool - 1
+
+    @pytest.mark.parametrize("pool, dtype", [(1, np.uint8), (256, np.uint8),
+                                             (257, np.uint16)])
+    def test_argmax_dtype_follows_pool(self, pool, dtype):
+        p = N.MaxPool1D(pool)
+        x = rng(5).standard_normal((2, 2 * pool + pool // 2, 3))
+        y = p.forward(x)
+        assert p._argmax.dtype == dtype
+        windows = x[:, :2 * pool].reshape(2, 2, pool, 3)
+        assert np.array_equal(y, windows.max(axis=2))
+        dy = rng(6).standard_normal(y.shape)
+        want = np.zeros_like(windows)
+        np.put_along_axis(want, windows.argmax(axis=2)[:, :, None], dy[:, :, None], axis=2)
+        dx = p.backward(dy)
+        assert np.array_equal(dx[:, :2 * pool], want.reshape(2, -1, 3))
+        assert not dx[:, 2 * pool:].any()
 
     def test_grad_numeric(self):
         p = N.MaxPool1D(2)
@@ -682,6 +700,35 @@ class TestAdam:
             v = b2 * v + (1 - b2) * g * g
             x -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
             assert p.value[0] == pytest.approx(x, abs=1e-15)
+
+    def test_update_bits_match_the_textbook_expression(self):
+        """The in-place update gives, bit for bit, what the allocating
+        expression gives, over several steps and tensors of mixed sizes and
+        gradient scales, in one block and in several: rows shorter than a
+        block, and a row longer than one. Parameters start near zero, so that
+        a last-bit change in the update shows in them."""
+        r = rng(11)
+        shapes = [(7, 3), (5,), (2, 4, 3), (1,), (BLOCK // 40 + 3, 5, 8),
+                  (3, BLOCK + 5), (2 * BLOCK + 1,)]
+        params = [N.Param(f"p{i}", 1e-4 * r.standard_normal(s))
+                  for i, s in enumerate(shapes)]
+        want = [p.value.copy() for p in params]
+        ms = [np.zeros(s) for s in shapes]
+        vs = [np.zeros(s) for s in shapes]
+        lr, b1, b2, eps = 0.003, 0.9, 0.999, 1e-8
+        opt = N.Adam(params, learning_rate=lr)
+        for t in range(1, 13):
+            for p, x, m, v in zip(params, want, ms, vs):
+                g = r.standard_normal(p.value.shape) * 10.0 ** r.integers(-7, 3)
+                p.grad[...] = g
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * np.square(g)
+                x -= lr * (m / (1.0 - b1 ** t)) / (np.sqrt(v / (1.0 - b2 ** t)) + eps)
+            opt.step()
+            for p, x in zip(params, want):
+                assert np.array_equal(p.value, x)
 
     def test_zero_learning_rate_freezes(self):
         p = N.Param("x", np.array([3.0]))

@@ -10,6 +10,7 @@ from toxiclass.corpus import LABELS, PAD_ID, TokenSequence, build_vocab, tokeniz
 from toxiclass.embedding import random_table
 from toxiclass.errors import CheckpointError, ConfigError, DataError
 from toxiclass.neural import grad_check
+from toxiclass.neural.losses import bce_loss
 
 WORDS = ["ash", "bat", "cod", "dew", "elm", "fig", "gnu", "hay", "ivy", "jay"]
 VOCAB = build_vocab([" ".join(WORDS)] * 3)
@@ -452,6 +453,66 @@ class TestTrain:
         assert trained.kind == "multilabel"
 
 
+def _per_document(model, batch, rng):
+    """The reference for ``M._add_batch_gradients``: one forward and one
+    backward per document, in batch order."""
+    total = 0.0
+    for seq, y in batch:
+        p = model.forward([seq], train=True, rng=rng)[0]
+        loss, dp = bce_loss(p, y)
+        model.backward(dp[None] / len(batch))
+        total += loss
+    return total
+
+
+def _ragged_training_set(kind, n):
+    r = np.random.default_rng(5)
+    data = []
+    for i in range(n):
+        seq = _seq(" ".join(r.choice(WORDS, size=1 + i % 11)))
+        y = r.integers(0, 2, size=1 if kind == "binary" else 6).astype(float)
+        data.append((seq, y))
+    return data
+
+
+@pytest.mark.parametrize("kind, make", [
+    ("binary", lambda: _binary(seed=2, dropout_rate=0.5)),
+    ("multilabel", lambda: _multilabel(seed=2)),
+])
+class TestBatchedTraining:
+    @pytest.mark.parametrize("size", [1, M.PREDICT_CHUNK, M.PREDICT_CHUNK + 3,
+                                      2 * M.PREDICT_CHUNK + 1])
+    def test_step_matches_per_document(self, kind, make, size):
+        model = make()
+        batch = _ragged_training_set(kind, size)
+        got_rng = np.random.default_rng(9)
+        want_rng = np.random.default_rng(9)
+        model.zero_grad()
+        got_loss = M._add_batch_gradients(model, batch, got_rng)
+        got = [p.grad.copy() for p in model.params()]
+        model.zero_grad()
+        want_loss = _per_document(model, batch, want_rng)
+        assert got_loss == pytest.approx(want_loss, rel=0, abs=1e-12)
+        for (name, _), g, p in zip(model.named_tensors(), got, model.params()):
+            np.testing.assert_allclose(g, p.grad, rtol=0, atol=1e-12, err_msg=name)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        if kind == "binary" and size > 1:  # dropout drew from the generator
+            assert got_rng.bit_generator.state != np.random.default_rng(9).bit_generator.state
+
+    def test_history_matches_per_document(self, kind, make, monkeypatch):
+        data = _ragged_training_set(kind, 2 * M.PREDICT_CHUNK + 7)
+        config = M.TrainingConfig(batch_size=M.PREDICT_CHUNK + 3, learning_rate=0.02,
+                                  epochs=4, patience=50, seed=4)
+        got = M.train(make(), data, data[:9], config)
+        monkeypatch.setattr(M, "_add_batch_gradients", _per_document)
+        want = M.train(make(), data, data[:9], config)
+        assert len(got.history) == len(want.history) == 4
+        for g, w in zip(got.history, want.history):
+            assert g["train_loss"] == pytest.approx(w["train_loss"], rel=0, abs=1e-9)
+            assert g["val_loss"] == pytest.approx(w["val_loss"], rel=0, abs=1e-9)
+        assert got.best_epoch == want.best_epoch
+
+
 class TestRoute:
     def test_gate_below_threshold(self):
         assert M.route(0.49, [0.9] * 6) == ["Non-toxic"]
@@ -652,6 +713,24 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * path.stat().st_size
+
+    def test_save_holds_no_copy_of_the_checkpoint(self, tmp_path):
+        """Saving the paper-size gate over a 20,000 x 100 table allocates
+        far less than the 17 MB file: tensors are written from their own
+        memory."""
+        trained = M.TrainedModel(model=M.BinaryModel(M.BinaryModelConfig(),
+                                                     random_table(20_000, 100)),
+                                 vocab_hash="")
+        path = tmp_path / "big.ckpt"
+        tracemalloc.start()
+        try:
+            M.save_model(trained, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * path.stat().st_size
+        assert M.load_model(path).model.embedding.param.value.tobytes() \
+            == trained.model.embedding.param.value.tobytes()
 
     @pytest.mark.parametrize("tensors, message", [
         (lambda t: t[:-1], "tensor mismatch"),
