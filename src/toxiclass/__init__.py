@@ -63,8 +63,6 @@ from .models import (
     TwoStagePipeline,
     load_model,
     predict,
-    predict_binary,
-    predict_multilabel,
     route,
     save_model,
     train,

@@ -50,37 +50,46 @@ def _splits_dir(cfg: RunConfig) -> Path:
     return cfg.output_dir() / "splits"
 
 
+def _make_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(
+            f"cannot create output directory {path}: {exc.strerror or exc}") from exc
+    return path
+
+
 def _load_documents_file(path: Path) -> list[C.Document]:
-    if not path.exists():
-        raise DataError(f"missing prepared documents: {path} (run prepare first)")
     docs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
+    for lineno, line in C.read_lines(path, "prepared documents", hint="run prepare first"):
+        try:
             row = json.loads(line)
             labels = row.get("labels")
-            docs.append(C.Document(
+            doc = C.Document(
                 id=str(row["id"]), text=row["text"],
                 toxic=None if row.get("toxic") is None else bool(row["toxic"]),
                 labels=None if labels is None else tuple(int(v) for v in labels),
-            ))
+            )
+            if not isinstance(doc.text, str):
+                raise TypeError("text is not a string")
+            doc.validate()
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
+                DataError) as exc:
+            raise DataError(f"{path}:{lineno}: not a prepared document: {exc!r}") from exc
+        docs.append(doc)
     return docs
 
 
 def _load_prepared(cfg: RunConfig):
     pdir = _prepared_dir(cfg)
-    docs = _load_documents_file(pdir / "documents.jsonl")
-    vocab_path = pdir / "vocab.txt"
-    if not vocab_path.exists():
-        raise DataError(f"missing vocabulary: {vocab_path} (run prepare first)")
-    return docs, C.Vocabulary.load(vocab_path)
+    return (_load_documents_file(pdir / "documents.jsonl"),
+            C.Vocabulary.load(pdir / "vocab.txt"))
 
 
 def _load_fold_ids(cfg: RunConfig, fold: str) -> list[str]:
-    path = _splits_dir(cfg) / f"{fold}.ids"
-    if not path.exists():
-        raise DataError(f"missing split file: {path} (run split first)")
-    return [line.strip() for line in path.read_text(encoding="utf-8").splitlines()
-            if line.strip()]
+    lines = C.read_lines(_splits_dir(cfg) / f"{fold}.ids", "split file",
+                         hint="run split first")
+    return [line.rstrip("\n") for _, line in lines if line != "\n"]
 
 
 def _fold_documents(cfg: RunConfig, docs: list[C.Document], fold: str):
@@ -123,8 +132,7 @@ def cmd_prepare(cfg: RunConfig, args) -> int:
     vocab = C.build_vocab((d.text for d in cleaned),
                           max_size=cfg["vocab.max_size"],
                           min_freq=cfg["vocab.min_freq"])
-    pdir = _prepared_dir(cfg)
-    pdir.mkdir(parents=True, exist_ok=True)
+    pdir = _make_dir(_prepared_dir(cfg))
     with open(pdir / "documents.jsonl", "w", encoding="utf-8") as fh:
         for d in cleaned:
             fh.write(_dumps({
@@ -147,8 +155,7 @@ def cmd_prepare(cfg: RunConfig, args) -> int:
 def cmd_split(cfg: RunConfig, args) -> int:
     docs = _load_documents_file(_prepared_dir(cfg) / "documents.jsonl")
     train, val, test = C.stratified_split(docs, cfg.split_spec())
-    sdir = _splits_dir(cfg)
-    sdir.mkdir(parents=True, exist_ok=True)
+    sdir = _make_dir(_splits_dir(cfg))
     for name, fold in (("train", train), ("val", val), ("test", test)):
         (sdir / f"{name}.ids").write_text(
             "".join(d.id + "\n" for d in fold), encoding="utf-8")
@@ -187,8 +194,7 @@ def _train_stage(cfg: RunConfig, kind: str) -> int:
                                   seq_len=max_len, seed=cfg["seed"])
     trained = M.train(model, folds["train"], folds["val"], cfg.training_config(),
                       vocab_hash=vocab.content_hash())
-    out = cfg.output_dir()
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(cfg.output_dir())
     M.save_model(trained, _checkpoint_path(cfg, kind))
     _write_json(out / f"{kind}_history.json", {
         "best_epoch": trained.best_epoch,
@@ -297,7 +303,7 @@ def _evaluate_multilabel(cfg: RunConfig, docs, vocab) -> int:
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
     docs, vocab = _load_prepared(cfg)
-    cfg.output_dir().mkdir(parents=True, exist_ok=True)
+    _make_dir(cfg.output_dir())
     if args.stage == "binary":
         return _evaluate_binary(cfg, docs, vocab)
     return _evaluate_multilabel(cfg, docs, vocab)
@@ -318,16 +324,12 @@ def _load_pipeline(cfg: RunConfig, vocab: C.Vocabulary) -> M.TwoStagePipeline:
 def cmd_classify(cfg: RunConfig, args) -> int:
     _, vocab = _load_prepared(cfg)
     pipe = _load_pipeline(cfg, vocab)
-    in_path = Path(args.input)
-    if not in_path.exists():
-        raise DataError(f"input file does not exist: {in_path}")
-    out = cfg.output_dir()
-    out.mkdir(parents=True, exist_ok=True)
-    out_path = out / "classified.jsonl"
+    # read in full first: a bad input fails before the output is touched
+    lines = list(C.read_lines(args.input, "input file"))
+    out_path = _make_dir(cfg.output_dir()) / "classified.jsonl"
     n = toxic_count = 0
-    with open(in_path, encoding="utf-8") as src, \
-            open(out_path, "w", encoding="utf-8") as dst:
-        for lineno, line in enumerate(src, start=1):
+    with open(out_path, "w", encoding="utf-8") as dst:
+        for lineno, line in lines:
             text = line.rstrip("\n")
             if not text.strip():
                 continue
@@ -365,8 +367,7 @@ def cmd_explain(cfg: RunConfig, args) -> int:
     explanation = X.explain_instance(
         predict, text, class_index, n=cfg["explain.samples"], k=k,
         seed=cfg["seed"], class_name=class_name)
-    out = cfg.output_dir()
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(cfg.output_dir())
     _write_json(out / f"explanation_{args.stage}_{class_name}.json",
                 explanation.to_dict())
     print(explanation.render())
@@ -378,8 +379,7 @@ def cmd_stats(cfg: RunConfig, args) -> int:
         raise ConfigError("data.path is required for stats")
     docs = C.ingest(cfg["data.path"], cfg.format_spec())
     result = C.stats(docs)
-    out = cfg.output_dir()
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(cfg.output_dir())
     _write_json(out / "stats.json", result)
     print(f"total {result['total']}")
     print(f"toxic {result['toxic']}")
@@ -391,24 +391,28 @@ def cmd_stats(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _zero_one(value) -> bool:
+    return not isinstance(value, str) and value in (0, 1)
+
+
 def _load_annotations(path) -> dict[str, dict]:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"annotation file does not exist: {p}")
     rows = {}
-    with open(p, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{p}:{lineno}: bad JSON ({exc})") from exc
-            if "id" not in row or "toxic" not in row:
-                raise DataError(f"{p}:{lineno}: needs 'id' and 'toxic' fields")
-            rows[str(row["id"])] = row
+    for lineno, line in C.read_lines(path, "annotation file"):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"{path}:{lineno}: bad JSON ({exc})") from exc
+        if not isinstance(row, dict) or "id" not in row or not _zero_one(row.get("toxic")):
+            raise DataError(f"{path}:{lineno}: needs an object with 'id' and a 0/1 'toxic'")
+        labels = row.get("labels", [0] * C.NUM_LABELS)
+        if not (isinstance(labels, list) and len(labels) == C.NUM_LABELS
+                and all(map(_zero_one, labels))):
+            raise DataError(f"{path}:{lineno}: 'labels' must be {C.NUM_LABELS} 0/1 values")
+        rows[str(row["id"])] = row
     if not rows:
-        raise DataError(f"annotation file is empty: {p}")
+        raise DataError(f"annotation file is empty: {path}")
     return rows
 
 
@@ -442,8 +446,7 @@ def cmd_kappa(cfg: RunConfig, args) -> int:
         result["trustworthiness_b"] = MT.trustworthiness(
             [int(ann_b[i]["toxic"]) for i in control], gold)
 
-    out = cfg.output_dir()
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_dir(cfg.output_dir())
     _write_json(out / "kappa.json", result)
     print(f"kappa_toxic {result['kappa_toxic']:.6f} on {result['n']} items")
     for name, value in (per_class or {}).items():

@@ -16,6 +16,7 @@ from .corpus import (
     PreprocessConfig,
     SplitSpec,
     load_stopwords,
+    read_lines,
 )
 from .embedding import DEFAULT_DIM
 from .errors import ConfigError
@@ -155,10 +156,7 @@ class RunConfig:
     def preprocess_config(self) -> PreprocessConfig:
         stopwords = frozenset()
         if self["stopwords.path"]:
-            path = Path(self["stopwords.path"])
-            if not path.exists():
-                raise ConfigError(f"stopwords.path does not exist: {path}")
-            stopwords = load_stopwords(path)
+            stopwords = load_stopwords(self["stopwords.path"])
         return PreprocessConfig(
             stopwords=stopwords,
             remove_urls=self["preprocess.remove_urls"],
@@ -222,17 +220,13 @@ def load_config(path=None, overrides=()) -> RunConfig:
     """Parse the config file (optional) and apply ``key=value`` overrides."""
     cfg = RunConfig()
     if path is not None:
-        try:
-            lines = Path(path).read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-        for lineno, raw in enumerate(lines, start=1):
+        for lineno, raw in read_lines(path, "config file", ConfigError):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             key, eq, value = line.partition("=")
             if not eq:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
             cfg.set_text(key.strip(), value)
     for item in overrides:
         key, eq, value = item.partition("=")

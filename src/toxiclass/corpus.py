@@ -9,6 +9,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -82,13 +83,34 @@ class PreprocessConfig:
     emoticon_ranges: tuple[tuple[int, int], ...] = DEFAULT_EMOTICON_RANGES
 
 
+def read_lines(path, what: str, error=DataError, newline=None, hint: str = ""):
+    """Yield ``(line number, line)`` over the UTF-8 text file ``path``, split
+    and terminated as iterating ``open(path, newline=newline)`` gives them.
+
+    A missing, unreadable or not-UTF-8 file raises ``error`` naming ``what``,
+    the path, the 1-based line of the first bad byte and ``hint``.
+    """
+    hint = f" ({hint})" if hint else ""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield from enumerate(fh, start=1)
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc.strerror or exc}{hint}") from exc
+    except UnicodeDecodeError as exc:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:  # its offset counts from the file start
+            data = data[:whole.start]
+        line = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n").count(b"\n") + 1
+        raise error(f"cannot read {what}: {what} {path} is not UTF-8 at line "
+                    f"{line} ({exc.reason}){hint}") from exc
+
+
 def load_stopwords(path) -> frozenset[str]:
     """Load a stop-word list, one token per line; blank lines ignored."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return frozenset(line.strip() for line in fh if line.strip())
-    except OSError as exc:
-        raise ConfigError(f"cannot read stop-word file {path}: {exc}") from exc
+    lines = read_lines(path, "stop-word file", ConfigError)
+    return frozenset(line.strip() for _, line in lines if line.strip())
 
 
 class _CharFilter(dict):
@@ -167,11 +189,7 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                tokens = [line.rstrip("\n") for line in fh]
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read vocabulary file {path}: {exc}") from exc
+        tokens = [line.rstrip("\n") for _, line in read_lines(path, "vocabulary")]
         if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise DataError(f"vocabulary file {path} lacks reserved PAD/UNK header")
         return cls(tokens[2:])
@@ -275,35 +293,31 @@ def _parse_flag(value, row: int, name: str):
 
 def _rows_from_file(path, spec: FormatSpec):
     if spec.kind == "jsonl":
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    yield lineno, json.loads(line)
-                except (json.JSONDecodeError, RecursionError) as exc:
-                    yield lineno, exc
+        for lineno, line in read_lines(path, "dataset"):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                yield lineno, json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                yield lineno, exc
     else:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh, delimiter=spec.delimiter)
-            for lineno, record in enumerate(reader, start=2):
-                yield lineno, record
+        lines = (line for _, line in read_lines(path, "dataset", newline=""))
+        yield from enumerate(csv.DictReader(lines, delimiter=spec.delimiter), start=2)
 
 
 def ingest(path, spec: FormatSpec) -> list[Document]:
     """Load and validate a dataset file into Documents.
 
-    Raises IngestError listing every offending row (malformed fields or
-    toxic/label inconsistencies).
+    Raises IngestError listing every offending row (malformed fields, empty,
+    repeated or multi-line ids, or toxic/label inconsistencies).
     """
     documents: list[Document] = []
     bad: list[tuple[int, str]] = []
+    seen: set[str] = set()
     try:
         rows = list(_rows_from_file(path, spec))
-    except UnicodeDecodeError as exc:
-        raise DataError(f"dataset {path} is not UTF-8: {exc.reason}") from exc
-    except (OSError, csv.Error) as exc:
+    except csv.Error as exc:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
 
     for lineno, record in rows:
@@ -322,6 +336,10 @@ def ingest(path, spec: FormatSpec) -> list[Document]:
             bad.append((lineno, "text field is null"))
             continue
         doc_id = str(record.get(spec.id_field, lineno)) if spec.id_field else str(lineno)
+        if not doc_id or "\n" in doc_id or "\r" in doc_id or doc_id in seen:
+            bad.append((lineno, f"id {doc_id!r} is empty, repeated or holds a line break"))
+            continue
+        seen.add(doc_id)
         toxic = None
         labels = None
         try:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PAD_ID, Vocabulary
+from .corpus import PAD_ID, UNK_TOKEN, Vocabulary, read_lines
 from .errors import DataError
 
 DEFAULT_DIM = 768
@@ -54,23 +54,15 @@ def load_table(path, vocab: Vocabulary, trainable: bool = False) -> EmbeddingTab
     file fall back to the file's UNK row (zeros if the file has none); the PAD
     row is forced to zero regardless of file content.
     """
+    lines = read_lines(path, "embedding file")
+    _, first = next(lines, (1, ""))
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read embedding file {path}: {exc}") from exc
-    if not lines:
-        raise DataError(f"embedding file {path} is empty")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise DataError(f"embedding file {path}: bad header {lines[0]!r}")
-    try:
-        declared, dim = int(header[0]), int(header[1])
+        declared, dim = (int(v) for v in first.split())
     except ValueError as exc:
-        raise DataError(f"embedding file {path}: bad header {lines[0]!r}") from exc
+        raise DataError(f"embedding file {path}: bad header {first.strip()!r}") from exc
 
     vectors: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines:
         if not line.strip():
             continue
         parts = line.split()
@@ -92,8 +84,6 @@ def load_table(path, vocab: Vocabulary, trainable: bool = False) -> EmbeddingTab
             f"embedding file {path}: header declares {declared} tokens, "
             f"file holds {len(vectors)}"
         )
-
-    from .corpus import UNK_TOKEN
 
     unk_row = vectors.get(UNK_TOKEN, np.zeros(dim))
     matrix = np.empty((len(vocab), dim), dtype=np.float64)

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .corpus import LABELS, NUM_LABELS, PAD_ID, PreprocessConfig, TokenSequence, Vocabulary, preprocess, tokenize
+from .corpus import LABELS, NUM_LABELS, PAD_ID, PreprocessConfig, Vocabulary, preprocess, tokenize
 from .embedding import EmbeddingTable
 from .errors import ConfigError, CheckpointError, DataError, NumericError
 from .neural import (
@@ -359,16 +359,6 @@ def predict(model: Model, seqs) -> np.ndarray:
     return out
 
 
-def predict_binary(model: BinaryModel, seq: TokenSequence) -> float:
-    """Probability of the toxic class, in (0, 1)."""
-    return float(predict(model, [seq])[0, 0])
-
-
-def predict_multilabel(model: MultiLabelModel, seq: TokenSequence) -> np.ndarray:
-    """Six per-class probabilities in the fixed label order."""
-    return predict(model, [seq])[0]
-
-
 @dataclass
 class TrainedModel:
     """A trained model plus everything needed to reproduce and reload it."""
@@ -498,12 +488,12 @@ class TwoStagePipeline:
     def classify(self, text: str) -> dict:
         seq = tokenize(preprocess(text, self.preprocess_config), self.vocab,
                        self.max_len)
-        p_toxic = predict_binary(self.binary, seq)
+        p_toxic = float(predict(self.binary, [seq])[0, 0])
         label_probs: list[float] | None = None
 
         def stage2() -> np.ndarray:
             nonlocal label_probs
-            probs = predict_multilabel(self.multilabel, seq)
+            probs = predict(self.multilabel, [seq])[0]
             label_probs = [float(v) for v in probs]
             return probs
 

@@ -14,7 +14,6 @@ from .layers import (
     ReLULayer,
     SigmoidLayer,
     sigmoid,
-    softmax,
 )
 from .losses import bce_loss, l2_penalty
 from .optim import Adam
@@ -38,5 +37,4 @@ __all__ = [
     "grad_check",
     "l2_penalty",
     "sigmoid",
-    "softmax",
 ]

@@ -26,13 +26,6 @@ def sigmoid(x):
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def softmax(v):
-    v = np.asarray(v, dtype=np.float64)
-    shifted = v - v.max()
-    ex = np.exp(shifted)
-    return ex / ex.sum()
-
-
 class Param:
     """Named parameter tensor with a same-shaped gradient buffer.
 

@@ -489,3 +489,145 @@ class TestExitCodes:
         assert cli.main(["--set", f"output.dir={tmp_path / 'none'}",
                          "split"]) == 3
         assert "run prepare first" in capsys.readouterr().err
+
+
+# reader site -> (exit code, the file: an artifact under output.dir or None
+# for a file named on the command line, two good lines for a named file,
+# arguments after the base ones that make the command read ``t``)
+READERS = {
+    "config": (2, None, b"# one\n# two\n", lambda t: ["--config", t, "stats"]),
+    "stopwords": (2, None, b"a\nb\n",
+                  lambda t: ["--set", f"stopwords.path={t}", "prepare"]),
+    "dataset-csv": (3, None, b"id,text,toxic\nd0,a,1\n",
+                    lambda t: ["--set", f"data.path={t}", "--set", "data.label_fields=none",
+                               "stats"]),
+    "dataset-jsonl": (3, None, b'{"id": 1, "text": "a", "toxic": 1}\n'
+                      b'{"id": 2, "text": "b", "toxic": 0}\n',
+                      lambda t: ["--set", f"data.path={t}", "--set", "data.format=jsonl",
+                                 "--set", "data.label_fields=none", "stats"]),
+    "documents": (3, "prepared/documents.jsonl", None, lambda t: ["split"]),
+    "vocabulary": (3, "prepared/vocab.txt", None,
+                   lambda t: ["evaluate", "--stage", "binary"]),
+    "split-ids": (3, "splits/test.ids", None, lambda t: ["evaluate", "--stage", "binary"]),
+    "embedding": (3, None, b"1 8\n<unk> 0 0 0 0 0 0 0 0\n",
+                  lambda t: ["--set", f"embedding.path={t}", "train-binary"]),
+    "classify-input": (3, None, b"vix vox\nriver cloud\n",
+                       lambda t: ["classify", "--input", t]),
+    "annotations": (3, None, b'{"id": 1, "toxic": 1}\n{"id": 2, "toxic": 0}\n',
+                    lambda t: ["kappa", "--annotations-a", t, "--annotations-b", t + ".ok"]),
+}
+
+
+class TestReaders:
+    @pytest.mark.parametrize("fault", ["missing", "directory", "not-utf8"])
+    @pytest.mark.parametrize("site", sorted(READERS))
+    def test_bad_file_exits_cleanly(self, workspace, tmp_path, capsys, site, fault):
+        code, artifact, good, args = READERS[site]
+        alt = tmp_path / "out"
+        shutil.copytree(workspace["out"], alt)
+        target = alt / artifact if artifact else tmp_path / "input"
+        if artifact:
+            good = b"".join(target.read_bytes().splitlines(keepends=True)[:2])
+            target.unlink()
+        else:
+            (tmp_path / "input.ok").write_bytes(good)
+        if fault == "directory":
+            target.mkdir()
+        elif fault == "not-utf8":
+            target.write_bytes(good + b"\xff\n")
+        assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}"]
+                        + args(str(target))) == code
+        err = capsys.readouterr().err
+        assert str(target) in err and "Traceback" not in err
+        assert ("is not UTF-8 at line 3" in err) == (fault == "not-utf8")
+
+    def test_bad_classify_input_leaves_output_alone(self, workspace, tmp_path, capsys):
+        alt = tmp_path / "out"
+        shutil.copytree(workspace["out"], alt)
+        (alt / "classified.jsonl").write_text("kept\n", encoding="utf-8")
+        bad = tmp_path / "input.txt"
+        bad.write_bytes(b"vix vox\n\xff\n")
+        assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}",
+                                             "classify", "--input", str(bad)]) == 3
+        assert (alt / "classified.jsonl").read_text(encoding="utf-8") == "kept\n"
+
+
+class TestDocumentIds:
+    def _corpus(self, tmp_path, ids):
+        """The 24-document corpus with its first ids replaced by ``ids``."""
+        path = tmp_path / "corpus.csv"
+        _make_corpus_csv(path, n=24)
+        rows = path.read_text(encoding="utf-8").split("\n")
+        for i, new_id in enumerate(ids, start=1):
+            rows[i] = new_id + rows[i][rows[i].index(","):]
+        path.write_text("\n".join(rows), encoding="utf-8")
+        return path
+
+    def test_ids_survive_prepare_split_train(self, workspace, tmp_path):
+        # U+2028 is not a line break for text-mode reading, and " 1" is not "1"
+        ids = ["a\u2028b", " 1", "1", "c\x85d"]
+        data = self._corpus(tmp_path, ids)
+        out = tmp_path / "out"
+        base = workspace["base"] + ["--set", f"data.path={data}",
+                                    "--set", f"output.dir={out}",
+                                    "--set", "train.epochs=1"]
+        for command in (["prepare"], ["split"], ["train-binary"],
+                        ["evaluate", "--stage", "binary"]):
+            assert cli.main(base + command) == 0, command
+        split = [i for fold in ("train", "val", "test") for i in
+                 (out / "splits" / f"{fold}.ids").read_text(encoding="utf-8")
+                 .split("\n")[:-1]]
+        assert sorted(split) == sorted(ids + [f"d{i}" for i in range(len(ids), 24)])
+
+    @pytest.mark.parametrize("ids, row", [(["x", "x"], 3), ([""], 2),
+                                          (['"a\nb"'], 2)])
+    def test_empty_repeated_or_multiline_id(self, workspace, tmp_path, capsys, ids, row):
+        data = self._corpus(tmp_path, ids)
+        assert cli.main(workspace["base"] + ["--set", f"data.path={data}",
+                                             "--set", f"output.dir={tmp_path / 'out'}",
+                                             "prepare"]) == 3
+        err = capsys.readouterr().err
+        assert f"row {row}: id" in err and "1 bad rows" in err
+
+
+class TestBadRows:
+    @pytest.mark.parametrize("line", [
+        b"not json", b"[]", b"5", b'{"id": "x"}', b'{"text": "y"}',
+        b'{"id": "x", "text": 5}', b'{"id": "x", "text": "y", "toxic": 1, "labels": [1]}',
+        b'{"id": "x", "text": "y", "toxic": 1, "labels": 7}',
+        pytest.param(b"[" * 100_000, id="nested"),
+    ])
+    def test_prepared_documents(self, workspace, tmp_path, capsys, line):
+        alt = tmp_path / "out"
+        shutil.copytree(workspace["out"], alt)
+        path = alt / "prepared" / "documents.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(lines[0] + line + b"\n" + b"".join(lines[2:]))
+        assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}", "split"]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}:2: not a prepared document" in err
+
+    @pytest.mark.parametrize("line", [
+        b"5", b"[]", b"{", b'{"toxic": 1}', b'{"id": 2}', b'{"id": 2, "toxic": "yes"}',
+        b'{"id": 2, "toxic": "1"}', b'{"id": 2, "toxic": 0.5}',
+        b'{"id": 2, "toxic": 1, "labels": [1, 0]}', b'{"id": 2, "toxic": 1, "labels": null}',
+        b'{"id": 2, "toxic": 1, "labels": [0, 0, 0, 0, 0, "1"]}',
+    ])
+    def test_annotations(self, workspace, tmp_path, capsys, line):
+        path = tmp_path / "a.jsonl"
+        path.write_bytes(b'{"id": 1, "toxic": 1, "labels": [1, 0, 0, 0, 0, 0]}\n'
+                         + line + b"\n")
+        assert cli.main(workspace["base"]
+                        + ["--set", f"output.dir={tmp_path / 'out'}", "kappa",
+                           "--annotations-a", str(path),
+                           "--annotations-b", str(path)]) == 3
+        assert f"{path}:2: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["prepare"], ["stats"]])
+    def test_output_dir_is_a_file(self, workspace, tmp_path, capsys, command):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        assert cli.main(workspace["base"] + ["--set", f"output.dir={taken}"]
+                        + command) == 3
+        err = capsys.readouterr().err
+        assert "cannot create output directory" in err and str(taken) in err

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import json
+import re
 import unicodedata
 
 import numpy as np
@@ -76,6 +77,23 @@ def ref_char_filter(cps, punct, cfg):
         for lo, hi in cfg.emoticon_ranges:
             drop |= (cps >= lo) & (cps <= hi)
     return ~drop
+
+
+class TestArbitraryText:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(text=st.text(st.one_of(st.characters(), st.characters(categories=["Cs"])),
+                        max_size=80),
+           stopwords=st.frozensets(st.text(max_size=3), max_size=4),
+           flags=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+           max_len=st.integers(-1, 12))
+    def test_only_toxiclass_errors_escape(self, text, stopwords, flags, max_len):
+        # any str, lone surrogates included
+        cfg = C.PreprocessConfig(stopwords, *flags)
+        vocab = C.build_vocab([text])
+        with contextlib.suppress(ToxiclassError):
+            C.tokenize(C.preprocess(text, cfg), vocab, max_len)
+        with contextlib.suppress(ToxiclassError):
+            C.tokenize(text, vocab, max_len)
 
 
 class TestPreprocessCharFilter:
@@ -271,6 +289,54 @@ def _write_csv(path, rows, header="id,text,toxic,vulgar,hate,religious,threat,tr
     path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
 
 
+class TestReadLines:
+    BREAKS = "a\r\nb\rc\x0cd\x85e\u2028f\u2029g\x1ch\n\ni"
+
+    @pytest.mark.parametrize("newline", [None, ""])
+    def test_splits_as_open_does(self, tmp_path, newline):
+        path = tmp_path / "f.txt"
+        path.write_bytes(self.BREAKS.encode("utf-8"))
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            expected = list(enumerate(fh, start=1))
+        assert list(C.read_lines(path, "file", newline=newline)) == expected
+        # only \r, \n and \r\n end a line
+        assert len(expected) == 5
+
+    @pytest.mark.parametrize("body, line", [
+        (b"\xff", 1),
+        (b"a\nb\n\xff\n", 3),
+        (b"a\r\nb\r\nc\xe9\r\n", 3),
+        (b"a\rb\rc\r\xc3", 4),
+        ("\u00e9\u2028\x85\n".encode() + b"x\x80", 2),
+        (b"ok\n" * 5000 + b"\xed\xa0\x80\n", 5001),  # past the first decoded chunk
+    ])
+    def test_not_utf8_names_the_line(self, tmp_path, body, line):
+        path = tmp_path / "f.txt"
+        path.write_bytes(body)
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"things {path} is not UTF-8 at line {line} ")):
+            list(C.read_lines(path, "things", ConfigError))
+
+    def test_missing_and_directory(self, tmp_path):
+        for path in (tmp_path / "absent", tmp_path):
+            with pytest.raises(DataError,
+                               match=re.escape(f"cannot read things {path}: ")) as err:
+                list(C.read_lines(path, "things", hint="run it"))
+            assert str(err.value).endswith(" (run it)")
+
+    def test_happy_path_streams(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"a\n" + b"\xff")
+        lines = C.read_lines(path, "things")
+        with pytest.raises(DataError):
+            next(lines)  # the one decoded chunk holds the bad byte
+        path.write_bytes(b"a\n" * 100_000 + b"\xff")
+        lines = C.read_lines(path, "things")
+        assert next(lines) == (1, "a\n")  # read before the bad byte is reached
+        with pytest.raises(DataError, match="line 100001"):
+            list(lines)
+
+
 # Pieces of CSV and JSONL files, well and badly formed, for the ingest
 # property: headers, separators, quotes, JSON values and non-UTF-8 bytes.
 DATA_PIECES = [b"id,text,toxic\n", ",".join(C.LABELS).encode() + b"\n", b",", b"\n",
@@ -322,6 +388,25 @@ class TestIngest:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             C.ingest(tmp_path / "nope.csv", CSV_SPEC)
+
+    def test_ids_kept_verbatim(self, tmp_path):
+        path = tmp_path / "d.csv"
+        _write_csv(path, [" 1,x,0,0,0,0,0,0,0", "a\u2028b,y,0,0,0,0,0,0,0"])
+        assert [d.id for d in C.ingest(path, CSV_SPEC)] == [" 1", "a\u2028b"]
+
+    @pytest.mark.parametrize("ids, bad", [
+        (["1", "1"], [3]),
+        (["1", "2", "1", "1"], [4, 5]),
+        (["", "2"], [2]),
+        (['"a\nb"', '"c\rd"', "e"], [2, 3]),
+    ])
+    def test_empty_repeated_or_multiline_ids_are_bad_rows(self, tmp_path, ids, bad):
+        path = tmp_path / "d.csv"
+        _write_csv(path, [f"{i},t,0,0,0,0,0,0,0" for i in ids])
+        with pytest.raises(IngestError) as err:
+            C.ingest(path, CSV_SPEC)
+        assert [r for r, _ in err.value.rows] == bad
+        assert all("id" in msg for _, msg in err.value.rows)
 
     @pytest.mark.parametrize("name, body", [
         ("d.csv", b"id,text,toxic\na,caf\xe9,1\n"),

@@ -240,11 +240,6 @@ class TestActivations:
         assert N.sigmoid(np.array([-800.0]))[0] == pytest.approx(0.0, abs=1e-300)
         assert N.sigmoid(np.array([0.0]))[0] == 0.5
 
-    def test_softmax_shift_invariant(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert np.allclose(N.softmax(x), N.softmax(x + 1000.0))
-        assert N.softmax(x).sum() == pytest.approx(1.0)
-
     def test_sigmoid_bits_match_branch_form(self):
         special = [800.0, -800.0, 0.0, -0.0, 5e-324, -5e-324, 37.0, -37.0]
         scales = np.repeat([1.0, 10.0, 100.0, 1000.0], 1000)

@@ -114,12 +114,12 @@ class TestForward:
         p = model.forward([_seq("ash bat cod")])[0]
         assert p.shape == (1,) and 0.0 < p[0] < 1.0
 
-    def test_predict_binary_returns_float(self):
-        p = M.predict_binary(_binary(), _seq("dew elm"))
-        assert isinstance(p, float) and 0.0 < p < 1.0
+    def test_predict_binary_gives_one_probability(self):
+        p = M.predict(_binary(), [_seq("dew elm")])
+        assert p.shape == (1, 1) and 0.0 < p[0, 0] < 1.0
 
     def test_multilabel_output_six_probabilities(self):
-        probs = M.predict_multilabel(_multilabel(), _seq("ash bat cod dew"))
+        probs = M.predict(_multilabel(), [_seq("ash bat cod dew")])[0]
         assert probs.shape == (6,)
         assert np.all((probs > 0.0) & (probs < 1.0))
 
@@ -571,8 +571,8 @@ class TestCheckpoint:
         trained, path = self._trained_binary(tmp_path)
         loaded = M.load_model(path, expect_kind="binary")
         seq = _seq("ash bat cod")
-        assert M.predict_binary(loaded.model, seq) \
-            == M.predict_binary(trained.model, seq)
+        assert np.array_equal(M.predict(loaded.model, [seq]),
+                              M.predict(trained.model, [seq]))
         assert loaded.vocab_hash == trained.vocab_hash
         assert loaded.best_epoch == trained.best_epoch
         assert loaded.history == trained.history
@@ -589,8 +589,8 @@ class TestCheckpoint:
         M.save_model(trained, path)
         loaded = M.load_model(path)
         seq = _seq("ash bat cod dew")
-        assert np.array_equal(M.predict_multilabel(loaded.model, seq),
-                              M.predict_multilabel(trained.model, seq))
+        assert np.array_equal(M.predict(loaded.model, [seq]),
+                              M.predict(trained.model, [seq]))
         assert loaded.vocab_hash == "abc123"
         assert loaded.model.seq_len == 12
 
