@@ -30,8 +30,21 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False)
 
 
+def _write(path: Path, write) -> None:
+    """``write(path)``, for every file written under ``output.dir``: a
+    failure to write it is a DataError that names it."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _write_text(path: Path, text: str) -> None:
+    _write(path, lambda p: p.write_text(text, encoding="utf-8"))
+
+
 def _write_json(path: Path, obj) -> None:
-    path.write_text(_dumps(obj) + "\n", encoding="utf-8")
+    _write_text(path, _dumps(obj) + "\n")
 
 
 def _json_float(v: float):
@@ -80,10 +93,12 @@ def _load_documents_file(path: Path) -> list[C.Document]:
     return docs
 
 
+def _load_vocab(cfg: RunConfig) -> C.Vocabulary:
+    return C.Vocabulary.load(_prepared_dir(cfg) / "vocab.txt")
+
+
 def _load_prepared(cfg: RunConfig):
-    pdir = _prepared_dir(cfg)
-    return (_load_documents_file(pdir / "documents.jsonl"),
-            C.Vocabulary.load(pdir / "vocab.txt"))
+    return _load_documents_file(_prepared_dir(cfg) / "documents.jsonl"), _load_vocab(cfg)
 
 
 def _load_fold_ids(cfg: RunConfig, fold: str) -> list[str]:
@@ -133,14 +148,12 @@ def cmd_prepare(cfg: RunConfig, args) -> int:
                           max_size=cfg["vocab.max_size"],
                           min_freq=cfg["vocab.min_freq"])
     pdir = _make_dir(_prepared_dir(cfg))
-    with open(pdir / "documents.jsonl", "w", encoding="utf-8") as fh:
-        for d in cleaned:
-            fh.write(_dumps({
-                "id": d.id, "text": d.text,
-                "toxic": None if d.toxic is None else int(d.toxic),
-                "labels": None if d.labels is None else list(d.labels),
-            }) + "\n")
-    vocab.save(pdir / "vocab.txt")
+    _write_text(pdir / "documents.jsonl", "".join(_dumps({
+        "id": d.id, "text": d.text,
+        "toxic": None if d.toxic is None else int(d.toxic),
+        "labels": None if d.labels is None else list(d.labels),
+    }) + "\n" for d in cleaned))
+    _write(pdir / "vocab.txt", vocab.save)
     _write_json(pdir / "meta.json", {
         "num_documents": len(cleaned),
         "vocab_size": len(vocab),
@@ -157,8 +170,7 @@ def cmd_split(cfg: RunConfig, args) -> int:
     train, val, test = C.stratified_split(docs, cfg.split_spec())
     sdir = _make_dir(_splits_dir(cfg))
     for name, fold in (("train", train), ("val", val), ("test", test)):
-        (sdir / f"{name}.ids").write_text(
-            "".join(d.id + "\n" for d in fold), encoding="utf-8")
+        _write_text(sdir / f"{name}.ids", "".join(d.id + "\n" for d in fold))
     print(f"split {len(docs)} documents into "
           f"{len(train)}/{len(val)}/{len(test)} (train/val/test)")
     return 0
@@ -195,7 +207,7 @@ def _train_stage(cfg: RunConfig, kind: str) -> int:
     trained = M.train(model, folds["train"], folds["val"], cfg.training_config(),
                       vocab_hash=vocab.content_hash())
     out = _make_dir(cfg.output_dir())
-    M.save_model(trained, _checkpoint_path(cfg, kind))
+    _write(_checkpoint_path(cfg, kind), lambda p: M.save_model(trained, p))
     _write_json(out / f"{kind}_history.json", {
         "best_epoch": trained.best_epoch,
         "history": trained.history,
@@ -233,7 +245,7 @@ def _load_checkpoint(cfg: RunConfig, vocab: C.Vocabulary, kind: str) -> M.Traine
 def _write_csv(path: Path, header: str, rows) -> None:
     lines = [header]
     lines += [",".join(str(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _evaluate_binary(cfg: RunConfig, docs, vocab) -> int:
@@ -322,28 +334,27 @@ def _load_pipeline(cfg: RunConfig, vocab: C.Vocabulary) -> M.TwoStagePipeline:
 
 
 def cmd_classify(cfg: RunConfig, args) -> int:
-    _, vocab = _load_prepared(cfg)
-    pipe = _load_pipeline(cfg, vocab)
+    pipe = _load_pipeline(cfg, _load_vocab(cfg))
     # read in full first: a bad input fails before the output is touched
     lines = list(C.read_lines(args.input, "input file"))
     out_path = _make_dir(cfg.output_dir()) / "classified.jsonl"
-    n = toxic_count = 0
-    with open(out_path, "w", encoding="utf-8") as dst:
-        for lineno, line in lines:
-            text = line.rstrip("\n")
-            if not text.strip():
-                continue
-            result = pipe.classify(text)
-            n += 1
-            if result["labels"] != ["Non-toxic"]:
-                toxic_count += 1
-            dst.write(_dumps({"id": str(lineno), **result}) + "\n")
-    print(f"classified {n} documents ({toxic_count} toxic) -> {out_path}")
+    rows = []
+    toxic_count = 0
+    for lineno, line in lines:
+        text = line.rstrip("\n")
+        if not text.strip():
+            continue
+        result = pipe.classify(text)
+        if result["labels"] != ["Non-toxic"]:
+            toxic_count += 1
+        rows.append(_dumps({"id": str(lineno), **result}) + "\n")
+    _write_text(out_path, "".join(rows))
+    print(f"classified {len(rows)} documents ({toxic_count} toxic) -> {out_path}")
     return 0
 
 
 def cmd_explain(cfg: RunConfig, args) -> int:
-    _, vocab = _load_prepared(cfg)
+    vocab = _load_vocab(cfg)
     pconf = cfg.preprocess_config()
     max_len = cfg["tokenize.max_len"]
     text = C.preprocess(args.text, pconf)

@@ -335,7 +335,15 @@ def ingest(path, spec: FormatSpec) -> list[Document]:
         if text is None:
             bad.append((lineno, "text field is null"))
             continue
-        doc_id = str(record.get(spec.id_field, lineno)) if spec.id_field else str(lineno)
+        doc_id = str(lineno)
+        if spec.id_field:
+            if spec.id_field not in record:
+                bad.append((lineno, f"missing id field {spec.id_field!r}"))
+                continue
+            if record[spec.id_field] is None:
+                bad.append((lineno, f"id field {spec.id_field!r} is null"))
+                continue
+            doc_id = str(record[spec.id_field])
         if not doc_id or "\n" in doc_id or "\r" in doc_id or doc_id in seen:
             bad.append((lineno, f"id {doc_id!r} is empty, repeated or holds a line break"))
             continue

@@ -128,12 +128,10 @@ def _real_length(mask: np.ndarray) -> np.ndarray:
                     valid.shape[-1] - valid[..., ::-1].argmax(axis=-1), 0)
 
 
-def _stack(seqs) -> tuple[np.ndarray, np.ndarray, int]:
-    """A batch's (B, L) ids and mask, and the length of its real prefix:
-    the slots up to the last real one of any row."""
+def _stack(seqs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A batch's (B, L) ids and mask, and each row's ``_real_length``."""
     mask = np.stack([s.mask for s in seqs])
-    return (np.stack([s.input_ids for s in seqs]), mask,
-            int(_real_length(mask).max()))
+    return np.stack([s.input_ids for s in seqs]), mask, _real_length(mask)
 
 
 class EmbeddingLayer(Layer):
@@ -205,10 +203,11 @@ class BinaryModel(Model):
 
     def forward(self, seqs, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        ids, mask, real = _stack(seqs)
+        ids, mask, reals = _stack(seqs)
         # The masked max ignores every slot after the last real one, so the
         # LSTM stops there.
-        ids, mask = ids[:, :max(real, 1)], mask[:, :max(real, 1)]
+        real = max(int(reals.max()), 1)
+        ids, mask = ids[:, :real], mask[:, :real]
         x = self.embedding.forward(ids, mask)
         if self.input_pool is not None:
             x = self.input_pool.forward(x, mask)[:, None]
@@ -297,19 +296,21 @@ class MultiLabelModel(Model):
 
     def forward(self, seqs, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        ids, mask, real = _stack(seqs)
+        ids, mask, reals = _stack(seqs)
         length = ids.shape[1]
-        # Stack output rows from ceil(real / stride) on read padding alone
-        # and are all equal: the stack runs on the input rows that give rows
-        # up to the first of them, which is then repeated. The BiLSTM and
-        # attention still see every slot.
-        cut = self.stride * -(-real // self.stride) + self.receptive_field
+        # A document's stack output rows from ceil(its real length / stride)
+        # on read padding alone and are all equal: the stack runs on the
+        # input rows that give rows up to the batch's first such row, which
+        # is then repeated. The BiLSTM and attention still see every slot;
+        # the reversed LSTM walks the shared padding tail once per batch.
+        starts = -(-reals // self.stride)
+        cut = self.stride * int(starts.max()) + self.receptive_field
         x = self.embedding.forward(ids[:, :cut], mask[:, :cut])
         for conv, act, pool in self.blocks:
             x = pool.forward(act.forward(conv.forward(x)))
         self._repeats = self.post_stack_length(self.config, length) - x.shape[1]
         x = np.concatenate([x, np.repeat(x[:, -1:], self._repeats, axis=1)], axis=1)
-        h = self.bilstm.forward(x)
+        h = self.bilstm.forward(x, starts=starts)
         if self.attention is not None:
             alpha, z = self.attention.forward(h)
             self.last_alpha = alpha
@@ -416,7 +417,7 @@ def train(model, train_set, val_set, config: TrainingConfig,
 
     history: list[dict] = []
     best_loss = np.inf
-    best_state = None
+    best_state: list[np.ndarray] = []  # allocated at the first best
     best_epoch = -1
     bad_epochs = 0
     for epoch in range(config.epochs):
@@ -439,7 +440,9 @@ def train(model, train_set, val_set, config: TrainingConfig,
                         "val_loss": float(val_loss)})
         if val_loss < best_loss:
             best_loss = val_loss
-            best_state = [p.value.copy() for p in opt.params]
+            best_state = best_state or [np.empty_like(p.value) for p in opt.params]
+            for saved, p in zip(best_state, opt.params):
+                np.copyto(saved, p.value)
             best_epoch = epoch
             bad_epochs = 0
         else:
@@ -447,9 +450,8 @@ def train(model, train_set, val_set, config: TrainingConfig,
             if bad_epochs >= config.patience:
                 break
 
-    if best_state is not None:
-        for p, value in zip(opt.params, best_state):
-            p.value[...] = value
+    for p, saved in zip(opt.params, best_state):
+        p.value[...] = saved
     return TrainedModel(model=model, vocab_hash=vocab_hash, history=history,
                         train_config=config, best_epoch=best_epoch)
 

@@ -10,6 +10,8 @@ are single-threaded per instance). Parameter gradients accumulate into
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 DEFAULT_LEAKY_SLOPE = 0.01
@@ -175,10 +177,19 @@ class MaxPool1D(Layer):
             raise ValueError(f"sequence length {length} shorter than pool {self.pool}")
         out_len = length // self.pool
         windows = x[:, :out_len * self.pool].reshape(batch, out_len, self.pool, channels)
-        # first occurrence per window, in the smallest type that holds pool - 1
-        self._argmax = windows.argmax(axis=2).astype(np.min_scalar_type(self.pool - 1))
+        # First maximum per window, tap by tap, in the smallest type that
+        # holds pool - 1: a tap wins only if it beats every earlier one or
+        # is the first NaN, as ``argmax`` has it.
+        top = windows[:, :, 0].copy()
+        self._argmax = np.zeros(top.shape, dtype=np.min_scalar_type(self.pool - 1))
+        for j in range(1, self.pool):
+            tap = windows[:, :, j]
+            wins = ~(tap <= top)
+            wins &= top == top
+            np.copyto(self._argmax, j, where=wins)
+            np.maximum(top, tap, out=top)
         self._in_shape = x.shape
-        return windows.max(axis=2)
+        return top
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         batch, out_len, channels = dy.shape
@@ -277,11 +288,11 @@ class SigmoidLayer(Layer):
 
 
 class LSTM(Layer):
-    """Single-direction LSTM over a (B, L, D) batch, h0 = c0 = 0.
+    """Single-direction LSTM over a (B, L, D) batch.
 
     Gate layout in the stacked 4h dimension: input, forget, candidate, output.
-    Masked steps copy both states forward unchanged and contribute no
-    gradient.
+    Each row starts from its own ``h0``/``c0`` (zero when not given). Masked
+    steps copy both states forward unchanged and contribute no gradient.
 
     Only real steps change the state, so the recurrence walks those alone,
     packed: rows sorted by their count of real steps, longest first, and
@@ -297,8 +308,12 @@ class LSTM(Layer):
         self.w_h = Param("w_h", glorot(rng, (4 * hidden_dim, hidden_dim)), decay=True)
         self.b = Param("b", np.zeros(4 * hidden_dim))
         self._cache = None
+        self.dh0 = self.dc0 = None  # the last backward's initial-state gradients
 
-    def forward(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, mask: np.ndarray | None = None,
+                h0: np.ndarray | None = None, c0: np.ndarray | None = None) -> np.ndarray:
+        """(B, L, D) inputs -> (B, L, H) hidden states; ``h0`` and ``c0``
+        are (B, H). ``cells()`` gives the matching cell states."""
         x = np.asarray(x, dtype=np.float64)
         batch, length, dim = x.shape
         if dim != self.input_dim:
@@ -306,12 +321,12 @@ class LSTM(Layer):
         h_dim = self.hidden_dim
         valid = _valid(mask, (batch, length))
         seen = np.cumsum(valid, axis=1)  # real steps at or before each slot
-        counts = seen[:, -1]
+        counts = valid.sum(axis=1)
         rank = np.empty(batch, dtype=np.intp)
         rank[np.argsort(-counts, kind="stable")] = np.arange(batch)
         # Step k is packed rows start[k]:start[k + 1], one per active row in
         # rank order. States live in rows ``batch + packed index`` of ``hs``
-        # and ``cs``; their first ``batch`` rows are the zero initial states.
+        # and ``cs``; their first ``batch`` rows are the initial states.
         active = (counts > np.arange(counts.max(initial=0))[:, None]).sum(axis=1)
         start = np.concatenate([[0], np.cumsum(active)])
         rows, slots = np.nonzero(valid)
@@ -323,6 +338,10 @@ class LSTM(Layer):
         gates = x_real @ self.w_x.value.T + self.b.value
         hs = np.zeros((batch + start[-1], h_dim))
         cs = np.zeros((batch + start[-1], h_dim))
+        if h0 is not None:
+            hs[rank] = h0
+        if c0 is not None:
+            cs[rank] = c0
         tanh_c = np.empty((start[-1], h_dim))
         w_h = self.w_h.value.T
         bounds = start.tolist()
@@ -342,23 +361,33 @@ class LSTM(Layer):
             np.multiply(a[:, 3 * h_dim:], tanh_c[lo:hi], out=hs[prev:prev + m])
         out = np.where(seen > 0, batch + start[np.maximum(seen - 1, 0)], 0) + rank[:, None]
         self._cache = (rows, slots, packed, start, x_real, gates, cs, tanh_c, hs,
-                       out, x.shape)
+                       out, rank, x.shape)
         return hs[out]
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        rows, slots, packed, start, x_real, gates, cs, tanh_c, hs, out, in_shape = \
-            self._cache
+    def cells(self) -> np.ndarray:
+        """The last forward's (B, L, H) cell states, slot for slot."""
+        cs, out = self._cache[6], self._cache[9]
+        return cs[out]
+
+    def backward(self, dout: np.ndarray, dc: np.ndarray | None = None) -> np.ndarray:
+        """Input gradient for the gradients of the hidden states and, if
+        given, of the cell states; the initial states' gradients are left
+        in ``dh0`` and ``dc0``."""
+        rows, slots, packed, start, x_real, gates, cs, tanh_c, hs, out, rank, \
+            in_shape = self._cache
         batch = in_shape[0]
         h_dim = self.hidden_dim
         total = len(x_real)
         steps = len(start) - 1
-        # Gradients of output slots that copy a real step's state all reach
-        # that step's h; those of slots before a row's first step go nowhere.
+        # Gradients of output slots that copy a state all reach that state:
+        # a real step's, or the initial one before a row's first step.
         dh_out = np.zeros((batch + total, h_dim))
         np.add.at(dh_out, out, np.asarray(dout, dtype=np.float64))
-        dh_out = dh_out[batch:]
+        dc_out = np.zeros((batch + total, h_dim))
+        if dc is not None:
+            np.add.at(dc_out, out, np.asarray(dc, dtype=np.float64))
         # state row of each packed step's predecessor: its row's previous
-        # step, or the zero initial state
+        # step, or the initial state
         step = np.repeat(np.arange(steps), np.diff(start))
         offset = np.arange(total) - start[step]
         prev = np.where(step > 0, batch + start[np.maximum(step - 1, 0)], 0) + offset
@@ -377,12 +406,16 @@ class LSTM(Layer):
         bounds = start.tolist()
         for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
             m = hi - lo
-            dh = dh_out[lo:hi] + dh_next[:m]
-            dc = dc_next[:m] + dh * dc_dh[lo:hi]
-            np.multiply(from_dc[lo:hi], dc[:, None], out=dz[lo:hi, :3])
+            dh = dh_out[batch + lo:batch + hi] + dh_next[:m]
+            dc_step = dc_next[:m] + dh * dc_dh[lo:hi]
+            if dc is not None:
+                dc_step += dc_out[batch + lo:batch + hi]
+            np.multiply(from_dc[lo:hi], dc_step[:, None], out=dz[lo:hi, :3])
             np.multiply(from_dh[lo:hi], dh, out=dz[lo:hi, 3])
             dh_next[:m] = dz[lo:hi].reshape(m, -1) @ w_h
-            dc_next[:m] = dc * f[lo:hi]
+            dc_next[:m] = dc_step * f[lo:hi]
+        self.dh0 = (dh_out[:batch] + dh_next)[rank]
+        self.dc0 = (dc_out[:batch] + dc_next)[rank]
         dz = dz.reshape(total, 4 * h_dim)
         self.w_x.grad += dz.T @ x_real
         self.w_h.grad += dz.T @ h_prev
@@ -393,25 +426,71 @@ class LSTM(Layer):
 
 
 class BiLSTM(Layer):
-    """Forward and reversed LSTMs, outputs concatenated per timestep."""
+    """Forward and reversed LSTMs, outputs concatenated per timestep.
+
+    ``starts`` says that the slots of row i from ``starts[i]`` on all hold
+    one row ``p`` shared by the whole batch (the last slot of a row with the
+    earliest start). The reversed LSTM reads such a tail first, from a zero
+    state, so its states there depend only on how many tail steps it has
+    read: it walks ``p`` once, at batch 1, for the longest tail, each row's
+    tail takes its states from that chain, and each row's own slots start
+    from the chain's state for its tail length. Tail slots must be real
+    under ``mask``. Without ``starts`` no slot is a tail.
+    """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         self.hidden_dim = hidden_dim
         self.fwd = LSTM(input_dim, hidden_dim, rng)
         self.bwd = LSTM(input_dim, hidden_dim, rng)
+        self._cache = None
 
-    def forward(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, mask: np.ndarray | None = None,
+                starts: np.ndarray | None = None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
+        batch, length, dim = x.shape
         h_f = self.fwd.forward(x, mask)
-        rev_mask = None if mask is None else np.asarray(mask)[:, ::-1]
-        h_b = self.bwd.forward(x[:, ::-1], rev_mask)[:, ::-1]
+        starts = np.minimum(length if starts is None else starts, length)
+        starts = np.broadcast_to(starts, (batch,))
+        tails = length - starts
+        pad_row = int(np.argmax(tails))
+        chain = copy.copy(self.bwd)  # bwd's parameters, with caches of its own
+        chain_h = chain.forward(
+            np.broadcast_to(x[pad_row, -1], (1, tails[pad_row], dim)))[0]
+        # chain state k: after k tail steps, k = 0 the zero state
+        zero = np.zeros((1, self.hidden_dim))
+        state_h = np.concatenate([zero, chain_h])
+        state_c = np.concatenate([zero, chain.cells()[0]])
+        own = int(starts.max())
+        # row i's own slots, reversed: position r holds slot own - 1 - r
+        real = np.arange(own)[::-1] < starts[:, None]
+        if mask is not None:
+            real &= _valid(mask, (batch, length))[:, :own][:, ::-1]
+        h_own = self.bwd.forward(x[:, :own][:, ::-1], real,
+                                 state_h[tails], state_c[tails])
+        h_b = np.empty((batch, length, self.hidden_dim))
+        h_b[:, :own] = h_own[:, ::-1]
+        in_tail = np.arange(length) >= starts[:, None]
+        h_b[in_tail] = state_h[length - np.nonzero(in_tail)[1]]
+        self._cache = (chain, pad_row, tails, own, in_tail)
         return np.concatenate([h_f, h_b], axis=2)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
+        chain, pad_row, tails, own, in_tail = self._cache
         h = self.hidden_dim
-        dx_f = self.fwd.backward(dout[:, :, :h])
-        dx_b = self.bwd.backward(dout[:, ::-1, h:])[:, ::-1]
-        return dx_f + dx_b
+        dx = self.fwd.backward(dout[:, :, :h])
+        d_own = np.where(in_tail[:, :own, None], 0.0, dout[:, :own, h:])
+        dx[:, :own] += self.bwd.backward(d_own[:, ::-1])[:, ::-1]
+        # Every tail slot's gradient, and each row's initial state's, goes
+        # to the chain state it was read from; the chain is walked once.
+        d_tail = np.where(in_tail[:, :, None], dout[:, :, h:], 0.0).sum(axis=0)
+        d_state = np.zeros((tails.max() + 1, h))
+        d_state[1:] = d_tail[::-1][:len(d_state) - 1]
+        dc_state = np.zeros_like(d_state)
+        np.add.at(d_state, tails, self.bwd.dh0)
+        np.add.at(dc_state, tails, self.bwd.dc0)
+        d_pad = chain.backward(d_state[None, 1:], dc_state[None, 1:])
+        dx[pad_row, -1] += d_pad[0].sum(axis=0)
+        return dx
 
 
 class Attention(Layer):

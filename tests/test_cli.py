@@ -579,6 +579,21 @@ class TestDocumentIds:
                  .split("\n")[:-1]]
         assert sorted(split) == sorted(ids + [f"d{i}" for i in range(len(ids), 24)])
 
+    @pytest.mark.parametrize("row, message", [
+        (b'{"id": null, "text": "b", "toxic": 0}', "row 2: id field 'id' is null"),
+        (b'{"text": "b", "toxic": 0}', "row 2: missing id field 'id'"),
+    ], ids=["null", "missing"])
+    def test_null_or_missing_jsonl_id(self, workspace, tmp_path, capsys, row, message):
+        data = tmp_path / "corpus.jsonl"
+        data.write_bytes(b'{"id": "None", "text": "a", "toxic": 1}\n' + row + b"\n")
+        assert cli.main(workspace["base"] + ["--set", f"data.path={data}",
+                                             "--set", "data.format=jsonl",
+                                             "--set", "data.label_fields=none",
+                                             "--set", f"output.dir={tmp_path / 'out'}",
+                                             "prepare"]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "1 bad rows" in err
+
     @pytest.mark.parametrize("ids, row", [(["x", "x"], 3), ([""], 2),
                                           (['"a\nb"'], 2)])
     def test_empty_repeated_or_multiline_id(self, workspace, tmp_path, capsys, ids, row):
@@ -588,6 +603,52 @@ class TestDocumentIds:
                                              "prepare"]) == 3
         err = capsys.readouterr().err
         assert f"row {row}: id" in err and "1 bad rows" in err
+
+
+class TestOnlyTheVocabulary:
+    @pytest.mark.parametrize("args", [
+        ["classify", "--input", "{input}"],
+        ["explain", "--text", "vix vox river", "--stage", "multilabel"],
+    ], ids=["classify", "explain"])
+    def test_runs_without_prepared_documents(self, workspace, tmp_path, args):
+        alt = tmp_path / "out"
+        shutil.copytree(workspace["out"], alt)
+        (alt / "prepared" / "documents.jsonl").unlink()
+        text = tmp_path / "input.txt"
+        text.write_text("vix vox river\n", encoding="utf-8")
+        assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}"]
+                        + [a.format(input=text) for a in args]) == 0
+
+
+# artifact under output.dir -> arguments of a command that writes it
+WRITERS = {
+    "classified.jsonl": ["classify", "--input", "{input}"],
+    "explanation_binary_toxic.json": ["explain", "--text", "vix vox", "--stage", "binary"],
+    "binary.ckpt": ["--set", "train.epochs=1", "train-binary"],
+    "binary_history.json": ["--set", "train.epochs=1", "train-binary"],
+    "report_binary.json": ["evaluate", "--stage", "binary"],
+    "roc_binary.csv": ["evaluate", "--stage", "binary"],
+    "splits/train.ids": ["split"],
+    "prepared/documents.jsonl": ["prepare"],
+    "prepared/vocab.txt": ["prepare"],
+}
+
+
+class TestWrites:
+    @pytest.mark.parametrize("artifact", sorted(WRITERS))
+    def test_unwritable_artifact_exits_cleanly(self, workspace, tmp_path, capsys, artifact):
+        alt = tmp_path / "out"
+        shutil.copytree(workspace["out"], alt)
+        target = alt / artifact
+        if target.exists():
+            target.unlink()
+        target.mkdir()
+        text = tmp_path / "input.txt"
+        text.write_text("vix vox river\n", encoding="utf-8")
+        assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}"]
+                        + [a.format(input=text) for a in WRITERS[artifact]]) == 3
+        err = capsys.readouterr().err
+        assert f"cannot write {target}" in err and "Traceback" not in err
 
 
 class TestBadRows:

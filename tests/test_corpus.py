@@ -408,6 +408,20 @@ class TestIngest:
         assert [r for r, _ in err.value.rows] == bad
         assert all("id" in msg for _, msg in err.value.rows)
 
+    @pytest.mark.parametrize("first_id, row, message", [
+        ("None", {"id": None}, "id field 'id' is null"),
+        ("2", {}, "missing id field 'id'"),
+    ], ids=["null", "missing"])
+    def test_null_or_missing_jsonl_id_is_bad_row(self, tmp_path, first_id, row, message):
+        """Neither becomes an id ('None', or the line number) that could
+        collide with a real one."""
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"id": first_id, "text": "a", "toxic": 1}) + "\n"
+                        + json.dumps({**row, "text": "b", "toxic": 0}) + "\n")
+        with pytest.raises(IngestError) as err:
+            C.ingest(path, C.FormatSpec(kind="jsonl", toxic_field="toxic", id_field="id"))
+        assert err.value.rows == [(2, message)]
+
     @pytest.mark.parametrize("name, body", [
         ("d.csv", b"id,text,toxic\na,caf\xe9,1\n"),
         ("d.jsonl", b'{"id": "a", "text": "ok", "toxic": 0}\n{"text": "\xff"}\n'),

@@ -317,6 +317,20 @@ class TestMaxPool1D:
         p = N.MaxPool1D(2)
         assert check_layer_grads(p, rng(6).standard_normal((1, 8, 3))) < 1e-6
 
+    @pytest.mark.parametrize("pool", [1, 2, 3, 5])
+    def test_first_maximum_matches_argmax_bits(self, pool):
+        """Ties, signed zeros, infinities and NaNs: the window maxima have
+        the bits of ``max`` and the routed taps are ``argmax``'s, whose
+        first NaN wins."""
+        special = np.array([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf])
+        x = special[rng(7).integers(0, len(special), (3, 4 * pool + 1, 64))]
+        p = N.MaxPool1D(pool)
+        y = p.forward(x)
+        out_len = x.shape[1] // pool
+        windows = x[:, :out_len * pool].reshape(3, out_len, pool, 64)
+        assert np.array_equal(y.view(np.uint64), windows.max(axis=2).view(np.uint64))
+        assert np.array_equal(p._argmax, windows.argmax(axis=2))
+
 
 class TestMaxOverTime:
     def test_masked(self):
@@ -416,6 +430,43 @@ class TestLSTM:
         lstm = N.LSTM(2, 3, rng(45))
         assert check_layer_grads(
             lstm, rng(46).standard_normal((1, 5, 2)), mask=np.array([mask], float)) < 1e-5
+
+    def test_initial_states_copy_into_leading_masked_slots(self):
+        lstm = N.LSTM(3, 4, rng(47))
+        h0, c0 = rng(48).standard_normal((2, 2, 4))
+        x = rng(49).standard_normal((2, 3, 3))
+        h = lstm.forward(x, np.array([[0, 1, 1], [0, 0, 0.0]]), h0, c0)
+        assert np.array_equal(h[:, 0], h0) and np.array_equal(h[1], np.tile(h0[1], (3, 1)))
+        assert np.array_equal(lstm.cells()[:, 0], c0)
+        # the state reached from (h0, c0) is the state the step loop reaches
+        # after a prefix that ends in (h0, c0)
+        prefix = rng(50).standard_normal((1, 4, 3))
+        lstm.forward(prefix)
+        h_prefix, c_prefix = lstm.forward(prefix)[:, -1], lstm.cells()[:, -1]
+        joined = lstm.forward(np.concatenate([prefix, x[:1]], axis=1))
+        resumed = lstm.forward(x[:1], None, h_prefix, c_prefix)
+        np.testing.assert_allclose(resumed, joined[:, 4:], rtol=0, atol=1e-12)
+
+    def test_grad_initial_states_and_cells(self):
+        """Finite differences over the parameters, the input and both
+        initial states, with gradients flowing into the cell states too,
+        on a ragged batch (an empty row passes h0 and c0 straight out)."""
+        lstm = N.LSTM(4, 3, rng(51))
+        x = rng(52).standard_normal((5, 7, 4))
+        h0, c0 = rng(53).standard_normal((2, 5, 3))
+        dh, dc = rng(54).standard_normal((2, 5, 7, 3))
+
+        def loss():
+            h = lstm.forward(x, RAGGED_MASK, h0, c0)
+            return float(np.sum(h * dh) + np.sum(lstm.cells() * dc))
+
+        lstm.forward(x, RAGGED_MASK, h0, c0)
+        lstm.zero_grad()
+        dx = lstm.backward(dh, dc)
+        params = lstm.params()
+        worst = N.grad_check(loss, [p.value for p in params] + [x, h0, c0],
+                             [p.grad for p in params] + [dx, lstm.dh0, lstm.dc0])
+        assert worst < 1e-6
 
 
 @pytest.mark.parametrize("layer_cls, reference", [(N.LSTM, ref_lstm),
@@ -529,7 +580,76 @@ def test_lstm_packs_rows_by_real_steps():
         np.testing.assert_allclose(p.grad, want, rtol=0, atol=1e-12)
 
 
+def _padded_tails(starts, length, dim, seed):
+    """A batch whose rows hold random slots up to ``starts`` and one shared
+    padding row from there on."""
+    x = rng(seed).standard_normal((len(starts), length, dim))
+    pad = rng(seed + 1).standard_normal(dim)
+    for row, start in enumerate(starts):
+        x[row, start:] = pad
+    return x
+
+
+# per-row tail starts: ragged, every row all padding, none padding (a start
+# past the end), one row
+TAIL_STARTS = {"ragged": [7, 0, 3, 5, 9, 3], "all_padding": [0, 0],
+               "no_padding": [7, 11], "one_row": [2]}
+
+
 class TestBiLSTM:
+    @pytest.mark.parametrize("starts", TAIL_STARTS.values(), ids=TAIL_STARTS.keys())
+    def test_shared_tail_matches_unshared_reference(self, starts):
+        """Outputs, parameter gradients and the input gradient match the
+        step loop over every slot; the gradients of the padding slots meet
+        in one of them, since they all hold the one padding row."""
+        b = N.BiLSTM(4, 3, rng(70))
+        x = _padded_tails(starts, 7, 4, 71)
+        dout = rng(73).standard_normal((len(starts), 7, 6))
+        out = b.forward(x, starts=np.array(starts))
+        b.zero_grad()
+        dx = b.backward(dout)
+        tail = np.arange(7) >= np.array(starts)[:, None]
+        want_dx = np.empty_like(x)
+        summed = [np.zeros_like(p.value) for p in b.params()]
+        for row in range(len(starts)):
+            want_out, want_dx[row], want_grads = ref_bilstm(b, x[row], None, dout[row])
+            np.testing.assert_allclose(out[row], want_out, rtol=0, atol=1e-12)
+            for total, g in zip(summed, want_grads):
+                total += g
+        for p, want in zip(b.params(), summed):
+            np.testing.assert_allclose(p.grad, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dx[~tail], want_dx[~tail], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dx[tail].sum(axis=0), want_dx[tail].sum(axis=0),
+                                   rtol=0, atol=1e-12)
+
+    def test_shared_tail_grad(self):
+        """Finite differences through the shared tail, the padding row
+        entering every row's tail."""
+        b = N.BiLSTM(3, 2, rng(74))
+        starts = np.array([4, 0, 2])
+        x = _padded_tails(starts, 5, 3, 75)
+        dout = rng(77).standard_normal((3, 5, 4))
+        own = x.copy()
+        pad = x[1, 0].copy()
+        tail = np.arange(5) >= starts[:, None]
+
+        def build():
+            full = own.copy()
+            full[tail] = pad
+            return full
+
+        def loss():
+            return float(np.sum(b.forward(build(), starts=starts) * dout))
+
+        b.forward(build(), starts=starts)
+        b.zero_grad()
+        dx = b.backward(dout)
+        d_own = np.where(tail[:, :, None], 0.0, dx)
+        params = b.params()
+        worst = N.grad_check(loss, [p.value for p in params] + [own, pad],
+                             [p.grad for p in params] + [d_own, dx[tail].sum(axis=0)])
+        assert worst < 1e-6
+
     def test_concatenates_directions(self):
         b = N.BiLSTM(3, 4, rng(24))
         x = rng(25).standard_normal((1, 5, 3))

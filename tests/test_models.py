@@ -185,6 +185,28 @@ class TestForward:
             for p, g in zip(model.params(), want_grads):
                 np.testing.assert_allclose(p.grad, g, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("length", [40, 41, 100])
+    def test_ragged_tagger_batches_match_unshared_reference(self, length):
+        """Batches of every real length 0..L, and of gapped masks, in
+        shuffled chunks of ``PREDICT_CHUNK``: probabilities and summed
+        parameter gradients match one unshared document at a time."""
+        model = _desk_tagger(length)
+        r = np.random.default_rng(4)
+        seqs = [_seq(" ".join(WORDS[i % len(WORDS)] for i in range(real)), length)
+                for real in r.permutation(length + 1)] + _ragged_batch(length)
+        dp = r.standard_normal((len(seqs), 6))
+        for lo in range(0, len(seqs), M.PREDICT_CHUNK):
+            rows = range(lo, min(lo + M.PREDICT_CHUNK, len(seqs)))
+            want = [_untruncated(model, seqs[i], dp[i]) for i in rows]
+            model.zero_grad()
+            got = model.forward([seqs[i] for i in rows])
+            model.backward(dp[rows])
+            np.testing.assert_allclose(got, [probs for probs, _ in want],
+                                       rtol=0, atol=1e-12)
+            for k, p in enumerate(model.params()):
+                np.testing.assert_allclose(p.grad, sum(grads[k] for _, grads in want),
+                                           rtol=0, atol=1e-12)
+
     def test_tagger_cut_covers_real_prefix_plus_field(self):
         model = _desk_tagger(300)
         for real in (0, 1, 8, 9, 100, 274, 275):
@@ -206,17 +228,32 @@ def _desk_tagger(seq_len):
     return model
 
 
+def _unshared_bilstm(bilstm, x):
+    """``bilstm`` over (B, L, D) as two LSTMs that each walk every slot, the
+    reversed one its padding tail too: its output and its backward."""
+    h = bilstm.hidden_dim
+    out = np.concatenate([bilstm.fwd.forward(x),
+                          bilstm.bwd.forward(x[:, ::-1])[:, ::-1]], axis=2)
+
+    def backward(dout):
+        return (bilstm.fwd.backward(dout[:, :, :h])
+                + bilstm.bwd.backward(dout[:, ::-1, h:])[:, ::-1])
+
+    return out, backward
+
+
 def _untruncated(model, seq, dp):
     """The tagger's probabilities for one sequence, and every parameter
     gradient for the output gradient ``dp``, with the conv stack run over
-    every slot."""
+    every slot and the BiLSTM unshared."""
     model.zero_grad()
     x = model.embedding.forward(seq.input_ids[None], seq.mask[None])
     for conv, act, pool in model.blocks:
         x = pool.forward(act.forward(conv.forward(x)))
-    _, z = model.attention.forward(model.bilstm.forward(x))
+    h, bilstm_backward = _unshared_bilstm(model.bilstm, x)
+    _, z = model.attention.forward(h)
     probs = model.out_act.forward(model.out.forward(z))
-    dx = model.bilstm.backward(model.attention.backward(
+    dx = bilstm_backward(model.attention.backward(
         model.out.backward(model.out_act.backward(dp[None]))))
     for conv, act, pool in reversed(model.blocks):
         dx = conv.backward(act.backward(pool.backward(dx)))
