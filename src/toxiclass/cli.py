@@ -354,15 +354,6 @@ def cmd_classify(cfg: RunConfig, args) -> int:
 
 
 def cmd_explain(cfg: RunConfig, args) -> int:
-    vocab = _load_vocab(cfg)
-    pconf = cfg.preprocess_config()
-    max_len = cfg["tokenize.max_len"]
-    text = C.preprocess(args.text, pconf)
-    model = _load_checkpoint(cfg, vocab, args.stage).model
-
-    def predict(texts: list[str]) -> np.ndarray:
-        return M.predict(model, [C.tokenize(t, vocab, max_len) for t in texts])
-
     if args.stage == "binary":
         class_index, class_name = 0, "toxic"
         k = cfg["explain.features.binary"]
@@ -374,6 +365,14 @@ def cmd_explain(cfg: RunConfig, args) -> int:
         class_index = C.LABELS.index(args.label)
         class_name = args.label
         k = cfg["explain.features.multilabel"]
+
+    vocab = _load_vocab(cfg)
+    max_len = cfg["tokenize.max_len"]
+    text = C.preprocess(args.text, cfg.preprocess_config())
+    model = _load_checkpoint(cfg, vocab, args.stage).model
+
+    def predict(texts: list[str]) -> np.ndarray:
+        return M.predict(model, [C.tokenize(t, vocab, max_len) for t in texts])
 
     explanation = X.explain_instance(
         predict, text, class_index, n=cfg["explain.samples"], k=k,

@@ -647,11 +647,14 @@ def _decode_checkpoint(body: memoryview, path, expect_kind: str | None) -> Train
     else:
         model = MultiLabelModel(config, table, seq_len=int(header["seq_len"]),
                                 seed=0)
-    for _, param in model.named_tensors():
+    for name, param in model.named_tensors():
         param.value[...] = np.frombuffer(
             body, dtype="<f8", count=param.value.size, offset=offset
         ).reshape(param.value.shape)
         offset += param.value.size * 8
+        if not np.isfinite(param.value).all():
+            raise CheckpointError(
+                f"checkpoint {path}: tensor {name} holds a non-finite value")
 
     train_config = None
     if header["train_config"]:

@@ -1,10 +1,12 @@
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from toxiclass import cli
 from toxiclass import metrics as MT
+from toxiclass import models as M
 from toxiclass.config import RunConfig, load_config
 from toxiclass.corpus import LABELS
 from toxiclass.errors import ConfigError
@@ -352,6 +354,12 @@ class TestExplain:
                            "--stage", "multilabel", "--label", "sarcasm"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_label_checked_before_reading_files(self, tmp_path, capsys):
+        assert cli.main(["--set", f"output.dir={tmp_path / 'out'}",
+                         "explain", "--text", "hax hox",
+                         "--stage", "multilabel", "--label", "bogus"]) == 2
+        assert "--label must be one of" in capsys.readouterr().err
+
 
 class TestStats:
     def test_stats_output(self, workspace, capsys):
@@ -603,6 +611,22 @@ class TestDocumentIds:
                                              "prepare"]) == 3
         err = capsys.readouterr().err
         assert f"row {row}: id" in err and "1 bad rows" in err
+
+
+def test_classify_refuses_non_finite_checkpoint(workspace, tmp_path, capsys):
+    alt = tmp_path / "out"
+    shutil.copytree(workspace["out"], alt)
+    (alt / "classified.jsonl").unlink(missing_ok=True)
+    trained = M.load_model(alt / "binary.ckpt")
+    trained.model.lstm.w_h.value[0, 0] = np.nan
+    M.save_model(trained, alt / "binary.ckpt")
+    text = tmp_path / "input.txt"
+    text.write_text("vix vox river\n", encoding="utf-8")
+    assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}",
+                                         "classify", "--input", str(text)]) == 3
+    err = capsys.readouterr().err
+    assert "tensor lstm.w_h holds a non-finite value" in err and "Traceback" not in err
+    assert not (alt / "classified.jsonl").exists()
 
 
 class TestOnlyTheVocabulary:

@@ -41,16 +41,18 @@ def ref_sigmoid(x):
     return out
 
 
-def ref_lstm(lstm, x, mask, dout):
+def ref_lstm(lstm, x, mask, dout, h0=None, c0=None):
     """Step-by-step LSTM over every slot, the reference for ``LSTM``.
 
     Returns the outputs, the input gradient and the gradients of w_x, w_h
-    and b for the output gradient ``dout``; ``lstm`` is only read.
+    and b for the output gradient ``dout``, starting from ``h0`` and ``c0``
+    (zero when not given); ``lstm`` is only read.
     """
     w_x, w_h, b = (p.value for p in lstm.params())
     length, h_dim = x.shape[0], lstm.hidden_dim
     valid = np.ones(length, dtype=bool) if mask is None else np.asarray(mask) > 0.5
-    h, c = np.zeros(h_dim), np.zeros(h_dim)
+    h = np.zeros(h_dim) if h0 is None else h0
+    c = np.zeros(h_dim) if c0 is None else c0
     out = np.zeros((length, h_dim))
     steps = []
     for t in range(length):
@@ -578,6 +580,61 @@ def test_lstm_packs_rows_by_real_steps():
             total += g
     for p, want in zip(layer.params(), summed):
         np.testing.assert_allclose(p.grad, want, rtol=0, atol=1e-12)
+
+
+def _paper_batch(batch, seed):
+    """A gate-sized LSTM (D=100, H=128) with a nonzero bias, and 300 slots of
+    input, output gradients, a mask and initial states. One row is all real;
+    in a batch of several, the rest keep a falling share of their slots,
+    with trailing padding on one and, beyond 3 rows, none real on another."""
+    r = rng(seed)
+    lstm = N.LSTM(100, 128, r)
+    lstm.b.value[...] = r.standard_normal(4 * 128)
+    x = r.standard_normal((batch, 300, 100))
+    dout = r.standard_normal((batch, 300, 128))
+    if batch == 1:
+        return lstm, x, dout, np.ones((1, 300)), None, None
+    mask = (r.random((batch, 300)) < np.linspace(1.0, 0.3, batch)[:, None]).astype(float)
+    mask[0] = 1.0
+    mask[1, 200:] = 0.0
+    if batch > 3:
+        mask[-1] = 0.0
+    h0, c0 = r.standard_normal((2, batch, 128))
+    return lstm, x, dout, mask, h0, c0
+
+
+class TestLSTMPaperSize:
+    """The gate's LSTM at paper size over long recurrences, where rounding
+    differences between its tanh-form gates and the branch-form sigmoid of
+    ``ref_lstm`` would build up. Batches of 1 and 2 use the transposed
+    recurrent weights, batches of 3 and 8 the contiguous copy."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 8])
+    def test_matches_step_loop_reference(self, batch):
+        lstm, x, dout, mask, h0, c0 = _paper_batch(batch, 70)
+        out = lstm.forward(x, mask, h0, c0)
+        lstm.zero_grad()
+        dx = lstm.backward(dout)
+        summed = [np.zeros_like(p.value) for p in lstm.params()]
+        for b in range(batch):
+            initial = (None, None) if h0 is None else (h0[b], c0[b])
+            want_out, want_dx, want_grads = ref_lstm(lstm, x[b], mask[b], dout[b],
+                                                     *initial)
+            np.testing.assert_allclose(out[b], want_out, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dx[b], want_dx, rtol=0, atol=1e-12)
+            for total, g in zip(summed, want_grads):
+                total += g
+        for p, want in zip(lstm.params(), summed):
+            np.testing.assert_allclose(p.grad, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_weights_keep_their_bits(self, batch):
+        lstm, x, dout, mask, h0, c0 = _paper_batch(batch, 71)
+        before = [p.value.copy() for p in lstm.params()]
+        lstm.forward(x, mask, h0, c0)
+        lstm.backward(dout)
+        for p, want in zip(lstm.params(), before):
+            assert np.array_equal(p.value.view(np.int64), want.view(np.int64))
 
 
 def _padded_tails(starts, length, dim, seed):

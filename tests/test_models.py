@@ -676,6 +676,26 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="trailing"):
             M.load_model(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_is_refused(self, tmp_path, value):
+        model = _binary()
+        model.lstm.w_h.value[1, 2] = value
+        path = tmp_path / "binary.ckpt"
+        M.save_model(M.TrainedModel(model=model, vocab_hash=""), path)
+        with pytest.raises(CheckpointError,
+                           match="tensor lstm.w_h holds a non-finite value"):
+            M.load_model(path)
+
+    def test_predict_leaves_saved_bytes_unchanged(self, tmp_path):
+        """Forwards at batch 1 and batch 8 (both recurrent-weight layouts)
+        leave every tensor's bits as they were."""
+        trained, before = self._trained_binary(tmp_path)
+        M.predict(trained.model, [_seq("ash bat cod")])
+        M.predict(trained.model, [_seq(" ".join(WORDS[:n])) for n in range(1, 9)])
+        after = tmp_path / "after.ckpt"
+        M.save_model(trained, after)
+        assert after.read_bytes() == before.read_bytes()
+
     def test_save_is_deterministic(self, tmp_path):
         data = _toy_task()
         cfg = M.TrainingConfig(batch_size=4, learning_rate=0.02, epochs=3,
