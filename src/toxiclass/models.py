@@ -30,15 +30,21 @@ from .neural import (
     ReLULayer,
     SigmoidLayer,
 )
-from .neural.layers import Layer
+from .neural.layers import Cached, Layer
 from .neural.losses import add_l2_gradients, bce_loss, l2_penalty
 
 CHECKPOINT_MAGIC = b"TXCKPT01"
 CHECKPOINT_VERSION = 1
-# Documents per batched forward, in ``predict`` and in each training
-# mini-batch: the backward caches of one chunk are what the layers hold, so
-# this bounds peak memory whatever the number of documents or the batch size.
-PREDICT_CHUNK = 8
+# Most documents per batched forward in ``predict``. A chunk also stops
+# before its documents' real slots (count x longest real length) exceed
+# PREDICT_LONG_CHUNK full-length documents' worth, so short documents go 32
+# at a time and full-length ones 8: eval forwards keep no backward caches,
+# and this bounds the forward's own arrays whatever the number of documents.
+PREDICT_CHUNK = 32
+PREDICT_LONG_CHUNK = 8
+# Documents per forward and backward in each training mini-batch: a chunk's
+# backward caches are what the layers hold until its backward.
+TRAIN_CHUNK = 8
 
 
 def _check_sizes(**sizes) -> None:
@@ -140,29 +146,30 @@ class EmbeddingLayer(Layer):
     def __init__(self, table: EmbeddingTable):
         self.table = table
         self.param = Param("table", table.matrix)
-        self._ids = None
-        self._mask = None
 
-    def forward(self, ids: np.ndarray, mask: np.ndarray) -> np.ndarray:
-        self._ids = ids
-        self._mask = mask
+    def forward(self, ids: np.ndarray, mask: np.ndarray,
+                train: bool = True) -> np.ndarray:
+        self._keep(train, ids, mask)
         return self.param.value[ids] * mask[..., None]
 
     def backward(self, dx: np.ndarray) -> None:
+        ids, mask = self._take()
         if not self.table.trainable:
             return
-        np.add.at(self.param.grad, self._ids, dx * self._mask[..., None])
+        np.add.at(self.param.grad, ids, dx * mask[..., None])
         self.param.grad[PAD_ID, :] = 0.0
 
 
-class Model:
+class Model(Cached):
     """What both models derive from ``named_tensors()``, the one list of
     their tensors that each subclass writes. Checkpoints, Adam and the L2
     penalty all take its order.
 
     ``forward(seqs, train, rng)`` maps a list of B equal-length
     ``TokenSequence`` to (B, output_dim) probabilities; ``backward`` takes
-    their (B, output_dim) gradient.
+    their (B, output_dim) gradient. The model hands ``train`` to every layer:
+    a forward with ``train=False`` (the default) keeps nothing for backward,
+    and a backward after it raises RuntimeError.
     """
 
     def params(self) -> list[Param]:
@@ -208,18 +215,20 @@ class BinaryModel(Model):
         # LSTM stops there.
         real = max(int(reals.max()), 1)
         ids, mask = ids[:, :real], mask[:, :real]
-        x = self.embedding.forward(ids, mask)
+        x = self.embedding.forward(ids, mask, train)
         if self.input_pool is not None:
-            x = self.input_pool.forward(x, mask)[:, None]
+            x = self.input_pool.forward(x, mask, train)[:, None]
             mask = np.ones((len(x), 1))
-        h = self.lstm.forward(x, mask)
-        v = self.time_pool.forward(h, mask)
+        h = self.lstm.forward(x, mask, train=train)
+        v = self.time_pool.forward(h, mask, train)
         v = self.dropout.forward(v, train, rng)
         for dense, act in self.hidden:
-            v = act.forward(dense.forward(v))
-        return self.out_act.forward(self.out.forward(v))
+            v = act.forward(dense.forward(v, train), train)
+        self._keep(train)
+        return self.out_act.forward(self.out.forward(v, train), train)
 
     def backward(self, dp: np.ndarray) -> None:
+        self._take()
         dv = self.out.backward(self.out_act.backward(dp))
         for dense, act in reversed(self.hidden):
             dv = dense.backward(act.backward(dv))
@@ -266,7 +275,6 @@ class MultiLabelModel(Model):
         self.out = Dense(feat, NUM_LABELS, rng)
         self.out_act = SigmoidLayer()
         self.last_alpha: np.ndarray | None = None  # (B, slots), last forward's
-        self._repeats = 0  # stack output rows the last forward repeated
 
     @staticmethod
     def post_stack_length(config: MultiLabelModelConfig, length: int) -> int:
@@ -305,27 +313,29 @@ class MultiLabelModel(Model):
         # the reversed LSTM walks the shared padding tail once per batch.
         starts = -(-reals // self.stride)
         cut = self.stride * int(starts.max()) + self.receptive_field
-        x = self.embedding.forward(ids[:, :cut], mask[:, :cut])
+        x = self.embedding.forward(ids[:, :cut], mask[:, :cut], train)
         for conv, act, pool in self.blocks:
-            x = pool.forward(act.forward(conv.forward(x)))
-        self._repeats = self.post_stack_length(self.config, length) - x.shape[1]
-        x = np.concatenate([x, np.repeat(x[:, -1:], self._repeats, axis=1)], axis=1)
-        h = self.bilstm.forward(x, starts=starts)
+            x = pool.forward(act.forward(conv.forward(x, train), train), train)
+        repeats = self.post_stack_length(self.config, length) - x.shape[1]
+        x = np.concatenate([x, np.repeat(x[:, -1:], repeats, axis=1)], axis=1)
+        h = self.bilstm.forward(x, starts=starts, train=train)
         if self.attention is not None:
-            alpha, z = self.attention.forward(h)
+            alpha, z = self.attention.forward(h, train=train)
             self.last_alpha = alpha
         else:
-            z = self.time_pool.forward(h)
-        return self.out_act.forward(self.out.forward(z))
+            z = self.time_pool.forward(h, train=train)
+        self._keep(train, repeats)
+        return self.out_act.forward(self.out.forward(z, train), train)
 
     def backward(self, dp: np.ndarray) -> None:
+        (repeats,) = self._take()
         dz = self.out.backward(self.out_act.backward(dp))
         if self.attention is not None:
             dh = self.attention.backward(dz)
         else:
             dh = self.time_pool.backward(dz)
         dx = self.bilstm.backward(dh)
-        kept = dx.shape[1] - self._repeats
+        kept = dx.shape[1] - repeats
         dx[:, kept - 1] += dx[:, kept:].sum(axis=1)
         dx = dx[:, :kept]
         for conv, act, pool in reversed(self.blocks):
@@ -345,18 +355,29 @@ class MultiLabelModel(Model):
 def predict(model: Model, seqs) -> np.ndarray:
     """(n, output_dim) probabilities of ``seqs``, in their order.
 
-    The documents go through the model sorted by real length,
-    ``PREDICT_CHUNK`` at a time, so that each batch's real prefix is close
-    to its documents' own.
+    The documents go through eval forwards sorted by real length, so that
+    each chunk's real prefix is close to its documents' own. A chunk holds
+    up to ``PREDICT_CHUNK`` documents, and stops before their count times
+    its longest real length exceeds ``PREDICT_LONG_CHUNK`` x L slots, L the
+    sequences' padded length.
     """
     seqs = list(seqs)
     out = np.empty((len(seqs), model.output_dim))
     if seqs:
-        order = np.argsort(_real_length(np.stack([s.mask for s in seqs])),
-                           kind="stable")
-        for lo in range(0, len(seqs), PREDICT_CHUNK):
-            rows = order[lo:lo + PREDICT_CHUNK]
+        masks = np.stack([s.mask for s in seqs])
+        reals = _real_length(masks)
+        order = np.argsort(reals, kind="stable")
+        budget = PREDICT_LONG_CHUNK * masks.shape[1]
+        counts = np.arange(1, PREDICT_CHUNK + 1)
+        lo = 0
+        while lo < len(seqs):
+            # a sorted chunk's last document is its longest, so the first k
+            # documents fit while k x the k-th one's real length does
+            sizes = reals[order[lo:lo + PREDICT_CHUNK]]
+            hi = lo + int(np.count_nonzero(counts[:len(sizes)] * sizes <= budget))
+            rows = order[lo:hi]
             out[rows] = model.forward([seqs[i] for i in rows])
+            lo = hi
     return out
 
 
@@ -381,12 +402,12 @@ def _add_batch_gradients(model: Model, batch, rng: np.random.Generator) -> float
     return the summed loss.
 
     The batch goes through the model in consecutive chunks of up to
-    ``PREDICT_CHUNK`` documents, in its order, so that dropout draws each
+    ``TRAIN_CHUNK`` documents, in its order, so that dropout draws each
     document's mask as one forward per document would.
     """
     total = 0.0
-    for lo in range(0, len(batch), PREDICT_CHUNK):
-        rows = batch[lo:lo + PREDICT_CHUNK]
+    for lo in range(0, len(batch), TRAIN_CHUNK):
+        rows = batch[lo:lo + TRAIN_CHUNK]
         p = model.forward([seq for seq, _ in rows], train=True, rng=rng)
         loss, dp = bce_loss(p, np.stack([y for _, y in rows]))
         model.backward(dp / len(batch))
@@ -557,12 +578,26 @@ def _tensor_shapes(config, vocab_size: int, dim: int) -> list[tuple[str, tuple]]
     return shapes + dense("out", 2 * units, NUM_LABELS)
 
 
+def _non_finite(value: np.ndarray) -> bool:
+    """Whether ``value`` holds a NaN or an infinity. A finite sum means
+    finite entries, so only a sum that is not (or that overflowed) costs
+    the elementwise test and its boolean array."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = value.sum()
+    return not np.isfinite(total) and not np.isfinite(value).all()
+
+
 def save_model(trained: TrainedModel, path) -> None:
     """Versioned binary container: magic, JSON header, fp64 tensors, SHA-256.
 
     Each tensor is hashed and written from its own memory, so saving holds
-    no copy of the checkpoint.
+    no copy of the checkpoint. A tensor that holds NaN or inf raises
+    NumericError before the file is opened.
     """
+    for name, p in trained.model.named_tensors():
+        if _non_finite(p.value):
+            raise NumericError(
+                f"cannot save checkpoint {path}: tensor {name} holds a non-finite value")
     header = json.dumps(_header_dict(trained), sort_keys=True).encode("utf-8")
     tensors = (np.ascontiguousarray(p.value, dtype="<f8")
                for _, p in trained.model.named_tensors())
@@ -652,7 +687,7 @@ def _decode_checkpoint(body: memoryview, path, expect_kind: str | None) -> Train
             body, dtype="<f8", count=param.value.size, offset=offset
         ).reshape(param.value.shape)
         offset += param.value.size * 8
-        if not np.isfinite(param.value).all():
+        if _non_finite(param.value):
             raise CheckpointError(
                 f"checkpoint {path}: tensor {name} holds a non-finite value")
 

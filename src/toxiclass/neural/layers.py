@@ -2,9 +2,11 @@
 
 Every layer takes a leading batch axis: sequences are ``(B, L, D)`` with
 ``(B, L)`` masks and vectors are ``(B, D)``; one document is a batch of one.
-Every layer caches what its backward pass needs during forward; the intended
-call pattern is one forward followed by one backward per instance (models
-are single-threaded per instance). Parameter gradients accumulate into
+A forward with ``train=True`` (the default, except for ``Dropout``) keeps
+what its backward pass reads; one with ``train=False`` keeps nothing, and a
+backward after it raises. The intended call pattern is one training forward
+followed by one backward per instance, which drops the caches (models are
+single-threaded per instance). Parameter gradients accumulate into
 ``Param.grad`` buffers and are zeroed explicitly between optimizer steps.
 """
 
@@ -15,6 +17,9 @@ import copy
 import numpy as np
 
 DEFAULT_LEAKY_SLOPE = 0.01
+# Output rows per tap GEMM in ``Conv1D.forward``: each tap's product is
+# added a block at a time, so its temporary stays small beside the output.
+CONV_BLOCK_ROWS = 256
 
 
 def sigmoid(x):
@@ -60,7 +65,27 @@ def glorot(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-class Layer:
+class Cached:
+    """Holds what a backward pass reads from the forward before it."""
+
+    _cache = None
+
+    def _keep(self, train: bool, *cache) -> None:
+        """Keep ``cache`` for backward after a training forward, else nothing."""
+        self._cache = cache if train else None
+
+    def _take(self) -> tuple:
+        """The last training forward's cache, dropped as it is handed over."""
+        cache, self._cache = self._cache, None
+        if cache is None:
+            raise RuntimeError(
+                f"{type(self).__name__}.backward needs a forward with train=True "
+                "before it; the last forward kept nothing for backward, or a "
+                "backward has used it already")
+        return cache
+
+
+class Layer(Cached):
     def named_tensors(self, prefix: str) -> list[tuple[str, Param]]:
         """This layer's parameters and its sub-layers', in attribute order:
         ``prefix.name`` for its own, ``prefix.attr.name`` for a sub-layer's."""
@@ -86,19 +111,19 @@ class Dense(Layer):
     def __init__(self, n_in: int, n_out: int, rng: np.random.Generator):
         self.w = Param("w", glorot(rng, (n_out, n_in)), decay=True)
         self.b = Param("b", np.zeros(n_out))
-        self._x = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         n_in = self.w.value.shape[1]
         if x.ndim != 2 or x.shape[1] != n_in:
             raise ValueError(f"dense expects input of shape (B, {n_in}), got {x.shape}")
-        self._x = x
+        self._keep(train, x)
         return x @ self.w.value.T + self.b.value
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        (x,) = self._take()
         dy = np.asarray(dy, dtype=np.float64)
-        self.w.grad += dy.T @ self._x
+        self.w.grad += dy.T @ x
         self.b.grad += dy.sum(axis=0)
         return dy @ self.w.value
 
@@ -106,9 +131,9 @@ class Dense(Layer):
 class Conv1D(Layer):
     """Valid (no-padding) cross-correlation along the sequence axis.
 
-    The batch's sequences are laid end to end and each kernel tap is one
-    GEMM over all their rows; the windows that straddle two sequences are
-    computed and dropped.
+    The batch's sequences are laid end to end and each kernel tap is a GEMM
+    over their rows, ``CONV_BLOCK_ROWS`` at a time; the windows that
+    straddle two sequences are computed and dropped.
     """
 
     def __init__(self, kernel_size: int, c_in: int, c_out: int,
@@ -120,9 +145,8 @@ class Conv1D(Layer):
         )
         self.b = Param("b", np.zeros(c_out))
         self.kernel_size = kernel_size
-        self._x = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         batch, length, c_in = x.shape
         k = self.kernel_size
@@ -132,17 +156,19 @@ class Conv1D(Layer):
             raise ValueError(
                 f"conv1d expects {self.filters.value.shape[1]} channels, got {c_in}"
             )
-        self._x = x
+        self._keep(train, x)
         rows = x.reshape(batch * length, c_in)
         n = batch * length - k + 1
         y = np.empty((batch * length, self.b.value.shape[0]))
         y[:n] = self.b.value
-        for j in range(k):
-            y[:n] += rows[j:j + n] @ self.filters.value[j]
+        for lo in range(0, n, CONV_BLOCK_ROWS):
+            hi = min(lo + CONV_BLOCK_ROWS, n)
+            for j in range(k):
+                y[lo:hi] += rows[lo + j:hi + j] @ self.filters.value[j]
         return y.reshape(batch, length, -1)[:, :length - k + 1]
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        x = self._x
+        (x,) = self._take()
         batch, length, c_in = x.shape
         out_len = length - self.kernel_size + 1
         # dy laid end to end like the rows, zero at the dropped windows
@@ -167,35 +193,36 @@ class MaxPool1D(Layer):
 
     def __init__(self, pool: int = 2):
         self.pool = pool
-        self._argmax = None
-        self._in_shape = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         batch, length, channels = x.shape
         if length < self.pool:
             raise ValueError(f"sequence length {length} shorter than pool {self.pool}")
         out_len = length // self.pool
         windows = x[:, :out_len * self.pool].reshape(batch, out_len, self.pool, channels)
-        # First maximum per window, tap by tap, in the smallest type that
-        # holds pool - 1: a tap wins only if it beats every earlier one or
-        # is the first NaN, as ``argmax`` has it.
+        # For backward, the first maximum per window, tap by tap, in the
+        # smallest type that holds pool - 1: a tap wins only if it beats
+        # every earlier one or is the first NaN, as ``argmax`` has it.
         top = windows[:, :, 0].copy()
-        self._argmax = np.zeros(top.shape, dtype=np.min_scalar_type(self.pool - 1))
+        argmax = np.zeros(top.shape, dtype=np.min_scalar_type(self.pool - 1)) \
+            if train else None
         for j in range(1, self.pool):
             tap = windows[:, :, j]
-            wins = ~(tap <= top)
-            wins &= top == top
-            np.copyto(self._argmax, j, where=wins)
+            if train:
+                wins = ~(tap <= top)
+                wins &= top == top
+                np.copyto(argmax, j, where=wins)
             np.maximum(top, tap, out=top)
-        self._in_shape = x.shape
+        self._keep(train, argmax, x.shape)
         return top
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
+        argmax, in_shape = self._take()
         batch, out_len, channels = dy.shape
         windows = np.zeros((batch, out_len, self.pool, channels))
-        np.put_along_axis(windows, self._argmax[:, :, None], dy[:, :, None], axis=2)
-        dx = np.zeros(self._in_shape)
+        np.put_along_axis(windows, argmax[:, :, None], dy[:, :, None], axis=2)
+        dx = np.zeros(in_shape)
         dx[:, :out_len * self.pool] = windows.reshape(batch, -1, channels)
         return dx
 
@@ -206,26 +233,23 @@ class MaxOverTime(Layer):
     A fully masked row yields zeros; backward then routes nothing to it.
     """
 
-    def __init__(self):
-        self._rows = None
-        self._empty = None
-        self._in_shape = None
-
-    def forward(self, x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, x: np.ndarray, mask: np.ndarray | None = None,
+                train: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         valid = _valid(mask, x.shape[:2])
-        self._in_shape = x.shape
-        self._empty = ~valid.any(axis=1)
+        empty = ~valid.any(axis=1)
         # first argmax among each row's real slots
-        self._rows = np.where(valid[:, :, None], x, -np.inf).argmax(axis=1)[:, None]
-        y = np.take_along_axis(x, self._rows, axis=1)[:, 0]
-        y[self._empty] = 0.0
+        rows = np.where(valid[:, :, None], x, -np.inf).argmax(axis=1)[:, None]
+        y = np.take_along_axis(x, rows, axis=1)[:, 0]
+        y[empty] = 0.0
+        self._keep(train, rows, empty, x.shape)
         return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        dx = np.zeros(self._in_shape)
-        dy = np.where(self._empty[:, None], 0.0, dy)
-        np.put_along_axis(dx, self._rows, dy[:, None], axis=1)
+        rows, empty, in_shape = self._take()
+        dx = np.zeros(in_shape)
+        dy = np.where(empty[:, None], 0.0, dy)
+        np.put_along_axis(dx, rows, dy[:, None], axis=1)
         return dx
 
 
@@ -237,54 +261,69 @@ class Dropout(Layer):
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-        self._scale_mask = None
 
     def forward(self, x: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if not train or self.rate == 0.0:
-            self._scale_mask = None
+            self._keep(train, None)
             return x
         if rng is None:
             raise ValueError("training-mode dropout needs an rng")
         keep = rng.random(x.shape) >= self.rate
-        self._scale_mask = keep / (1.0 - self.rate)
-        return x * self._scale_mask
+        scale_mask = keep / (1.0 - self.rate)
+        self._keep(train, scale_mask)
+        return x * scale_mask
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        if self._scale_mask is None:
+        (scale_mask,) = self._take()
+        if scale_mask is None:
             return np.asarray(dy, dtype=np.float64)
-        return dy * self._scale_mask
+        return dy * scale_mask
 
 
 class ReLULayer(Layer):
-    def forward(self, x):
-        self._pos = np.asarray(x) > 0.0
-        return np.where(self._pos, x, 0.0)
+    """``max(x, 0)`` with NaN and -0.0 mapped to 0.0. A forward with
+    ``train=False`` writes into ``x``, a float64 array that nothing else
+    reads afterwards, and returns it."""
+
+    def forward(self, x, train: bool = True):
+        if not train:
+            np.copyto(x, 0.0, where=~(x > 0.0))
+            self._keep(train)
+            return x
+        pos = np.asarray(x) > 0.0
+        self._keep(train, pos)
+        return np.where(pos, x, 0.0)
 
     def backward(self, dy):
-        return np.where(self._pos, dy, 0.0)
+        (pos,) = self._take()
+        return np.where(pos, dy, 0.0)
 
 
 class LeakyReLULayer(Layer):
     def __init__(self, slope: float = DEFAULT_LEAKY_SLOPE):
         self.slope = slope
 
-    def forward(self, x):
-        self._pos = np.asarray(x) > 0.0
-        return np.where(self._pos, x, self.slope * np.asarray(x))
+    def forward(self, x, train: bool = True):
+        pos = np.asarray(x) > 0.0
+        self._keep(train, pos)
+        return np.where(pos, x, self.slope * np.asarray(x))
 
     def backward(self, dy):
-        return np.where(self._pos, dy, self.slope * np.asarray(dy))
+        (pos,) = self._take()
+        return np.where(pos, dy, self.slope * np.asarray(dy))
 
 
 class SigmoidLayer(Layer):
-    def forward(self, x):
-        self._y = sigmoid(x)
-        return self._y
+    def forward(self, x, train: bool = True):
+        y = sigmoid(x)
+        self._keep(train, y)
+        return y
 
     def backward(self, dy):
-        return dy * self._y * (1.0 - self._y)
+        (y,) = self._take()
+        return dy * y * (1.0 - y)
 
 
 class LSTM(Layer):
@@ -314,13 +353,14 @@ class LSTM(Layer):
         self.w_x = Param("w_x", glorot(rng, (4 * hidden_dim, input_dim)), decay=True)
         self.w_h = Param("w_h", glorot(rng, (4 * hidden_dim, hidden_dim)), decay=True)
         self.b = Param("b", np.zeros(4 * hidden_dim))
-        self._cache = None
         self.dh0 = self.dc0 = None  # the last backward's initial-state gradients
 
     def forward(self, x: np.ndarray, mask: np.ndarray | None = None,
-                h0: np.ndarray | None = None, c0: np.ndarray | None = None) -> np.ndarray:
+                h0: np.ndarray | None = None, c0: np.ndarray | None = None,
+                train: bool = True) -> np.ndarray:
         """(B, L, D) inputs -> (B, L, H) hidden states; ``h0`` and ``c0``
-        are (B, H). ``cells()`` gives the matching cell states."""
+        are (B, H). After a training forward ``cells()`` gives the matching
+        cell states."""
         x = np.asarray(x, dtype=np.float64)
         batch, length, dim = x.shape
         if dim != self.input_dim:
@@ -346,14 +386,17 @@ class LSTM(Layer):
         w_h = np.multiply(self.w_h.value.T, half, order="C" if batch >= 3 else "F")
         # the input part of every step's gates, each step's slice turned
         # into i, f, g, o after activation in place
-        gates = x_real @ (self.w_x.value.T * half) + self.b.value * half
+        gates = x_real @ (self.w_x.value.T * half)
+        gates += self.b.value * half
+        if not train:
+            x_real = None  # read by backward alone, as is every step's tanh(c)
         hs = np.zeros((batch + start[-1], h_dim))
         cs = np.zeros((batch + start[-1], h_dim))
         if h0 is not None:
             hs[rank] = h0
         if c0 is not None:
             cs[rank] = c0
-        tanh_c = np.empty((start[-1], h_dim))
+        tanh_c = np.empty((start[-1] if train else batch, h_dim))
         z_buf = np.empty((batch, 4 * h_dim))
         ig_buf = np.empty((batch, h_dim))
         bounds = start.tolist()
@@ -372,16 +415,22 @@ class LSTM(Layer):
             np.multiply(a[:, h_dim:2 * h_dim], cs[prev:prev + m], out=c)
             np.multiply(a[:, :h_dim], g, out=ig)
             c += ig
-            np.tanh(c, out=tanh_c[lo:hi])
+            tc = tanh_c[lo:hi] if train else tanh_c[:m]
+            np.tanh(c, out=tc)
             prev = batch + lo
-            np.multiply(a[:, 3 * h_dim:], tanh_c[lo:hi], out=hs[prev:prev + m])
+            np.multiply(a[:, 3 * h_dim:], tc, out=hs[prev:prev + m])
         out = np.where(seen > 0, batch + start[np.maximum(seen - 1, 0)], 0) + rank[:, None]
-        self._cache = (rows, slots, packed, start, x_real, gates, cs, tanh_c, hs,
-                       out, rank, x.shape)
+        self._keep(train, rows, slots, packed, start, x_real, gates, cs, tanh_c, hs,
+                   out, rank, x.shape)
+        # Drop the references to what only backward reads, the step loop's
+        # views included, so that an eval forward frees it before the gather.
+        x_real = gates = cs = tanh_c = a = g = c = tc = None
         return hs[out]
 
     def cells(self) -> np.ndarray:
-        """The last forward's (B, L, H) cell states, slot for slot."""
+        """The last training forward's (B, L, H) cell states, slot for slot."""
+        if self._cache is None:
+            raise RuntimeError("LSTM.cells needs a forward with train=True before it")
         cs, out = self._cache[6], self._cache[9]
         return cs[out]
 
@@ -390,7 +439,7 @@ class LSTM(Layer):
         given, of the cell states; the initial states' gradients are left
         in ``dh0`` and ``dc0``."""
         rows, slots, packed, start, x_real, gates, cs, tanh_c, hs, out, rank, \
-            in_shape = self._cache
+            in_shape = self._take()
         batch = in_shape[0]
         h_dim = self.hidden_dim
         total = len(x_real)
@@ -458,18 +507,20 @@ class BiLSTM(Layer):
         self.hidden_dim = hidden_dim
         self.fwd = LSTM(input_dim, hidden_dim, rng)
         self.bwd = LSTM(input_dim, hidden_dim, rng)
-        self._cache = None
 
     def forward(self, x: np.ndarray, mask: np.ndarray | None = None,
-                starts: np.ndarray | None = None) -> np.ndarray:
+                starts: np.ndarray | None = None, train: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         batch, length, dim = x.shape
-        h_f = self.fwd.forward(x, mask)
+        h_f = self.fwd.forward(x, mask, train=train)
         starts = np.minimum(length if starts is None else starts, length)
         starts = np.broadcast_to(starts, (batch,))
         tails = length - starts
         pad_row = int(np.argmax(tails))
-        chain = copy.copy(self.bwd)  # bwd's parameters, with caches of its own
+        # bwd's parameters, with caches of its own: the chain is one row, so
+        # it keeps them for ``cells()`` in either mode, and an eval forward
+        # drops the chain on return
+        chain = copy.copy(self.bwd)
         chain_h = chain.forward(
             np.broadcast_to(x[pad_row, -1], (1, tails[pad_row], dim)))[0]
         # chain state k: after k tail steps, k = 0 the zero state
@@ -482,16 +533,16 @@ class BiLSTM(Layer):
         if mask is not None:
             real &= _valid(mask, (batch, length))[:, :own][:, ::-1]
         h_own = self.bwd.forward(x[:, :own][:, ::-1], real,
-                                 state_h[tails], state_c[tails])
+                                 state_h[tails], state_c[tails], train=train)
         h_b = np.empty((batch, length, self.hidden_dim))
         h_b[:, :own] = h_own[:, ::-1]
         in_tail = np.arange(length) >= starts[:, None]
         h_b[in_tail] = state_h[length - np.nonzero(in_tail)[1]]
-        self._cache = (chain, pad_row, tails, own, in_tail)
+        self._keep(train, chain, pad_row, tails, own, in_tail)
         return np.concatenate([h_f, h_b], axis=2)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        chain, pad_row, tails, own, in_tail = self._cache
+        chain, pad_row, tails, own, in_tail = self._take()
         h = self.hidden_dim
         dx = self.fwd.backward(dout[:, :, :h])
         d_own = np.where(in_tail[:, :own, None], 0.0, dout[:, :own, h:])
@@ -520,9 +571,9 @@ class Attention(Layer):
     def __init__(self, dim: int, rng: np.random.Generator):
         self.w = Param("w", glorot(rng, (1, dim)).reshape(dim), decay=True)
         self.b = Param("b", np.zeros(1))
-        self._cache = None
 
-    def forward(self, h: np.ndarray, mask: np.ndarray | None = None):
+    def forward(self, h: np.ndarray, mask: np.ndarray | None = None,
+                train: bool = True):
         """(B, L, d) states -> (B, L) weights and (B, d) context vectors."""
         h = np.asarray(h, dtype=np.float64)
         valid = _valid(mask, h.shape[:2])
@@ -533,11 +584,11 @@ class Attention(Layer):
         ex = np.exp(np.where(valid, scores - top, -np.inf))  # exp(-inf) = 0 when masked
         alpha = ex / ex.sum(axis=1, keepdims=True)
         z = (alpha[:, None, :] @ h)[:, 0]
-        self._cache = (h, alpha)
+        self._keep(train, h, alpha)
         return alpha, z
 
     def backward(self, dz: np.ndarray) -> np.ndarray:
-        h, alpha = self._cache
+        h, alpha = self._take()
         dz = np.asarray(dz, dtype=np.float64)
         da = (h @ dz[:, :, None])[:, :, 0]
         # softmax backward; masked slots have alpha = 0

@@ -5,6 +5,7 @@ import json
 import os
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -44,3 +45,19 @@ def _rewrite_header(path, header):
 @pytest.fixture
 def rewrite_header():
     return _rewrite_header
+
+
+def _write_checkpoint(trained, path):
+    """Write ``trained`` in the checkpoint container without the checks of
+    ``save_model``, so that a test can build a file that only ``load_model``
+    refuses, such as one holding NaN or inf."""
+    header = json.dumps(M._header_dict(trained), sort_keys=True).encode("utf-8")
+    body = b"".join([M.CHECKPOINT_MAGIC, struct.pack("<I", len(header)), header]
+                    + [np.ascontiguousarray(p.value, dtype="<f8").tobytes()
+                       for _, p in trained.model.named_tensors()])
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+@pytest.fixture
+def write_checkpoint():
+    return _write_checkpoint

@@ -136,7 +136,7 @@ def test_criterion_01_gradient_suite():
             + l2_penalty((w.value for w in weights), lam)
 
     model.zero_grad()
-    _, dp = bce_loss(model.forward([seq])[0], y6)
+    _, dp = bce_loss(model.forward([seq], train=True)[0], y6)
     model.backward(dp[None])
     add_l2_gradients(weights, lam)
     named = [(n, p) for n, p in model.named_tensors() if n != "attention.b"]

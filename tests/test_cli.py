@@ -613,13 +613,14 @@ class TestDocumentIds:
         assert f"row {row}: id" in err and "1 bad rows" in err
 
 
-def test_classify_refuses_non_finite_checkpoint(workspace, tmp_path, capsys):
+def test_classify_refuses_non_finite_checkpoint(workspace, tmp_path, capsys,
+                                                write_checkpoint):
     alt = tmp_path / "out"
     shutil.copytree(workspace["out"], alt)
     (alt / "classified.jsonl").unlink(missing_ok=True)
     trained = M.load_model(alt / "binary.ckpt")
     trained.model.lstm.w_h.value[0, 0] = np.nan
-    M.save_model(trained, alt / "binary.ckpt")
+    write_checkpoint(trained, alt / "binary.ckpt")
     text = tmp_path / "input.txt"
     text.write_text("vix vox river\n", encoding="utf-8")
     assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}",

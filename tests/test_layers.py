@@ -211,7 +211,8 @@ class TestConstantTail:
         dy = rng(55).standard_normal(got.shape)
         want, rows, dx = ref_maxpool(layer, x, dy)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert np.array_equal(layer._argmax[0], rows - np.arange(len(rows))[:, None] * pool_size)
+        argmax, _ = layer._cache
+        assert np.array_equal(argmax[0], rows - np.arange(len(rows))[:, None] * pool_size)
         np.testing.assert_allclose(layer.backward(dy[None])[0], dx, rtol=0, atol=1e-12)
 
     def test_copied_rows_equal_the_computed_one(self):
@@ -295,9 +296,9 @@ class TestMaxPool1D:
         p = N.MaxPool1D(2)
         x = np.array([[[1.0], [5.0], [7.0], [3.0]]])
         p.forward(x)
+        assert p._cache[0].dtype == np.uint8  # the smallest type holding pool - 1
         dx = p.backward(np.array([[[1.0], [2.0]]]))
         assert dx[0, :, 0].tolist() == [0.0, 1.0, 2.0, 0.0]
-        assert p._argmax.dtype == np.uint8  # the smallest type holding pool - 1
 
     @pytest.mark.parametrize("pool, dtype", [(1, np.uint8), (256, np.uint8),
                                              (257, np.uint16)])
@@ -305,7 +306,7 @@ class TestMaxPool1D:
         p = N.MaxPool1D(pool)
         x = rng(5).standard_normal((2, 2 * pool + pool // 2, 3))
         y = p.forward(x)
-        assert p._argmax.dtype == dtype
+        assert p._cache[0].dtype == dtype
         windows = x[:, :2 * pool].reshape(2, 2, pool, 3)
         assert np.array_equal(y, windows.max(axis=2))
         dy = rng(6).standard_normal(y.shape)
@@ -331,7 +332,7 @@ class TestMaxPool1D:
         out_len = x.shape[1] // pool
         windows = x[:, :out_len * pool].reshape(3, out_len, pool, 64)
         assert np.array_equal(y.view(np.uint64), windows.max(axis=2).view(np.uint64))
-        assert np.array_equal(p._argmax, windows.argmax(axis=2))
+        assert np.array_equal(p._cache[0], windows.argmax(axis=2))
 
 
 class TestMaxOverTime:
@@ -382,6 +383,78 @@ class TestDropout:
     def test_bad_rate(self):
         with pytest.raises(ValueError):
             N.Dropout(1.0)
+
+
+EVAL_X = rng(70).standard_normal((2, 6, 4))
+# name -> (layer factory, forward of the layer on EVAL_X with train=t)
+EVAL_CASES = {
+    "dense": (lambda: N.Dense(4, 3, rng(71)),
+              lambda layer, t: layer.forward(EVAL_X[:, 0], train=t)),
+    "conv1d": (lambda: N.Conv1D(3, 4, 5, rng(72)),
+               lambda layer, t: layer.forward(EVAL_X, train=t)),
+    "maxpool": (lambda: N.MaxPool1D(2), lambda layer, t: layer.forward(EVAL_X, train=t)),
+    "max_over_time": (N.MaxOverTime,
+                      lambda layer, t: layer.forward(EVAL_X, np.ones((2, 6)), train=t)),
+    "dropout": (lambda: N.Dropout(0.0),
+                lambda layer, t: layer.forward(EVAL_X, train=t, rng=rng(73))),
+    "relu": (N.ReLULayer, lambda layer, t: layer.forward(EVAL_X.copy(), train=t)),
+    "leaky_relu": (N.LeakyReLULayer, lambda layer, t: layer.forward(EVAL_X, train=t)),
+    "sigmoid": (N.SigmoidLayer, lambda layer, t: layer.forward(EVAL_X, train=t)),
+    "lstm": (lambda: N.LSTM(4, 3, rng(74)),
+             lambda layer, t: layer.forward(EVAL_X, np.ones((2, 6)), train=t)),
+    "bilstm": (lambda: N.BiLSTM(4, 3, rng(75)),
+               lambda layer, t: layer.forward(EVAL_X, starts=np.array([4, 6]), train=t)),
+    "attention": (lambda: N.Attention(4, rng(76)),
+                  lambda layer, t: layer.forward(EVAL_X, train=t)[1]),
+}
+
+
+def _cached_parts(layer):
+    """The layer and its sub-layers."""
+    return [layer] + [v for v in vars(layer).values() if isinstance(v, N.layers.Cached)]
+
+
+@pytest.mark.parametrize("make, forward", EVAL_CASES.values(), ids=EVAL_CASES.keys())
+class TestEvalForward:
+    def test_same_output_and_no_cache(self, make, forward):
+        layer = make()
+        want = forward(layer, True)
+        got = forward(layer, False)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert all(part._cache is None for part in _cached_parts(layer))
+
+    def test_backward_after_eval_forward_raises(self, make, forward):
+        layer = make()
+        dy = np.ones_like(forward(layer, False))
+        with pytest.raises(RuntimeError, match="backward needs a forward with train=True"):
+            layer.backward(dy)
+
+    def test_backward_drops_the_cache(self, make, forward):
+        layer = make()
+        dy = np.ones_like(forward(layer, True))
+        layer.backward(dy)
+        assert all(part._cache is None for part in _cached_parts(layer))
+        with pytest.raises(RuntimeError, match="backward needs a forward with train=True"):
+            layer.backward(dy)
+
+
+def test_lstm_cells_need_a_training_forward():
+    lstm = N.LSTM(4, 3, rng(77))
+    lstm.forward(EVAL_X, train=False)
+    with pytest.raises(RuntimeError, match="train=True"):
+        lstm.cells()
+
+
+def test_relu_in_place_keeps_the_bits_of_where():
+    """NaN, signed zeros and infinities: the eval ReLU writes into its input
+    and gives the bits of the training one."""
+    special = np.array([0.0, -0.0, 1.0, -1.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324])
+    x = special[rng(78).integers(0, len(special), (3, 7, 5))]
+    want = N.ReLULayer().forward(x)
+    y = x.copy()
+    got = N.ReLULayer().forward(y, train=False)
+    assert got is y
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestLSTM:

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from toxiclass import models as M
 from toxiclass.corpus import LABELS, PAD_ID, TokenSequence, build_vocab, tokenize
 from toxiclass.embedding import random_table
-from toxiclass.errors import CheckpointError, ConfigError, DataError
+from toxiclass.errors import CheckpointError, ConfigError, DataError, NumericError
 from toxiclass.neural import grad_check
+from toxiclass.neural.layers import Cached
 from toxiclass.neural.losses import bce_loss
 
 WORDS = ["ash", "bat", "cod", "dew", "elm", "fig", "gnu", "hay", "ivy", "jay"]
@@ -179,7 +180,7 @@ class TestForward:
             seq = _seq(" ".join(WORDS[i % len(WORDS)] for i in range(real)), length)
             want, want_grads = _untruncated(model, seq, dp)
             model.zero_grad()
-            got = model.forward([seq])
+            got = model.forward([seq], train=True)
             model.backward(dp[None])
             np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-12)
             for p, g in zip(model.params(), want_grads):
@@ -199,7 +200,7 @@ class TestForward:
             rows = range(lo, min(lo + M.PREDICT_CHUNK, len(seqs)))
             want = [_untruncated(model, seqs[i], dp[i]) for i in rows]
             model.zero_grad()
-            got = model.forward([seqs[i] for i in rows])
+            got = model.forward([seqs[i] for i in rows], train=True)
             model.backward(dp[rows])
             np.testing.assert_allclose(got, [probs for probs, _ in want],
                                        rtol=0, atol=1e-12)
@@ -211,9 +212,10 @@ class TestForward:
         model = _desk_tagger(300)
         for real in (0, 1, 8, 9, 100, 274, 275):
             seq = _seq(" ".join(WORDS[i % len(WORDS)] for i in range(real)), 300)
-            model.forward([seq])
-            assert model.embedding._ids.shape[1] == min(300, 8 * -(-real // 8) + 19)
-            assert model.embedding._ids.shape[1] <= real + 26
+            model.forward([seq], train=True)
+            ids, _ = model.embedding._cache
+            assert ids.shape[1] == min(300, 8 * -(-real // 8) + 19)
+            assert ids.shape[1] <= real + 26
 
 
 def _desk_tagger(seq_len):
@@ -288,7 +290,7 @@ class TestBatch:
 
     def test_predict_keeps_order_across_chunks(self, make):
         model = make()
-        seqs = _ragged_batch() * 4 + [_seq(" ".join(WORDS[:n])) for n in range(12)]
+        seqs = _ragged_batch() * 8 + [_seq(" ".join(WORDS[:n])) for n in range(12)]
         assert len(seqs) > M.PREDICT_CHUNK
         got = M.predict(model, seqs)
         assert got.shape == (len(seqs), model.output_dim)
@@ -310,13 +312,17 @@ class TestBatch:
                 p.value[...] = 0.5 * r.standard_normal(p.value.shape)
         seqs = _ragged_batch()
         dp = np.random.default_rng(8).standard_normal((len(seqs), model.output_dim))
+
+        def forward():  # the binary model's dropout draws the same masks
+            return model.forward(seqs, train=True, rng=np.random.default_rng(11))
+
         model.zero_grad()
-        model.forward(seqs)
+        forward()
         model.backward(dp)
         named = [p for n, p in model.named_tensors() if n != "attention.b"]
 
         def loss():
-            return float(np.sum(model.forward(seqs) * dp))
+            return float(np.sum(forward() * dp))
 
         worst = 0.0
         for p in named:
@@ -332,6 +338,112 @@ class TestBatch:
             p.value[...] = base
         assert worst < 1e-6
         assert grad_check(loss, [p.value for p in named], [p.grad for p in named]) < 1e-4
+
+
+def _mixed_seqs(n, seed=12):
+    """n documents of real lengths 0..12 in random order, about a third of
+    them full length, which the slot budget puts in chunks of 8."""
+    r = np.random.default_rng(seed)
+    reals = np.where(r.random(n) < 1 / 3, 12, r.integers(0, 13, n))
+    return [_seq(" ".join(r.choice(WORDS, size=k))) for k in reals]
+
+
+def _cached_parts(model):
+    """The model and every layer it holds, sub-layers included."""
+    parts, todo = [], [model]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, (list, tuple)):
+            todo += item
+        elif isinstance(item, Cached):
+            parts.append(item)
+            todo += [v for k, v in vars(item).items() if k != "_cache"]
+    return parts
+
+
+@pytest.mark.parametrize("make", [_binary, lambda: _binary(pooled_input=True),
+                                  _multilabel],
+                         ids=["binary", "pooled", "multilabel"])
+class TestEvalForward:
+    @pytest.mark.parametrize("size", [1, 31, 32, 33, 70])
+    def test_predict_matches_per_document(self, make, size):
+        model = make()
+        seqs = _mixed_seqs(size)
+        got = M.predict(model, seqs)
+        for seq, row in zip(seqs, got):
+            np.testing.assert_allclose(row, model.forward([seq])[0], rtol=0, atol=1e-12)
+
+    def test_predict_chunk_sizes(self, make, monkeypatch):
+        """Up to 32 documents a chunk, and at most 8 x 12 real slots."""
+        model = make()
+        sizes = []
+        forward = model.forward
+
+        def spy(seqs, *args, **kwargs):
+            sizes.append((len(seqs), max(s.true_length for s in seqs)))
+            return forward(seqs, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", spy)
+        for real, want in [(3, [32, 32, 6]), (6, [16, 16, 16, 16, 6]),
+                           (12, [8] * 8 + [6])]:
+            sizes.clear()
+            M.predict(model, [_seq(" ".join((WORDS * 2)[:real]))] * 70)
+            assert [n for n, _ in sizes] == want, real
+        sizes.clear()
+        M.predict(model, _mixed_seqs(70))
+        assert sum(n for n, _ in sizes) == 70
+        assert all(n <= 32 and n * longest <= 8 * 12 for n, longest in sizes)
+        assert sizes[0][0] > 8 and sizes[-1] == (6, 12)
+
+    def test_predict_keeps_no_cache(self, make):
+        model = make()
+        seqs = _mixed_seqs(40)
+        model.forward(seqs[:8], train=True, rng=np.random.default_rng(0))
+        M.predict(model, seqs)
+        parts = _cached_parts(model)
+        assert len(parts) >= 7
+        assert [type(p).__name__ for p in parts if p._cache is not None] == []
+
+    def test_backward_after_eval_forward_raises(self, make):
+        model = make()
+        model.forward(_ragged_batch())
+        with pytest.raises(RuntimeError,
+                           match=f"{type(model).__name__}.backward needs a forward "
+                                 "with train=True"):
+            model.backward(np.ones((5, model.output_dim)))
+
+    def test_backward_drops_the_caches(self, make):
+        model = make()
+        dp = np.ones((5, model.output_dim))
+        model.forward(_ragged_batch(), train=True, rng=np.random.default_rng(0))
+        model.backward(dp)
+        assert all(p._cache is None for p in _cached_parts(model))
+        with pytest.raises(RuntimeError, match="train=True"):
+            model.backward(dp)
+
+
+@pytest.mark.parametrize("kind", ["binary", "multilabel"])
+def test_predict_peak_memory_is_one_chunk(kind):
+    """Paper sizes and 280-300 real tokens: long documents go through 8 at a
+    time and an eval forward keeps nothing, so 64 documents peak within 10%
+    of 8."""
+    table = random_table(len(VOCAB), 100, seed=0)
+    model = (M.BinaryModel(M.BinaryModelConfig(), table) if kind == "binary"
+             else M.MultiLabelModel(M.MultiLabelModelConfig(), table, seq_len=300))
+    r = np.random.default_rng(13)
+    reals = r.integers(280, 301, 64)
+    reals[0] = 300  # the 8-document chunk is as long as the longest
+    seqs = [_seq(" ".join(r.choice(WORDS, size=k)), 300) for k in reals]
+    M.predict(model, seqs[:1])
+    peaks = []
+    for n in (8, 64):
+        tracemalloc.start()
+        try:
+            M.predict(model, seqs[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 class TestParams:
@@ -517,8 +629,8 @@ def _ragged_training_set(kind, n):
     ("multilabel", lambda: _multilabel(seed=2)),
 ])
 class TestBatchedTraining:
-    @pytest.mark.parametrize("size", [1, M.PREDICT_CHUNK, M.PREDICT_CHUNK + 3,
-                                      2 * M.PREDICT_CHUNK + 1])
+    @pytest.mark.parametrize("size", [1, M.TRAIN_CHUNK, M.TRAIN_CHUNK + 3,
+                                      2 * M.TRAIN_CHUNK + 1])
     def test_step_matches_per_document(self, kind, make, size):
         model = make()
         batch = _ragged_training_set(kind, size)
@@ -537,8 +649,8 @@ class TestBatchedTraining:
             assert got_rng.bit_generator.state != np.random.default_rng(9).bit_generator.state
 
     def test_history_matches_per_document(self, kind, make, monkeypatch):
-        data = _ragged_training_set(kind, 2 * M.PREDICT_CHUNK + 7)
-        config = M.TrainingConfig(batch_size=M.PREDICT_CHUNK + 3, learning_rate=0.02,
+        data = _ragged_training_set(kind, 2 * M.TRAIN_CHUNK + 7)
+        config = M.TrainingConfig(batch_size=M.TRAIN_CHUNK + 3, learning_rate=0.02,
                                   epochs=4, patience=50, seed=4)
         got = M.train(make(), data, data[:9], config)
         monkeypatch.setattr(M, "_add_batch_gradients", _per_document)
@@ -677,14 +789,38 @@ class TestCheckpoint:
             M.load_model(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_tensor_is_refused(self, tmp_path, value):
+    def test_non_finite_tensor_is_refused(self, tmp_path, value, write_checkpoint):
         model = _binary()
         model.lstm.w_h.value[1, 2] = value
         path = tmp_path / "binary.ckpt"
-        M.save_model(M.TrainedModel(model=model, vocab_hash=""), path)
+        write_checkpoint(M.TrainedModel(model=model, vocab_hash=""), path)
         with pytest.raises(CheckpointError,
                            match="tensor lstm.w_h holds a non-finite value"):
             M.load_model(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_save_refuses_non_finite_tensor(self, tmp_path, value):
+        model = _binary()
+        model.lstm.w_x.value[0, 1] = value
+        model.out.w.value[0, 0] = value
+        path = tmp_path / "binary.ckpt"
+        with pytest.raises(NumericError,
+                           match="tensor lstm.w_x holds a non-finite value"):
+            M.save_model(M.TrainedModel(model=model, vocab_hash=""), path)
+        assert not path.exists()
+
+    def test_save_accepts_overflowing_finite_tensor(self, tmp_path):
+        """Entries whose sum overflows to inf are still finite."""
+        model = _binary()
+        model.out.w.value[...] = 1.5e308
+        path = tmp_path / "binary.ckpt"
+        M.save_model(M.TrainedModel(model=model, vocab_hash=""), path)
+        assert np.array_equal(M.load_model(path).model.out.w.value, model.out.w.value)
+
+    def test_container_helper_writes_what_save_writes(self, tmp_path, write_checkpoint):
+        trained, path = self._trained_binary(tmp_path)
+        write_checkpoint(trained, tmp_path / "helper.ckpt")
+        assert (tmp_path / "helper.ckpt").read_bytes() == path.read_bytes()
 
     def test_predict_leaves_saved_bytes_unchanged(self, tmp_path):
         """Forwards at batch 1 and batch 8 (both recurrent-weight layouts)
