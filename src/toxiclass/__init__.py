@@ -12,7 +12,6 @@ from .corpus import (
     TokenSequence,
     Vocabulary,
     build_vocab,
-    detokenize,
     ingest,
     preprocess,
     stats,
@@ -35,10 +34,9 @@ from .errors import (
 )
 from .explain import (
     Explanation,
-    Perturbation,
     explain_instance,
     fit_surrogate,
-    kernel_weight,
+    kernel_weights,
     sample_perturbations,
     select_features,
 )

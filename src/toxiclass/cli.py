@@ -356,7 +356,6 @@ def cmd_classify(cfg: RunConfig, args) -> int:
 def cmd_explain(cfg: RunConfig, args) -> int:
     if args.stage == "binary":
         class_index, class_name = 0, "toxic"
-        k = cfg["explain.features.binary"]
     else:
         if args.label not in C.LABELS:
             raise ConfigError(
@@ -364,7 +363,12 @@ def cmd_explain(cfg: RunConfig, args) -> int:
             )
         class_index = C.LABELS.index(args.label)
         class_name = args.label
-        k = cfg["explain.features.multilabel"]
+    k_key = f"explain.features.{args.stage}"
+    n, k = cfg["explain.samples"], cfg[k_key]
+    if n < 1:
+        raise ConfigError(f"explain.samples must be >= 1, got {n}")
+    if k < 0:
+        raise ConfigError(f"{k_key} must be >= 0, got {k}")
 
     vocab = _load_vocab(cfg)
     max_len = cfg["tokenize.max_len"]
@@ -375,7 +379,7 @@ def cmd_explain(cfg: RunConfig, args) -> int:
         return M.predict(model, [C.tokenize(t, vocab, max_len) for t in texts])
 
     explanation = X.explain_instance(
-        predict, text, class_index, n=cfg["explain.samples"], k=k,
+        predict, text, class_index, n=n, k=k,
         seed=cfg["seed"], class_name=class_name)
     out = _make_dir(cfg.output_dir())
     _write_json(out / f"explanation_{args.stage}_{class_name}.json",

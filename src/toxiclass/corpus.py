@@ -243,11 +243,6 @@ def tokenize(text: str, vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN) -> To
     return TokenSequence(ids, mask, len(tokens))
 
 
-def detokenize(seq: TokenSequence, vocab: Vocabulary) -> str:
-    """Inverse of tokenize over the real (non-PAD) positions."""
-    return " ".join(vocab.id_to_token[i] for i in seq.input_ids[: seq.true_length])
-
-
 @dataclass(frozen=True)
 class FormatSpec:
     """Maps dataset file columns/fields onto Document fields.

@@ -8,7 +8,8 @@ attributions for one output class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -19,18 +20,6 @@ DEFAULT_KERNEL_WIDTH = 0.25
 DEFAULT_RIDGE_LAMBDA = 1e-3
 BINARY_TOP_K = 6
 MULTILABEL_TOP_K = 10
-
-
-@dataclass
-class Perturbation:
-    """One masked variant of the instance.
-
-    ``mask`` has one slot per distinct word (1 = kept); ``text`` is the
-    instance with deactivated words removed.
-    """
-
-    mask: np.ndarray
-    text: str
 
 
 @dataclass(frozen=True)
@@ -73,44 +62,34 @@ def distinct_words(tokens) -> list[str]:
     return list(seen)
 
 
-def sample_perturbations(tokens, n: int = DEFAULT_SAMPLES,
-                         seed: int = 0) -> list[Perturbation]:
-    """Presence masks over the distinct words; sample 0 keeps everything.
+def sample_perturbations(m: int, n: int = DEFAULT_SAMPLES,
+                         seed: int = 0) -> np.ndarray:
+    """(n, m) int64 presence masks over m distinct words (1 = kept); row 0
+    keeps everything.
 
-    Each other sample deactivates a uniform count in [1, m] of uniformly
+    Each other row deactivates a uniform count in [1, m] of uniformly
     chosen words. Deterministic for a given seed.
     """
-    tokens = list(tokens)
-    words = distinct_words(tokens)
-    m = len(words)
-    if m == 0:
+    if m < 1:
         raise DataError("cannot perturb an instance with no words")
     if n < 1:
         raise DataError(f"need at least one sample, got {n}")
-    index = {w: i for i, w in enumerate(words)}
     rng = np.random.default_rng(np.random.PCG64(seed))
-
-    out = [Perturbation(mask=np.ones(m, dtype=np.int64), text=" ".join(tokens))]
-    for _ in range(n - 1):
+    masks = np.ones((n, m), dtype=np.int64)
+    for row in masks[1:]:
         drop = rng.integers(1, m + 1)
-        off = rng.choice(m, size=drop, replace=False)
-        mask = np.ones(m, dtype=np.int64)
-        mask[off] = 0
-        text = " ".join(t for t in tokens if mask[index[t]])
-        out.append(Perturbation(mask=mask, text=text))
-    return out
+        row[rng.choice(m, size=drop, replace=False)] = 0
+    return masks
 
 
-def kernel_weight(mask, width: float = DEFAULT_KERNEL_WIDTH) -> float:
-    """exp(-d^2 / width^2) where d is the cosine distance between the mask
-    and the all-ones mask. The all-zeros mask has no direction: weight 0."""
-    mask = np.asarray(mask, dtype=np.float64)
-    m = mask.size
-    kept = mask.sum()
-    if kept == 0.0:
-        return 0.0
-    d = 1.0 - np.sqrt(kept / m)
-    return float(np.exp(-(d ** 2) / width ** 2))
+def kernel_weights(masks, width: float = DEFAULT_KERNEL_WIDTH) -> np.ndarray:
+    """Per row of ``masks``: exp(-d^2 / width^2) where d is the cosine
+    distance between the row and the all-ones mask. An all-zeros row has no
+    direction: weight 0."""
+    masks = np.asarray(masks)
+    kept = masks.sum(axis=1)
+    d = 1.0 - np.sqrt(kept / masks.shape[1])
+    return np.where(kept > 0, np.exp(-(d ** 2) / width ** 2), 0.0)
 
 
 def _ridge_solve(x: np.ndarray, weights: np.ndarray, y: np.ndarray,
@@ -195,27 +174,31 @@ def explain_instance(predict, document: str, class_index: int,
 
     ``predict`` maps a list of n texts to an (n, classes) array of
     probabilities; perturbed texts re-enter the model through whatever
-    tokenization ``predict`` applies. It is called once, on the distinct
-    perturbed texts.
+    tokenization ``predict`` applies. It is called once, on one text per
+    distinct mask, in the order the masks are first drawn.
     """
     tokens = document.split()
-    perturbations = sample_perturbations(tokens, n=n, seed=seed)
     words = distinct_words(tokens)
-    row = {}
-    for p in perturbations:
-        row.setdefault(p.text, len(row))
-    outputs = np.asarray(predict(list(row)), dtype=np.float64)
-    if outputs.ndim != 2 or len(outputs) != len(row):
+    masks = sample_perturbations(len(words), n=n, seed=seed)
+    # a mask fixes its text, so one text per distinct mask, in first-seen order
+    _, first, inverse = np.unique(masks, axis=0, return_index=True,
+                                  return_inverse=True)
+    seen = np.argsort(first)
+    row = np.argsort(seen)[inverse.reshape(-1)]  # each sample's row in texts
+    column = {w: j for j, w in enumerate(words)}
+    kept = masks[first[seen]][:, [column[t] for t in tokens]].tolist()
+    texts = [" ".join(compress(tokens, keep)) for keep in kept]
+    outputs = np.asarray(predict(texts), dtype=np.float64)
+    if outputs.ndim != 2 or len(outputs) != len(texts):
         raise DataError(
-            f"predict returned shape {outputs.shape} for {len(row)} texts")
+            f"predict returned shape {outputs.shape} for {len(texts)} texts")
     if class_index >= outputs.shape[1] or class_index < 0:
         raise DataError(
             f"class index {class_index} out of range for model with "
             f"{outputs.shape[1]} outputs"
         )
-    targets = outputs[[row[p.text] for p in perturbations], class_index]
-    weights = np.array([kernel_weight(p.mask) for p in perturbations])
-    masks = np.stack([p.mask for p in perturbations]).astype(np.float64)
+    targets = outputs[row, class_index]
+    weights = kernel_weights(masks)
 
     picked = select_features(masks, weights, targets, k)
     coef, intercept, r2 = fit_surrogate(masks[:, picked], weights, targets)
@@ -230,5 +213,5 @@ def explain_instance(predict, document: str, class_index: int,
         features=features,
         intercept=intercept,
         r2=r2,
-        n_samples=len(perturbations),
+        n_samples=len(masks),
     )

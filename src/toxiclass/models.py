@@ -118,15 +118,6 @@ class TrainingConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
 
 
-def desk_binary_config() -> BinaryModelConfig:
-    """Small sizes for fast desk-scale runs and tests."""
-    return BinaryModelConfig(lstm_units=8, dense_hidden=(8,))
-
-
-def desk_multilabel_config() -> MultiLabelModelConfig:
-    return MultiLabelModelConfig(conv_stack=((16, 4), (12, 3), (8, 2)), bilstm_units=8)
-
-
 def _real_length(mask: np.ndarray) -> np.ndarray:
     """Per row of ``mask``: the slots up to and including its last real one."""
     valid = np.asarray(mask) > 0.5

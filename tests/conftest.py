@@ -19,6 +19,16 @@ settings.register_profile("ci", derandomize=True, database=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
+def desk_binary_config() -> M.BinaryModelConfig:
+    """Small sizes for fast desk-scale runs and tests."""
+    return M.BinaryModelConfig(lstm_units=8, dense_hidden=(8,))
+
+
+def desk_multilabel_config() -> M.MultiLabelModelConfig:
+    return M.MultiLabelModelConfig(conv_stack=((16, 4), (12, 3), (8, 2)),
+                                   bilstm_units=8)
+
+
 def _rewrite_header(path, header):
     """Replace a checkpoint's JSON header, keep its tensors and give the file
     a correct SHA-256, so that only the header is malformed.

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import desk_binary_config, desk_multilabel_config
 
 from toxiclass import cli
 from toxiclass import explain as X
@@ -179,13 +180,13 @@ def test_criterion_02_analytic_fixed_points():
 
     vocab = build_vocab(["aa bb cc dd ee ff gg hh"])
     seq = tokenize("aa bb cc dd ee ff gg hh", vocab, 20)
-    binary = M.BinaryModel(M.desk_binary_config(),
+    binary = M.BinaryModel(desk_binary_config(),
                            random_table(len(vocab), 6, seed=0), seed=0)
     for _, p in binary.named_tensors():
         p.value[...] = 0.0
     assert binary.forward([seq])[0, 0] == 0.5
 
-    multi = M.MultiLabelModel(M.desk_multilabel_config(),
+    multi = M.MultiLabelModel(desk_multilabel_config(),
                               random_table(len(vocab), 6, seed=0),
                               seq_len=20, seed=0)
     for _, p in multi.named_tensors():
@@ -394,7 +395,7 @@ def test_criterion_06_lime_fidelity():
 
         masks = np.array(list(itertools.product([0, 1], repeat=m)),
                          dtype=np.float64)
-        weights = np.array([X.kernel_weight(mk) for mk in masks])
+        weights = X.kernel_weights(masks)
         full, _, _ = X.fit_surrogate(masks, weights, masks @ coef + bias,
                                      lam=1e-9)
         if exp.features[0][0] == words[int(np.argmax(np.abs(full)))]:

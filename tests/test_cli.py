@@ -435,6 +435,20 @@ class TestExitCodes:
                                              "train-multilabel"]) == 2
         assert "pool must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting, stage", [
+        ("explain.samples=0", "binary"),
+        ("explain.samples=-5", "multilabel"),
+        ("explain.features.binary=-1", "binary"),
+        ("explain.features.multilabel=-1", "multilabel"),
+    ])
+    def test_explain_budget_out_of_range(self, tmp_path, capsys, setting, stage):
+        # checked before any file is read: the output dir holds nothing
+        assert cli.main(["--set", f"output.dir={tmp_path / 'out'}",
+                         "--set", setting, "explain", "--text", "hax hox",
+                         "--stage", stage, "--label", "hate"]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and setting.split("=")[0] in err
+
     @pytest.mark.parametrize("setting, command", [
         ("binary.lstm_units=0", "train-binary"),
         ("binary.dense_hidden=4,0", "train-binary"),

@@ -251,10 +251,6 @@ class TestTokenize:
         with pytest.raises(ConfigError):
             C.tokenize("dog", vocab, max_len=0)
 
-    def test_detokenize_round_trip(self, vocab):
-        seq = C.tokenize("dog bird cat", vocab, max_len=10)
-        assert C.detokenize(seq, vocab) == "dog bird cat"
-
     @settings(max_examples=100)
     @given(st.lists(st.sampled_from(["dog", "cat", "bird", "zzz"]), max_size=12))
     def test_mask_marks_exactly_true_length(self, tokens):

@@ -15,81 +15,116 @@ class TestDistinctWords:
         assert EX.distinct_words([]) == []
 
 
+def _reference_masks(m, n, seed):
+    """The draws contract written out row by row: on PCG64(seed), each row
+    after the first draws its drop count with ``integers`` and then the
+    dropped words with ``choice``."""
+    rng = np.random.default_rng(np.random.PCG64(seed))
+    rows = [np.ones(m, dtype=np.int64)]
+    for _ in range(n - 1):
+        drop = rng.integers(1, m + 1)
+        off = rng.choice(m, size=drop, replace=False)
+        mask = np.ones(m, dtype=np.int64)
+        mask[off] = 0
+        rows.append(mask)
+    return np.stack(rows)
+
+
+def _texts(tokens, masks):
+    """The text each mask keeps, over ``distinct_words(tokens)`` columns."""
+    words = EX.distinct_words(tokens)
+    return [" ".join(t for t in tokens if mask[words.index(t)])
+            for mask in masks]
+
+
 class TestSamplePerturbations:
     def test_first_sample_keeps_everything(self):
-        ps = EX.sample_perturbations("one two three".split(), n=5, seed=0)
-        assert len(ps) == 5
-        assert ps[0].mask.tolist() == [1, 1, 1]
-        assert ps[0].text == "one two three"
+        masks = EX.sample_perturbations(3, n=5, seed=0)
+        assert masks.shape == (5, 3) and masks.dtype == np.int64
+        assert masks[0].tolist() == [1, 1, 1]
 
     def test_every_other_sample_drops_something(self):
-        ps = EX.sample_perturbations("a b c d".split(), n=200, seed=1)
-        for p in ps[1:]:
-            dropped = 4 - int(p.mask.sum())
-            assert 1 <= dropped <= 4
+        masks = EX.sample_perturbations(4, n=200, seed=1)
+        dropped = 4 - masks[1:].sum(axis=1)
+        assert dropped.min() >= 1 and dropped.max() <= 4
 
-    def test_text_matches_mask(self):
-        tokens = "red blue red green".split()
-        for p in EX.sample_perturbations(tokens, n=50, seed=2):
-            words = EX.distinct_words(tokens)
-            kept = {w for w, bit in zip(words, p.mask) if bit}
-            assert p.text.split() == [t for t in tokens if t in kept]
+    @pytest.mark.parametrize("m", [1, 2, 5, 17, 30])
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    def test_matches_reference_draws(self, m, seed):
+        masks = EX.sample_perturbations(m, n=300, seed=seed)
+        assert np.array_equal(masks, _reference_masks(m, 300, seed))
 
     def test_single_word_document(self):
-        ps = EX.sample_perturbations(["lonely"], n=10, seed=3)
-        assert ps[0].mask.tolist() == [1]
-        for p in ps[1:]:  # only possible drop count is 1
-            assert p.mask.tolist() == [0] and p.text == ""
+        masks = EX.sample_perturbations(1, n=10, seed=3)
+        assert masks[0].tolist() == [1]
+        assert (masks[1:] == 0).all()  # only possible drop count is 1
 
     def test_seed_determinism(self):
-        a = EX.sample_perturbations("a b c d e".split(), n=64, seed=7)
-        b = EX.sample_perturbations("a b c d e".split(), n=64, seed=7)
-        assert all(x.mask.tolist() == y.mask.tolist() for x, y in zip(a, b))
-        c = EX.sample_perturbations("a b c d e".split(), n=64, seed=8)
-        assert any(x.mask.tolist() != y.mask.tolist() for x, y in zip(a, c))
+        a = EX.sample_perturbations(5, n=64, seed=7)
+        assert np.array_equal(a, EX.sample_perturbations(5, n=64, seed=7))
+        assert not np.array_equal(a, EX.sample_perturbations(5, n=64, seed=8))
 
     def test_full_drop_range_reached(self):
-        ps = EX.sample_perturbations("a b c".split(), n=500, seed=4)
-        counts = {3 - int(p.mask.sum()) for p in ps[1:]}
-        assert counts == {1, 2, 3}
+        masks = EX.sample_perturbations(3, n=500, seed=4)
+        assert set((3 - masks[1:].sum(axis=1)).tolist()) == {1, 2, 3}
 
     def test_empty_document_rejected(self):
         with pytest.raises(DataError):
-            EX.sample_perturbations([], n=10)
+            EX.sample_perturbations(0, n=10)
+        with pytest.raises(DataError, match="no words"):
+            EX.explain_instance(_linear_model({}, bias=0.5), "   ", 0, n=10)
 
     def test_zero_samples_rejected(self):
         with pytest.raises(DataError):
-            EX.sample_perturbations(["x"], n=0)
+            EX.sample_perturbations(1, n=0)
+
+
+def _scalar_weight(mask, width=EX.DEFAULT_KERNEL_WIDTH):
+    """One row's weight by the scalar formula, as an oracle for the array."""
+    mask = np.asarray(mask, dtype=np.float64)
+    kept = mask.sum()
+    if kept == 0.0:
+        return 0.0
+    d = 1.0 - np.sqrt(kept / mask.size)
+    return float(np.exp(-(d ** 2) / width ** 2))
 
 
 class TestKernelWeight:
     def test_full_mask_weight_one(self):
-        assert EX.kernel_weight(np.ones(8)) == 1.0
+        assert EX.kernel_weights(np.ones((1, 8))).tolist() == [1.0]
 
     def test_empty_mask_weight_zero(self):
-        assert EX.kernel_weight(np.zeros(8)) == 0.0
+        assert EX.kernel_weights(np.zeros((1, 8))).tolist() == [0.0]
 
     def test_half_mask_value(self):
         d = 1.0 - np.sqrt(0.5)
         expected = float(np.exp(-(d ** 2) / 0.25 ** 2))
-        assert EX.kernel_weight([1, 1, 0, 0]) == pytest.approx(expected, abs=1e-15)
+        assert EX.kernel_weights([[1, 1, 0, 0]])[0] \
+            == pytest.approx(expected, abs=1e-15)
 
     def test_monotone_in_kept_count(self):
-        vals = []
-        for kept in range(1, 9):
-            mask = np.zeros(8)
-            mask[:kept] = 1
-            vals.append(EX.kernel_weight(mask))
+        masks = np.tril(np.ones((8, 8)))  # row i keeps i + 1 words
+        vals = EX.kernel_weights(masks).tolist()
         assert vals == sorted(vals)
 
     def test_depends_only_on_count(self):
-        assert EX.kernel_weight([1, 0, 1, 0]) == EX.kernel_weight([0, 1, 0, 1])
+        w = EX.kernel_weights([[1, 0, 1, 0], [0, 1, 0, 1]])
+        assert w[0] == w[1]
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 30, 60])
+    def test_rows_match_scalar_formula(self, m):
+        masks = np.tril(np.ones((m + 1, m), dtype=np.int64), k=-1)
+        expected = [_scalar_weight(mask) for mask in masks]
+        assert EX.kernel_weights(masks).tolist() == expected
 
     @settings(max_examples=60)
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=30))
-    def test_range(self, bits):
-        w = EX.kernel_weight(np.array(bits))
-        assert 0.0 <= w <= 1.0
+    @given(st.integers(1, 30).flatmap(lambda m: st.lists(
+        st.lists(st.integers(0, 1), min_size=m, max_size=m),
+        min_size=1, max_size=8)))
+    def test_range(self, rows):
+        w = EX.kernel_weights(np.array(rows))
+        assert w.shape == (len(rows),)
+        assert ((0.0 <= w) & (w <= 1.0)).all()
 
 
 class TestSelectFeatures:
@@ -140,7 +175,7 @@ class TestFitSurrogate:
         masks = r.integers(0, 2, (600, 5)).astype(np.float64)
         beta = np.array([0.8, -1.2, 0.0, 2.5, -0.4])
         targets = masks @ beta + 0.3
-        weights = np.array([EX.kernel_weight(m) for m in masks])
+        weights = EX.kernel_weights(masks)
         coef, intercept, r2 = EX.fit_surrogate(masks, weights, targets,
                                                 lam=1e-9)
         assert np.allclose(coef, beta, atol=1e-6)
@@ -268,10 +303,25 @@ class TestExplainInstance:
             return linear(texts)
 
         EX.explain_instance(predict, self.DOC, 1, n=300, k=2, seed=5)
-        sampled = EX.sample_perturbations(self.DOC.split(), n=300, seed=5)
+        sampled = _texts(self.DOC.split(), _reference_masks(6, 300, 5))
         assert len(calls) == 1
-        assert sorted(calls[0]) == sorted({p.text for p in sampled})
+        assert calls[0] == list(dict.fromkeys(sampled))  # first-seen order
         assert len(calls[0]) < len(sampled)
+
+    def test_texts_match_masks(self):
+        calls = []
+
+        def predict(texts):
+            calls.append(texts)
+            return np.full((len(texts), 2), 0.5)
+
+        for document in ("red blue red green", "lonely"):
+            calls.clear()
+            EX.explain_instance(predict, document, 1, n=50, k=1, seed=2)
+            tokens = document.split()
+            masks = _reference_masks(len(EX.distinct_words(tokens)), 50, 2)
+            assert calls == [list(dict.fromkeys(_texts(tokens, masks)))]
+        assert calls == [["lonely", ""]]
 
     @pytest.mark.parametrize("predict", [
         lambda texts: np.zeros(len(texts)),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from conftest import desk_binary_config, desk_multilabel_config
 from toxiclass import models as M
 from toxiclass.corpus import LABELS, PAD_ID, TokenSequence, build_vocab, tokenize
 from toxiclass.embedding import random_table
@@ -103,7 +104,7 @@ class TestPostStackLength:
             M.MultiLabelModel.post_stack_length(cfg, 4)  # conv leaves 1 < pool
 
     def test_desk_config_minimum_length(self):
-        cfg = M.desk_multilabel_config()
+        cfg = desk_multilabel_config()
         assert M.MultiLabelModel.post_stack_length(cfg, 19) == 1
         with pytest.raises(ConfigError):
             M.MultiLabelModel.post_stack_length(cfg, 18)
@@ -167,7 +168,7 @@ class TestForward:
     def test_paper_stack_window(self):
         config = M.MultiLabelModelConfig()
         assert M.MultiLabelModel.stack_window(config) == (8, 19)
-        assert M.MultiLabelModel.stack_window(M.desk_multilabel_config()) == (8, 19)
+        assert M.MultiLabelModel.stack_window(desk_multilabel_config()) == (8, 19)
         assert M.MultiLabelModel.stack_window(
             M.MultiLabelModelConfig(conv_stack=((6, 3),), pool=3)) == (3, 5)
 
@@ -221,7 +222,7 @@ class TestForward:
 def _desk_tagger(seq_len):
     """The desk tagger with biases that keep padded windows off zero, as
     trained ones are."""
-    model = M.MultiLabelModel(M.desk_multilabel_config(),
+    model = M.MultiLabelModel(desk_multilabel_config(),
                               random_table(len(VOCAB), 6, seed=1, trainable=True),
                               seq_len=seq_len, seed=1)
     r = np.random.default_rng(2)
@@ -1007,8 +1008,8 @@ def _rewritten_tensors(tensors: list) -> st.SearchStrategy:
 @pytest.fixture(scope="module")
 def desk_checkpoints(tmp_path_factory):
     out = {}
-    for model in (M.BinaryModel(M.desk_binary_config(), random_table(len(VOCAB), 5)),
-                  M.MultiLabelModel(M.desk_multilabel_config(),
+    for model in (M.BinaryModel(desk_binary_config(), random_table(len(VOCAB), 5)),
+                  M.MultiLabelModel(desk_multilabel_config(),
                                     random_table(len(VOCAB), 5), seq_len=40)):
         trained = M.TrainedModel(model=model, vocab_hash="")
         path = tmp_path_factory.mktemp("desk") / f"{model.kind}.ckpt"
