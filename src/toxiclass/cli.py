@@ -338,18 +338,12 @@ def cmd_classify(cfg: RunConfig, args) -> int:
     # read in full first: a bad input fails before the output is touched
     lines = list(C.read_lines(args.input, "input file"))
     out_path = _make_dir(cfg.output_dir()) / "classified.jsonl"
-    rows = []
-    toxic_count = 0
-    for lineno, line in lines:
-        text = line.rstrip("\n")
-        if not text.strip():
-            continue
-        result = pipe.classify(text)
-        if result["labels"] != ["Non-toxic"]:
-            toxic_count += 1
-        rows.append(_dumps({"id": str(lineno), **result}) + "\n")
-    _write_text(out_path, "".join(rows))
-    print(f"classified {len(rows)} documents ({toxic_count} toxic) -> {out_path}")
+    kept = [(lineno, line.rstrip("\n")) for lineno, line in lines if line.strip()]
+    results = pipe.classify_many([text for _, text in kept])
+    _write_text(out_path, "".join(_dumps({"id": str(lineno), **result}) + "\n"
+                                  for (lineno, _), result in zip(kept, results)))
+    toxic = sum(result["label_probs"] is not None for result in results)
+    print(f"classified {len(results)} documents ({toxic} toxic) -> {out_path}")
     return 0
 
 

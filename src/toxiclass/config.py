@@ -7,6 +7,7 @@ fast. Command-line ``--set key=value`` pairs override file values.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .corpus import (
@@ -46,7 +47,10 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_float(text: str) -> float:
-    return float(text.strip())
+    value = float(text.strip())
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:

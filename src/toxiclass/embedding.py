@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import PAD_ID, UNK_TOKEN, Vocabulary, read_lines
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 DEFAULT_DIM = 768
 INIT_SCALE = 0.05
@@ -41,6 +41,8 @@ class EmbeddingTable:
 def random_table(vocab_size: int, dim: int = DEFAULT_DIM, seed: int = 0,
                  trainable: bool = True) -> EmbeddingTable:
     """Seeded uniform init in [-0.05, 0.05]; PAD row zero."""
+    if dim < 1:
+        raise ConfigError(f"embedding.dim must be >= 1, got {dim}")
     rng = np.random.default_rng(np.random.PCG64(seed))
     matrix = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(vocab_size, dim))
     return EmbeddingTable(matrix, trainable=trainable, source="random-init")
@@ -60,6 +62,8 @@ def load_table(path, vocab: Vocabulary, trainable: bool = False) -> EmbeddingTab
         declared, dim = (int(v) for v in first.split())
     except ValueError as exc:
         raise DataError(f"embedding file {path}: bad header {first.strip()!r}") from exc
+    if dim < 1:
+        raise DataError(f"embedding file {path}: header dimension {dim} is below 1")
 
     vectors: dict[str, np.ndarray] = {}
     for lineno, line in lines:

@@ -116,6 +116,8 @@ class TrainingConfig:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.l2_lambda < 0.0:
+            raise ConfigError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
 
 
 def _real_length(mask: np.ndarray) -> np.ndarray:
@@ -265,7 +267,6 @@ class MultiLabelModel(Model):
         self.time_pool = None if config.use_attention else MaxOverTime()
         self.out = Dense(feat, NUM_LABELS, rng)
         self.out_act = SigmoidLayer()
-        self.last_alpha: np.ndarray | None = None  # (B, slots), last forward's
 
     @staticmethod
     def post_stack_length(config: MultiLabelModelConfig, length: int) -> int:
@@ -311,8 +312,7 @@ class MultiLabelModel(Model):
         x = np.concatenate([x, np.repeat(x[:, -1:], repeats, axis=1)], axis=1)
         h = self.bilstm.forward(x, starts=starts, train=train)
         if self.attention is not None:
-            alpha, z = self.attention.forward(h, train=train)
-            self.last_alpha = alpha
+            _, z = self.attention.forward(h, train=train)
         else:
             z = self.time_pool.forward(h, train=train)
         self._keep(train, repeats)
@@ -469,21 +469,20 @@ def train(model, train_set, val_set, config: TrainingConfig,
 
 
 def route(p_toxic: float, label_probs, tau_binary: float = 0.5,
-          tau_label: float = 0.5, class_names=LABELS) -> list[str]:
+          tau_label: float = 0.5) -> list[str]:
     """Two-stage decision rule.
 
     Below the binary threshold the verdict is Non-toxic and ``label_probs``
-    is never consulted (pass a callable to keep stage 2 lazy). Otherwise:
-    all labels at or above the label threshold, or the argmax label
-    (first-index tie-break) when none clears it.
+    is not read (it may be None). Otherwise: all labels at or above the
+    label threshold, or the argmax label (first-index tie-break) when none
+    clears it.
     """
     if p_toxic < tau_binary:
         return ["Non-toxic"]
-    probs = np.asarray(label_probs() if callable(label_probs) else label_probs,
-                       dtype=np.float64)
-    chosen = [name for name, p in zip(class_names, probs) if p >= tau_label]
+    probs = np.asarray(label_probs, dtype=np.float64)
+    chosen = [name for name, p in zip(LABELS, probs) if p >= tau_label]
     if not chosen:
-        chosen = [class_names[int(np.argmax(probs))]]
+        chosen = [LABELS[int(np.argmax(probs))]]
     return chosen
 
 
@@ -500,19 +499,22 @@ class TwoStagePipeline:
     tau_label: float = 0.5
 
     def classify(self, text: str) -> dict:
-        seq = tokenize(preprocess(text, self.preprocess_config), self.vocab,
-                       self.max_len)
-        p_toxic = float(predict(self.binary, [seq])[0, 0])
-        label_probs: list[float] | None = None
+        return self.classify_many([text])[0]
 
-        def stage2() -> np.ndarray:
-            nonlocal label_probs
-            probs = predict(self.multilabel, [seq])[0]
-            label_probs = [float(v) for v in probs]
-            return probs
-
-        labels = route(p_toxic, stage2, self.tau_binary, self.tau_label)
-        return {"labels": labels, "p_toxic": p_toxic, "label_probs": label_probs}
+    def classify_many(self, texts) -> list[dict]:
+        """One ``{"labels", "p_toxic", "label_probs"}`` dict per text, in
+        order. The gate scores every text in one ``predict``; the tagger
+        scores those that ``route`` does not call Non-toxic in a second, and
+        the others get ``label_probs`` None."""
+        seqs = [tokenize(preprocess(text, self.preprocess_config), self.vocab,
+                         self.max_len) for text in texts]
+        p_toxic = predict(self.binary, seqs)[:, 0].tolist()
+        passed = [i for i, p in enumerate(p_toxic) if not p < self.tau_binary]
+        tagged = dict(zip(passed, predict(self.multilabel,
+                                          [seqs[i] for i in passed]).tolist()))
+        return [{"labels": route(p, tagged.get(i), self.tau_binary, self.tau_label),
+                 "p_toxic": p, "label_probs": tagged.get(i)}
+                for i, p in enumerate(p_toxic)]
 
 
 def _header_dict(trained: TrainedModel) -> dict:

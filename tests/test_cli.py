@@ -307,6 +307,18 @@ class TestClassify:
                 assert "Non-toxic" not in r["labels"]
         assert rows[1]["labels"] == ["Non-toxic"]  # pure filler text
         assert rows[0]["labels"] != ["Non-toxic"]  # signature-heavy text
+        # the batched command gives each line what scoring it alone gives
+        cfg = load_config(workspace["cfg"])
+        pipe = cli._load_pipeline(cfg, cli._load_vocab(cfg))
+        lines = in_path.read_text(encoding="utf-8").splitlines()
+        for r in rows:
+            alone = pipe.classify(lines[int(r["id"]) - 1])
+            assert r["labels"] == alone["labels"]
+            assert r["p_toxic"] == pytest.approx(alone["p_toxic"], rel=0, abs=1e-12)
+            assert (r["label_probs"] is None) == (alone["label_probs"] is None)
+            if alone["label_probs"] is not None:
+                assert r["label_probs"] == pytest.approx(alone["label_probs"],
+                                                         rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("max_len", [2, 20])
     def test_seq_len_must_match_tagger(self, workspace, capsys, max_len):
@@ -427,8 +439,12 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
 
     def test_bad_config_value(self, capsys):
-        assert cli.main(["--set", "train.epochs=soon", "stats"]) == 2
-        assert "config error" in capsys.readouterr().err
+        for setting in ["train.epochs=soon", "thresholds.binary=nan",
+                        "train.learning_rate=nan", "train.l2_lambda=inf",
+                        "thresholds.label=-Infinity", "split.val=1e999"]:
+            assert cli.main(["--set", setting, "stats"]) == 2, setting
+            err = capsys.readouterr().err
+            assert "config error" in err and setting.split("=")[0] in err, err
 
     def test_pool_below_one(self, workspace, capsys):
         assert cli.main(workspace["base"] + ["--set", "multilabel.pool=0",
@@ -456,6 +472,9 @@ class TestExitCodes:
         ("multilabel.bilstm_units=0", "train-multilabel"),
         ("multilabel.conv_stack=0x3", "train-multilabel"),
         ("multilabel.conv_stack=8x-1", "train-multilabel"),
+        ("embedding.dim=-3", "train-binary"),
+        ("embedding.dim=0", "train-multilabel"),
+        ("train.l2_lambda=-1", "train-binary"),
     ])
     def test_model_sizes_below_one(self, workspace, tmp_path, capsys, setting, command):
         alt = tmp_path / "out"

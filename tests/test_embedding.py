@@ -56,6 +56,13 @@ class TestFileTable:
         with pytest.raises(DataError):
             E.load_table(path, vocab)
 
+    @pytest.mark.parametrize("header", ["0 0\n", "0 -2\n", "1 0\napple\n"])
+    def test_header_dim_below_one_rejected(self, tmp_path, vocab, header):
+        path = tmp_path / "emb.txt"
+        path.write_text(header)
+        with pytest.raises(DataError, match="below 1"):
+            E.load_table(path, vocab)
+
     def test_row_count_mismatch_rejected(self, tmp_path, vocab):
         path = tmp_path / "emb.txt"
         path.write_text("2 2\napple 0.1 0.2\n")

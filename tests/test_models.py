@@ -46,6 +46,9 @@ class TestConfigs:
             M.TrainingConfig(learning_rate=-1e-3).validate()
         with pytest.raises(ConfigError):
             M.TrainingConfig(epochs=0).validate()
+        M.TrainingConfig(l2_lambda=0.0).validate()  # no penalty is legal
+        with pytest.raises(ConfigError, match="l2_lambda"):
+            M.TrainingConfig(l2_lambda=-1.0).validate()
 
     def test_empty_conv_stack_rejected(self):
         with pytest.raises(ConfigError):
@@ -125,13 +128,6 @@ class TestForward:
         assert probs.shape == (6,)
         assert np.all((probs > 0.0) & (probs < 1.0))
 
-    def test_attention_weights_exposed(self):
-        model = _multilabel()
-        model.forward([_seq("fig gnu hay")])
-        assert model.last_alpha is not None
-        assert model.last_alpha.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.all(model.last_alpha >= 0.0)
-
     def test_binary_output_invariant_to_pad_width(self):
         model = _binary()
         a = model.forward([_seq("ash bat cod", max_len=8)])[0]
@@ -149,7 +145,7 @@ class TestForward:
         model = M.MultiLabelModel(cfg, random_table(len(VOCAB), 5, seed=0),
                                   seq_len=12, seed=0)
         probs = model.forward([_seq("ash bat cod dew elm")])[0]
-        assert probs.shape == (6,) and model.last_alpha is None
+        assert probs.shape == (6,)
 
     def test_construction_rejects_impossible_length(self):
         with pytest.raises(ConfigError):
@@ -667,16 +663,6 @@ class TestRoute:
     def test_gate_below_threshold(self):
         assert M.route(0.49, [0.9] * 6) == ["Non-toxic"]
 
-    def test_gate_never_consults_stage_two(self):
-        called = []
-
-        def stage2():
-            called.append(True)
-            return [0.9] * 6
-
-        assert M.route(0.2, stage2) == ["Non-toxic"]
-        assert called == []
-
     def test_boundary_probability_goes_to_stage_two(self):
         assert M.route(0.5, [0.9, 0.1, 0.1, 0.1, 0.1, 0.1]) == ["vulgar"]
 
@@ -1081,3 +1067,70 @@ class TestPipeline:
         plain = pipe.classify("ash bat cod")
         noisy = pipe.classify("ash, bat... cod!!! https://spam.example")
         assert noisy["p_toxic"] == pytest.approx(plain["p_toxic"], abs=1e-12)
+
+    def _mixed_texts(self):
+        """More than ``PREDICT_CHUNK`` texts of 0 to 16 words (some past
+        max_len 12), blank ones included."""
+        r = np.random.default_rng(5)
+        texts = [" ".join(r.choice(WORDS, size=int(n)))
+                 for n in r.integers(0, 17, size=M.PREDICT_CHUNK + 9)]
+        return texts + ["", "   "]
+
+    def _half_passing(self, texts):
+        """An untrained pipeline whose gate passes about half of ``texts``."""
+        pipe = self._pipeline()
+        pipe.tau_binary = float(np.median(M.predict(
+            pipe.binary, [_seq(t) for t in texts])))
+        return pipe
+
+    def test_classify_many_matches_classify(self):
+        texts = self._mixed_texts()
+        pipe = self._half_passing(texts)
+        got = pipe.classify_many(texts)
+        want = [pipe.classify(t) for t in texts]
+        assert len(got) == len(texts)
+        assert any(w["label_probs"] is None for w in want)
+        assert any(w["label_probs"] is not None for w in want)
+        for g, w in zip(got, want):
+            assert g["labels"] == w["labels"]
+            assert g["p_toxic"] == pytest.approx(w["p_toxic"], rel=0, abs=1e-12)
+            if w["label_probs"] is None:
+                assert g["label_probs"] is None
+            else:
+                assert g["label_probs"] == pytest.approx(w["label_probs"],
+                                                         rel=0, abs=1e-12)
+
+    def test_tagger_sees_exactly_the_passed_documents(self, monkeypatch):
+        texts = self._mixed_texts()
+        pipe = self._half_passing(texts)
+        calls = []
+        real_predict = M.predict
+
+        def counting_predict(model, seqs):
+            calls.append((model, list(seqs)))
+            return real_predict(model, calls[-1][1])
+
+        monkeypatch.setattr(M, "predict", counting_predict)
+        results = pipe.classify_many(texts)
+        assert [model for model, _ in calls] == [pipe.binary, pipe.multilabel]
+        gate_seqs, tagger_seqs = calls[0][1], calls[1][1]
+        assert len(gate_seqs) == len(texts)
+        passed = [seq for seq, r in zip(gate_seqs, results)
+                  if r["p_toxic"] >= pipe.tau_binary]
+        assert 0 < len(passed) < len(texts)
+        assert [s.input_ids.tolist() for s in tagger_seqs] == \
+            [s.input_ids.tolist() for s in passed]
+        assert [r["label_probs"] is not None for r in results] == \
+            [r["p_toxic"] >= pipe.tau_binary for r in results]
+
+    def test_gate_probability_at_threshold_is_tagged(self):
+        pipe = self._pipeline()
+        pipe.tau_binary = pipe.classify("ash bat cod")["p_toxic"]
+        out = pipe.classify_many(["ash bat cod"])[0]
+        assert out["p_toxic"] == pipe.tau_binary
+        assert out["label_probs"] is not None and "Non-toxic" not in out["labels"]
+        pipe.tau_binary = np.nextafter(pipe.tau_binary, 1.0)
+        assert pipe.classify_many(["ash bat cod"])[0]["labels"] == ["Non-toxic"]
+
+    def test_classify_many_of_nothing(self):
+        assert self._pipeline().classify_many([]) == []
