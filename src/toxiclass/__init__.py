@@ -12,6 +12,7 @@ from .corpus import (
     TokenSequence,
     Vocabulary,
     build_vocab,
+    encode,
     ingest,
     preprocess,
     stats,

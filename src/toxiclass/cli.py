@@ -125,10 +125,6 @@ def _embedding_table(cfg: RunConfig, vocab: C.Vocabulary) -> EmbeddingTable:
                         seed=cfg["seed"], trainable=cfg["embedding.trainable"])
 
 
-def _sequences(docs, vocab, max_len):
-    return [C.tokenize(d.text, vocab, max_len) for d in docs]
-
-
 def _checkpoint_path(cfg: RunConfig, kind: str) -> Path:
     return cfg.output_dir() / f"{kind}.ckpt"
 
@@ -185,19 +181,14 @@ def _train_stage(cfg: RunConfig, kind: str) -> int:
         members = _fold_documents(cfg, docs, fold)
         if kind == "multilabel":
             members = [d for d in members if d.toxic]
-        pairs = []
+        ids = C.encode([d.text for d in members], vocab, max_len)
         for d in members:
-            seq = C.tokenize(d.text, vocab, max_len)
-            if kind == "binary":
-                if d.toxic is None:
-                    raise DataError(f"document {d.id} has no toxic flag")
-                target = np.array([1.0 if d.toxic else 0.0])
-            else:
-                if d.labels is None:
-                    raise DataError(f"document {d.id} has no label vector")
-                target = np.asarray(d.labels, dtype=np.float64)
-            pairs.append((seq, target))
-        folds[fold] = pairs
+            if kind == "binary" and d.toxic is None:
+                raise DataError(f"document {d.id} has no toxic flag")
+            if kind == "multilabel" and d.labels is None:
+                raise DataError(f"document {d.id} has no label vector")
+        targets = [[float(d.toxic)] if kind == "binary" else d.labels for d in members]
+        folds[fold] = (ids, np.array(targets, dtype=np.float64))
 
     if kind == "binary":
         model = M.BinaryModel(cfg.binary_model_config(), table, seed=cfg["seed"])
@@ -253,8 +244,8 @@ def _evaluate_binary(cfg: RunConfig, docs, vocab) -> int:
     members = _fold_documents(cfg, docs, "test")
     if any(d.toxic is None for d in members):
         raise DataError("test fold has documents without gold toxic flags")
-    seqs = _sequences(members, vocab, cfg["tokenize.max_len"])
-    scores = M.predict(trained.model, seqs)[:, 0]
+    ids = C.encode([d.text for d in members], vocab, cfg["tokenize.max_len"])
+    scores = M.predict(trained.model, ids)[:, 0]
     gold = np.array([1 if d.toxic else 0 for d in members])
     pred = (scores >= cfg["thresholds.binary"]).astype(int)
     conf = MT.confusion(pred, gold)
@@ -289,8 +280,8 @@ def _evaluate_multilabel(cfg: RunConfig, docs, vocab) -> int:
         raise DataError("test fold has no toxic documents to tag")
     if any(d.labels is None for d in members):
         raise DataError("test fold has toxic documents without gold labels")
-    seqs = _sequences(members, vocab, cfg["tokenize.max_len"])
-    scores = M.predict(trained.model, seqs)
+    ids = C.encode([d.text for d in members], vocab, cfg["tokenize.max_len"])
+    scores = M.predict(trained.model, ids)
     gold = np.array([d.labels for d in members])
     pred = (scores >= cfg["thresholds.label"]).astype(int)
     report = MT.multilabel_report(pred, gold)
@@ -370,7 +361,7 @@ def cmd_explain(cfg: RunConfig, args) -> int:
     model = _load_checkpoint(cfg, vocab, args.stage).model
 
     def predict(texts: list[str]) -> np.ndarray:
-        return M.predict(model, [C.tokenize(t, vocab, max_len) for t in texts])
+        return M.predict(model, C.encode(texts, vocab, max_len))
 
     explanation = X.explain_instance(
         predict, text, class_index, n=n, k=k,

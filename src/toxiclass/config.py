@@ -46,6 +46,13 @@ def _parse_int(text: str) -> int:
     return int(text.strip())
 
 
+def _parse_nonnegative_int(text: str) -> int:
+    value = _parse_int(text)
+    if value < 0:
+        raise ValueError("must be >= 0")
+    return value
+
+
 def _parse_float(text: str) -> float:
     value = float(text.strip())
     if not math.isfinite(value):
@@ -125,7 +132,7 @@ SCHEMA = {
     "explain.features.binary": (6, _parse_int),
     "explain.features.multilabel": (10, _parse_int),
     "output.dir": ("out", _parse_str),
-    "seed": (0, _parse_int),
+    "seed": (0, _parse_nonnegative_int),
 }
 
 

@@ -216,31 +216,38 @@ def build_vocab(corpus, max_size: int = 50_000, min_freq: int = 1) -> Vocabulary
 
 @dataclass
 class TokenSequence:
-    """Fixed-length id sequence with a presence mask."""
+    """Fixed-length id sequence: the text's ids, then ``PAD_ID``."""
 
     input_ids: np.ndarray
-    mask: np.ndarray
     true_length: int
 
     def __post_init__(self):
         self.input_ids = np.asarray(self.input_ids, dtype=np.int64)
-        self.mask = np.asarray(self.mask, dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self.input_ids)
 
 
 def tokenize(text: str, vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN) -> TokenSequence:
-    """Whitespace tokenization with head truncation and zero padding."""
+    """Whitespace tokenization with head truncation and ``PAD_ID`` padding."""
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
     tokens = text.split()[:max_len]
     ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    mask = np.zeros(max_len, dtype=np.float64)
     for i, tok in enumerate(tokens):
         ids[i] = UNK_ID if tok == PAD_TOKEN else vocab.get(tok)
-        mask[i] = 1.0
-    return TokenSequence(ids, mask, len(tokens))
+    return TokenSequence(ids, len(tokens))
+
+
+def encode(texts, vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN) -> np.ndarray:
+    """The (n, max_len) int64 batch of the n ``texts``: row i is
+    ``tokenize(texts[i], vocab, max_len).input_ids``."""
+    if max_len < 1:
+        raise ConfigError(f"max_len must be >= 1, got {max_len}")
+    ids = np.empty((len(texts), max_len), dtype=np.int64)
+    for row, text in zip(ids, texts):
+        row[:] = tokenize(text, vocab, max_len).input_ids
+    return ids
 
 
 @dataclass(frozen=True)
@@ -261,6 +268,9 @@ class FormatSpec:
     def __post_init__(self):
         if self.kind not in ("csv", "jsonl"):
             raise ConfigError(f"unknown dataset format {self.kind!r}")
+        if len(self.delimiter) != 1:
+            raise ConfigError(
+                f"data.delimiter must be one character, got {self.delimiter!r}")
         if self.toxic_field is None and self.label_fields is None:
             raise ConfigError("format needs a toxic column or six label columns")
         if self.label_fields is not None and len(self.label_fields) != NUM_LABELS:

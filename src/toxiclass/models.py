@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .corpus import LABELS, NUM_LABELS, PAD_ID, PreprocessConfig, Vocabulary, preprocess, tokenize
+from .corpus import LABELS, NUM_LABELS, PAD_ID, PreprocessConfig, Vocabulary, encode, preprocess
 from .embedding import EmbeddingTable
 from .errors import ConfigError, CheckpointError, DataError, NumericError
 from .neural import (
@@ -120,36 +120,31 @@ class TrainingConfig:
             raise ConfigError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
 
 
-def _real_length(mask: np.ndarray) -> np.ndarray:
-    """Per row of ``mask``: the slots up to and including its last real one."""
-    valid = np.asarray(mask) > 0.5
+def _real_length(ids: np.ndarray) -> np.ndarray:
+    """Per row of ``ids``: the slots up to and including its last real one."""
+    valid = ids != PAD_ID
     return np.where(valid.any(axis=-1),
                     valid.shape[-1] - valid[..., ::-1].argmax(axis=-1), 0)
 
 
-def _stack(seqs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A batch's (B, L) ids and mask, and each row's ``_real_length``."""
-    mask = np.stack([s.mask for s in seqs])
-    return np.stack([s.input_ids for s in seqs]), mask, _real_length(mask)
-
-
 class EmbeddingLayer(Layer):
-    """Lookup with masking; PAD row pinned to zero and never updated."""
+    """Row lookup. The PAD row is zero, so PAD slots read zeros: the table
+    pins it, its gradient is zeroed, it carries no decay, and ``load_model``
+    refuses a checkpoint where it is not zero."""
 
     def __init__(self, table: EmbeddingTable):
         self.table = table
         self.param = Param("table", table.matrix)
 
-    def forward(self, ids: np.ndarray, mask: np.ndarray,
-                train: bool = True) -> np.ndarray:
-        self._keep(train, ids, mask)
-        return self.param.value[ids] * mask[..., None]
+    def forward(self, ids: np.ndarray, train: bool = True) -> np.ndarray:
+        self._keep(train, ids)
+        return self.param.value[ids]
 
     def backward(self, dx: np.ndarray) -> None:
-        ids, mask = self._take()
+        (ids,) = self._take()
         if not self.table.trainable:
             return
-        np.add.at(self.param.grad, ids, dx * mask[..., None])
+        np.add.at(self.param.grad, ids, dx)
         self.param.grad[PAD_ID, :] = 0.0
 
 
@@ -158,11 +153,11 @@ class Model(Cached):
     their tensors that each subclass writes. Checkpoints, Adam and the L2
     penalty all take its order.
 
-    ``forward(seqs, train, rng)`` maps a list of B equal-length
-    ``TokenSequence`` to (B, output_dim) probabilities; ``backward`` takes
-    their (B, output_dim) gradient. The model hands ``train`` to every layer:
-    a forward with ``train=False`` (the default) keeps nothing for backward,
-    and a backward after it raises RuntimeError.
+    ``forward(ids, train, rng)`` maps a (B, L) int64 id array, each row's
+    ids followed by ``PAD_ID``, to (B, output_dim) probabilities;
+    ``backward`` takes their (B, output_dim) gradient. The model hands
+    ``train`` to every layer: a forward with ``train=False`` (the default)
+    keeps nothing for backward, and a backward after it raises RuntimeError.
     """
 
     def params(self) -> list[Param]:
@@ -201,17 +196,16 @@ class BinaryModel(Model):
         self.out = Dense(dims[-1], 1, rng)
         self.out_act = SigmoidLayer()
 
-    def forward(self, seqs, train: bool = False,
+    def forward(self, ids: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        ids, mask, reals = _stack(seqs)
         # The masked max ignores every slot after the last real one, so the
         # LSTM stops there.
-        real = max(int(reals.max()), 1)
-        ids, mask = ids[:, :real], mask[:, :real]
-        x = self.embedding.forward(ids, mask, train)
+        ids = ids[:, :max(int(_real_length(ids).max()), 1)]
+        mask = ids != PAD_ID
+        x = self.embedding.forward(ids, train)
         if self.input_pool is not None:
             x = self.input_pool.forward(x, mask, train)[:, None]
-            mask = np.ones((len(x), 1))
+            mask = None
         h = self.lstm.forward(x, mask, train=train)
         v = self.time_pool.forward(h, mask, train)
         v = self.dropout.forward(v, train, rng)
@@ -294,18 +288,17 @@ class MultiLabelModel(Model):
             field = field * config.pool + kernel - 1
         return config.pool ** len(config.conv_stack), field
 
-    def forward(self, seqs, train: bool = False,
+    def forward(self, ids: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        ids, mask, reals = _stack(seqs)
         length = ids.shape[1]
         # A document's stack output rows from ceil(its real length / stride)
         # on read padding alone and are all equal: the stack runs on the
         # input rows that give rows up to the batch's first such row, which
         # is then repeated. The BiLSTM and attention still see every slot;
         # the reversed LSTM walks the shared padding tail once per batch.
-        starts = -(-reals // self.stride)
+        starts = -(-_real_length(ids) // self.stride)
         cut = self.stride * int(starts.max()) + self.receptive_field
-        x = self.embedding.forward(ids[:, :cut], mask[:, :cut], train)
+        x = self.embedding.forward(ids[:, :cut], train)
         for conv, act, pool in self.blocks:
             x = pool.forward(act.forward(conv.forward(x, train), train), train)
         repeats = self.post_stack_length(self.config, length) - x.shape[1]
@@ -343,32 +336,29 @@ class MultiLabelModel(Model):
         return named + self.out.named_tensors("out")
 
 
-def predict(model: Model, seqs) -> np.ndarray:
-    """(n, output_dim) probabilities of ``seqs``, in their order.
+def predict(model: Model, ids: np.ndarray) -> np.ndarray:
+    """(n, output_dim) probabilities of the rows of the (n, L) id array
+    ``ids``, in their order.
 
     The documents go through eval forwards sorted by real length, so that
     each chunk's real prefix is close to its documents' own. A chunk holds
     up to ``PREDICT_CHUNK`` documents, and stops before their count times
-    its longest real length exceeds ``PREDICT_LONG_CHUNK`` x L slots, L the
-    sequences' padded length.
+    its longest real length exceeds ``PREDICT_LONG_CHUNK`` x L slots.
     """
-    seqs = list(seqs)
-    out = np.empty((len(seqs), model.output_dim))
-    if seqs:
-        masks = np.stack([s.mask for s in seqs])
-        reals = _real_length(masks)
-        order = np.argsort(reals, kind="stable")
-        budget = PREDICT_LONG_CHUNK * masks.shape[1]
-        counts = np.arange(1, PREDICT_CHUNK + 1)
-        lo = 0
-        while lo < len(seqs):
-            # a sorted chunk's last document is its longest, so the first k
-            # documents fit while k x the k-th one's real length does
-            sizes = reals[order[lo:lo + PREDICT_CHUNK]]
-            hi = lo + int(np.count_nonzero(counts[:len(sizes)] * sizes <= budget))
-            rows = order[lo:hi]
-            out[rows] = model.forward([seqs[i] for i in rows])
-            lo = hi
+    out = np.empty((len(ids), model.output_dim))
+    reals = _real_length(ids)
+    order = np.argsort(reals, kind="stable")
+    budget = PREDICT_LONG_CHUNK * ids.shape[1]
+    counts = np.arange(1, PREDICT_CHUNK + 1)
+    lo = 0
+    while lo < len(ids):
+        # a sorted chunk's last document is its longest, so the first k
+        # documents fit while k x the k-th one's real length does
+        sizes = reals[order[lo:lo + PREDICT_CHUNK]]
+        hi = lo + int(np.count_nonzero(counts[:len(sizes)] * sizes <= budget))
+        rows = order[lo:hi]
+        out[rows] = model.forward(ids[rows])
+        lo = hi
     return out
 
 
@@ -387,9 +377,10 @@ class TrainedModel:
         return self.model.kind
 
 
-def _add_batch_gradients(model: Model, batch, rng: np.random.Generator) -> float:
-    """Add the gradient of the mean loss over ``batch``, a list of
-    (TokenSequence, target vector), to the model's gradient buffers and
+def _add_batch_gradients(model: Model, ids: np.ndarray, targets: np.ndarray,
+                         rng: np.random.Generator) -> float:
+    """Add the gradient of the mean loss over the batch of (B, L) ``ids``
+    and (B, output_dim) ``targets`` to the model's gradient buffers and
     return the summed loss.
 
     The batch goes through the model in consecutive chunks of up to
@@ -397,11 +388,11 @@ def _add_batch_gradients(model: Model, batch, rng: np.random.Generator) -> float
     document's mask as one forward per document would.
     """
     total = 0.0
-    for lo in range(0, len(batch), TRAIN_CHUNK):
-        rows = batch[lo:lo + TRAIN_CHUNK]
-        p = model.forward([seq for seq, _ in rows], train=True, rng=rng)
-        loss, dp = bce_loss(p, np.stack([y for _, y in rows]))
-        model.backward(dp / len(batch))
+    for lo in range(0, len(ids), TRAIN_CHUNK):
+        rows = slice(lo, lo + TRAIN_CHUNK)
+        p = model.forward(ids[rows], train=True, rng=rng)
+        loss, dp = bce_loss(p, targets[rows])
+        model.backward(dp / len(ids))
         total += loss
     return total
 
@@ -410,11 +401,13 @@ def train(model, train_set, val_set, config: TrainingConfig,
           vocab_hash: str = "") -> TrainedModel:
     """Mini-batch Adam with seeded shuffling and best-validation checkpointing.
 
-    ``train_set`` and ``val_set`` are lists of (TokenSequence, target vector).
-    Deterministic given (seed, data, config): the shuffle and dropout draws
-    share one generator consumed in a fixed order.
+    ``train_set`` and ``val_set`` are each an (ids, targets) pair: an (n, L)
+    id array and its (n, output_dim) target array. Deterministic given
+    (seed, data, config): the shuffle and dropout draws share one generator
+    consumed in a fixed order.
     """
-    if not train_set or not val_set:
+    (train_ids, train_targets), (val_ids, val_targets) = train_set, val_set
+    if not len(train_ids) or not len(val_ids):
         raise DataError("training requires non-empty train and validation folds")
     config.validate()
     rng = np.random.default_rng(np.random.PCG64(config.seed))
@@ -422,9 +415,8 @@ def train(model, train_set, val_set, config: TrainingConfig,
     weights = model.decayed_params()
 
     def validation_loss() -> float:
-        total, _ = bce_loss(predict(model, [seq for seq, _ in val_set]),
-                            np.stack([y for _, y in val_set]))
-        return total / len(val_set) + l2_penalty((w.value for w in weights),
+        total, _ = bce_loss(predict(model, val_ids), val_targets)
+        return total / len(val_ids) + l2_penalty((w.value for w in weights),
                                                  config.l2_lambda)
 
     history: list[dict] = []
@@ -433,18 +425,18 @@ def train(model, train_set, val_set, config: TrainingConfig,
     best_epoch = -1
     bad_epochs = 0
     for epoch in range(config.epochs):
-        order = rng.permutation(len(train_set))
+        order = rng.permutation(len(train_ids))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             model.zero_grad()
-            batch_loss = _add_batch_gradients(model, [train_set[i] for i in batch],
-                                              rng)
+            batch_loss = _add_batch_gradients(model, train_ids[batch],
+                                              train_targets[batch], rng)
             add_l2_gradients(weights, config.l2_lambda)
             opt.step()
             penalty = l2_penalty((w.value for w in weights), config.l2_lambda)
             epoch_loss += batch_loss + penalty * len(batch)
-        train_loss = epoch_loss / len(train_set)
+        train_loss = epoch_loss / len(train_ids)
         val_loss = validation_loss()
         if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
             raise NumericError(f"non-finite loss at epoch {epoch}")
@@ -506,12 +498,11 @@ class TwoStagePipeline:
         order. The gate scores every text in one ``predict``; the tagger
         scores those that ``route`` does not call Non-toxic in a second, and
         the others get ``label_probs`` None."""
-        seqs = [tokenize(preprocess(text, self.preprocess_config), self.vocab,
-                         self.max_len) for text in texts]
-        p_toxic = predict(self.binary, seqs)[:, 0].tolist()
+        ids = encode([preprocess(text, self.preprocess_config) for text in texts],
+                     self.vocab, self.max_len)
+        p_toxic = predict(self.binary, ids)[:, 0].tolist()
         passed = [i for i, p in enumerate(p_toxic) if not p < self.tau_binary]
-        tagged = dict(zip(passed, predict(self.multilabel,
-                                          [seqs[i] for i in passed]).tolist()))
+        tagged = dict(zip(passed, predict(self.multilabel, ids[passed]).tolist()))
         return [{"labels": route(p, tagged.get(i), self.tau_binary, self.tau_label),
                  "p_toxic": p, "label_probs": tagged.get(i)}
                 for i, p in enumerate(p_toxic)]
@@ -683,6 +674,9 @@ def _decode_checkpoint(body: memoryview, path, expect_kind: str | None) -> Train
         if _non_finite(param.value):
             raise CheckpointError(
                 f"checkpoint {path}: tensor {name} holds a non-finite value")
+    if table.matrix[PAD_ID].any():
+        raise CheckpointError(
+            f"checkpoint {path}: tensor embedding.table has a nonzero PAD row")
 
     train_config = None
     if header["train_config"]:

@@ -1,7 +1,8 @@
 """Layers with hand-derived backward passes.
 
-Every layer takes a leading batch axis: sequences are ``(B, L, D)`` with
-``(B, L)`` masks and vectors are ``(B, D)``; one document is a batch of one.
+Every layer takes a leading batch axis: sequences are ``(B, L, D)`` and
+vectors are ``(B, D)``; one document is a batch of one. ``LSTM`` and
+``MaxOverTime`` also take a ``(B, L)`` mask of the real slots.
 A forward with ``train=True`` (the default, except for ``Dropout``) keeps
 what its backward pass reads; one with ``train=False`` keeps nothing, and a
 backward after it raises. The intended call pattern is one training forward
@@ -499,8 +500,8 @@ class BiLSTM(Layer):
     state, so its states there depend only on how many tail steps it has
     read: it walks ``p`` once, at batch 1, for the longest tail, each row's
     tail takes its states from that chain, and each row's own slots start
-    from the chain's state for its tail length. Tail slots must be real
-    under ``mask``. Without ``starts`` no slot is a tail.
+    from the chain's state for its tail length. Without ``starts`` no slot
+    is a tail. Every slot is read: the BiLSTM takes no mask.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
@@ -508,11 +509,11 @@ class BiLSTM(Layer):
         self.fwd = LSTM(input_dim, hidden_dim, rng)
         self.bwd = LSTM(input_dim, hidden_dim, rng)
 
-    def forward(self, x: np.ndarray, mask: np.ndarray | None = None,
-                starts: np.ndarray | None = None, train: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, starts: np.ndarray | None = None,
+                train: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         batch, length, dim = x.shape
-        h_f = self.fwd.forward(x, mask, train=train)
+        h_f = self.fwd.forward(x, train=train)
         starts = np.minimum(length if starts is None else starts, length)
         starts = np.broadcast_to(starts, (batch,))
         tails = length - starts
@@ -530,8 +531,6 @@ class BiLSTM(Layer):
         own = int(starts.max())
         # row i's own slots, reversed: position r holds slot own - 1 - r
         real = np.arange(own)[::-1] < starts[:, None]
-        if mask is not None:
-            real &= _valid(mask, (batch, length))[:, :own][:, ::-1]
         h_own = self.bwd.forward(x[:, :own][:, ::-1], real,
                                  state_h[tails], state_c[tails], train=train)
         h_b = np.empty((batch, length, self.hidden_dim))
@@ -563,25 +562,19 @@ class BiLSTM(Layer):
 class Attention(Layer):
     """Scalar-score attention over hidden states.
 
-    Scores s_t = w . H_t + b; weights are the masked softmax of s (masked
-    positions effectively score -inf); the context vector is the
-    weight-convex combination of the rows of H.
+    Scores s_t = w . H_t + b over every slot; weights are the softmax of s;
+    the context vector is the weight-convex combination of the rows of H.
     """
 
     def __init__(self, dim: int, rng: np.random.Generator):
         self.w = Param("w", glorot(rng, (1, dim)).reshape(dim), decay=True)
         self.b = Param("b", np.zeros(1))
 
-    def forward(self, h: np.ndarray, mask: np.ndarray | None = None,
-                train: bool = True):
+    def forward(self, h: np.ndarray, train: bool = True):
         """(B, L, d) states -> (B, L) weights and (B, d) context vectors."""
         h = np.asarray(h, dtype=np.float64)
-        valid = _valid(mask, h.shape[:2])
-        if not valid.any(axis=1).all():
-            raise ValueError("attention over a fully masked sequence")
         scores = h @ self.w.value + self.b.value[0]
-        top = np.where(valid, scores, -np.inf).max(axis=1, keepdims=True)
-        ex = np.exp(np.where(valid, scores - top, -np.inf))  # exp(-inf) = 0 when masked
+        ex = np.exp(scores - scores.max(axis=1, keepdims=True))
         alpha = ex / ex.sum(axis=1, keepdims=True)
         z = (alpha[:, None, :] @ h)[:, 0]
         self._keep(train, h, alpha)
@@ -591,7 +584,7 @@ class Attention(Layer):
         h, alpha = self._take()
         dz = np.asarray(dz, dtype=np.float64)
         da = (h @ dz[:, :, None])[:, :, 0]
-        # softmax backward; masked slots have alpha = 0
+        # softmax backward
         ds = alpha * (da - (alpha * da).sum(axis=1, keepdims=True))
         self.w.grad += ds.reshape(-1) @ h.reshape(-1, h.shape[2])
         self.b.grad += ds.sum()

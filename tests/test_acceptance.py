@@ -20,13 +20,12 @@ from toxiclass.corpus import (
     LABELS,
     Document,
     SplitSpec,
-    TokenSequence,
     build_vocab,
+    encode,
     ingest,
     FormatSpec,
     stats,
     stratified_split,
-    tokenize,
 )
 from toxiclass.embedding import random_table
 from toxiclass.neural import Attention, BiLSTM, Conv1D, Dense, LSTM, MaxPool1D, Param
@@ -82,8 +81,7 @@ def test_criterion_01_gradient_suite():
 
     bilstm = BiLSTM(3, 4, rng)
     worst_smooth = max(worst_smooth,
-                       _layer_check(bilstm, rng.standard_normal((1, 6, 3)), rng,
-                                    with_mask=True))
+                       _layer_check(bilstm, rng.standard_normal((1, 6, 3)), rng))
 
     # attention: FD on the score weight and the input; the score bias shifts
     # every logit equally, so softmax cancels it and its gradient is exactly 0
@@ -127,17 +125,16 @@ def test_criterion_01_gradient_suite():
     table = random_table(30, 8, seed=seed, trainable=True)
     model = M.MultiLabelModel(cfg, table, seq_len=20, seed=seed)
     r2 = np.random.default_rng(seed + 1000)
-    seq = TokenSequence(input_ids=r2.integers(2, 30, 20), mask=np.ones(20),
-                        true_length=20)
+    ids = r2.integers(2, 30, (1, 20))
     y6 = r2.integers(0, 2, 6).astype(np.float64)
     weights = model.decayed_params()
 
     def composed_loss():
-        return bce_loss(model.forward([seq])[0], y6)[0] \
+        return bce_loss(model.forward(ids)[0], y6)[0] \
             + l2_penalty((w.value for w in weights), lam)
 
     model.zero_grad()
-    _, dp = bce_loss(model.forward([seq], train=True)[0], y6)
+    _, dp = bce_loss(model.forward(ids, train=True)[0], y6)
     model.backward(dp[None])
     add_l2_gradients(weights, lam)
     named = [(n, p) for n, p in model.named_tensors() if n != "attention.b"]
@@ -167,7 +164,7 @@ def test_criterion_02_analytic_fixed_points():
     bilstm = BiLSTM(4, 3, rng)
     for p in bilstm.params():
         p.value[...] = 0.0
-    hb = bilstm.forward(rng.standard_normal((1, 7, 4)), np.ones((1, 7)))[0]
+    hb = bilstm.forward(rng.standard_normal((1, 7, 4)))[0]
     assert hb.shape == (7, 6) and np.all(hb == 0.0)
 
     att = Attention(5, rng)
@@ -179,19 +176,19 @@ def test_criterion_02_analytic_fixed_points():
     assert np.allclose(z, H.mean(axis=0), atol=1e-15)
 
     vocab = build_vocab(["aa bb cc dd ee ff gg hh"])
-    seq = tokenize("aa bb cc dd ee ff gg hh", vocab, 20)
+    ids = encode(["aa bb cc dd ee ff gg hh"], vocab, 20)
     binary = M.BinaryModel(desk_binary_config(),
                            random_table(len(vocab), 6, seed=0), seed=0)
     for _, p in binary.named_tensors():
         p.value[...] = 0.0
-    assert binary.forward([seq])[0, 0] == 0.5
+    assert binary.forward(ids)[0, 0] == 0.5
 
     multi = M.MultiLabelModel(desk_multilabel_config(),
                               random_table(len(vocab), 6, seed=0),
                               seq_len=20, seed=0)
     for _, p in multi.named_tensors():
         p.value[...] = 0.0
-    assert np.all(multi.forward([seq]) == 0.5)
+    assert np.all(multi.forward(ids) == 0.5)
 
     ln2_err = abs(bce_loss(np.array([0.5]), np.array([1.0]))[0] - math.log(2.0))
     assert ln2_err < 1e-12
@@ -338,7 +335,8 @@ def test_criterion_05_overfit_smoke():
         corpus.append((" ".join(words), y))
 
     vocab = build_vocab(text for text, _ in corpus)
-    data = [(tokenize(text, vocab, 12), y) for text, y in corpus]
+    data = (encode([text for text, _ in corpus], vocab, 12),
+            np.stack([y for _, y in corpus]))
     table = random_table(len(vocab), dim=24, seed=0, trainable=True)
     model = M.MultiLabelModel(
         M.MultiLabelModelConfig(conv_stack=((32, 3),), pool=2, bilstm_units=12),
@@ -346,8 +344,8 @@ def test_criterion_05_overfit_smoke():
     trained = M.train(model, data, data,
                       M.TrainingConfig(batch_size=4, learning_rate=1e-3,
                                        epochs=200, seed=0, patience=200))
-    pred = (M.predict(model, [s for s, _ in data]) >= 0.5).astype(int)
-    gold = np.stack([y for _, y in data]).astype(int)
+    pred = (M.predict(model, data[0]) >= 0.5).astype(int)
+    gold = data[1].astype(int)
     subset = float((pred == gold).all(axis=1).mean())
     elapsed = time.monotonic() - t0
     assert len(trained.history) <= 200

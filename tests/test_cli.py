@@ -439,10 +439,14 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
 
     def test_bad_config_value(self, capsys):
+        # the dataset is never read: each value fails before it would be;
+        # a tab delimiter is stripped to nothing like surrounding space
         for setting in ["train.epochs=soon", "thresholds.binary=nan",
                         "train.learning_rate=nan", "train.l2_lambda=inf",
-                        "thresholds.label=-Infinity", "split.val=1e999"]:
-            assert cli.main(["--set", setting, "stats"]) == 2, setting
+                        "thresholds.label=-Infinity", "split.val=1e999", "seed=-1",
+                        "data.delimiter=;;", "data.delimiter=", "data.delimiter=\t"]:
+            assert cli.main(["--set", "data.path=unread.csv", "--set", setting,
+                             "stats"]) == 2, setting
             err = capsys.readouterr().err
             assert "config error" in err and setting.split("=")[0] in err, err
 
@@ -499,6 +503,19 @@ class TestExitCodes:
         assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}",
                                              "evaluate", "--stage", kind]) == 3
         assert "malformed header" in capsys.readouterr().err
+
+    def test_nonzero_pad_row(self, workspace, tmp_path, capsys, write_checkpoint):
+        from toxiclass import models as M
+        alt = tmp_path / "out"
+        shutil.copytree(workspace["out"], alt)
+        trained = M.load_model(alt / "binary.ckpt")
+        trained.model.embedding.param.value[0, 0] = 1.0
+        write_checkpoint(trained, alt / "binary.ckpt")
+        lines = tmp_path / "input.txt"
+        lines.write_text("vix vox\n", encoding="utf-8")
+        assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}", "classify",
+                                             "--input", str(lines)]) == 3
+        assert "tensor embedding.table has a nonzero PAD row" in capsys.readouterr().err
 
     def test_vocabulary_not_utf8(self, workspace, tmp_path, capsys):
         alt = tmp_path / "out"

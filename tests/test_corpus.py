@@ -94,6 +94,8 @@ class TestArbitraryText:
             C.tokenize(C.preprocess(text, cfg), vocab, max_len)
         with contextlib.suppress(ToxiclassError):
             C.tokenize(text, vocab, max_len)
+        with contextlib.suppress(ToxiclassError):
+            C.encode([text], vocab, max_len)
 
 
 class TestPreprocessCharFilter:
@@ -225,7 +227,6 @@ class TestTokenize:
         # ranked: dog (freq 2), then bird/cat alphabetically
         seq = C.tokenize("dog cat", vocab, max_len=5)
         assert seq.input_ids.tolist() == [2, 4, 0, 0, 0]
-        assert seq.mask.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
         assert seq.true_length == 2
 
     def test_head_truncation(self, vocab):
@@ -241,11 +242,10 @@ class TestTokenize:
         seq = C.tokenize("<pad> dog <unk>", vocab, max_len=4)
         assert seq.input_ids.tolist() == [C.UNK_ID, vocab.get("dog"), C.UNK_ID,
                                           C.PAD_ID]
-        assert seq.mask.tolist() == [1.0, 1.0, 1.0, 0.0]
 
     def test_empty_text(self, vocab):
         seq = C.tokenize("", vocab, max_len=3)
-        assert seq.true_length == 0 and seq.mask.sum() == 0
+        assert seq.true_length == 0 and seq.input_ids.tolist() == [C.PAD_ID] * 3
 
     def test_bad_max_len(self, vocab):
         with pytest.raises(ConfigError):
@@ -258,9 +258,30 @@ class TestTokenize:
         seq = C.tokenize(" ".join(tokens), vocab, max_len=8)
         n = min(len(tokens), 8)
         assert seq.true_length == n
-        assert seq.mask[:n].tolist() == [1.0] * n
-        assert seq.mask[n:].sum() == 0
+        assert (seq.input_ids[:n] != C.PAD_ID).all()
         assert (seq.input_ids[n:] == C.PAD_ID).all()
+
+
+class TestEncode:
+    @pytest.fixture
+    def vocab(self):
+        return C.build_vocab(["dog cat dog bird"])
+
+    def test_rows_are_tokenize_rows(self, vocab):
+        texts = ["dog cat", "", "bird dog cat zebra dog cat", "<pad> cat"]
+        ids = C.encode(texts, vocab, max_len=4)
+        assert ids.shape == (4, 4) and ids.dtype == np.int64
+        for row, text in zip(ids, texts):
+            assert row.tolist() == C.tokenize(text, vocab, 4).input_ids.tolist()
+
+    def test_no_texts(self, vocab):
+        ids = C.encode([], vocab, max_len=7)
+        assert ids.shape == (0, 7) and ids.dtype == np.int64
+
+    @pytest.mark.parametrize("texts", [[], ["dog"]], ids=["empty", "one"])
+    def test_bad_max_len(self, vocab, texts):
+        with pytest.raises(ConfigError, match="max_len"):
+            C.encode(texts, vocab, max_len=0)
 
 
 class TestDocumentValidation:

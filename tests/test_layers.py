@@ -544,10 +544,16 @@ class TestLSTM:
         assert worst < 1e-6
 
 
-@pytest.mark.parametrize("layer_cls, reference", [(N.LSTM, ref_lstm),
-                                                   (N.BiLSTM, ref_bilstm)],
-                         ids=["lstm", "bilstm"])
-@pytest.mark.parametrize("mask", LSTM_MASKS.values(), ids=LSTM_MASKS.keys())
+# The LSTM under every mask; the BiLSTM takes none and reads every slot,
+# as the reference does under no mask or an all-ones one.
+STEP_LOOP_CASES = {f"{name}-lstm": (N.LSTM, ref_lstm, mask)
+                   for name, mask in LSTM_MASKS.items()}
+STEP_LOOP_CASES.update({f"{name}-bilstm": (N.BiLSTM, ref_bilstm, LSTM_MASKS[name])
+                        for name in ("none", "all_ones")})
+
+
+@pytest.mark.parametrize("layer_cls, reference, mask", STEP_LOOP_CASES.values(),
+                         ids=STEP_LOOP_CASES.keys())
 def test_lstm_matches_step_loop_reference(layer_cls, reference, mask):
     length = 5 if mask is None else len(mask)
     mask = None if mask is None else np.array(mask, dtype=np.float64)
@@ -556,7 +562,8 @@ def test_lstm_matches_step_loop_reference(layer_cls, reference, mask):
     width = 6 if layer_cls is N.BiLSTM else 3
     dout = rng(49).standard_normal((length, width))
     want_out, want_dx, want_grads = reference(layer, x, mask, dout)
-    out = layer.forward(x[None], None if mask is None else mask[None])[0]
+    masks = [] if mask is None or layer_cls is N.BiLSTM else [mask[None]]
+    out = layer.forward(x[None], *masks)[0]
     layer.zero_grad()
     dx = layer.backward(dout[None])[0]
     for got, want in zip([out, dx] + [p.grad for p in layer.params()],
@@ -578,9 +585,8 @@ RAGGED_CASES = {
     "maxpool": (lambda: N.MaxPool1D(2), (5, 7, 4), None),
     "max_over_time": (lambda: N.MaxOverTime(), (5, 7, 4), RAGGED_MASK),
     "lstm": (lambda: N.LSTM(4, 3, rng(60)), (5, 7, 4), RAGGED_MASK),
-    "bilstm": (lambda: N.BiLSTM(4, 3, rng(60)), (5, 7, 4), RAGGED_MASK),
-    # attention needs a real slot in every row
-    "attention": (lambda: N.Attention(4, rng(60)), (4, 7, 4), RAGGED_MASK[[0, 2, 3, 4]]),
+    "bilstm": (lambda: N.BiLSTM(4, 3, rng(60)), (5, 7, 4), None),
+    "attention": (lambda: N.Attention(4, rng(60)), (5, 7, 4), None),
     "leaky_relu": (lambda: N.LeakyReLULayer(0.1), (5, 7, 4), None),
     "sigmoid": (lambda: N.SigmoidLayer(), (5, 7, 4), None),
 }
@@ -796,9 +802,7 @@ class TestBiLSTM:
 
     def test_grad(self):
         b = N.BiLSTM(3, 2, rng(28))
-        mask = np.array([[1.0, 1.0, 1.0, 0.0]])
-        assert check_layer_grads(
-            b, rng(29).standard_normal((1, 4, 3)), mask=mask) < 1e-5
+        assert check_layer_grads(b, rng(29).standard_normal((1, 4, 3))) < 1e-5
 
 
 class TestAttention:
@@ -810,14 +814,6 @@ class TestAttention:
         assert alpha.sum() == pytest.approx(1.0)
         assert np.all(alpha > 0)
 
-    def test_masked_positions_get_zero_weight(self):
-        a = N.Attention(4, rng(32))
-        h = rng(33).standard_normal((1, 5, 4))
-        mask = np.array([[1.0, 1.0, 0.0, 1.0, 0.0]])
-        alpha, z = a.forward(h, mask)
-        assert alpha[0, 2] == 0.0 and alpha[0, 4] == 0.0
-        assert alpha.sum() == pytest.approx(1.0)
-
     def test_zero_weights_give_uniform_alpha_and_mean_context(self):
         a = N.Attention(4, rng(34))
         a.w.value[...] = 0.0
@@ -827,22 +823,16 @@ class TestAttention:
         assert np.allclose(alpha, 0.2)
         assert np.allclose(z, h.mean(axis=1))
 
-    def test_fully_masked_rejected(self):
-        a = N.Attention(3, rng(36))
-        with pytest.raises(ValueError):
-            a.forward(np.ones((1, 4, 3)), np.zeros((1, 4)))
-
     def test_grad(self):
         a = N.Attention(4, rng(37))
         h = rng(38).standard_normal((1, 6, 4))
-        mask = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 1.0]])
         dz = rng(39).standard_normal((1, 4))
-        a.forward(h, mask)
+        a.forward(h)
         a.zero_grad()
         dh = a.backward(dz)
 
         def loss():
-            _, z = a.forward(h, mask)
+            _, z = a.forward(h)
             return float(np.sum(z * dz))
 
         worst = N.grad_check(loss, [a.w.value, h], [a.w.grad, dh])

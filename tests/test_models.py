@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from conftest import desk_binary_config, desk_multilabel_config
 from toxiclass import models as M
-from toxiclass.corpus import LABELS, PAD_ID, TokenSequence, build_vocab, tokenize
+from toxiclass.corpus import LABELS, PAD_ID, build_vocab, encode
 from toxiclass.embedding import random_table
 from toxiclass.errors import CheckpointError, ConfigError, DataError, NumericError
 from toxiclass.neural import grad_check
@@ -18,8 +18,8 @@ WORDS = ["ash", "bat", "cod", "dew", "elm", "fig", "gnu", "hay", "ivy", "jay"]
 VOCAB = build_vocab([" ".join(WORDS)] * 3)
 
 
-def _seq(text, max_len=12):
-    return tokenize(text, VOCAB, max_len)
+def _ids(texts, max_len=12):
+    return encode(texts, VOCAB, max_len)
 
 
 def _binary(seed=0, dim=5, **kw):
@@ -116,27 +116,27 @@ class TestPostStackLength:
 class TestForward:
     def test_binary_output_is_probability(self):
         model = _binary()
-        p = model.forward([_seq("ash bat cod")])[0]
+        p = model.forward(_ids(["ash bat cod"]))[0]
         assert p.shape == (1,) and 0.0 < p[0] < 1.0
 
     def test_predict_binary_gives_one_probability(self):
-        p = M.predict(_binary(), [_seq("dew elm")])
+        p = M.predict(_binary(), _ids(["dew elm"]))
         assert p.shape == (1, 1) and 0.0 < p[0, 0] < 1.0
 
     def test_multilabel_output_six_probabilities(self):
-        probs = M.predict(_multilabel(), [_seq("ash bat cod dew")])[0]
+        probs = M.predict(_multilabel(), _ids(["ash bat cod dew"]))[0]
         assert probs.shape == (6,)
         assert np.all((probs > 0.0) & (probs < 1.0))
 
     def test_binary_output_invariant_to_pad_width(self):
         model = _binary()
-        a = model.forward([_seq("ash bat cod", max_len=8)])[0]
-        b = model.forward([_seq("ash bat cod", max_len=20)])[0]
+        a = model.forward(_ids(["ash bat cod"], max_len=8))[0]
+        b = model.forward(_ids(["ash bat cod"], max_len=20))[0]
         assert a[0] == pytest.approx(b[0], abs=1e-12)
 
     def test_pooled_input_variant_runs(self):
         model = _binary(pooled_input=True)
-        p = model.forward([_seq("ash bat")])[0]
+        p = model.forward(_ids(["ash bat"]))[0]
         assert 0.0 < p[0] < 1.0
 
     def test_max_over_time_variant_runs(self):
@@ -144,7 +144,7 @@ class TestForward:
                                       use_attention=False)
         model = M.MultiLabelModel(cfg, random_table(len(VOCAB), 5, seed=0),
                                   seq_len=12, seed=0)
-        probs = model.forward([_seq("ash bat cod dew elm")])[0]
+        probs = model.forward(_ids(["ash bat cod dew elm"]))[0]
         assert probs.shape == (6,)
 
     def test_construction_rejects_impossible_length(self):
@@ -156,9 +156,9 @@ class TestForward:
         """The tagger over 300 slots gives what running the conv stack over
         every slot gives, whatever share of the slots is padding."""
         model = _desk_tagger(300)
-        seq = _seq(" ".join(WORDS[i % len(WORDS)] for i in range(real)), 300)
-        got = model.forward([seq])[0]
-        want, _ = _untruncated(model, seq, np.zeros(6))
+        ids = _ids([" ".join(WORDS[i % len(WORDS)] for i in range(real))], 300)
+        got = model.forward(ids)[0]
+        want, _ = _untruncated(model, ids, np.zeros(6))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_paper_stack_window(self):
@@ -174,10 +174,10 @@ class TestForward:
         model = _desk_tagger(length)
         dp = np.random.default_rng(3).standard_normal(6)
         for real in range(length + 1):
-            seq = _seq(" ".join(WORDS[i % len(WORDS)] for i in range(real)), length)
-            want, want_grads = _untruncated(model, seq, dp)
+            ids = _ids([" ".join(WORDS[i % len(WORDS)] for i in range(real))], length)
+            want, want_grads = _untruncated(model, ids, dp)
             model.zero_grad()
-            got = model.forward([seq], train=True)
+            got = model.forward(ids, train=True)
             model.backward(dp[None])
             np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-12)
             for p, g in zip(model.params(), want_grads):
@@ -185,19 +185,22 @@ class TestForward:
 
     @pytest.mark.parametrize("length", [40, 41, 100])
     def test_ragged_tagger_batches_match_unshared_reference(self, length):
-        """Batches of every real length 0..L, and of gapped masks, in
+        """Batches of every real length 0..L, and of gapped rows, in
         shuffled chunks of ``PREDICT_CHUNK``: probabilities and summed
         parameter gradients match one unshared document at a time."""
         model = _desk_tagger(length)
         r = np.random.default_rng(4)
-        seqs = [_seq(" ".join(WORDS[i % len(WORDS)] for i in range(real)), length)
-                for real in r.permutation(length + 1)] + _ragged_batch(length)
-        dp = r.standard_normal((len(seqs), 6))
-        for lo in range(0, len(seqs), M.PREDICT_CHUNK):
-            rows = range(lo, min(lo + M.PREDICT_CHUNK, len(seqs)))
-            want = [_untruncated(model, seqs[i], dp[i]) for i in rows]
+        ids = np.concatenate([
+            _ids([" ".join(WORDS[i % len(WORDS)] for i in range(real))
+                  for real in r.permutation(length + 1)], length),
+            _ragged_batch(length)])
+        dp = r.standard_normal((len(ids), 6))
+        for lo in range(0, len(ids), M.PREDICT_CHUNK):
+            rows = slice(lo, lo + M.PREDICT_CHUNK)
+            want = [_untruncated(model, ids[i:i + 1], dp[i])
+                    for i in range(len(ids))[rows]]
             model.zero_grad()
-            got = model.forward([seqs[i] for i in rows], train=True)
+            got = model.forward(ids[rows], train=True)
             model.backward(dp[rows])
             np.testing.assert_allclose(got, [probs for probs, _ in want],
                                        rtol=0, atol=1e-12)
@@ -208,9 +211,9 @@ class TestForward:
     def test_tagger_cut_covers_real_prefix_plus_field(self):
         model = _desk_tagger(300)
         for real in (0, 1, 8, 9, 100, 274, 275):
-            seq = _seq(" ".join(WORDS[i % len(WORDS)] for i in range(real)), 300)
-            model.forward([seq], train=True)
-            ids, _ = model.embedding._cache
+            model.forward(_ids([" ".join(WORDS[i % len(WORDS)] for i in range(real))],
+                               300), train=True)
+            (ids,) = model.embedding._cache
             assert ids.shape[1] == min(300, 8 * -(-real // 8) + 19)
             assert ids.shape[1] <= real + 26
 
@@ -241,12 +244,12 @@ def _unshared_bilstm(bilstm, x):
     return out, backward
 
 
-def _untruncated(model, seq, dp):
-    """The tagger's probabilities for one sequence, and every parameter
+def _untruncated(model, ids, dp):
+    """The tagger's probabilities for one (1, L) id row, and every parameter
     gradient for the output gradient ``dp``, with the conv stack run over
     every slot and the BiLSTM unshared."""
     model.zero_grad()
-    x = model.embedding.forward(seq.input_ids[None], seq.mask[None])
+    x = model.embedding.forward(ids)
     for conv, act, pool in model.blocks:
         x = pool.forward(act.forward(conv.forward(x)))
     h, bilstm_backward = _unshared_bilstm(model.bilstm, x)
@@ -261,17 +264,12 @@ def _untruncated(model, seq, dp):
 
 
 def _ragged_batch(max_len=12):
-    """Sequences with empty, full-length, gapped and trailing-pad masks."""
+    """Five id rows: empty, full-length, gapped, trailing-pad and one real
+    slot after leading padding, with ``PAD_ID`` in every gap."""
     r = np.random.default_rng(7)
-    masks = [np.zeros(max_len), np.ones(max_len),
-             (np.arange(max_len) % 3 != 1).astype(float),
-             (np.arange(max_len) < 5).astype(float),
-             (np.arange(max_len) == 6).astype(float)]
-    seqs = []
-    for mask in masks:
-        ids = np.where(mask > 0, r.integers(2, len(VOCAB), max_len), PAD_ID)
-        seqs.append(TokenSequence(ids, mask, int(mask.sum())))
-    return seqs
+    slot = np.arange(max_len)
+    real = np.array([slot < 0, slot >= 0, slot % 3 != 1, slot < 5, slot == 6])
+    return np.where(real, r.integers(2, len(VOCAB), real.shape), PAD_ID)
 
 
 @pytest.mark.parametrize("make", [_binary, lambda: _binary(pooled_input=True),
@@ -280,20 +278,21 @@ def _ragged_batch(max_len=12):
 class TestBatch:
     def test_batch_equals_per_document(self, make):
         model = make()
-        seqs = _ragged_batch()
-        got = model.forward(seqs)
-        for seq, row in zip(seqs, got):
-            np.testing.assert_allclose(row, model.forward([seq])[0], rtol=0, atol=1e-12)
+        ids = _ragged_batch()
+        got = model.forward(ids)
+        for doc, row in zip(ids, got):
+            np.testing.assert_allclose(row, model.forward(doc[None])[0], rtol=0, atol=1e-12)
 
     def test_predict_keeps_order_across_chunks(self, make):
         model = make()
-        seqs = _ragged_batch() * 8 + [_seq(" ".join(WORDS[:n])) for n in range(12)]
-        assert len(seqs) > M.PREDICT_CHUNK
-        got = M.predict(model, seqs)
-        assert got.shape == (len(seqs), model.output_dim)
-        for seq, row in zip(seqs, got):
-            np.testing.assert_allclose(row, model.forward([seq])[0], rtol=0, atol=1e-12)
-        assert M.predict(model, []).shape == (0, model.output_dim)
+        ids = np.concatenate([np.tile(_ragged_batch(), (8, 1)),
+                              _ids([" ".join(WORDS[:n]) for n in range(12)])])
+        assert len(ids) > M.PREDICT_CHUNK
+        got = M.predict(model, ids)
+        assert got.shape == (len(ids), model.output_dim)
+        for doc, row in zip(ids, got):
+            np.testing.assert_allclose(row, model.forward(doc[None])[0], rtol=0, atol=1e-12)
+        assert M.predict(model, _ids([])).shape == (0, model.output_dim)
 
     def test_grad(self, make):
         """Finite differences over every parameter for a ragged batch.
@@ -307,16 +306,21 @@ class TestBatch:
         for name, p in model.named_tensors():  # biases off the ReLU kinks
             if name.endswith(".b"):
                 p.value[...] = 0.5 * r.standard_normal(p.value.shape)
-        seqs = _ragged_batch()
-        dp = np.random.default_rng(8).standard_normal((len(seqs), model.output_dim))
+        ids = _ragged_batch()
+        dp = np.random.default_rng(8).standard_normal((len(ids), model.output_dim))
 
         def forward():  # the binary model's dropout draws the same masks
-            return model.forward(seqs, train=True, rng=np.random.default_rng(11))
+            return model.forward(ids, train=True, rng=np.random.default_rng(11))
 
         model.zero_grad()
         forward()
         model.backward(dp)
         named = [p for n, p in model.named_tensors() if n != "attention.b"]
+        # The PAD row is pinned to zero, so no check moves it: PAD slots
+        # read it, and its gradient is zeroed.
+        table = model.embedding.param
+        free = [(p.value[PAD_ID + 1:], p.grad[PAD_ID + 1:]) if p is table
+                else (p.value, p.grad) for p in named]
 
         def loss():
             return float(np.sum(forward() * dp))
@@ -324,6 +328,8 @@ class TestBatch:
         worst = 0.0
         for p in named:
             v = r.standard_normal(p.value.shape)
+            if p is table:
+                v[PAD_ID] = 0.0
             base = p.value.copy()
             step = np.zeros(1)
 
@@ -334,15 +340,15 @@ class TestBatch:
             worst = max(worst, grad_check(along, [step], [np.array([np.sum(p.grad * v)])]))
             p.value[...] = base
         assert worst < 1e-6
-        assert grad_check(loss, [p.value for p in named], [p.grad for p in named]) < 1e-4
+        assert grad_check(loss, [v for v, _ in free], [g for _, g in free]) < 1e-4
 
 
-def _mixed_seqs(n, seed=12):
+def _mixed_ids(n, seed=12):
     """n documents of real lengths 0..12 in random order, about a third of
     them full length, which the slot budget puts in chunks of 8."""
     r = np.random.default_rng(seed)
     reals = np.where(r.random(n) < 1 / 3, 12, r.integers(0, 13, n))
-    return [_seq(" ".join(r.choice(WORDS, size=k))) for k in reals]
+    return _ids([" ".join(r.choice(WORDS, size=k)) for k in reals])
 
 
 def _cached_parts(model):
@@ -365,10 +371,10 @@ class TestEvalForward:
     @pytest.mark.parametrize("size", [1, 31, 32, 33, 70])
     def test_predict_matches_per_document(self, make, size):
         model = make()
-        seqs = _mixed_seqs(size)
-        got = M.predict(model, seqs)
-        for seq, row in zip(seqs, got):
-            np.testing.assert_allclose(row, model.forward([seq])[0], rtol=0, atol=1e-12)
+        ids = _mixed_ids(size)
+        got = M.predict(model, ids)
+        for doc, row in zip(ids, got):
+            np.testing.assert_allclose(row, model.forward(doc[None])[0], rtol=0, atol=1e-12)
 
     def test_predict_chunk_sizes(self, make, monkeypatch):
         """Up to 32 documents a chunk, and at most 8 x 12 real slots."""
@@ -376,27 +382,27 @@ class TestEvalForward:
         sizes = []
         forward = model.forward
 
-        def spy(seqs, *args, **kwargs):
-            sizes.append((len(seqs), max(s.true_length for s in seqs)))
-            return forward(seqs, *args, **kwargs)
+        def spy(ids, *args, **kwargs):
+            sizes.append((len(ids), int((ids != PAD_ID).sum(axis=1).max())))
+            return forward(ids, *args, **kwargs)
 
         monkeypatch.setattr(model, "forward", spy)
         for real, want in [(3, [32, 32, 6]), (6, [16, 16, 16, 16, 6]),
                            (12, [8] * 8 + [6])]:
             sizes.clear()
-            M.predict(model, [_seq(" ".join((WORDS * 2)[:real]))] * 70)
+            M.predict(model, _ids([" ".join((WORDS * 2)[:real])] * 70))
             assert [n for n, _ in sizes] == want, real
         sizes.clear()
-        M.predict(model, _mixed_seqs(70))
+        M.predict(model, _mixed_ids(70))
         assert sum(n for n, _ in sizes) == 70
         assert all(n <= 32 and n * longest <= 8 * 12 for n, longest in sizes)
         assert sizes[0][0] > 8 and sizes[-1] == (6, 12)
 
     def test_predict_keeps_no_cache(self, make):
         model = make()
-        seqs = _mixed_seqs(40)
-        model.forward(seqs[:8], train=True, rng=np.random.default_rng(0))
-        M.predict(model, seqs)
+        ids = _mixed_ids(40)
+        model.forward(ids[:8], train=True, rng=np.random.default_rng(0))
+        M.predict(model, ids)
         parts = _cached_parts(model)
         assert len(parts) >= 7
         assert [type(p).__name__ for p in parts if p._cache is not None] == []
@@ -430,13 +436,13 @@ def test_predict_peak_memory_is_one_chunk(kind):
     r = np.random.default_rng(13)
     reals = r.integers(280, 301, 64)
     reals[0] = 300  # the 8-document chunk is as long as the longest
-    seqs = [_seq(" ".join(r.choice(WORDS, size=k)), 300) for k in reals]
-    M.predict(model, seqs[:1])
+    ids = _ids([" ".join(r.choice(WORDS, size=k)) for k in reals], 300)
+    M.predict(model, ids[:1])
     peaks = []
     for n in (8, 64):
         tracemalloc.start()
         try:
-            M.predict(model, seqs[:n])
+            M.predict(model, ids[:n])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -489,14 +495,14 @@ class TestParams:
 
     def test_pad_row_never_trains(self):
         model = _binary()
-        seq = _seq("ash bat")
-        data = [(seq, np.array([1.0]))]
+        ids = _ids(["ash bat"])
+        data = (ids, np.array([[1.0]]))
         M.train(model, data, data,
                 M.TrainingConfig(batch_size=1, learning_rate=0.05, epochs=3,
                                  patience=10))
         assert np.all(model.embedding.param.value[PAD_ID] == 0.0)
         # non-pad rows of used tokens did move
-        assert np.any(model.embedding.param.value[seq.input_ids[0]] != 0.0)
+        assert np.any(model.embedding.param.value[ids[0, 0]] != 0.0)
 
 
 def _toy_task(model_kind="binary", n=12, max_len=12):
@@ -511,9 +517,9 @@ def _toy_task(model_kind="binary", n=12, max_len=12):
             text = "ash bat cod dew" if i % 2 else "elm fig gnu hay"
             y = np.zeros(6)
             y[i % 6] = 1.0
-        data.append((_seq(text, max_len), y))
+        data.append((text, y))
     r.shuffle(data)
-    return data
+    return _ids([text for text, _ in data], max_len), np.stack([y for _, y in data])
 
 
 class TestTrain:
@@ -578,17 +584,18 @@ class TestTrain:
         assert trained.history[trained.best_epoch]["val_loss"] == best_val
         # recomputing validation loss on the restored weights matches the best
         from toxiclass.neural.losses import bce_loss, l2_penalty
-        total = sum(bce_loss(model.forward([s])[0], y)[0] for s, y in data)
-        val = total / len(data) + l2_penalty(
+        total = sum(bce_loss(model.forward(doc[None])[0], y)[0] for doc, y in zip(*data))
+        val = total / len(data[0]) + l2_penalty(
             (w.value for w in model.decayed_params()), trained.train_config.l2_lambda)
         assert val == pytest.approx(best_val, abs=1e-12)
 
     def test_empty_folds_rejected(self):
         data = _toy_task()
+        empty = (_ids([]), np.empty((0, 1)))
         with pytest.raises(DataError):
-            M.train(_binary(), [], data, M.TrainingConfig())
+            M.train(_binary(), empty, data, M.TrainingConfig())
         with pytest.raises(DataError):
-            M.train(_binary(), data, [], M.TrainingConfig())
+            M.train(_binary(), data, empty, M.TrainingConfig())
 
     def test_multilabel_trains(self):
         data = _toy_task("multilabel")
@@ -599,26 +606,25 @@ class TestTrain:
         assert trained.kind == "multilabel"
 
 
-def _per_document(model, batch, rng):
+def _per_document(model, ids, targets, rng):
     """The reference for ``M._add_batch_gradients``: one forward and one
     backward per document, in batch order."""
     total = 0.0
-    for seq, y in batch:
-        p = model.forward([seq], train=True, rng=rng)[0]
+    for doc, y in zip(ids, targets):
+        p = model.forward(doc[None], train=True, rng=rng)[0]
         loss, dp = bce_loss(p, y)
-        model.backward(dp[None] / len(batch))
+        model.backward(dp[None] / len(ids))
         total += loss
     return total
 
 
 def _ragged_training_set(kind, n):
     r = np.random.default_rng(5)
-    data = []
+    texts, targets = [], []
     for i in range(n):
-        seq = _seq(" ".join(r.choice(WORDS, size=1 + i % 11)))
-        y = r.integers(0, 2, size=1 if kind == "binary" else 6).astype(float)
-        data.append((seq, y))
-    return data
+        texts.append(" ".join(r.choice(WORDS, size=1 + i % 11)))
+        targets.append(r.integers(0, 2, size=1 if kind == "binary" else 6).astype(float))
+    return _ids(texts), np.array(targets)
 
 
 @pytest.mark.parametrize("kind, make", [
@@ -634,10 +640,10 @@ class TestBatchedTraining:
         got_rng = np.random.default_rng(9)
         want_rng = np.random.default_rng(9)
         model.zero_grad()
-        got_loss = M._add_batch_gradients(model, batch, got_rng)
+        got_loss = M._add_batch_gradients(model, *batch, got_rng)
         got = [p.grad.copy() for p in model.params()]
         model.zero_grad()
-        want_loss = _per_document(model, batch, want_rng)
+        want_loss = _per_document(model, *batch, want_rng)
         assert got_loss == pytest.approx(want_loss, rel=0, abs=1e-12)
         for (name, _), g, p in zip(model.named_tensors(), got, model.params()):
             np.testing.assert_allclose(g, p.grad, rtol=0, atol=1e-12, err_msg=name)
@@ -649,9 +655,10 @@ class TestBatchedTraining:
         data = _ragged_training_set(kind, 2 * M.TRAIN_CHUNK + 7)
         config = M.TrainingConfig(batch_size=M.TRAIN_CHUNK + 3, learning_rate=0.02,
                                   epochs=4, patience=50, seed=4)
-        got = M.train(make(), data, data[:9], config)
+        val = (data[0][:9], data[1][:9])
+        got = M.train(make(), data, val, config)
         monkeypatch.setattr(M, "_add_batch_gradients", _per_document)
-        want = M.train(make(), data, data[:9], config)
+        want = M.train(make(), data, val, config)
         assert len(got.history) == len(want.history) == 4
         for g, w in zip(got.history, want.history):
             assert g["train_loss"] == pytest.approx(w["train_loss"], rel=0, abs=1e-9)
@@ -706,9 +713,9 @@ class TestCheckpoint:
     def test_binary_round_trip(self, tmp_path):
         trained, path = self._trained_binary(tmp_path)
         loaded = M.load_model(path, expect_kind="binary")
-        seq = _seq("ash bat cod")
-        assert np.array_equal(M.predict(loaded.model, [seq]),
-                              M.predict(trained.model, [seq]))
+        ids = _ids(["ash bat cod"])
+        assert np.array_equal(M.predict(loaded.model, ids),
+                              M.predict(trained.model, ids))
         assert loaded.vocab_hash == trained.vocab_hash
         assert loaded.best_epoch == trained.best_epoch
         assert loaded.history == trained.history
@@ -724,9 +731,9 @@ class TestCheckpoint:
         path = tmp_path / "multi.ckpt"
         M.save_model(trained, path)
         loaded = M.load_model(path)
-        seq = _seq("ash bat cod dew")
-        assert np.array_equal(M.predict(loaded.model, [seq]),
-                              M.predict(trained.model, [seq]))
+        ids = _ids(["ash bat cod dew"])
+        assert np.array_equal(M.predict(loaded.model, ids),
+                              M.predict(trained.model, ids))
         assert loaded.vocab_hash == "abc123"
         assert loaded.model.seq_len == 12
 
@@ -785,6 +792,19 @@ class TestCheckpoint:
                            match="tensor lstm.w_h holds a non-finite value"):
             M.load_model(path)
 
+    def test_nonzero_pad_row_is_refused(self, tmp_path, write_checkpoint):
+        """PAD slots read the PAD row, which only a zero row keeps silent."""
+        model = _binary()
+        path = tmp_path / "binary.ckpt"
+        model.embedding.param.value[PAD_ID] = -0.0  # equal to zero: loads
+        write_checkpoint(M.TrainedModel(model=model, vocab_hash=""), path)
+        M.load_model(path)
+        model.embedding.param.value[PAD_ID, 1] = 0.25
+        write_checkpoint(M.TrainedModel(model=model, vocab_hash=""), path)
+        with pytest.raises(CheckpointError,
+                           match="tensor embedding.table has a nonzero PAD row"):
+            M.load_model(path)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_save_refuses_non_finite_tensor(self, tmp_path, value):
         model = _binary()
@@ -813,8 +833,8 @@ class TestCheckpoint:
         """Forwards at batch 1 and batch 8 (both recurrent-weight layouts)
         leave every tensor's bits as they were."""
         trained, before = self._trained_binary(tmp_path)
-        M.predict(trained.model, [_seq("ash bat cod")])
-        M.predict(trained.model, [_seq(" ".join(WORDS[:n])) for n in range(1, 9)])
+        M.predict(trained.model, _ids(["ash bat cod"]))
+        M.predict(trained.model, _ids([" ".join(WORDS[:n]) for n in range(1, 9)]))
         after = tmp_path / "after.ckpt"
         M.save_model(trained, after)
         assert after.read_bytes() == before.read_bytes()
@@ -1079,8 +1099,7 @@ class TestPipeline:
     def _half_passing(self, texts):
         """An untrained pipeline whose gate passes about half of ``texts``."""
         pipe = self._pipeline()
-        pipe.tau_binary = float(np.median(M.predict(
-            pipe.binary, [_seq(t) for t in texts])))
+        pipe.tau_binary = float(np.median(M.predict(pipe.binary, _ids(texts))))
         return pipe
 
     def test_classify_many_matches_classify(self):
@@ -1106,22 +1125,19 @@ class TestPipeline:
         calls = []
         real_predict = M.predict
 
-        def counting_predict(model, seqs):
-            calls.append((model, list(seqs)))
-            return real_predict(model, calls[-1][1])
+        def counting_predict(model, ids):
+            calls.append((model, ids))
+            return real_predict(model, ids)
 
         monkeypatch.setattr(M, "predict", counting_predict)
         results = pipe.classify_many(texts)
         assert [model for model, _ in calls] == [pipe.binary, pipe.multilabel]
-        gate_seqs, tagger_seqs = calls[0][1], calls[1][1]
-        assert len(gate_seqs) == len(texts)
-        passed = [seq for seq, r in zip(gate_seqs, results)
-                  if r["p_toxic"] >= pipe.tau_binary]
-        assert 0 < len(passed) < len(texts)
-        assert [s.input_ids.tolist() for s in tagger_seqs] == \
-            [s.input_ids.tolist() for s in passed]
-        assert [r["label_probs"] is not None for r in results] == \
-            [r["p_toxic"] >= pipe.tau_binary for r in results]
+        gate_ids, tagger_ids = calls[0][1], calls[1][1]
+        assert len(gate_ids) == len(texts)
+        passed = [r["p_toxic"] >= pipe.tau_binary for r in results]
+        assert 0 < sum(passed) < len(texts)
+        assert np.array_equal(tagger_ids, gate_ids[passed])
+        assert [r["label_probs"] is not None for r in results] == passed
 
     def test_gate_probability_at_threshold_is_tagged(self):
         pipe = self._pipeline()
