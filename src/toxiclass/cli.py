@@ -172,23 +172,30 @@ def cmd_split(cfg: RunConfig, args) -> int:
     return 0
 
 
+def _stage_data(cfg: RunConfig, docs: list[C.Document], vocab: C.Vocabulary,
+                kind: str, fold: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, L) ids and (n, classes) targets that stage ``kind`` reads
+    from ``fold``: the gate reads every document and its toxic flag, the
+    tagger the toxic documents and their label vectors."""
+    members = _fold_documents(cfg, docs, fold)
+    if kind == "binary":
+        gold, missing = [d.toxic for d in members], "toxic flag"
+    else:
+        members = [d for d in members if d.toxic]
+        gold, missing = [d.labels for d in members], "label vector"
+    for d, value in zip(members, gold):
+        if value is None:
+            raise DataError(f"{fold} fold: document {d.id} has no {missing}")
+    targets = np.array(gold, dtype=np.float64).reshape(
+        len(members), len(M.MODELS[kind].class_names))
+    return C.encode([d.text for d in members], vocab, cfg["tokenize.max_len"]), targets
+
+
 def _train_stage(cfg: RunConfig, kind: str) -> int:
     docs, vocab = _load_prepared(cfg)
     max_len = cfg["tokenize.max_len"]
     table = _embedding_table(cfg, vocab)
-    folds = {}
-    for fold in ("train", "val"):
-        members = _fold_documents(cfg, docs, fold)
-        if kind == "multilabel":
-            members = [d for d in members if d.toxic]
-        ids = C.encode([d.text for d in members], vocab, max_len)
-        for d in members:
-            if kind == "binary" and d.toxic is None:
-                raise DataError(f"document {d.id} has no toxic flag")
-            if kind == "multilabel" and d.labels is None:
-                raise DataError(f"document {d.id} has no label vector")
-        targets = [[float(d.toxic)] if kind == "binary" else d.labels for d in members]
-        folds[fold] = (ids, np.array(targets, dtype=np.float64))
+    folds = {fold: _stage_data(cfg, docs, vocab, kind, fold) for fold in ("train", "val")}
 
     if kind == "binary":
         model = M.BinaryModel(cfg.binary_model_config(), table, seed=cfg["seed"])
@@ -239,77 +246,45 @@ def _write_csv(path: Path, header: str, rows) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _evaluate_binary(cfg: RunConfig, docs, vocab) -> int:
-    trained = _load_checkpoint(cfg, vocab, "binary")
-    members = _fold_documents(cfg, docs, "test")
-    if any(d.toxic is None for d in members):
-        raise DataError("test fold has documents without gold toxic flags")
-    ids = C.encode([d.text for d in members], vocab, cfg["tokenize.max_len"])
-    scores = M.predict(trained.model, ids)[:, 0]
-    gold = np.array([1 if d.toxic else 0 for d in members])
-    pred = (scores >= cfg["thresholds.binary"]).astype(int)
-    conf = MT.confusion(pred, gold)
-    p, r, f1 = MT.prf(conf)
-    curve = MT.roc_auc(scores, gold)
-
-    out = cfg.output_dir()
-    _write_json(out / "report_binary.json", {
-        "stage": "binary",
-        "n": len(members),
-        "threshold": cfg["thresholds.binary"],
-        "accuracy": conf.accuracy,
-        "precision": p,
-        "recall": r,
-        "f1": f1,
-        "auc": _json_float(curve.auc),
-        "confusion": {"tp": conf.tp, "fp": conf.fp, "fn": conf.fn, "tn": conf.tn},
-    })
-    _write_csv(out / "confusion_binary.csv", "label,tp,fp,fn,tn",
-               [("toxic", conf.tp, conf.fp, conf.fn, conf.tn)])
-    _write_csv(out / "roc_binary.csv", "threshold,fpr,tpr",
-               [(repr(t), repr(fpr), repr(tpr)) for fpr, tpr, t in curve.points])
-    print(f"binary test: n={len(members)} accuracy={conf.accuracy:.4f} "
-          f"f1={f1:.4f} auc={curve.auc:.4f}")
-    return 0
-
-
-def _evaluate_multilabel(cfg: RunConfig, docs, vocab) -> int:
-    trained = _load_checkpoint(cfg, vocab, "multilabel")
-    members = [d for d in _fold_documents(cfg, docs, "test") if d.toxic]
-    if not members:
-        raise DataError("test fold has no toxic documents to tag")
-    if any(d.labels is None for d in members):
-        raise DataError("test fold has toxic documents without gold labels")
-    ids = C.encode([d.text for d in members], vocab, cfg["tokenize.max_len"])
-    scores = M.predict(trained.model, ids)
-    gold = np.array([d.labels for d in members])
-    pred = (scores >= cfg["thresholds.label"]).astype(int)
-    report = MT.multilabel_report(pred, gold)
-
-    out = cfg.output_dir()
-    _write_json(out / "report_multilabel.json",
-                {"stage": "multilabel", "n": len(members),
-                 "threshold": cfg["thresholds.label"], **report.to_dict()})
-    _write_csv(out / "confusion_multilabel.csv", "label,tp,fp,fn,tn",
-               [(m.label, m.tp, m.fp, m.fn, m.tn) for m in report.per_class])
-    roc_rows = []
-    for c, name in enumerate(C.LABELS):
-        curve = MT.roc_auc(scores[:, c], gold[:, c])
-        roc_rows += [(name, repr(t), repr(fpr), repr(tpr))
-                     for fpr, tpr, t in curve.points]
-    _write_csv(out / "roc_multilabel.csv", "label,threshold,fpr,tpr", roc_rows)
-    print(f"multilabel test: n={len(members)} "
-          f"subset_accuracy={report.subset_accuracy:.4f} "
-          f"weighted_f1={report.weighted_f1:.4f}")
-    return 0
-
-
 def cmd_evaluate(cfg: RunConfig, args) -> int:
+    # one path for both stages: the gate's report is the one-class case
+    kind = args.stage
     docs, vocab = _load_prepared(cfg)
-    _make_dir(cfg.output_dir())
-    if args.stage == "binary":
-        return _evaluate_binary(cfg, docs, vocab)
-    return _evaluate_multilabel(cfg, docs, vocab)
+    out = _make_dir(cfg.output_dir())
+    model = _load_checkpoint(cfg, vocab, kind).model
+    ids, gold = _stage_data(cfg, docs, vocab, kind, "test")
+    if not len(ids):
+        raise DataError(f"test fold has no documents for the {kind} stage")
+    threshold = cfg["thresholds.binary" if kind == "binary" else "thresholds.label"]
+    scores = M.predict(model, ids)
+    report = MT.multilabel_report((scores >= threshold).astype(int), gold,
+                                  model.class_names)
+    curves = [MT.roc_auc(scores[:, c], gold[:, c]) for c in range(model.output_dim)]
+    roc_rows = [(name, repr(t), repr(fpr), repr(tpr))
+                for name, curve in zip(model.class_names, curves)
+                for fpr, tpr, t in curve.points]
+    head = {"stage": kind, "n": len(ids), "threshold": threshold}
+
+    _write_csv(out / f"confusion_{kind}.csv", "label,tp,fp,fn,tn",
+               [(m.label, m.tp, m.fp, m.fn, m.tn) for m in report.per_class])
+    if kind == "binary":
+        (m,), (curve,) = report.per_class, curves
+        _write_json(out / "report_binary.json", {
+            **head, "accuracy": m.accuracy, "precision": m.precision,
+            "recall": m.recall, "f1": m.f1, "auc": _json_float(curve.auc),
+            "confusion": {"tp": m.tp, "fp": m.fp, "fn": m.fn, "tn": m.tn},
+        })
+        _write_csv(out / "roc_binary.csv", "threshold,fpr,tpr",
+                   [row[1:] for row in roc_rows])
+        print(f"binary test: n={len(ids)} accuracy={m.accuracy:.4f} "
+              f"f1={m.f1:.4f} auc={curve.auc:.4f}")
+    else:
+        _write_json(out / "report_multilabel.json", {**head, **report.to_dict()})
+        _write_csv(out / "roc_multilabel.csv", "label,threshold,fpr,tpr", roc_rows)
+        print(f"multilabel test: n={len(ids)} "
+              f"subset_accuracy={report.subset_accuracy:.4f} "
+              f"weighted_f1={report.weighted_f1:.4f}")
+    return 0
 
 
 def _load_pipeline(cfg: RunConfig, vocab: C.Vocabulary) -> M.TwoStagePipeline:
@@ -339,15 +314,12 @@ def cmd_classify(cfg: RunConfig, args) -> int:
 
 
 def cmd_explain(cfg: RunConfig, args) -> int:
-    if args.stage == "binary":
-        class_index, class_name = 0, "toxic"
-    else:
-        if args.label not in C.LABELS:
-            raise ConfigError(
-                f"--label must be one of {', '.join(C.LABELS)}; got {args.label!r}"
-            )
-        class_index = C.LABELS.index(args.label)
-        class_name = args.label
+    names = M.MODELS[args.stage].class_names
+    # the one-class gate ignores --label
+    class_name = args.label if len(names) > 1 else names[0]
+    if class_name not in names:
+        raise ConfigError(f"--label must be one of {', '.join(names)}; got {args.label!r}")
+    class_index = names.index(class_name)
     k_key = f"explain.features.{args.stage}"
     n, k = cfg["explain.samples"], cfg[k_key]
     if n < 1:

@@ -37,6 +37,12 @@ def _parse_str(text: str) -> str:
     return text.strip()
 
 
+def _parse_delimiter(text: str) -> str:
+    # values are stripped, so a tab is written as the two characters \t
+    t = text.strip()
+    return "\t" if t == "\\t" else t
+
+
 def _parse_opt_str(text: str):
     t = text.strip()
     return t if t and t.lower() != "none" else None
@@ -98,7 +104,7 @@ SCHEMA = {
     "data.toxic_field": (None, _parse_opt_str),
     "data.label_fields": (LABELS, _parse_opt_str_tuple),
     "data.id_field": (None, _parse_opt_str),
-    "data.delimiter": (",", _parse_str),
+    "data.delimiter": (",", _parse_delimiter),
     "stopwords.path": (None, _parse_opt_str),
     "preprocess.remove_urls": (True, _parse_bool),
     "preprocess.remove_punctuation": (True, _parse_bool),

@@ -25,6 +25,15 @@ UNK_ID = 1
 
 DEFAULT_MAX_LEN = 300
 
+
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The generator behind every seeded draw: PCG64 from ``seed``. A
+    negative seed raises ConfigError."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(np.random.PCG64(seed))
+
+
 # Codepoint ranges stripped as emoticons/pictographs. Deliberately excludes
 # ZWJ/ZWNJ (U+200C/U+200D), which are orthographic in Bengali script.
 DEFAULT_EMOTICON_RANGES = (
@@ -459,7 +468,7 @@ def stratified_split(documents, spec: SplitSpec):
     labels = _label_matrix(documents)
     n, k = labels.shape
     fracs = np.asarray(spec.fractions)
-    rng = np.random.default_rng(np.random.PCG64(spec.seed))
+    rng = seeded_rng(spec.seed)
 
     capacity = fracs * n  # remaining desired fold sizes
     demand = fracs[:, None] * labels.sum(axis=0)[None, :]  # fold x label

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import PAD_ID, UNK_TOKEN, Vocabulary, read_lines
+from .corpus import PAD_ID, UNK_TOKEN, Vocabulary, read_lines, seeded_rng
 from .errors import ConfigError, DataError
 
 DEFAULT_DIM = 768
@@ -43,7 +43,7 @@ def random_table(vocab_size: int, dim: int = DEFAULT_DIM, seed: int = 0,
     """Seeded uniform init in [-0.05, 0.05]; PAD row zero."""
     if dim < 1:
         raise ConfigError(f"embedding.dim must be >= 1, got {dim}")
-    rng = np.random.default_rng(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     matrix = rng.uniform(-INIT_SCALE, INIT_SCALE, size=(vocab_size, dim))
     return EmbeddingTable(matrix, trainable=trainable, source="random-init")
 

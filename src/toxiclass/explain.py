@@ -13,6 +13,7 @@ from itertools import compress
 
 import numpy as np
 
+from .corpus import seeded_rng
 from .errors import DataError, NumericError
 
 DEFAULT_SAMPLES = 1000
@@ -74,7 +75,7 @@ def sample_perturbations(m: int, n: int = DEFAULT_SAMPLES,
         raise DataError("cannot perturb an instance with no words")
     if n < 1:
         raise DataError(f"need at least one sample, got {n}")
-    rng = np.random.default_rng(np.random.PCG64(seed))
+    rng = seeded_rng(seed)
     masks = np.ones((n, m), dtype=np.int64)
     for row in masks[1:]:
         drop = rng.integers(1, m + 1)

@@ -12,7 +12,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .corpus import LABELS, NUM_LABELS, PAD_ID, PreprocessConfig, Vocabulary, encode, preprocess
+from .corpus import (LABELS, NUM_LABELS, PAD_ID, PreprocessConfig, Vocabulary, encode,
+                     preprocess, seeded_rng)
 from .embedding import EmbeddingTable
 from .errors import ConfigError, CheckpointError, DataError, NumericError
 from .neural import (
@@ -153,12 +154,17 @@ class Model(Cached):
     their tensors that each subclass writes. Checkpoints, Adam and the L2
     penalty all take its order.
 
+    Each subclass states its stage once: ``kind``, ``config_class``, ``class_names``.
     ``forward(ids, train, rng)`` maps a (B, L) int64 id array, each row's
     ids followed by ``PAD_ID``, to (B, output_dim) probabilities;
     ``backward`` takes their (B, output_dim) gradient. The model hands
     ``train`` to every layer: a forward with ``train=False`` (the default)
     keeps nothing for backward, and a backward after it raises RuntimeError.
     """
+
+    @property
+    def output_dim(self) -> int:
+        return len(self.class_names)
 
     def params(self) -> list[Param]:
         """The trainable tensors: all but a frozen embedding table."""
@@ -178,10 +184,11 @@ class BinaryModel(Model):
     """Embedding -> LSTM -> max over time -> dropout -> dense stack -> sigmoid."""
 
     kind = "binary"
-    output_dim = 1
+    config_class = BinaryModelConfig
+    class_names = ("toxic",)
 
     def __init__(self, config: BinaryModelConfig, table: EmbeddingTable, seed: int = 0):
-        rng = np.random.default_rng(np.random.PCG64(seed))
+        rng = seeded_rng(seed)
         self.config = config
         self.embedding = EmbeddingLayer(table)
         self.input_pool = MaxOverTime() if config.pooled_input else None
@@ -193,7 +200,7 @@ class BinaryModel(Model):
             (Dense(dims[i], dims[i + 1], rng), LeakyReLULayer(config.leaky_slope))
             for i in range(len(dims) - 1)
         ]
-        self.out = Dense(dims[-1], 1, rng)
+        self.out = Dense(dims[-1], self.output_dim, rng)
         self.out_act = SigmoidLayer()
 
     def forward(self, ids: np.ndarray, train: bool = False,
@@ -238,13 +245,14 @@ class MultiLabelModel(Model):
     """Embedding -> (conv + ReLU + pool) x N -> BiLSTM -> attention -> sigmoid."""
 
     kind = "multilabel"
-    output_dim = NUM_LABELS
+    config_class = MultiLabelModelConfig
+    class_names = LABELS
 
     def __init__(self, config: MultiLabelModelConfig, table: EmbeddingTable,
                  seq_len: int, seed: int = 0):
         self.post_stack_length(config, seq_len)  # raises if the stack collapses
         self.stride, self.receptive_field = self.stack_window(config)
-        rng = np.random.default_rng(np.random.PCG64(seed))
+        rng = seeded_rng(seed)
         self.config = config
         self.seq_len = seq_len
         self.embedding = EmbeddingLayer(table)
@@ -259,7 +267,7 @@ class MultiLabelModel(Model):
         feat = 2 * config.bilstm_units
         self.attention = Attention(feat, rng) if config.use_attention else None
         self.time_pool = None if config.use_attention else MaxOverTime()
-        self.out = Dense(feat, NUM_LABELS, rng)
+        self.out = Dense(feat, self.output_dim, rng)
         self.out_act = SigmoidLayer()
 
     @staticmethod
@@ -336,6 +344,9 @@ class MultiLabelModel(Model):
         return named + self.out.named_tensors("out")
 
 
+MODELS = {cls.kind: cls for cls in (BinaryModel, MultiLabelModel)}
+
+
 def predict(model: Model, ids: np.ndarray) -> np.ndarray:
     """(n, output_dim) probabilities of the rows of the (n, L) id array
     ``ids``, in their order.
@@ -410,7 +421,7 @@ def train(model, train_set, val_set, config: TrainingConfig,
     if not len(train_ids) or not len(val_ids):
         raise DataError("training requires non-empty train and validation folds")
     config.validate()
-    rng = np.random.default_rng(np.random.PCG64(config.seed))
+    rng = seeded_rng(config.seed)
     opt = Adam(model.params(), config.learning_rate)
     weights = model.decayed_params()
 
@@ -514,7 +525,7 @@ def _header_dict(trained: TrainedModel) -> dict:
     return {
         "format_version": CHECKPOINT_VERSION,
         "kind": model.kind,
-        "class_order": list(LABELS) if model.kind == "multilabel" else ["toxic"],
+        "class_order": list(model.class_names),
         "model_config": asdict(model.config),
         "train_config": asdict(trained.train_config) if trained.train_config else None,
         "embedding": {
@@ -571,17 +582,27 @@ def _non_finite(value: np.ndarray) -> bool:
     return not np.isfinite(total) and not np.isfinite(value).all()
 
 
+def _check_pad_row(table: np.ndarray, path) -> None:
+    """Save and load both refuse an embedding table whose PAD row is not
+    zero (``-0.0`` is zero), so they accept the same checkpoints."""
+    if table[PAD_ID].any():
+        raise CheckpointError(
+            f"checkpoint {path}: tensor embedding.table has a nonzero PAD row")
+
+
 def save_model(trained: TrainedModel, path) -> None:
     """Versioned binary container: magic, JSON header, fp64 tensors, SHA-256.
 
     Each tensor is hashed and written from its own memory, so saving holds
     no copy of the checkpoint. A tensor that holds NaN or inf raises
-    NumericError before the file is opened.
+    NumericError, and a nonzero PAD row CheckpointError, before the file is
+    opened.
     """
     for name, p in trained.model.named_tensors():
         if _non_finite(p.value):
             raise NumericError(
                 f"cannot save checkpoint {path}: tensor {name} holds a non-finite value")
+    _check_pad_row(trained.model.embedding.param.value, path)
     header = json.dumps(_header_dict(trained), sort_keys=True).encode("utf-8")
     tensors = (np.ascontiguousarray(p.value, dtype="<f8")
                for _, p in trained.model.named_tensors())
@@ -632,13 +653,10 @@ def _decode_checkpoint(body: memoryview, path, expect_kind: str | None) -> Train
             f"checkpoint {path} holds a {kind!r} model, expected {expect_kind!r}"
         )
 
-    emb = header["embedding"]
-    if kind == "binary":
-        config = BinaryModelConfig.from_dict(header["model_config"])
-    elif kind == "multilabel":
-        config = MultiLabelModelConfig.from_dict(header["model_config"])
-    else:
+    if kind not in MODELS:
         raise CheckpointError(f"unknown model kind {kind!r}")
+    emb = header["embedding"]
+    config = MODELS[kind].config_class.from_dict(header["model_config"])
     # Check the header's sizes against its tensor list, and the tensor list
     # against the bytes in the file, before a size is used to allocate.
     expected = _tensor_shapes(config, emb["vocab_size"], emb["dim"])
@@ -674,9 +692,7 @@ def _decode_checkpoint(body: memoryview, path, expect_kind: str | None) -> Train
         if _non_finite(param.value):
             raise CheckpointError(
                 f"checkpoint {path}: tensor {name} holds a non-finite value")
-    if table.matrix[PAD_ID].any():
-        raise CheckpointError(
-            f"checkpoint {path}: tensor embedding.table has a nonzero PAD row")
+    _check_pad_row(table.matrix, path)
 
     train_config = None
     if header["train_config"]:

@@ -8,7 +8,7 @@ from toxiclass import cli
 from toxiclass import metrics as MT
 from toxiclass import models as M
 from toxiclass.config import RunConfig, load_config
-from toxiclass.corpus import LABELS
+from toxiclass.corpus import LABELS, Vocabulary, encode
 from toxiclass.errors import ConfigError
 
 
@@ -767,3 +767,147 @@ class TestBadRows:
                         + command) == 3
         err = capsys.readouterr().err
         assert "cannot create output directory" in err and str(taken) in err
+
+
+def _test_fold_scores(out, kind):
+    """The stage's test documents and ``M.predict`` over them, read from the
+    prepared files without the CLI's helpers."""
+    rows = {}
+    for line in (out / "prepared" / "documents.jsonl").read_text(encoding="utf-8").splitlines():
+        row = json.loads(line)
+        rows[row["id"]] = row
+    members = [rows[i] for i in (out / "splits" / "test.ids").read_text().split()]
+    if kind == "multilabel":
+        members = [r for r in members if r["toxic"]]
+    vocab = Vocabulary.load(out / "prepared" / "vocab.txt")
+    model = M.load_model(out / f"{kind}.ckpt").model
+    return members, M.predict(model, encode([r["text"] for r in members], vocab, 12))
+
+
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+@pytest.fixture(scope="module")
+def weak_run(workspace, tmp_path_factory):
+    """The shared run with both stages trained one slow epoch, so that their
+    test reports are neither perfect nor empty."""
+    out = tmp_path_factory.mktemp("weak") / "out"
+    shutil.copytree(workspace["out"], out)
+    base = workspace["base"] + ["--set", f"output.dir={out}", "--set", "train.epochs=1",
+                                "--set", "train.learning_rate=0.002"]
+    for kind in ("binary", "multilabel"):
+        assert cli.main(base + [f"train-{kind}"]) == 0
+        assert cli.main(base + ["evaluate", "--stage", kind]) == 0
+    return out
+
+
+class TestEvaluateOracle:
+    """Every number ``evaluate`` writes equals, with ``==``, what the metric
+    functions give on ``M.predict`` over the stage's test documents."""
+
+    def test_binary(self, weak_run):
+        members, scores = _test_fold_scores(weak_run, "binary")
+        gold = np.array([r["toxic"] for r in members])
+        conf = MT.confusion((scores[:, 0] >= 0.5).astype(int), gold)
+        p, r, f1 = MT.prf(conf)
+        curve = MT.roc_auc(scores[:, 0], gold)
+        assert 0.0 < conf.accuracy < 1.0 and 0.0 < curve.auc < 1.0
+        assert json.loads((weak_run / "report_binary.json").read_text()) == {
+            "stage": "binary", "n": len(members), "threshold": 0.5,
+            "accuracy": conf.accuracy, "precision": p, "recall": r, "f1": f1,
+            "auc": curve.auc,
+            "confusion": {"tp": conf.tp, "fp": conf.fp, "fn": conf.fn, "tn": conf.tn},
+        }
+        assert _csv_rows(weak_run / "confusion_binary.csv") == [
+            ["label", "tp", "fp", "fn", "tn"],
+            ["toxic", str(conf.tp), str(conf.fp), str(conf.fn), str(conf.tn)]]
+        roc = _csv_rows(weak_run / "roc_binary.csv")
+        assert roc[0] == ["threshold", "fpr", "tpr"]
+        assert [tuple(map(float, row)) for row in roc[1:]] == \
+            [(t, fpr, tpr) for fpr, tpr, t in curve.points]
+
+    def test_multilabel(self, weak_run):
+        members, scores = _test_fold_scores(weak_run, "multilabel")
+        gold = np.array([r["labels"] for r in members])
+        report = MT.multilabel_report((scores >= 0.5).astype(int), gold)
+        assert 0.0 < report.weighted_f1 < 1.0
+        assert json.loads((weak_run / "report_multilabel.json").read_text()) == {
+            "stage": "multilabel", "n": len(members), "threshold": 0.5,
+            **report.to_dict()}
+        assert _csv_rows(weak_run / "confusion_multilabel.csv") == [
+            ["label", "tp", "fp", "fn", "tn"]] + [
+            [m.label, str(m.tp), str(m.fp), str(m.fn), str(m.tn)] for m in report.per_class]
+        roc = _csv_rows(weak_run / "roc_multilabel.csv")
+        assert roc[0] == ["label", "threshold", "fpr", "tpr"]
+        assert [(row[0], *map(float, row[1:])) for row in roc[1:]] == [
+            (name, t, fpr, tpr) for c, name in enumerate(LABELS)
+            for fpr, tpr, t in MT.roc_auc(scores[:, c], gold[:, c]).points]
+
+
+class TestStageData:
+    def _non_toxic_only(self, workspace, tmp_path, fold):
+        """A copy of the run whose ``fold`` holds only non-toxic documents."""
+        alt = tmp_path / "out"
+        shutil.copytree(workspace["out"], alt)
+        rows = [json.loads(line) for line in
+                (alt / "prepared" / "documents.jsonl").read_text().splitlines()]
+        (alt / "splits" / f"{fold}.ids").write_text(
+            "".join(r["id"] + "\n" for r in rows if not r["toxic"]), encoding="utf-8")
+        return workspace["base"] + ["--set", f"output.dir={alt}"]
+
+    def test_no_toxic_document_in_val_fold(self, workspace, tmp_path, capsys):
+        base = self._non_toxic_only(workspace, tmp_path, "val")
+        assert cli.main(base + ["--set", "train.epochs=1", "train-multilabel"]) == 3
+        err = capsys.readouterr().err
+        assert "non-empty train and validation folds" in err and "Traceback" not in err
+
+    def test_no_toxic_document_in_test_fold(self, workspace, tmp_path, capsys):
+        base = self._non_toxic_only(workspace, tmp_path, "test")
+        assert cli.main(base + ["evaluate", "--stage", "multilabel"]) == 3
+        err = capsys.readouterr().err
+        assert "test fold has no documents for the multilabel stage" in err
+        assert "Traceback" not in err
+
+    def test_toxic_only_dataset_without_labels(self, tmp_path, capsys):
+        data = tmp_path / "toxic.csv"
+        data.write_text("id,text,toxic\n" + "".join(
+            f"t{i},{SIG['hate'][0]} {FILL[i % len(FILL)]},1\n" for i in range(20)),
+            encoding="utf-8")
+        base = ["--set", f"data.path={data}", "--set", "data.toxic_field=toxic",
+                "--set", "data.id_field=id", "--set", "data.label_fields=none",
+                "--set", "tokenize.max_len=12", "--set", "embedding.dim=8",
+                "--set", "multilabel.conv_stack=8x3", "--set", "train.epochs=1",
+                "--set", f"output.dir={tmp_path / 'out'}"]
+        assert cli.main(base + ["prepare"]) == 0
+        assert cli.main(base + ["split"]) == 0
+        capsys.readouterr()
+        assert cli.main(base + ["train-multilabel"]) == 3
+        err = capsys.readouterr().err
+        first = (tmp_path / "out" / "splits" / "train.ids").read_text().split()[0]
+        assert f"train fold: document {first} has no label vector" in err
+
+
+class TestDelimiter:
+    def test_tab_separated_twin_prepares_the_same(self, tmp_path):
+        comma = tmp_path / "comma.csv"
+        _make_corpus_csv(comma, n=24)
+        tab = tmp_path / "tab.tsv"
+        tab.write_text(comma.read_text(encoding="utf-8").replace(",", "\t"),
+                       encoding="utf-8")
+        cfg = tmp_path / "tab.cfg"
+        cfg.write_text("data.delimiter = \\t\n", encoding="utf-8")
+        runs = {"comma": [],
+                "tab-set": ["--set", "data.delimiter=\\t"],
+                "tab-file": ["--config", str(cfg)]}
+        for name, extra in runs.items():
+            data = comma if name == "comma" else tab
+            assert cli.main(extra + ["--set", f"data.path={data}",
+                                     "--set", "data.toxic_field=toxic",
+                                     "--set", "data.id_field=id",
+                                     "--set", f"output.dir={tmp_path / name}",
+                                     "prepare"]) == 0
+        want = (tmp_path / "comma" / "prepared" / "documents.jsonl").read_bytes()
+        assert want.count(b"\n") == 24
+        for name in ("tab-set", "tab-file"):
+            assert (tmp_path / name / "prepared" / "documents.jsonl").read_bytes() == want

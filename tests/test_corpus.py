@@ -576,3 +576,40 @@ class TestStratifiedSplit:
     def test_empty_corpus(self):
         with pytest.raises(DataError):
             C.stratified_split([], C.SplitSpec())
+
+
+def _negative_seed_sites():
+    """Each public entry point that draws from a seeded generator, called
+    with seed -1."""
+    from conftest import desk_binary_config, desk_multilabel_config
+    from toxiclass import explain as EX
+    from toxiclass import models as M
+    from toxiclass.embedding import random_table
+
+    table = random_table(12, 4, seed=0)
+    ids, targets = np.ones((2, 6), dtype=np.int64), np.ones((2, 1))
+    return {
+        "seeded_rng": lambda: C.seeded_rng(-1),
+        "random_table": lambda: random_table(12, 4, seed=-1),
+        "BinaryModel": lambda: M.BinaryModel(desk_binary_config(), table, seed=-1),
+        "MultiLabelModel": lambda: M.MultiLabelModel(desk_multilabel_config(), table,
+                                                     seq_len=40, seed=-1),
+        "train": lambda: M.train(M.BinaryModel(desk_binary_config(), table),
+                                 (ids, targets), (ids, targets), M.TrainingConfig(seed=-1)),
+        "stratified_split": lambda: C.stratified_split(
+            [C.Document(id=str(i), text="a", toxic=bool(i % 2)) for i in range(6)],
+            C.SplitSpec(seed=-1)),
+        "sample_perturbations": lambda: EX.sample_perturbations(3, 5, seed=-1),
+    }
+
+
+class TestSeededRng:
+    @pytest.mark.parametrize("seed", [0, 7, 2**63])
+    def test_stream_is_pcg64_from_the_seed(self, seed):
+        want = np.random.default_rng(np.random.PCG64(seed))
+        assert np.array_equal(C.seeded_rng(seed).random(8), want.random(8))
+
+    @pytest.mark.parametrize("site", sorted(_negative_seed_sites()))
+    def test_negative_seed_is_a_config_error(self, site):
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+            _negative_seed_sites()[site]()

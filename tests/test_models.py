@@ -1,4 +1,6 @@
 import contextlib
+import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -804,6 +806,40 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError,
                            match="tensor embedding.table has a nonzero PAD row"):
             M.load_model(path)
+
+    @pytest.mark.parametrize("pad", [-0.0, 0.25, -5e-324])
+    def test_save_and_load_share_the_pad_row_test(self, tmp_path, pad, write_checkpoint):
+        model = _binary()
+        model.embedding.param.value[PAD_ID, 1] = pad
+        trained = M.TrainedModel(model=model, vocab_hash="")
+        written, saved = tmp_path / "written.ckpt", tmp_path / "saved.ckpt"
+        write_checkpoint(trained, written)
+        if pad == 0.0:  # -0.0 is zero: both accept it
+            M.save_model(trained, saved)
+            assert saved.read_bytes() == written.read_bytes()
+            M.load_model(saved)
+            return
+        message = "tensor embedding.table has a nonzero PAD row"
+        with pytest.raises(CheckpointError, match=message):
+            M.load_model(written)
+        with pytest.raises(CheckpointError, match=f"checkpoint {saved}: {message}"):
+            M.save_model(trained, saved)
+        assert not saved.exists()
+
+    @pytest.mark.parametrize("make", [_binary, _multilabel])
+    def test_class_order_is_the_class_names(self, tmp_path, make):
+        model = make()
+        path = tmp_path / "m.ckpt"
+        M.save_model(M.TrainedModel(model=model, vocab_hash=""), path)
+        loaded = M.load_model(path).model
+        body = path.read_bytes()
+        start = len(M.CHECKPOINT_MAGIC) + 4
+        (length,) = struct.unpack_from("<I", body, len(M.CHECKPOINT_MAGIC))
+        header = json.loads(body[start:start + length])
+        assert M.MODELS[header["kind"]] is type(model) is type(loaded)
+        assert header["class_order"] == list(loaded.class_names) == list(model.class_names)
+        assert loaded.output_dim == len(loaded.class_names) == loaded.out.w.value.shape[0]
+        assert M.predict(loaded, _ids(["ash bat"])).shape == (1, len(model.class_names))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_save_refuses_non_finite_tensor(self, tmp_path, value):
