@@ -5,7 +5,8 @@ classify, explain, stats, kappa. One config file (dotted keys) plus
 ``--set key=value`` overrides drives everything; artifacts land under
 ``output.dir`` and are byte-identical across reruns with the same seed.
 
-Exit codes: 0 success, 2 config error, 3 data error, 4 numeric error.
+Exit codes: 0 success, 2 config error or out of memory, 3 data error, 4 numeric
+error.
 """
 
 from __future__ import annotations
@@ -85,7 +86,6 @@ def _load_documents_file(path: Path) -> list[C.Document]:
             )
             if not isinstance(doc.text, str):
                 raise TypeError("text is not a string")
-            doc.validate()
         except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
                 DataError) as exc:
             raise DataError(f"{path}:{lineno}: not a prepared document: {exc!r}") from exc
@@ -494,6 +494,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:  # a config value sized an array past memory
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -146,13 +146,8 @@ class RunConfig:
     """Validated view over the flat key-value map, with builders for the
     typed configs each module expects."""
 
-    def __init__(self, values: dict | None = None):
+    def __init__(self):
         self.values = {k: default for k, (default, _) in SCHEMA.items()}
-        if values:
-            for k, v in values.items():
-                if k not in SCHEMA:
-                    raise ConfigError(f"unknown config key {k!r}")
-                self.values[k] = v
 
     def __getitem__(self, key: str):
         if key not in SCHEMA:
@@ -218,7 +213,7 @@ class RunConfig:
         )
 
     def training_config(self) -> TrainingConfig:
-        cfg = TrainingConfig(
+        return TrainingConfig(
             batch_size=self["train.batch_size"],
             learning_rate=self["train.learning_rate"],
             epochs=self["train.epochs"],
@@ -226,8 +221,6 @@ class RunConfig:
             l2_lambda=self["train.l2_lambda"],
             patience=self["train.patience"],
         )
-        cfg.validate()
-        return cfg
 
     def output_dir(self) -> Path:
         return Path(self["output.dir"])

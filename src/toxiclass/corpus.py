@@ -56,7 +56,8 @@ _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 class Document:
     """One text instance with optional gold annotations.
 
-    ``labels`` follows the fixed class order in ``LABELS``.
+    ``labels`` follows the fixed class order in ``LABELS``. Construction
+    raises DataError when they are not six 0/1 values agreeing with ``toxic``.
     """
 
     id: str
@@ -64,7 +65,7 @@ class Document:
     toxic: bool | None = None
     labels: tuple[int, ...] | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.labels is not None:
             if len(self.labels) != NUM_LABELS:
                 raise DataError(
@@ -292,7 +293,12 @@ _TRUE = {"1", "true", "yes"}
 _FALSE = {"0", "false", "no"}
 
 
-def _parse_flag(value, row: int, name: str):
+def _parse_flag(record: dict, name: str) -> bool:
+    """Field ``name`` of ``record`` as a bool; a missing or non-boolean
+    field raises ValueError."""
+    if name not in record:
+        raise ValueError(f"missing field {name!r}")
+    value = record[name]
     if isinstance(value, bool):
         return value
     if isinstance(value, (int, float)) and value in (0, 1):
@@ -302,7 +308,7 @@ def _parse_flag(value, row: int, name: str):
         return True
     if text in _FALSE:
         return False
-    raise ValueError(f"row {row}: field {name!r} has non-boolean value {value!r}")
+    raise ValueError(f"field {name!r} has non-boolean value {value!r}")
 
 
 def _rows_from_file(path, spec: FormatSpec):
@@ -320,6 +326,38 @@ def _rows_from_file(path, spec: FormatSpec):
         yield from enumerate(csv.DictReader(lines, delimiter=spec.delimiter), start=2)
 
 
+def _document(lineno: int, record, spec: FormatSpec, seen: set[str]) -> Document:
+    """The Document of dataset row ``record``. The row's first fault is
+    raised as a ValueError or DataError; a row that passes the id checks
+    claims its id in ``seen``."""
+    if isinstance(record, Exception):
+        raise ValueError(f"unparseable row: {record}")
+    if not isinstance(record, dict):
+        raise ValueError("not a JSON object")
+    if spec.text_field not in record:
+        raise ValueError(f"missing text field {spec.text_field!r}")
+    text = record[spec.text_field]
+    if text is None:
+        raise ValueError("text field is null")
+    doc_id = str(lineno)
+    if spec.id_field:
+        if spec.id_field not in record:
+            raise ValueError(f"missing id field {spec.id_field!r}")
+        if record[spec.id_field] is None:
+            raise ValueError(f"id field {spec.id_field!r} is null")
+        doc_id = str(record[spec.id_field])
+    if not doc_id or "\n" in doc_id or "\r" in doc_id or doc_id in seen:
+        raise ValueError(f"id {doc_id!r} is empty, repeated or holds a line break")
+    seen.add(doc_id)
+    labels = None
+    if spec.label_fields is not None:
+        labels = tuple(int(_parse_flag(record, name)) for name in spec.label_fields)
+    toxic = None if labels is None else any(labels)
+    if spec.toxic_field is not None:
+        toxic = _parse_flag(record, spec.toxic_field)
+    return Document(id=doc_id, text=str(text), toxic=toxic, labels=labels)
+
+
 def ingest(path, spec: FormatSpec) -> list[Document]:
     """Load and validate a dataset file into Documents.
 
@@ -335,58 +373,10 @@ def ingest(path, spec: FormatSpec) -> list[Document]:
         raise DataError(f"cannot read dataset {path}: {exc}") from exc
 
     for lineno, record in rows:
-        if isinstance(record, Exception):
-            bad.append((lineno, f"unparseable row: {record}"))
-            continue
-        if not isinstance(record, dict):
-            bad.append((lineno, "not a JSON object"))
-            continue
         try:
-            text = record[spec.text_field]
-        except KeyError:
-            bad.append((lineno, f"missing text field {spec.text_field!r}"))
-            continue
-        if text is None:
-            bad.append((lineno, "text field is null"))
-            continue
-        doc_id = str(lineno)
-        if spec.id_field:
-            if spec.id_field not in record:
-                bad.append((lineno, f"missing id field {spec.id_field!r}"))
-                continue
-            if record[spec.id_field] is None:
-                bad.append((lineno, f"id field {spec.id_field!r} is null"))
-                continue
-            doc_id = str(record[spec.id_field])
-        if not doc_id or "\n" in doc_id or "\r" in doc_id or doc_id in seen:
-            bad.append((lineno, f"id {doc_id!r} is empty, repeated or holds a line break"))
-            continue
-        seen.add(doc_id)
-        toxic = None
-        labels = None
-        try:
-            if spec.label_fields is not None:
-                labels = tuple(
-                    int(_parse_flag(record[name], lineno, name))
-                    for name in spec.label_fields
-                )
-            if spec.toxic_field is not None:
-                toxic = _parse_flag(record[spec.toxic_field], lineno, spec.toxic_field)
-            elif labels is not None:
-                toxic = any(labels)
-        except KeyError as exc:
-            bad.append((lineno, f"missing field {exc.args[0]!r}"))
-            continue
-        except ValueError as exc:
+            documents.append(_document(lineno, record, spec, seen))
+        except (ValueError, DataError) as exc:
             bad.append((lineno, str(exc)))
-            continue
-        doc = Document(id=doc_id, text=str(text), toxic=toxic, labels=labels)
-        try:
-            doc.validate()
-        except DataError as exc:
-            bad.append((lineno, str(exc)))
-            continue
-        documents.append(doc)
 
     if bad:
         shown = "; ".join(f"row {r}: {msg}" for r, msg in bad[:20])
@@ -435,7 +425,7 @@ class SplitSpec:
     def fractions(self) -> tuple[float, float, float]:
         return (self.train_fraction, self.val_fraction, self.test_fraction)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for frac in self.fractions:
             if not 0.0 < frac < 1.0:
                 raise ConfigError(f"split fraction {frac} outside (0, 1)")
@@ -464,7 +454,6 @@ def stratified_split(documents, spec: SplitSpec):
     documents = list(documents)
     if not documents:
         raise DataError("cannot split an empty document list")
-    spec.validate()
     labels = _label_matrix(documents)
     n, k = labels.shape
     fracs = np.asarray(spec.fractions)
@@ -499,9 +488,7 @@ def stratified_split(documents, spec: SplitSpec):
             capacity[fold] -= 1.0
 
     for i in np.flatnonzero(assigned < 0):  # zero-label documents
-        caps_max = capacity.max()
-        best = np.flatnonzero(capacity == caps_max)
-        fold = int(best[rng.integers(len(best))]) if len(best) > 1 else int(best[0])
+        fold = pick_fold(capacity)
         assigned[i] = fold
         capacity[fold] -= 1.0
 

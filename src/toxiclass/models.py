@@ -110,7 +110,7 @@ class TrainingConfig:
     l2_lambda: float = 1e-4
     patience: int = 10
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate < 0.0:
@@ -420,7 +420,6 @@ def train(model, train_set, val_set, config: TrainingConfig,
     (train_ids, train_targets), (val_ids, val_targets) = train_set, val_set
     if not len(train_ids) or not len(val_ids):
         raise DataError("training requires non-empty train and validation folds")
-    config.validate()
     rng = seeded_rng(config.seed)
     opt = Adam(model.params(), config.learning_rate)
     weights = model.decayed_params()

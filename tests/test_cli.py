@@ -33,6 +33,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             cfg.set_text("embedding.trainable", "maybe")
 
+    @pytest.mark.parametrize("text, value", [
+        ("true", True), ("1", True), ("yes", True), ("on", True), (" TRUE ", True),
+        ("false", False), ("0", False), ("no", False), ("off", False), ("Off", False),
+    ])
+    def test_boolean_spellings(self, text, value):
+        cfg = RunConfig()
+        cfg.set_text("embedding.trainable", text)
+        assert cfg["embedding.trainable"] is value
+
     def test_conv_stack_syntax(self):
         cfg = RunConfig()
         cfg.set_text("multilabel.conv_stack", "32x3, 16x2")
@@ -542,6 +551,54 @@ class TestExitCodes:
                          "--set", f"output.dir={tmp_path / 'out'}", command]) == 3
         err = capsys.readouterr().err
         assert "data error" in err and str(path) in err and message in err
+
+    # each array asks for more than 2**47 bytes (128 TiB), past any address
+    # space, so the request fails at once and nothing is allocated
+    @pytest.mark.parametrize("setting, command", [
+        ("explain.samples=100000000000000", ["explain", "--text", "a b c"]),
+        ("embedding.dim=100000000000000", ["train-binary"]),
+    ], ids=["explain-samples", "embedding-dim"])
+    def test_out_of_memory(self, workspace, tmp_path, capsys, setting, command):
+        alt = tmp_path / "out"
+        shutil.copytree(workspace["out"], alt)
+        assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}",
+                                             "--set", setting, *command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: out of memory: ") and err.count("\n") == 1
+
+    def test_prepare_requires_data_path(self, capsys):
+        assert cli.main(["--set", "data.path=none", "prepare"]) == 2
+        assert "data.path is required for prepare" in capsys.readouterr().err
+
+    def test_vocabulary_mismatch_at_classify(self, workspace, tmp_path, capsys):
+        alt = tmp_path / "out"
+        shutil.copytree(workspace["out"], alt)
+        with open(alt / "prepared" / "vocab.txt", "a", encoding="utf-8") as fh:
+            fh.write("newword\n")
+        lines = tmp_path / "input.txt"
+        lines.write_text("vix vox\n", encoding="utf-8")
+        assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}", "classify",
+                                             "--input", str(lines)]) == 3
+        assert "different vocabulary" in capsys.readouterr().err
+
+    def test_split_names_unknown_id(self, workspace, tmp_path, capsys):
+        alt = tmp_path / "out"
+        shutil.copytree(workspace["out"], alt)
+        (alt / "splits" / "test.ids").write_text("d0\nnope\n", encoding="utf-8")
+        assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}",
+                                             "evaluate", "--stage", "binary"]) == 3
+        assert "unknown document id 'nope'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("settings, code", [
+        ([], 3), (["--set", "split.train=0.7"], 2)], ids=["good-fractions", "bad-fractions"])
+    def test_split_of_empty_corpus(self, tmp_path, capsys, settings, code):
+        # the fractions are checked when the split is described, before the
+        # documents are looked at
+        (tmp_path / "prepared").mkdir()
+        (tmp_path / "prepared" / "documents.jsonl").write_text("", encoding="utf-8")
+        assert cli.main(["--set", f"output.dir={tmp_path}", *settings, "split"]) == code
+        err = capsys.readouterr().err
+        assert ("empty document list" if code == 3 else "split fractions sum") in err
 
     def test_split_before_prepare(self, tmp_path, capsys):
         assert cli.main(["--set", f"output.dir={tmp_path / 'none'}",

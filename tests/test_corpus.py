@@ -286,8 +286,8 @@ class TestEncode:
 
 class TestDocumentValidation:
     def test_consistent_document_passes(self):
-        C.Document("d1", "x", toxic=True, labels=(1, 0, 0, 0, 0, 0)).validate()
-        C.Document("d2", "x", toxic=False, labels=(0, 0, 0, 0, 0, 0)).validate()
+        C.Document("d1", "x", toxic=True, labels=(1, 0, 0, 0, 0, 0))
+        C.Document("d2", "x", toxic=False, labels=(0, 0, 0, 0, 0, 0))
 
     def test_toxic_without_labels_rejected(self):
         with pytest.raises(DataError):
@@ -401,6 +401,39 @@ class TestIngest:
             C.ingest(path, CSV_SPEC)
         assert len(err.value.rows) == 2
         assert {r for r, _ in err.value.rows} == {3, 4}
+
+    def test_non_boolean_flag_names_its_row_once(self, tmp_path):
+        path = tmp_path / "d.csv"
+        _write_csv(path, ["a,unsure,maybe,0,0,0,0,0,0"])
+        with pytest.raises(IngestError) as err:
+            C.ingest(path, CSV_SPEC)
+        assert err.value.rows == [(2, "field 'toxic' has non-boolean value 'maybe'")]
+        assert str(err.value).count("row 2:") == 1
+
+    def test_missing_flag_field_is_bad_row(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"text": "hi", "vulgar": 1}) + "\n")
+        with pytest.raises(IngestError) as err:
+            C.ingest(path, C.FormatSpec(kind="jsonl", label_fields=C.LABELS))
+        assert err.value.rows == [(1, "missing field 'hate'")]
+
+    def test_bad_row_still_claims_its_id(self, tmp_path):
+        path = tmp_path / "d.csv"
+        _write_csv(path, ["a,unsure,maybe,0,0,0,0,0,0", "a,fine,0,0,0,0,0,0,0"])
+        with pytest.raises(IngestError) as err:
+            C.ingest(path, CSV_SPEC)
+        assert [r for r, _ in err.value.rows] == [2, 3]
+        assert err.value.rows[1][1] == "id 'a' is empty, repeated or holds a line break"
+
+    def test_jsonl_boolean_flags(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        rows = [{"text": "hi", "toxic": True, **{k: k == "threat" for k in C.LABELS}},
+                {"text": "ok", "toxic": False, **{k: False for k in C.LABELS}}]
+        path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        spec = C.FormatSpec(kind="jsonl", toxic_field="toxic", label_fields=C.LABELS)
+        docs = C.ingest(path, spec)
+        assert [d.toxic for d in docs] == [True, False]
+        assert [d.labels for d in docs] == [(0, 0, 0, 1, 0, 0), (0,) * 6]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
@@ -564,6 +597,17 @@ class TestStratifiedSplit:
         n_toxic = sum(d.toxic for d in docs)
         got = sum(d.toxic for d in train)
         assert abs(got - 0.6 * n_toxic) <= 2
+
+    def test_equal_fractions_break_ties_by_draw(self):
+        """Equal fractions tie every fold on demand and capacity, so the
+        seeded draw decides; these are the folds it gives."""
+        docs = [C.Document(f"d{i}", "x", toxic=i % 4 != 3,
+                           labels=tuple(int(i % 4 != 3 and j == i % 2) for j in range(6)))
+                for i in range(12)]
+        third = 1 / 3
+        folds = C.stratified_split(docs, C.SplitSpec(third, third, third, seed=0))
+        assert [[d.id for d in fold] for fold in folds] == [
+            ["d2", "d3", "d6", "d9"], ["d0", "d5", "d7", "d8"], ["d1", "d4", "d10", "d11"]]
 
     def test_bad_fractions(self):
         with pytest.raises(ConfigError):

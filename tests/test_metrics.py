@@ -138,6 +138,12 @@ class TestMultilabelReport:
         rep = MT.multilabel_report(pred, gold, class_names=("a", "b"))
         assert "a" in rep.degenerate and "b" not in rep.degenerate
 
+    def test_no_gold_positive_flags_all(self):
+        pred = np.array([[1, 0], [0, 0]])
+        rep = MT.multilabel_report(pred, np.zeros((2, 2), int), class_names=("a", "b"))
+        assert rep.degenerate == ("a", "b", "__all__")
+        assert (rep.weighted_precision, rep.weighted_recall, rep.weighted_f1) == (0.0, 0.0, 0.0)
+
     def test_shape_mismatch(self):
         with pytest.raises(DataError):
             MT.multilabel_report(np.zeros((2, 6)), np.zeros((3, 6)))

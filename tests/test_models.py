@@ -30,9 +30,9 @@ def _binary(seed=0, dim=5, **kw):
                                            trainable=True), seed=seed)
 
 
-def _multilabel(seed=0, dim=5, seq_len=12):
+def _multilabel(seed=0, dim=5, seq_len=12, **kw):
     cfg = M.MultiLabelModelConfig(conv_stack=((6, 3), (4, 2)), pool=2,
-                                  bilstm_units=3)
+                                  bilstm_units=3, **kw)
     return M.MultiLabelModel(cfg, random_table(len(VOCAB), dim, seed=seed,
                                                trainable=True),
                              seq_len=seq_len, seed=seed)
@@ -40,15 +40,15 @@ def _multilabel(seed=0, dim=5, seq_len=12):
 
 class TestConfigs:
     def test_training_config_validation(self):
-        M.TrainingConfig().validate()
-        M.TrainingConfig(learning_rate=0.0).validate()  # freeze is legal
+        M.TrainingConfig()
+        M.TrainingConfig(learning_rate=0.0)  # freeze is legal
         with pytest.raises(ConfigError):
             M.TrainingConfig(batch_size=0).validate()
         with pytest.raises(ConfigError):
             M.TrainingConfig(learning_rate=-1e-3).validate()
         with pytest.raises(ConfigError):
             M.TrainingConfig(epochs=0).validate()
-        M.TrainingConfig(l2_lambda=0.0).validate()  # no penalty is legal
+        M.TrainingConfig(l2_lambda=0.0)  # no penalty is legal
         with pytest.raises(ConfigError, match="l2_lambda"):
             M.TrainingConfig(l2_lambda=-1.0).validate()
 
@@ -275,8 +275,9 @@ def _ragged_batch(max_len=12):
 
 
 @pytest.mark.parametrize("make", [_binary, lambda: _binary(pooled_input=True),
-                                  _multilabel],
-                         ids=["binary", "pooled", "multilabel"])
+                                  _multilabel,
+                                  lambda: _multilabel(use_attention=False)],
+                         ids=["binary", "pooled", "multilabel", "max-over-time"])
 class TestBatch:
     def test_batch_equals_per_document(self, make):
         model = make()
@@ -367,8 +368,9 @@ def _cached_parts(model):
 
 
 @pytest.mark.parametrize("make", [_binary, lambda: _binary(pooled_input=True),
-                                  _multilabel],
-                         ids=["binary", "pooled", "multilabel"])
+                                  _multilabel,
+                                  lambda: _multilabel(use_attention=False)],
+                         ids=["binary", "pooled", "multilabel", "max-over-time"])
 class TestEvalForward:
     @pytest.mark.parametrize("size", [1, 31, 32, 33, 70])
     def test_predict_matches_per_document(self, make, size):
@@ -547,6 +549,22 @@ class TestTrain:
             assert np.array_equal(p.value, b)
         assert len(trained.history) == 3
 
+    @pytest.mark.parametrize("kind, make", [("binary", _binary),
+                                            ("multilabel", _multilabel)])
+    def test_frozen_table_never_moves(self, kind, make):
+        model = make()
+        model.embedding.table.trainable = False
+        before = [p.value.copy() for _, p in model.named_tensors()]
+        data = _toy_task(kind)
+        M.train(model, data, data,
+                M.TrainingConfig(batch_size=4, learning_rate=0.05, epochs=2,
+                                 patience=50))
+        (_, table), *rest = model.named_tensors()
+        assert table.value.tobytes() == before[0].tobytes()
+        assert not table.grad.any()
+        for (name, p), b in zip(rest, before[1:]):
+            assert not np.array_equal(p.value, b), name
+
     def test_determinism(self):
         data = _toy_task()
         cfg = M.TrainingConfig(batch_size=4, learning_rate=0.02, epochs=5,
@@ -632,6 +650,8 @@ def _ragged_training_set(kind, n):
 @pytest.mark.parametrize("kind, make", [
     ("binary", lambda: _binary(seed=2, dropout_rate=0.5)),
     ("multilabel", lambda: _multilabel(seed=2)),
+    pytest.param("multilabel", lambda: _multilabel(seed=2, use_attention=False),
+                 id="max-over-time"),
 ])
 class TestBatchedTraining:
     @pytest.mark.parametrize("size", [1, M.TRAIN_CHUNK, M.TRAIN_CHUNK + 3,
