@@ -74,21 +74,28 @@ def _make_dir(path: Path) -> Path:
 
 
 def _load_documents_file(path: Path) -> list[C.Document]:
-    docs = []
+    docs, seen = [], set()
     for lineno, line in C.read_lines(path, "prepared documents", hint="run prepare first"):
         try:
             row = json.loads(line)
-            labels = row.get("labels")
+            toxic, labels = row.get("toxic"), row.get("labels")
+            if not (toxic is None or _zero_one(toxic)):
+                raise ValueError(f"toxic is not 0/1: {toxic!r}")
+            if not (labels is None or isinstance(labels, list) and all(map(_zero_one, labels))):
+                raise ValueError(f"labels are not 0/1 values: {labels!r}")
             doc = C.Document(
                 id=str(row["id"]), text=row["text"],
-                toxic=None if row.get("toxic") is None else bool(row["toxic"]),
-                labels=None if labels is None else tuple(int(v) for v in labels),
+                toxic=None if toxic is None else bool(toxic),
+                labels=None if labels is None else tuple(map(int, labels)),
             )
             if not isinstance(doc.text, str):
                 raise TypeError("text is not a string")
         except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
                 DataError) as exc:
             raise DataError(f"{path}:{lineno}: not a prepared document: {exc!r}") from exc
+        if doc.id in seen:
+            raise DataError(f"{path}:{lineno}: repeated document id {doc.id!r}")
+        seen.add(doc.id)
         docs.append(doc)
     return docs
 

@@ -8,6 +8,9 @@ fast. Command-line ``--set key=value`` pairs override file values.
 from __future__ import annotations
 
 import math
+import typing
+from dataclasses import fields
+from functools import partialmethod
 from pathlib import Path
 
 from .corpus import (
@@ -21,7 +24,7 @@ from .corpus import (
 )
 from .embedding import DEFAULT_DIM
 from .errors import ConfigError
-from .models import BinaryModelConfig, MultiLabelModelConfig, TrainingConfig
+from .models import BinaryModelConfig, MultiLabelModelConfig, TrainingConfig, from_mapping
 
 
 def _parse_bool(text: str) -> bool:
@@ -71,15 +74,11 @@ def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in parts)
 
 
-def _parse_str_tuple(text: str) -> tuple[str, ...]:
-    return tuple(p.strip() for p in text.split(",") if p.strip())
-
-
 def _parse_opt_str_tuple(text: str):
     # "none" (or empty) disables the column list entirely
     if text.strip().lower() in ("", "none"):
         return None
-    return _parse_str_tuple(text)
+    return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
 def _parse_conv_stack(text: str) -> tuple[tuple[int, int], ...]:
@@ -96,7 +95,8 @@ def _parse_conv_stack(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(stack)
 
 
-# key -> (default value, parser applied to file/override text)
+# key -> (default value, parser applied to file/override text). The keys of
+# the typed configs' fields are added from SECTIONS below.
 SCHEMA = {
     "data.path": (None, _parse_opt_str),
     "data.format": ("csv", _parse_str),
@@ -115,23 +115,6 @@ SCHEMA = {
     "embedding.dim": (DEFAULT_DIM, _parse_int),
     "embedding.path": (None, _parse_opt_str),
     "embedding.trainable": (True, _parse_bool),
-    "binary.lstm_units": (128, _parse_int),
-    "binary.dense_hidden": ((128, 64), _parse_int_tuple),
-    "binary.dropout": (0.3, _parse_float),
-    "binary.leaky_slope": (0.01, _parse_float),
-    "binary.pooled_input": (False, _parse_bool),
-    "multilabel.conv_stack": (((512, 4), (256, 3), (128, 2)), _parse_conv_stack),
-    "multilabel.pool": (2, _parse_int),
-    "multilabel.bilstm_units": (128, _parse_int),
-    "multilabel.use_attention": (True, _parse_bool),
-    "train.batch_size": (16, _parse_int),
-    "train.learning_rate": (1e-5, _parse_float),
-    "train.epochs": (10, _parse_int),
-    "train.l2_lambda": (1e-4, _parse_float),
-    "train.patience": (10, _parse_int),
-    "split.train": (0.60, _parse_float),
-    "split.val": (0.24, _parse_float),
-    "split.test": (0.16, _parse_float),
     "thresholds.binary": (0.5, _parse_float),
     "thresholds.label": (0.5, _parse_float),
     "explain.samples": (1000, _parse_int),
@@ -140,6 +123,33 @@ SCHEMA = {
     "output.dir": ("out", _parse_str),
     "seed": (0, _parse_nonnegative_int),
 }
+
+# Sections read into typed configs: section -> (class, {field: key name} where
+# the key is not ``section.field``). Each key takes its field's default and its
+# annotation's parser; ``seed`` fills every ``seed`` field.
+SECTIONS = {
+    "binary": (BinaryModelConfig, {"dropout_rate": "dropout"}),
+    "multilabel": (MultiLabelModelConfig, {}),
+    "train": (TrainingConfig, {}),
+    "split": (SplitSpec, {"train_fraction": "train", "val_fraction": "val",
+                          "test_fraction": "test"}),
+}
+PARSERS = {bool: _parse_bool, int: _parse_int, float: _parse_float,
+           tuple[int, ...]: _parse_int_tuple, tuple[tuple[int, int], ...]: _parse_conv_stack}
+
+
+def _section_keys(section: str):
+    """(field, annotation, config key) of each field of the section's class."""
+    cls, keys = SECTIONS[section]
+    hints = typing.get_type_hints(cls)
+    return [(f, hints[f.name],
+             "seed" if f.name == "seed" else f"{section}.{keys.get(f.name, f.name)}")
+            for f in fields(cls)]
+
+
+SCHEMA.update({key: (f.default, PARSERS[annotation])
+               for section in SECTIONS
+               for f, annotation, key in _section_keys(section) if key != "seed"})
 
 
 class RunConfig:
@@ -187,40 +197,15 @@ class RunConfig:
             delimiter=self["data.delimiter"],
         )
 
-    def split_spec(self) -> SplitSpec:
-        return SplitSpec(
-            train_fraction=self["split.train"],
-            val_fraction=self["split.val"],
-            test_fraction=self["split.test"],
-            seed=self["seed"],
-        )
+    def section(self, name: str):
+        """The typed config of section ``name``, read from its keys."""
+        return from_mapping(SECTIONS[name][0],
+                            {f.name: self[key] for f, _, key in _section_keys(name)})
 
-    def binary_model_config(self) -> BinaryModelConfig:
-        return BinaryModelConfig(
-            lstm_units=self["binary.lstm_units"],
-            dense_hidden=tuple(self["binary.dense_hidden"]),
-            dropout_rate=self["binary.dropout"],
-            leaky_slope=self["binary.leaky_slope"],
-            pooled_input=self["binary.pooled_input"],
-        )
-
-    def multilabel_model_config(self) -> MultiLabelModelConfig:
-        return MultiLabelModelConfig(
-            conv_stack=tuple(self["multilabel.conv_stack"]),
-            pool=self["multilabel.pool"],
-            bilstm_units=self["multilabel.bilstm_units"],
-            use_attention=self["multilabel.use_attention"],
-        )
-
-    def training_config(self) -> TrainingConfig:
-        return TrainingConfig(
-            batch_size=self["train.batch_size"],
-            learning_rate=self["train.learning_rate"],
-            epochs=self["train.epochs"],
-            seed=self["seed"],
-            l2_lambda=self["train.l2_lambda"],
-            patience=self["train.patience"],
-        )
+    split_spec = partialmethod(section, "split")
+    binary_model_config = partialmethod(section, "binary")
+    multilabel_model_config = partialmethod(section, "multilabel")
+    training_config = partialmethod(section, "train")
 
     def output_dir(self) -> Path:
         return Path(self["output.dir"])

@@ -8,6 +8,8 @@ import itertools
 import json
 import math
 import struct
+import sys
+import typing
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -54,6 +56,36 @@ def _check_sizes(**sizes) -> None:
             raise ConfigError(f"{name} must be >= 1, got {size}")
 
 
+def _read(annotation, value, name: str):
+    """``value``, from JSON or config text, as a value of ``annotation``:
+    lists read as tuples, a bool is no int and a float may be written as an
+    int. Any other value raises ConfigError naming ``name``."""
+    args = typing.get_args(annotation)  # (X, ...) of tuple[X, ...], (X, Y) of tuple[X, Y]
+    if args and type(value) in (list, tuple):
+        items = args[:1] * len(value) if args[-1] is ... else args
+        if len(items) == len(value):
+            return tuple(_read(a, v, name) for a, v in zip(items, value))
+    elif annotation is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return value
+    elif type(value) is annotation:  # bool, int, str
+        return value
+    raise ConfigError(f"{name} must be {annotation if args else annotation.__name__}, "
+                      f"got {value!r}")
+
+
+def from_mapping(cls, values):
+    """The config dataclass ``cls`` from the dict ``values``, each value read
+    by ``_read`` as its field's annotation; a missing field keeps its default."""
+    if type(values) is not dict:
+        raise ConfigError(f"{cls.__name__} must be read from a mapping, got {values!r}")
+    hints = typing.get_type_hints(cls)
+    for name in sorted(values.keys() - hints.keys()):
+        raise ConfigError(f"{cls.__name__} has no field {name!r}")
+    return cls(**{name: _read(hints[name], value, f"{cls.__name__}.{name}")
+                  for name, value in values.items()})
+
+
 @dataclass(frozen=True)
 class BinaryModelConfig:
     lstm_units: int = 128
@@ -69,12 +101,6 @@ class BinaryModelConfig:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "BinaryModelConfig":
-        d = dict(d)
-        d["dense_hidden"] = tuple(int(v) for v in d.get("dense_hidden", ()))
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class MultiLabelModelConfig:
@@ -86,19 +112,9 @@ class MultiLabelModelConfig:
     def __post_init__(self):
         if not self.conv_stack:
             raise ConfigError("conv stack must be non-empty")
-        if self.pool < 1:
-            raise ConfigError(f"pool must be >= 1, got {self.pool}")
-        _check_sizes(bilstm_units=self.bilstm_units)
+        _check_sizes(pool=self.pool, bilstm_units=self.bilstm_units)
         for filters, kernel in self.conv_stack:
             _check_sizes(conv_filters=filters, conv_kernel=kernel)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MultiLabelModelConfig":
-        d = dict(d)
-        d["conv_stack"] = tuple(
-            (int(f), int(k)) for f, k in d.get("conv_stack", ())
-        )
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -111,12 +127,10 @@ class TrainingConfig:
     patience: int = 10
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        _check_sizes(batch_size=self.batch_size)
         if self.learning_rate < 0.0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        _check_sizes(epochs=self.epochs)
         if self.l2_lambda < 0.0:
             raise ConfigError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
 
@@ -655,7 +669,7 @@ def _decode_checkpoint(body: memoryview, path, expect_kind: str | None) -> Train
     if kind not in MODELS:
         raise CheckpointError(f"unknown model kind {kind!r}")
     emb = header["embedding"]
-    config = MODELS[kind].config_class.from_dict(header["model_config"])
+    config = from_mapping(MODELS[kind].config_class, header["model_config"])
     # Check the header's sizes against its tensor list, and the tensor list
     # against the bytes in the file, before a size is used to allocate.
     expected = _tensor_shapes(config, emb["vocab_size"], emb["dim"])
@@ -676,13 +690,13 @@ def _decode_checkpoint(body: memoryview, path, expect_kind: str | None) -> Train
         raise CheckpointError(
             f"checkpoint {path} has {left - nbytes} trailing bytes")
 
-    table = EmbeddingTable(np.zeros((emb["vocab_size"], emb["dim"])),
-                           trainable=emb["trainable"], source=emb["source"])
+    table = EmbeddingTable(np.zeros((emb["vocab_size"], emb["dim"])), source=emb["source"],
+                           trainable=_read(bool, emb["trainable"], "embedding.trainable"))
     if kind == "binary":
         model = BinaryModel(config, table, seed=0)
     else:
-        model = MultiLabelModel(config, table, seq_len=int(header["seq_len"]),
-                                seed=0)
+        model = MultiLabelModel(config, table, seed=0,
+                                seq_len=_read(int, header["seq_len"], "seq_len"))
     for name, param in model.named_tensors():
         param.value[...] = np.frombuffer(
             body, dtype="<f8", count=param.value.size, offset=offset
@@ -693,11 +707,11 @@ def _decode_checkpoint(body: memoryview, path, expect_kind: str | None) -> Train
                 f"checkpoint {path}: tensor {name} holds a non-finite value")
     _check_pad_row(table.matrix, path)
 
-    train_config = None
-    if header["train_config"]:
-        train_config = TrainingConfig(**header["train_config"])
-    history = [{"epoch": e, "train_loss": tl, "val_loss": vl}
-               for e, tl, vl in header["history"]]
-    return TrainedModel(model=model, vocab_hash=header["vocab_hash"],
+    train_config = header["train_config"]
+    if train_config is not None:
+        train_config = from_mapping(TrainingConfig, train_config)
+    history = [{"epoch": e, "train_loss": tl, "val_loss": vl} for e, tl, vl
+               in _read(tuple[tuple[int, float, float], ...], header["history"], "history")]
+    return TrainedModel(model=model, vocab_hash=_read(str, header["vocab_hash"], "vocab_hash"),
                         history=history, train_config=train_config,
-                        best_epoch=header["best_epoch"])
+                        best_epoch=_read(int, header["best_epoch"], "best_epoch"))

@@ -34,7 +34,8 @@ def _rewrite_header(path, header):
     a correct SHA-256, so that only the header is malformed.
 
     ``header`` is the raw replacement bytes, or ``{"drop": key}`` /
-    ``{"set": (key, value)}`` applied to the decoded original.
+    ``{"set": (key, value)}`` applied to the decoded original. A ``set`` key
+    may be a dotted path into it, such as ``"embedding.trainable"``.
     """
     body = path.read_bytes()[:-32]
     start = len(M.CHECKPOINT_MAGIC) + 4
@@ -45,7 +46,11 @@ def _rewrite_header(path, header):
             del decoded[header["drop"]]
         else:
             key, value = header["set"]
-            decoded[key] = value
+            *parents, last = key.split(".")
+            target = decoded
+            for part in parents:
+                target = target[part]
+            target[last] = value
         header = json.dumps(decoded).encode("utf-8")
     body = (M.CHECKPOINT_MAGIC + struct.pack("<I", len(header)) + header
             + body[start + length:])

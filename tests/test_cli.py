@@ -8,11 +8,107 @@ from toxiclass import cli
 from toxiclass import metrics as MT
 from toxiclass import models as M
 from toxiclass.config import RunConfig, load_config
-from toxiclass.corpus import LABELS, Vocabulary, encode
+from toxiclass.corpus import LABELS, SplitSpec, Vocabulary, encode
 from toxiclass.errors import ConfigError
 
 
+# Every config key with its default.
+DEFAULTS = {
+    "data.path": None, "data.format": "csv", "data.text_field": "text",
+    "data.toxic_field": None, "data.label_fields": LABELS, "data.id_field": None,
+    "data.delimiter": ",", "stopwords.path": None, "preprocess.remove_urls": True,
+    "preprocess.remove_punctuation": True, "preprocess.remove_emoticons": True,
+    "vocab.max_size": 50000, "vocab.min_freq": 1, "tokenize.max_len": 300,
+    "embedding.dim": 768, "embedding.path": None, "embedding.trainable": True,
+    "binary.lstm_units": 128, "binary.dense_hidden": (128, 64), "binary.dropout": 0.3,
+    "binary.leaky_slope": 0.01, "binary.pooled_input": False,
+    "multilabel.conv_stack": ((512, 4), (256, 3), (128, 2)), "multilabel.pool": 2,
+    "multilabel.bilstm_units": 128, "multilabel.use_attention": True,
+    "train.batch_size": 16, "train.learning_rate": 1e-05, "train.epochs": 10,
+    "train.l2_lambda": 0.0001, "train.patience": 10,
+    "split.train": 0.6, "split.val": 0.24, "split.test": 0.16,
+    "thresholds.binary": 0.5, "thresholds.label": 0.5, "explain.samples": 1000,
+    "explain.features.binary": 6, "explain.features.multilabel": 10,
+    "output.dir": "out", "seed": 0,
+}
+
+# Each key, the text the benchmark's run config (bench/workloads.py,
+# ``config_text`` at paper sizes) writes for it, and the value it parses to.
+BENCH_KEYS = [
+    ("data.path", "data.csv", "data.csv"),
+    ("data.format", "csv", "csv"),
+    ("data.text_field", "text", "text"),
+    ("data.toxic_field", "toxic", "toxic"),
+    ("data.label_fields", "vulgar,hate,religious,threat,troll,insult", LABELS),
+    ("data.id_field", "id", "id"),
+    ("data.delimiter", ",", ","),
+    ("stopwords.path", "none", None),
+    ("preprocess.remove_urls", "true", True),
+    ("preprocess.remove_punctuation", "true", True),
+    ("preprocess.remove_emoticons", "true", True),
+    ("vocab.max_size", "50000", 50000),
+    ("vocab.min_freq", "1", 1),
+    ("tokenize.max_len", "300", 300),
+    ("embedding.dim", "100", 100),
+    ("embedding.path", "none", None),
+    ("embedding.trainable", "true", True),
+    ("binary.lstm_units", "128", 128),
+    ("binary.dense_hidden", "128,64", (128, 64)),
+    ("binary.dropout", "0.3", 0.3),
+    ("binary.leaky_slope", "0.01", 0.01),
+    ("binary.pooled_input", "false", False),
+    ("multilabel.conv_stack", "512x4,256x3,128x2", ((512, 4), (256, 3), (128, 2))),
+    ("multilabel.pool", "2", 2),
+    ("multilabel.bilstm_units", "128", 128),
+    ("multilabel.use_attention", "true", True),
+    ("train.batch_size", "16", 16),
+    ("train.learning_rate", "1e-05", 1e-05),
+    ("train.epochs", "1", 1),
+    ("train.l2_lambda", "0.0001", 0.0001),
+    ("train.patience", "10", 10),
+    ("split.train", "0.6", 0.6),
+    ("split.val", "0.24", 0.24),
+    ("split.test", "0.16", 0.16),
+    ("thresholds.binary", "0.5", 0.5),
+    ("thresholds.label", "0.5", 0.5),
+    ("explain.samples", "1000", 1000),
+    ("explain.features.binary", "6", 6),
+    ("explain.features.multilabel", "10", 10),
+    ("output.dir", "out", "out"),
+    ("seed", "7", 7),
+]
+
+
+def _typed(values: dict) -> dict:
+    """``values`` with each value's type, so that 1 and True differ."""
+    return {k: (v, type(v)) for k, v in values.items()}
+
+
 class TestRunConfig:
+    def test_every_key_and_default(self):
+        assert len(DEFAULTS) == len(BENCH_KEYS) == 41
+        assert _typed(RunConfig().values) == _typed(DEFAULTS)
+
+    @pytest.mark.parametrize("key, text, value", BENCH_KEYS, ids=[k for k, _, _ in BENCH_KEYS])
+    def test_bench_key_parses(self, key, text, value):
+        cfg = RunConfig()
+        cfg.set_text(key, text)
+        assert _typed({key: cfg[key]}) == _typed({key: value})
+
+    def test_bench_config_builds_typed_configs(self):
+        cfg = load_config(overrides=[f"{k}={text}" for k, text, _ in BENCH_KEYS])
+        assert cfg.binary_model_config() == M.BinaryModelConfig(
+            lstm_units=128, dense_hidden=(128, 64), dropout_rate=0.3,
+            leaky_slope=0.01, pooled_input=False)
+        assert cfg.multilabel_model_config() == M.MultiLabelModelConfig(
+            conv_stack=((512, 4), (256, 3), (128, 2)), pool=2, bilstm_units=128,
+            use_attention=True)
+        assert cfg.training_config() == M.TrainingConfig(
+            batch_size=16, learning_rate=1e-05, epochs=1, seed=7, l2_lambda=0.0001,
+            patience=10)
+        assert cfg.split_spec() == SplitSpec(
+            train_fraction=0.6, val_fraction=0.24, test_fraction=0.16, seed=7)
+
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg["train.batch_size"] == 16
@@ -789,16 +885,38 @@ class TestBadRows:
         b'{"id": "x", "text": 5}', b'{"id": "x", "text": "y", "toxic": 1, "labels": [1]}',
         b'{"id": "x", "text": "y", "toxic": 1, "labels": 7}',
         pytest.param(b"[" * 100_000, id="nested"),
+        # the flag and labels are 0/1 numbers or booleans, never strings
+        b'{"id": "x", "text": "y", "toxic": "0"}',
+        b'{"id": "x", "text": "y", "toxic": 2, "labels": [1, 0, 0, 0, 0, 0]}',
+        b'{"id": "x", "text": "y", "toxic": 1, "labels": [1.5, 0, 0, 0, 0, 0]}',
+        b'{"id": "x", "text": "y", "toxic": 1, "labels": [0, 0, 0, 0, 0, "1"]}',
     ])
     def test_prepared_documents(self, workspace, tmp_path, capsys, line):
+        path = self._rewrite_line_2(workspace, tmp_path, line)
+        assert cli.main(workspace["base"] + ["--set", f"output.dir={path.parents[1]}",
+                                             "split"]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {path}:2: not a prepared document" in err
+
+    def test_repeated_prepared_id(self, workspace, tmp_path, capsys):
+        first = (workspace["out"] / "prepared" / "documents.jsonl").read_bytes()
+        path = self._rewrite_line_2(workspace, tmp_path, first.splitlines()[0])
+        assert cli.main(workspace["base"] + ["--set", f"output.dir={path.parents[1]}",
+                                             "split"]) == 3
+        first_id = json.loads(first.splitlines()[0])["id"]
+        assert f"data error: {path}:2: repeated document id {first_id!r}" \
+            in capsys.readouterr().err
+
+    @staticmethod
+    def _rewrite_line_2(workspace, tmp_path, line):
+        """A copy of the workspace's output whose prepared documents have
+        ``line`` as line 2; -> the documents file."""
         alt = tmp_path / "out"
         shutil.copytree(workspace["out"], alt)
         path = alt / "prepared" / "documents.jsonl"
         lines = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(lines[0] + line + b"\n" + b"".join(lines[2:]))
-        assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}", "split"]) == 3
-        err = capsys.readouterr().err
-        assert f"{path}:2: not a prepared document" in err
+        return path
 
     @pytest.mark.parametrize("line", [
         b"5", b"[]", b"{", b'{"toxic": 1}', b'{"id": 2}', b'{"id": 2, "toxic": "yes"}',

@@ -290,16 +290,16 @@ class TestDocumentValidation:
         C.Document("d2", "x", toxic=False, labels=(0, 0, 0, 0, 0, 0))
 
     def test_toxic_without_labels_rejected(self):
-        with pytest.raises(DataError):
-            C.Document("d", "x", toxic=True, labels=(0,) * 6).validate()
+        with pytest.raises(DataError, match="no label is set"):
+            C.Document("d", "x", toxic=True, labels=(0,) * 6)
 
     def test_labels_without_toxic_rejected(self):
-        with pytest.raises(DataError):
-            C.Document("d", "x", toxic=False, labels=(0, 1, 0, 0, 0, 0)).validate()
+        with pytest.raises(DataError, match="labels are not all zero"):
+            C.Document("d", "x", toxic=False, labels=(0, 1, 0, 0, 0, 0))
 
     def test_wrong_arity_rejected(self):
-        with pytest.raises(DataError):
-            C.Document("d", "x", toxic=True, labels=(1, 0)).validate()
+        with pytest.raises(DataError, match="length 2"):
+            C.Document("d", "x", toxic=True, labels=(1, 0))
 
 
 def _write_csv(path, rows, header="id,text,toxic,vulgar,hate,religious,threat,troll,insult"):
@@ -610,12 +610,10 @@ class TestStratifiedSplit:
             ["d2", "d3", "d6", "d9"], ["d0", "d5", "d7", "d8"], ["d1", "d4", "d10", "d11"]]
 
     def test_bad_fractions(self):
-        with pytest.raises(ConfigError):
-            C.SplitSpec(train_fraction=0.7, val_fraction=0.2,
-                        test_fraction=0.2).validate()
-        with pytest.raises(ConfigError):
-            C.SplitSpec(train_fraction=0.0, val_fraction=0.5,
-                        test_fraction=0.5).validate()
+        with pytest.raises(ConfigError, match="sum to"):
+            C.SplitSpec(train_fraction=0.7, val_fraction=0.2, test_fraction=0.2)
+        with pytest.raises(ConfigError, match="outside"):
+            C.SplitSpec(train_fraction=0.0, val_fraction=0.5, test_fraction=0.5)
 
     def test_empty_corpus(self):
         with pytest.raises(DataError):

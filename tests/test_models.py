@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import struct
 import tracemalloc
@@ -42,15 +43,15 @@ class TestConfigs:
     def test_training_config_validation(self):
         M.TrainingConfig()
         M.TrainingConfig(learning_rate=0.0)  # freeze is legal
-        with pytest.raises(ConfigError):
-            M.TrainingConfig(batch_size=0).validate()
-        with pytest.raises(ConfigError):
-            M.TrainingConfig(learning_rate=-1e-3).validate()
-        with pytest.raises(ConfigError):
-            M.TrainingConfig(epochs=0).validate()
+        with pytest.raises(ConfigError, match="batch_size"):
+            M.TrainingConfig(batch_size=0)
+        with pytest.raises(ConfigError, match="learning_rate"):
+            M.TrainingConfig(learning_rate=-1e-3)
+        with pytest.raises(ConfigError, match="epochs"):
+            M.TrainingConfig(epochs=0)
         M.TrainingConfig(l2_lambda=0.0)  # no penalty is legal
         with pytest.raises(ConfigError, match="l2_lambda"):
-            M.TrainingConfig(l2_lambda=-1.0).validate()
+            M.TrainingConfig(l2_lambda=-1.0)
 
     def test_empty_conv_stack_rejected(self):
         with pytest.raises(ConfigError):
@@ -78,14 +79,43 @@ class TestConfigs:
         with pytest.raises(ConfigError):
             M.MultiLabelModelConfig(**kwargs)
 
-    def test_from_dict_round_trips(self):
+    def test_from_mapping_round_trips(self):
         from dataclasses import asdict
         b = M.BinaryModelConfig(lstm_units=7, dense_hidden=(3, 2))
-        assert M.BinaryModelConfig.from_dict(asdict(b)) == b
+        assert M.from_mapping(M.BinaryModelConfig, asdict(b)) == b
+        assert M.from_mapping(M.BinaryModelConfig, json.loads(json.dumps(asdict(b)))) == b
         m = M.MultiLabelModelConfig(conv_stack=((6, 3),), bilstm_units=5)
+        assert M.from_mapping(M.MultiLabelModelConfig, asdict(m)) == m
         d = {"conv_stack": [[6, 3]], "pool": 2, "bilstm_units": 5,
              "use_attention": True}
-        assert M.MultiLabelModelConfig.from_dict(d) == m
+        assert M.from_mapping(M.MultiLabelModelConfig, d) == m
+        t = M.TrainingConfig(l2_lambda=0, seed=3)
+        assert M.from_mapping(M.TrainingConfig, json.loads(json.dumps(asdict(t)))) == t
+
+    def test_from_mapping_keeps_defaults(self):
+        assert M.from_mapping(M.BinaryModelConfig, {}) == M.BinaryModelConfig()
+        assert M.from_mapping(M.MultiLabelModelConfig, {"pool": 3}) \
+            == M.MultiLabelModelConfig(pool=3)
+
+    @pytest.mark.parametrize("cls, values, field", [
+        (M.BinaryModelConfig, {"use_attention": True}, "no field 'use_attention'"),
+        (M.BinaryModelConfig, [("lstm_units", 4)], "mapping"),
+        (M.BinaryModelConfig, {"pooled_input": "false"}, "pooled_input must be bool"),
+        (M.BinaryModelConfig, {"lstm_units": True}, "lstm_units must be int"),
+        (M.BinaryModelConfig, {"lstm_units": 8.0}, "lstm_units must be int"),
+        (M.BinaryModelConfig, {"leaky_slope": "x"}, "leaky_slope must be float"),
+        (M.BinaryModelConfig, {"leaky_slope": False}, "leaky_slope must be float"),
+        (M.BinaryModelConfig, {"leaky_slope": float("inf")}, "leaky_slope must be float"),
+        (M.BinaryModelConfig, {"leaky_slope": 10 ** 400}, "leaky_slope must be float"),
+        (M.BinaryModelConfig, {"dense_hidden": "8"}, "dense_hidden must be tuple"),
+        (M.BinaryModelConfig, {"dense_hidden": [8, "8"]}, "dense_hidden must be int"),
+        (M.MultiLabelModelConfig, {"conv_stack": [[8, 3, 1]]}, "conv_stack must be tuple"),
+        (M.MultiLabelModelConfig, {"conv_stack": [8]}, "conv_stack must be tuple"),
+        (M.TrainingConfig, {"seed": None}, "seed must be int"),
+    ])
+    def test_from_mapping_refuses(self, cls, values, field):
+        with pytest.raises(ConfigError, match=field):
+            M.from_mapping(cls, values)
 
 
 class TestPostStackLength:
@@ -1031,14 +1061,33 @@ class TestCheckpoint:
         {"set": ("embedding", [])},
         {"set": ("tensors", 5)},
         {"set": ("history", [[0, 1.0]])},
+        # values of the wrong type: each is named in the error. ``kind``
+        # picks the checkpoint the field belongs to.
+        {"set": ("model_config.leaky_slope", "x")},
+        {"set": ("model_config.dense_hidden", "8")},
+        {"set": ("embedding.trainable", "no")},
+        {"set": ("history", [["a", "b", "c"]])},
+        {"set": ("best_epoch", "x")},
+        {"set": ("vocab_hash", 0)},
+        {"set": ("train_config.l2_lambda", "0")},
+        {"set": ("model_config.use_attention", "false"), "kind": "multilabel"},
+        {"set": ("seq_len", 12.5), "kind": "multilabel"},
     ])
     def test_malformed_header_with_valid_checksum(self, tmp_path, header,
                                                   rewrite_header):
-        _, path = self._trained_binary(tmp_path)
+        kind = header.get("kind", "binary") if isinstance(header, dict) else "binary"
+        if kind == "binary":
+            _, path = self._trained_binary(tmp_path)
+        else:
+            path = tmp_path / "multilabel.ckpt"
+            M.save_model(M.TrainedModel(model=_multilabel(), vocab_hash=""), path)
         rewrite_header(path, header)
         with pytest.raises(CheckpointError, match="malformed header") as info:
             M.load_model(path)
         assert str(path) in str(info.value)
+        key = header.get("set", ("",))[0] if isinstance(header, dict) else ""
+        if key not in ("", "model_config", "embedding", "tensors"):
+            assert key.rsplit(".", 1)[-1] in str(info.value)
 
 
 # Sizes and values a rewritten header field may take: small and huge ints,
@@ -1059,6 +1108,40 @@ def _rewritten(field: dict) -> st.SearchStrategy:
     return st.one_of(changes.map(lambda c: {**field, **c}), _JUNK)
 
 
+def _rewritten_history(history: list) -> st.SearchStrategy:
+    number = st.one_of(st.integers(-2, 3), st.floats(), st.text(max_size=2), st.none())
+    entry = st.one_of(st.sampled_from(history), st.lists(number, max_size=4), _JUNK)
+    return st.one_of(st.lists(entry, max_size=3), _JUNK)
+
+
+# The type each annotation of a config field allows; a float field may hold
+# an int, as a header written from ``TrainingConfig(l2_lambda=0)`` does.
+_INTS = (lambda v: type(v) is tuple and all(type(x) is int for x in v))
+_ANNOTATED = {
+    "bool": lambda v: type(v) is bool,
+    "int": lambda v: type(v) is int,
+    "float": lambda v: type(v) in (int, float),
+    "tuple[int, ...]": _INTS,
+    "tuple[tuple[int, int], ...]": lambda v: type(v) is tuple and all(
+        _INTS(p) and len(p) == 2 for p in v),
+}
+
+
+def _assert_loaded_types(trained):
+    """Each value ``load_model`` read from the header has the type its
+    annotation names."""
+    for config in (trained.model.config, trained.train_config or M.TrainingConfig()):
+        for f in dataclasses.fields(config):
+            assert _ANNOTATED[f.type](getattr(config, f.name)), (f.name, config)
+    assert type(trained.model.embedding.table.trainable) is bool
+    assert type(getattr(trained.model, "seq_len", 0)) is int
+    assert type(trained.vocab_hash) is str
+    assert type(trained.best_epoch) is int
+    for h in trained.history:
+        assert type(h["epoch"]) is int
+        assert _ANNOTATED["float"](h["train_loss"]) and _ANNOTATED["float"](h["val_loss"])
+
+
 def _rewritten_tensors(tensors: list) -> st.SearchStrategy:
     names = st.sampled_from([t["name"] for t in tensors] + ["extra"])
     entry = st.one_of(st.sampled_from(tensors), _JUNK,
@@ -1073,7 +1156,9 @@ def desk_checkpoints(tmp_path_factory):
     for model in (M.BinaryModel(desk_binary_config(), random_table(len(VOCAB), 5)),
                   M.MultiLabelModel(desk_multilabel_config(),
                                     random_table(len(VOCAB), 5), seq_len=40)):
-        trained = M.TrainedModel(model=model, vocab_hash="")
+        trained = M.TrainedModel(model=model, vocab_hash="",
+                                 history=[{"epoch": 0, "train_loss": 0.7, "val_loss": 0.6}],
+                                 train_config=M.TrainingConfig(), best_epoch=0)
         path = tmp_path_factory.mktemp("desk") / f"{model.kind}.ckpt"
         M.save_model(trained, path)
         out[model.kind] = (path.read_bytes(), M._header_dict(trained))
@@ -1093,13 +1178,18 @@ def test_rewritten_header_fails_only_as_checkpoint_error(kind, data, tmp_path,
         "tensors": _rewritten_tensors(header["tensors"]),
         "embedding": _rewritten(header["embedding"]),
         "model_config": _rewritten(header["model_config"]),
+        "train_config": _rewritten(header["train_config"]),
+        "history": _rewritten_history(header["history"]),
+        "best_epoch": _VALUES,
+        "seq_len": _VALUES,
+        "vocab_hash": st.one_of(st.text(max_size=3), _VALUES),
     }).filter(bool))
     path = tmp_path / "desk.ckpt"
     path.write_bytes(original)
     for key, value in fields.items():
         rewrite_header(path, {"set": (key, value)})
     with contextlib.suppress(CheckpointError):
-        M.load_model(path, expect_kind=kind)
+        _assert_loaded_types(M.load_model(path, expect_kind=kind))
 
 
 class TestPipeline:
