@@ -74,30 +74,10 @@ def _make_dir(path: Path) -> Path:
 
 
 def _load_documents_file(path: Path) -> list[C.Document]:
-    docs, seen = [], set()
-    for lineno, line in C.read_lines(path, "prepared documents", hint="run prepare first"):
-        try:
-            row = json.loads(line)
-            toxic, labels = row.get("toxic"), row.get("labels")
-            if not (toxic is None or _zero_one(toxic)):
-                raise ValueError(f"toxic is not 0/1: {toxic!r}")
-            if not (labels is None or isinstance(labels, list) and all(map(_zero_one, labels))):
-                raise ValueError(f"labels are not 0/1 values: {labels!r}")
-            doc = C.Document(
-                id=str(row["id"]), text=row["text"],
-                toxic=None if toxic is None else bool(toxic),
-                labels=None if labels is None else tuple(map(int, labels)),
-            )
-            if not isinstance(doc.text, str):
-                raise TypeError("text is not a string")
-        except (ValueError, KeyError, TypeError, AttributeError, RecursionError,
-                DataError) as exc:
-            raise DataError(f"{path}:{lineno}: not a prepared document: {exc!r}") from exc
-        if doc.id in seen:
-            raise DataError(f"{path}:{lineno}: repeated document id {doc.id!r}")
-        seen.add(doc.id)
-        docs.append(doc)
-    return docs
+    return list(C.read_labelled(
+        path, "prepared documents", "a prepared document",
+        lambda row: C.Document(row["id"], row.get("text"), row["toxic"], row["labels"]),
+        hint="run prepare first"))
 
 
 def _load_vocab(cfg: RunConfig) -> C.Vocabulary:
@@ -109,9 +89,14 @@ def _load_prepared(cfg: RunConfig):
 
 
 def _load_fold_ids(cfg: RunConfig, fold: str) -> list[str]:
-    lines = C.read_lines(_splits_dir(cfg) / f"{fold}.ids", "split file",
-                         hint="run split first")
-    return [line.rstrip("\n") for _, line in lines if line != "\n"]
+    path, ids = _splits_dir(cfg) / f"{fold}.ids", {}
+    for lineno, line in C.read_lines(path, "split file", hint="run split first"):
+        doc_id = line.rstrip("\n")
+        if doc_id in ids:
+            raise DataError(f"{path}:{lineno}: repeated document id {doc_id!r}")
+        if doc_id:
+            ids[doc_id] = lineno
+    return list(ids)
 
 
 def _fold_documents(cfg: RunConfig, docs: list[C.Document], fold: str):
@@ -151,11 +136,8 @@ def cmd_prepare(cfg: RunConfig, args) -> int:
                           max_size=cfg["vocab.max_size"],
                           min_freq=cfg["vocab.min_freq"])
     pdir = _make_dir(_prepared_dir(cfg))
-    _write_text(pdir / "documents.jsonl", "".join(_dumps({
-        "id": d.id, "text": d.text,
-        "toxic": None if d.toxic is None else int(d.toxic),
-        "labels": None if d.labels is None else list(d.labels),
-    }) + "\n" for d in cleaned))
+    _write_text(pdir / "documents.jsonl",
+                "".join(_dumps(C.document_record(d)) + "\n" for d in cleaned))
     _write(pdir / "vocab.txt", vocab.save)
     _write_json(pdir / "meta.json", {
         "num_documents": len(cleaned),
@@ -186,13 +168,13 @@ def _stage_data(cfg: RunConfig, docs: list[C.Document], vocab: C.Vocabulary,
     tagger the toxic documents and their label vectors."""
     members = _fold_documents(cfg, docs, fold)
     if kind == "binary":
-        gold, missing = [d.toxic for d in members], "toxic flag"
+        gold = [d.toxic for d in members]
     else:
         members = [d for d in members if d.toxic]
-        gold, missing = [d.labels for d in members], "label vector"
-    for d, value in zip(members, gold):
-        if value is None:
-            raise DataError(f"{fold} fold: document {d.id} has no {missing}")
+        gold = [d.labels for d in members]
+        for d in members:
+            if d.labels is None:
+                raise DataError(f"{fold} fold: document {d.id} has no label vector")
     targets = np.array(gold, dtype=np.float64).reshape(
         len(members), len(M.MODELS[kind].class_names))
     return C.encode([d.text for d in members], vocab, cfg["tokenize.max_len"]), targets
@@ -369,26 +351,9 @@ def cmd_stats(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _zero_one(value) -> bool:
-    return not isinstance(value, str) and value in (0, 1)
-
-
 def _load_annotations(path) -> dict[str, dict]:
-    rows = {}
-    for lineno, line in C.read_lines(path, "annotation file"):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise DataError(f"{path}:{lineno}: bad JSON ({exc})") from exc
-        if not isinstance(row, dict) or "id" not in row or not _zero_one(row.get("toxic")):
-            raise DataError(f"{path}:{lineno}: needs an object with 'id' and a 0/1 'toxic'")
-        labels = row.get("labels", [0] * C.NUM_LABELS)
-        if not (isinstance(labels, list) and len(labels) == C.NUM_LABELS
-                and all(map(_zero_one, labels))):
-            raise DataError(f"{path}:{lineno}: 'labels' must be {C.NUM_LABELS} 0/1 values")
-        rows[str(row["id"])] = row
+    rows = {row["id"]: row
+            for row in C.read_labelled(path, "annotation file", "an annotation")}
     if not rows:
         raise DataError(f"annotation file is empty: {path}")
     return rows
@@ -405,7 +370,8 @@ def cmd_kappa(cfg: RunConfig, args) -> int:
     result = {"n": len(shared), "kappa_toxic": MT.cohens_kappa(tox_a, tox_b)}
 
     per_class = {}
-    if all("labels" in ann_a[i] and "labels" in ann_b[i] for i in shared):
+    if all(ann_a[i]["labels"] is not None and ann_b[i]["labels"] is not None
+           for i in shared):
         for c, name in enumerate(C.LABELS):
             la = [int(ann_a[i]["labels"][c]) for i in shared]
             lb = [int(ann_b[i]["labels"][c]) for i in shared]

@@ -57,7 +57,8 @@ class Document:
     """One text instance with optional gold annotations.
 
     ``labels`` follows the fixed class order in ``LABELS``. Construction
-    raises DataError when they are not six 0/1 values agreeing with ``toxic``.
+    raises DataError when ``text`` is not a str, or when the labels are not
+    six 0/1 values agreeing with ``toxic``.
     """
 
     id: str
@@ -66,6 +67,8 @@ class Document:
     labels: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise DataError(f"document {self.id!r}: text is not a string")
         if self.labels is not None:
             if len(self.labels) != NUM_LABELS:
                 raise DataError(
@@ -326,6 +329,20 @@ def _rows_from_file(path, spec: FormatSpec):
         yield from enumerate(csv.DictReader(lines, delimiter=spec.delimiter), start=2)
 
 
+def _claim_id(record: dict, name: str, seen: set[str]) -> str:
+    """Field ``name`` of ``record`` as an id, claimed in ``seen``. A missing,
+    null, empty, repeated or multi-line id raises ValueError."""
+    if name not in record:
+        raise ValueError(f"missing id field {name!r}")
+    if record[name] is None:
+        raise ValueError(f"id field {name!r} is null")
+    doc_id = str(record[name])
+    if not doc_id or "\n" in doc_id or "\r" in doc_id or doc_id in seen:
+        raise ValueError(f"id {doc_id!r} is empty, repeated or holds a line break")
+    seen.add(doc_id)
+    return doc_id
+
+
 def _document(lineno: int, record, spec: FormatSpec, seen: set[str]) -> Document:
     """The Document of dataset row ``record``. The row's first fault is
     raised as a ValueError or DataError; a row that passes the id checks
@@ -339,16 +356,7 @@ def _document(lineno: int, record, spec: FormatSpec, seen: set[str]) -> Document
     text = record[spec.text_field]
     if text is None:
         raise ValueError("text field is null")
-    doc_id = str(lineno)
-    if spec.id_field:
-        if spec.id_field not in record:
-            raise ValueError(f"missing id field {spec.id_field!r}")
-        if record[spec.id_field] is None:
-            raise ValueError(f"id field {spec.id_field!r} is null")
-        doc_id = str(record[spec.id_field])
-    if not doc_id or "\n" in doc_id or "\r" in doc_id or doc_id in seen:
-        raise ValueError(f"id {doc_id!r} is empty, repeated or holds a line break")
-    seen.add(doc_id)
+    doc_id = _claim_id(record, spec.id_field, seen) if spec.id_field else str(lineno)
     labels = None
     if spec.label_fields is not None:
         labels = tuple(int(_parse_flag(record, name)) for name in spec.label_fields)
@@ -383,6 +391,45 @@ def ingest(path, spec: FormatSpec) -> list[Document]:
         more = "" if len(bad) <= 20 else f" (+{len(bad) - 20} more)"
         raise IngestError(f"{len(bad)} bad rows in {path}: {shown}{more}", rows=bad)
     return documents
+
+
+def document_record(doc: Document) -> dict:
+    """The labelled row of ``doc``, which has a toxic flag, as prepare writes it."""
+    return {"id": doc.id, "text": doc.text, "toxic": int(doc.toxic),
+            "labels": None if doc.labels is None else list(doc.labels)}
+
+
+def _zero_one(value, name: str) -> int:
+    """``value`` of ``name`` as 0 or 1: a 0/1 number or a bool, never a string."""
+    if isinstance(value, str) or value not in (0, 1):
+        raise ValueError(f"{name} is not 0/1: {value!r}")
+    return int(value)
+
+
+def read_labelled(path, what: str, row: str, make=dict, hint: str = ""):
+    """Yield ``make(record)`` for each non-blank line of the JSONL file ``path``:
+    the line's JSON object with ``id`` read by ingest's id rule, ``toxic``
+    as a bool and ``labels`` as six 0/1 ints or None. A fault, ``make``'s
+    DataError included, raises DataError "<path>:<line>: not <row>: ..."."""
+    seen: set[str] = set()
+    for lineno, line in read_lines(path, what, hint=hint):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError("not a JSON object")
+            record["id"] = _claim_id(record, "id", seen)
+            record["toxic"] = bool(_zero_one(record.get("toxic"), "toxic"))
+            labels = record.get("labels")
+            if labels is not None:
+                if type(labels) is not list or len(labels) != NUM_LABELS:
+                    raise ValueError(f"labels are not {NUM_LABELS} values: {labels!r}")
+                labels = tuple(_zero_one(v, "a label") for v in labels)
+            record["labels"] = labels
+            yield make(record)
+        except (ValueError, RecursionError, DataError) as exc:
+            raise DataError(f"{path}:{lineno}: not {row}: {exc}") from exc
 
 
 def stats(documents) -> dict:

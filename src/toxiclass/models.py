@@ -668,11 +668,17 @@ def _decode_checkpoint(body: memoryview, path, expect_kind: str | None) -> Train
 
     if kind not in MODELS:
         raise CheckpointError(f"unknown model kind {kind!r}")
+    class_order = list(MODELS[kind].class_names)
+    if header["class_order"] != class_order:
+        raise ConfigError(
+            f"class_order must be {class_order}, got {header['class_order']!r}")
     emb = header["embedding"]
+    vocab_size = _read(int, emb["vocab_size"], "embedding.vocab_size")
+    dim = _read(int, emb["dim"], "embedding.dim")
     config = from_mapping(MODELS[kind].config_class, header["model_config"])
     # Check the header's sizes against its tensor list, and the tensor list
     # against the bytes in the file, before a size is used to allocate.
-    expected = _tensor_shapes(config, emb["vocab_size"], emb["dim"])
+    expected = _tensor_shapes(config, vocab_size, dim)
     declared = [(meta["name"], tuple(meta["shape"])) for meta in header["tensors"]]
     for have, want in itertools.zip_longest(declared, expected):
         if have != want:
@@ -690,7 +696,8 @@ def _decode_checkpoint(body: memoryview, path, expect_kind: str | None) -> Train
         raise CheckpointError(
             f"checkpoint {path} has {left - nbytes} trailing bytes")
 
-    table = EmbeddingTable(np.zeros((emb["vocab_size"], emb["dim"])), source=emb["source"],
+    table = EmbeddingTable(np.zeros((vocab_size, dim)),
+                           source=_read(str, emb["source"], "embedding.source"),
                            trainable=_read(bool, emb["trainable"], "embedding.trainable"))
     if kind == "binary":
         model = BinaryModel(config, table, seed=0)

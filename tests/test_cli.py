@@ -3,8 +3,11 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from toxiclass import cli
+from toxiclass import corpus as C
 from toxiclass import metrics as MT
 from toxiclass import models as M
 from toxiclass.config import RunConfig, load_config
@@ -296,6 +299,18 @@ class TestPrepareAndSplit:
             assert (alt / rel).read_bytes() \
                 == (workspace["out"] / rel).read_bytes(), rel
 
+    def test_blank_prepared_lines_are_skipped(self, workspace, tmp_path):
+        alt = tmp_path / "out"
+        (alt / "prepared").mkdir(parents=True)
+        lines = (workspace["out"] / "prepared" / "documents.jsonl").read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        (alt / "prepared" / "documents.jsonl").write_text(
+            "\n" + lines[0] + " \n" + "".join(lines[1:]) + "\n", encoding="utf-8")
+        assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}", "split"]) == 0
+        for fold in ("train", "val", "test"):
+            assert (alt / "splits" / f"{fold}.ids").read_bytes() \
+                == (workspace["out"] / "splits" / f"{fold}.ids").read_bytes()
+
     def test_prepare_with_reserved_tokens_in_text(self, workspace, tmp_path):
         csv_path = tmp_path / "reserved.csv"
         _make_corpus_csv(csv_path, n=12)
@@ -527,6 +542,23 @@ class TestKappa:
         assert data["control_n"] == 10
         assert data["trustworthiness_a"] == MT.trustworthiness(tox_a, gold)
         assert data["trustworthiness_b"] == MT.trustworthiness(tox_b, gold)
+
+    def test_null_labels_mean_no_label_vector(self, workspace, tmp_path, capsys):
+        # labels need not agree with toxic, and a blank line is skipped
+        a_path, b_path, out = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "out"
+        self._write(a_path, [{"id": 1, "toxic": 1, "labels": None},
+                             {"id": 2, "toxic": 0, "labels": [1, 0, 0, 0, 0, 0]}])
+        self._write(b_path, [{"id": 1, "toxic": 1, "labels": [0] * 6},
+                             {"id": 2, "toxic": 1, "labels": [1, 0, 0, 0, 0, 0]}])
+        b_path.write_text("\n" + b_path.read_text(encoding="utf-8"), encoding="utf-8")
+        assert cli.main(workspace["base"]
+                        + ["--set", f"output.dir={out}", "kappa",
+                           "--annotations-a", str(a_path),
+                           "--annotations-b", str(b_path)]) == 0
+        data = json.loads((out / "kappa.json").read_text())
+        assert data["n"] == 2 and data["kappa_per_class"] is None
+        assert data["kappa_toxic"] == MT.cohens_kappa([1, 0], [1, 1])
+        assert "kappa_vulgar" not in capsys.readouterr().out
 
     def test_disjoint_annotations(self, workspace, tmp_path, capsys):
         a_path, b_path = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -890,6 +922,9 @@ class TestBadRows:
         b'{"id": "x", "text": "y", "toxic": 2, "labels": [1, 0, 0, 0, 0, 0]}',
         b'{"id": "x", "text": "y", "toxic": 1, "labels": [1.5, 0, 0, 0, 0, 0]}',
         b'{"id": "x", "text": "y", "toxic": 1, "labels": [0, 0, 0, 0, 0, "1"]}',
+        b'{"id": null, "text": "y", "toxic": 0}', b'{"id": "x", "text": "y", "toxic": null}',
+        b'{"id": "x", "text": "y", "toxic": 0, "labels": [1, 0, 0, 0, 0, 0]}',
+        b'{"id": "x", "text": ["y"], "toxic": 0}',
     ])
     def test_prepared_documents(self, workspace, tmp_path, capsys, line):
         path = self._rewrite_line_2(workspace, tmp_path, line)
@@ -904,8 +939,8 @@ class TestBadRows:
         assert cli.main(workspace["base"] + ["--set", f"output.dir={path.parents[1]}",
                                              "split"]) == 3
         first_id = json.loads(first.splitlines()[0])["id"]
-        assert f"data error: {path}:2: repeated document id {first_id!r}" \
-            in capsys.readouterr().err
+        assert (f"data error: {path}:2: not a prepared document: id {first_id!r} "
+                "is empty, repeated or holds a line break") in capsys.readouterr().err
 
     @staticmethod
     def _rewrite_line_2(workspace, tmp_path, line):
@@ -921,8 +956,10 @@ class TestBadRows:
     @pytest.mark.parametrize("line", [
         b"5", b"[]", b"{", b'{"toxic": 1}', b'{"id": 2}', b'{"id": 2, "toxic": "yes"}',
         b'{"id": 2, "toxic": "1"}', b'{"id": 2, "toxic": 0.5}',
-        b'{"id": 2, "toxic": 1, "labels": [1, 0]}', b'{"id": 2, "toxic": 1, "labels": null}',
+        b'{"id": 2, "toxic": 1, "labels": [1, 0]}',
         b'{"id": 2, "toxic": 1, "labels": [0, 0, 0, 0, 0, "1"]}',
+        # ids follow ingest's rule: "None" is not null, and an id is not repeated
+        b'{"id": null, "toxic": 1}', b'{"id": "1", "toxic": 0}', b'{"id": "", "toxic": 0}',
     ])
     def test_annotations(self, workspace, tmp_path, capsys, line):
         path = tmp_path / "a.jsonl"
@@ -934,6 +971,17 @@ class TestBadRows:
                            "--annotations-b", str(path)]) == 3
         assert f"{path}:2: " in capsys.readouterr().err
 
+    def test_repeated_split_id(self, workspace, tmp_path, capsys):
+        alt = tmp_path / "out"
+        shutil.copytree(workspace["out"], alt)
+        path = alt / "splits" / "train.ids"
+        ids = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("".join(i + "\n" for i in ids + ids[:3]), encoding="utf-8")
+        assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}",
+                                             "--set", "train.epochs=1", "train-binary"]) == 3
+        err = capsys.readouterr().err
+        assert f"data error: {path}:{len(ids) + 1}: repeated document id {ids[0]!r}" in err
+
     @pytest.mark.parametrize("command", [["prepare"], ["stats"]])
     def test_output_dir_is_a_file(self, workspace, tmp_path, capsys, command):
         taken = tmp_path / "taken"
@@ -942,6 +990,69 @@ class TestBadRows:
                         + command) == 3
         err = capsys.readouterr().err
         assert "cannot create output directory" in err and str(taken) in err
+
+
+_FLAGS = st.sampled_from([0, 1, True, False, 0.0, 1.0, -0.0, None])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=7)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+# any JSON value, leaning to flags, six-flag lists and text so that rows also load
+_FIELD_VALUES = st.one_of(_FLAGS, st.lists(_FLAGS, min_size=6, max_size=6),
+                          st.text(max_size=4), _JSON)
+_ROW_IDS = st.text(min_size=1).filter(lambda s: "\n" not in s and "\r" not in s)
+
+
+@st.composite
+def _documents(draw):
+    docs = []
+    for doc_id in draw(st.lists(_ROW_IDS, unique=True, max_size=6)):
+        labels = draw(st.none() | st.tuples(*[st.integers(0, 1)] * len(LABELS)))
+        toxic = draw(st.booleans()) if labels is None else any(labels)
+        docs.append(C.Document(doc_id, draw(st.text()), toxic, labels))
+    return docs
+
+
+class TestLabelledRows:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(docs=_documents())
+    def test_prepared_documents_read_back(self, tmp_path, docs):
+        path = tmp_path / "documents.jsonl"
+        path.write_text("".join(cli._dumps(C.document_record(d)) + "\n" for d in docs),
+                        encoding="utf-8")
+        assert cli._load_documents_file(path) == docs
+
+    @pytest.mark.parametrize("site", ["prepared", "annotation"])
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(["id", "toxic", "labels", "text"]), value=_FIELD_VALUES)
+    def test_any_value_exits_cleanly(self, workspace, tmp_path, capsys, site, field, value):
+        """Line 2 of a prepared documents file read by ``split``, or of an
+        annotation file read by ``kappa``, with ``field`` set to ``value``."""
+        out = tmp_path / "out"
+        if site == "prepared":
+            target = out / "prepared" / "documents.jsonl"
+            lines = (workspace["out"] / "prepared" / "documents.jsonl").read_text(
+                encoding="utf-8").splitlines(keepends=True)
+            args = ["split"]
+        else:
+            target = tmp_path / "a.jsonl"
+            lines = [json.dumps({"id": i, "toxic": i % 2, "labels": [i % 2] + [0] * 5,
+                                 "text": "x"}) + "\n" for i in (1, 2)]
+            (tmp_path / "b.jsonl").write_text("".join(lines), encoding="utf-8")
+            args = ["kappa", "--annotations-a", str(target),
+                    "--annotations-b", str(tmp_path / "b.jsonl")]
+        row = json.loads(lines[1])
+        row[field] = value
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(lines[0] + json.dumps(row) + "\n" + "".join(lines[2:]),
+                          encoding="utf-8")
+        code = cli.main(workspace["base"] + ["--set", f"output.dir={out}"] + args)
+        err = capsys.readouterr().err
+        assert code in (0, 3) and err.count("\n") == (code == 3), err
+        assert "Traceback" not in err
 
 
 def _test_fold_scores(out, kind):

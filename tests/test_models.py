@@ -1072,6 +1072,12 @@ class TestCheckpoint:
         {"set": ("train_config.l2_lambda", "0")},
         {"set": ("model_config.use_attention", "false"), "kind": "multilabel"},
         {"set": ("seq_len", 12.5), "kind": "multilabel"},
+        {"set": ("class_order", ["x"])},
+        {"set": ("class_order", ["hate", "vulgar", "religious", "threat", "troll",
+                                 "insult"]), "kind": "multilabel"},
+        {"set": ("embedding.source", 5)},
+        {"set": ("embedding.vocab_size", 562.0)},
+        {"set": ("embedding.dim", True)},
     ])
     def test_malformed_header_with_valid_checksum(self, tmp_path, header,
                                                   rewrite_header):
@@ -1134,6 +1140,7 @@ def _assert_loaded_types(trained):
         for f in dataclasses.fields(config):
             assert _ANNOTATED[f.type](getattr(config, f.name)), (f.name, config)
     assert type(trained.model.embedding.table.trainable) is bool
+    assert type(trained.model.embedding.table.source) is str
     assert type(getattr(trained.model, "seq_len", 0)) is int
     assert type(trained.vocab_hash) is str
     assert type(trained.best_epoch) is int
@@ -1183,13 +1190,20 @@ def test_rewritten_header_fails_only_as_checkpoint_error(kind, data, tmp_path,
         "best_epoch": _VALUES,
         "seq_len": _VALUES,
         "vocab_hash": st.one_of(st.text(max_size=3), _VALUES),
+        "class_order": st.one_of(st.just(header["class_order"]), _VALUES,
+                                 st.lists(st.sampled_from(["toxic", *LABELS]), max_size=6)),
+        "embedding.source": st.one_of(st.text(max_size=3), _VALUES),
     }).filter(bool))
     path = tmp_path / "desk.ckpt"
     path.write_bytes(original)
-    for key, value in fields.items():
+    # a dotted key first, so that a replaced "embedding" overrides it
+    for key, value in sorted(fields.items(), key=lambda kv: "." not in kv[0]):
         rewrite_header(path, {"set": (key, value)})
     with contextlib.suppress(CheckpointError):
-        _assert_loaded_types(M.load_model(path, expect_kind=kind))
+        trained = M.load_model(path, expect_kind=kind)
+        _assert_loaded_types(trained)
+        assert list(trained.model.class_names) == fields.get("class_order",
+                                                             header["class_order"])
 
 
 class TestPipeline:
