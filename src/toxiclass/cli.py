@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -88,25 +89,18 @@ def _load_prepared(cfg: RunConfig):
     return _load_documents_file(_prepared_dir(cfg) / "documents.jsonl"), _load_vocab(cfg)
 
 
-def _load_fold_ids(cfg: RunConfig, fold: str) -> list[str]:
-    path, ids = _splits_dir(cfg) / f"{fold}.ids", {}
+def _fold_documents(cfg: RunConfig, docs: list[C.Document], fold: str):
+    """The prepared documents that the fold's split file names, in its order."""
+    path, by_id, out = _splits_dir(cfg) / f"{fold}.ids", {d.id: d for d in docs}, {}
     for lineno, line in C.read_lines(path, "split file", hint="run split first"):
         doc_id = line.rstrip("\n")
-        if doc_id in ids:
-            raise DataError(f"{path}:{lineno}: repeated document id {doc_id!r}")
-        if doc_id:
-            ids[doc_id] = lineno
-    return list(ids)
-
-
-def _fold_documents(cfg: RunConfig, docs: list[C.Document], fold: str):
-    by_id = {d.id: d for d in docs}
-    out = []
-    for doc_id in _load_fold_ids(cfg, fold):
-        if doc_id not in by_id:
-            raise DataError(f"split references unknown document id {doc_id!r}")
-        out.append(by_id[doc_id])
-    return out
+        if not doc_id:
+            continue
+        if doc_id in out or doc_id not in by_id:
+            fault = "repeated" if doc_id in out else "unknown"
+            raise DataError(f"{path}:{lineno}: {fault} document id {doc_id!r}")
+        out[doc_id] = by_id[doc_id]
+    return list(out.values())
 
 
 def _embedding_table(cfg: RunConfig, vocab: C.Vocabulary) -> EmbeddingTable:
@@ -329,7 +323,7 @@ def cmd_explain(cfg: RunConfig, args) -> int:
         seed=cfg["seed"], class_name=class_name)
     out = _make_dir(cfg.output_dir())
     _write_json(out / f"explanation_{args.stage}_{class_name}.json",
-                explanation.to_dict())
+                asdict(explanation))
     print(explanation.render())
     return 0
 
@@ -453,23 +447,23 @@ COMMANDS = {
 }
 
 
+# the exit code and stderr prefix of each failure a user can reach
+FAILURES = ((ConfigError, 2, "config error"), (DataError, 3, "data error"),
+            (NumericError, 4, "numeric error"),
+            # a config value sized an array past memory
+            (MemoryError, 2, "config error: out of memory"))
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.set)
         return COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 4
-    except MemoryError as exc:  # a config value sized an array past memory
-        print(f"config error: out of memory: {exc}", file=sys.stderr)
-        return 2
+    except tuple(cls for cls, _, _ in FAILURES) as exc:
+        code, what = next((c, w) for cls, c, w in FAILURES if isinstance(exc, cls))
+        # one stderr line, whatever line breaks a path or value in the message holds
+        print(f"{what}: {exc}".replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ from .corpus import (
 )
 from .embedding import DEFAULT_DIM
 from .errors import ConfigError
+from .explain import BINARY_TOP_K, DEFAULT_SAMPLES, MULTILABEL_TOP_K
 from .models import BinaryModelConfig, MultiLabelModelConfig, TrainingConfig, from_mapping
 
 
@@ -117,9 +118,9 @@ SCHEMA = {
     "embedding.trainable": (True, _parse_bool),
     "thresholds.binary": (0.5, _parse_float),
     "thresholds.label": (0.5, _parse_float),
-    "explain.samples": (1000, _parse_int),
-    "explain.features.binary": (6, _parse_int),
-    "explain.features.multilabel": (10, _parse_int),
+    "explain.samples": (DEFAULT_SAMPLES, _parse_int),
+    "explain.features.binary": (BINARY_TOP_K, _parse_int),
+    "explain.features.multilabel": (MULTILABEL_TOP_K, _parse_int),
     "output.dir": ("out", _parse_str),
     "seed": (0, _parse_nonnegative_int),
 }

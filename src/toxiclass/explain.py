@@ -33,17 +33,6 @@ class Explanation:
     r2: float
     n_samples: int
 
-    def to_dict(self) -> dict:
-        return {
-            "class_index": self.class_index,
-            "class_name": self.class_name,
-            "probability": self.probability,
-            "features": [[w, float(v)] for w, v in self.features],
-            "intercept": self.intercept,
-            "r2": self.r2,
-            "n_samples": self.n_samples,
-        }
-
     def render(self) -> str:
         """Plain-text bar chart, widest bar = strongest attribution."""
         lines = [f"class {self.class_name}  p={self.probability:.4f}  "
@@ -93,9 +82,10 @@ def kernel_weights(masks, width: float = DEFAULT_KERNEL_WIDTH) -> np.ndarray:
     return np.where(kept > 0, np.exp(-(d ** 2) / width ** 2), 0.0)
 
 
-def _ridge_solve(x: np.ndarray, weights: np.ndarray, y: np.ndarray,
-                 lam: float) -> np.ndarray:
-    """Weighted ridge with an unpenalized trailing intercept column."""
+def _fit(x: np.ndarray, weights: np.ndarray, y: np.ndarray,
+         lam: float) -> tuple[np.ndarray, float]:
+    """(beta, weighted squared error) of the weighted ridge fit of ``y`` on
+    ``x`` plus an unpenalized intercept column, which is beta's last entry."""
     n, p = x.shape
     design = np.concatenate([x, np.ones((n, 1))], axis=1)
     wx = design * weights[:, None]
@@ -103,14 +93,11 @@ def _ridge_solve(x: np.ndarray, weights: np.ndarray, y: np.ndarray,
     a[np.arange(p), np.arange(p)] += lam
     b = wx.T @ y
     try:
-        return np.linalg.solve(a, b)
+        beta = np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"surrogate system is singular: {exc}") from exc
-
-
-def _weighted_sse(x, weights, y, beta) -> float:
-    resid = y - (np.concatenate([x, np.ones((x.shape[0], 1))], axis=1) @ beta)
-    return float(weights @ (resid ** 2))
+    resid = y - design @ beta
+    return beta, float(weights @ (resid ** 2))
 
 
 def select_features(masks, weights, targets, k: int,
@@ -123,18 +110,13 @@ def select_features(masks, weights, targets, k: int,
     targets = np.asarray(targets, dtype=np.float64)
     n, m = masks.shape
     selected: list[int] = []
-    empty = np.empty((n, 0))
-    current_sse = _weighted_sse(
-        empty, weights, targets, _ridge_solve(empty, weights, targets, lam)
-    )
+    _, current_sse = _fit(np.empty((n, 0)), weights, targets, lam)
     while len(selected) < min(k, m):
         best_j, best_sse = -1, current_sse
         for j in range(m):
             if j in selected:
                 continue
-            x = masks[:, selected + [j]]
-            sse = _weighted_sse(x, weights, targets,
-                                _ridge_solve(x, weights, targets, lam))
+            _, sse = _fit(masks[:, selected + [j]], weights, targets, lam)
             if sse < best_sse:
                 best_j, best_sse = j, sse
         if best_j < 0:
@@ -150,9 +132,8 @@ def fit_surrogate(masks, weights, targets,
     masks = np.asarray(masks, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    beta = _ridge_solve(masks, weights, targets, lam)
+    beta, sse = _fit(masks, weights, targets, lam)
     coef, intercept = beta[:-1], float(beta[-1])
-    sse = _weighted_sse(masks, weights, targets, beta)
     total_w = weights.sum()
     if total_w <= 0.0:
         raise NumericError("all sample weights are zero")

@@ -8,7 +8,7 @@ and the affected label is listed in ``ClassReport.degenerate``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -75,14 +75,6 @@ class LabelMetrics:
     recall: float
     f1: float
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label, "support": self.support,
-            "tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
-            "accuracy": self.accuracy, "precision": self.precision,
-            "recall": self.recall, "f1": self.f1,
-        }
-
 
 @dataclass(frozen=True)
 class ClassReport:
@@ -96,7 +88,7 @@ class ClassReport:
 
     def to_dict(self) -> dict:
         return {
-            "per_class": [m.to_dict() for m in self.per_class],
+            "per_class": [asdict(m) for m in self.per_class],
             "weighted_precision": self.weighted_precision,
             "weighted_recall": self.weighted_recall,
             "weighted_f1": self.weighted_f1,

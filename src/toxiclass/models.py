@@ -286,20 +286,13 @@ class MultiLabelModel(Model):
 
     @staticmethod
     def post_stack_length(config: MultiLabelModelConfig, length: int) -> int:
-        """Sequence length after the conv/pool stack; raises ConfigError if any
-        stage would produce an empty sequence."""
-        for filters, kernel in config.conv_stack:
-            if length < kernel:
-                raise ConfigError(
-                    f"sequence length {length} too short for kernel {kernel}"
-                )
-            length = length - kernel + 1
-            if length < config.pool:
-                raise ConfigError(
-                    f"sequence length {length} too short for pool {config.pool}"
-                )
-            length //= config.pool
-        return length
+        """Sequence length after the conv/pool stack: one row per whole
+        receptive field at its stride. Raises ConfigError if there is none."""
+        stride, field = MultiLabelModel.stack_window(config)
+        if length < field:
+            raise ConfigError(f"sequence length {length} is shorter than the "
+                              f"conv/pool stack's receptive field {field}")
+        return (length - field) // stride + 1
 
     @staticmethod
     def stack_window(config: MultiLabelModelConfig) -> tuple[int, int]:

@@ -10,7 +10,7 @@ from toxiclass import cli
 from toxiclass import corpus as C
 from toxiclass import metrics as MT
 from toxiclass import models as M
-from toxiclass.config import RunConfig, load_config
+from toxiclass.config import SCHEMA, RunConfig, load_config
 from toxiclass.corpus import LABELS, SplitSpec, Vocabulary, encode
 from toxiclass.errors import ConfigError
 
@@ -570,7 +570,37 @@ class TestKappa:
         assert "data error" in capsys.readouterr().err
 
 
+# a name of one directory entry that is not "." or ".."
+_DIR_NAMES = st.text(st.characters(blacklist_characters="/\x00"), min_size=1,
+                     max_size=12).filter(lambda s: s not in (".", ".."))
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("key", sorted(SCHEMA))
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_set_text_exits_cleanly(self, workspace, tmp_path, capsys, key, data):
+        """``split`` with ``--set key=<any text>`` exits 0, or 2 or 3 with one
+        stderr line. ``split`` reads no size key, so no drawn value allocates
+        anything; ``output.dir`` is drawn as a name under tmp_path."""
+        out = tmp_path / "out"
+        if not out.exists():
+            shutil.copytree(workspace["out"] / "prepared", out / "prepared")
+        if key == "output.dir":
+            text = str(tmp_path / data.draw(_DIR_NAMES, label="name"))
+        else:
+            text = data.draw(st.text(), label="text")
+        code = cli.main(workspace["base"] + ["--set", f"output.dir={out}",
+                                             "--set", f"{key}={text}", "split"])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3) and err.count("\n") == (code != 0), err
+
+    def test_message_stays_on_one_line(self, tmp_path, capsys):
+        assert cli.main(["--set", f"output.dir={tmp_path}/a\nb\rc", "split"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "\r" not in err and f"{tmp_path}/a\\nb\\rc/" in err
+
     def test_unknown_config_key(self, capsys):
         assert cli.main(["--set", "bogus.key=1", "stats"]) == 2
         assert "config error" in capsys.readouterr().err
@@ -712,10 +742,11 @@ class TestExitCodes:
     def test_split_names_unknown_id(self, workspace, tmp_path, capsys):
         alt = tmp_path / "out"
         shutil.copytree(workspace["out"], alt)
-        (alt / "splits" / "test.ids").write_text("d0\nnope\n", encoding="utf-8")
+        path = alt / "splits" / "test.ids"
+        path.write_text("d0\nnope\n", encoding="utf-8")
         assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}",
                                              "evaluate", "--stage", "binary"]) == 3
-        assert "unknown document id 'nope'" in capsys.readouterr().err
+        assert f"data error: {path}:2: unknown document id 'nope'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("settings, code", [
         ([], 3), (["--set", "split.train=0.7"], 2)], ids=["good-fractions", "bad-fractions"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -287,10 +289,10 @@ class TestExplainInstance:
         predict = _linear_model({"beta": 0.6}, bias=0.2)
         exp = EX.explain_instance(predict, self.DOC, 1, n=200, k=2, seed=5,
                                   class_name="hate")
-        d = exp.to_dict()
+        d = dataclasses.asdict(exp)
         assert d["class_name"] == "hate"
         assert d["n_samples"] == 200
-        assert isinstance(d["features"], list)
+        assert d["features"] == exp.features
         text = exp.render()
         assert "hate" in text and "beta" in text
 

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import itertools
 import json
 import struct
 import tracemalloc
@@ -118,6 +119,19 @@ class TestConfigs:
             M.from_mapping(cls, values)
 
 
+def _walked_length(config, length):
+    """Reference: the length left after each conv and pool block in turn,
+    or None once a block has no whole window."""
+    for _, kernel in config.conv_stack:
+        if length < kernel:
+            return None
+        length = length - kernel + 1
+        if length < config.pool:
+            return None
+        length //= config.pool
+    return length
+
+
 class TestPostStackLength:
     def test_default_config_at_300(self):
         assert M.MultiLabelModel.post_stack_length(
@@ -141,8 +155,27 @@ class TestPostStackLength:
     def test_desk_config_minimum_length(self):
         cfg = desk_multilabel_config()
         assert M.MultiLabelModel.post_stack_length(cfg, 19) == 1
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="length 18 .* receptive field 19$"):
             M.MultiLabelModel.post_stack_length(cfg, 18)
+
+    @pytest.mark.parametrize("pool", [1, 2, 3, 4])
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_matches_block_walk(self, blocks, pool):
+        """Every stack of 1-3 blocks with kernels 1-5 at every length 1-199,
+        and at one short of the receptive field, gives the length the block
+        walk gives, or refuses where the walk runs out."""
+        for kernels in itertools.product(range(1, 6), repeat=blocks):
+            cfg = M.MultiLabelModelConfig(conv_stack=tuple((4, k) for k in kernels),
+                                          pool=pool)
+            _, field = M.MultiLabelModel.stack_window(cfg)
+            assert _walked_length(cfg, field - 1) is None
+            for length in {*range(1, 200), field - 1}:
+                want = _walked_length(cfg, length)
+                if want is None:
+                    with pytest.raises(ConfigError):
+                        M.MultiLabelModel.post_stack_length(cfg, length)
+                else:
+                    assert M.MultiLabelModel.post_stack_length(cfg, length) == want
 
 
 class TestForward:
