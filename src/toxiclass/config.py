@@ -168,6 +168,8 @@ class RunConfig:
     def set_text(self, key: str, text: str) -> None:
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
+        if "\0" in text:  # open() refuses a path that holds one
+            raise ConfigError(f"bad value for {key}: {text!r} holds a NUL character")
         _, parser = SCHEMA[key]
         try:
             self.values[key] = parser(text)

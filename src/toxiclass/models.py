@@ -33,7 +33,7 @@ from .neural import (
     ReLULayer,
     SigmoidLayer,
 )
-from .neural.layers import Cached, Layer
+from .neural.layers import Layer
 from .neural.losses import add_l2_gradients, bce_loss, l2_penalty
 
 CHECKPOINT_MAGIC = b"TXCKPT01"
@@ -163,10 +163,12 @@ class EmbeddingLayer(Layer):
         self.param.grad[PAD_ID, :] = 0.0
 
 
-class Model(Cached):
-    """What both models derive from ``named_tensors()``, the one list of
-    their tensors that each subclass writes. Checkpoints, Adam and the L2
-    penalty all take its order.
+class Model(Layer):
+    """A layer whose sub-layers are the model's layers, so that the layer
+    walk, ``named_tensors()``, names every tensor; checkpoints, Adam and the
+    L2 penalty all take its order. ``_tensor_shapes`` gives that list from
+    sizes alone, to check an untrusted checkpoint header before anything is
+    allocated; a test ties the two.
 
     Each subclass states its stage once: ``kind``, ``config_class``, ``class_names``.
     ``forward(ids, train, rng)`` maps a (B, L) int64 id array, each row's
@@ -189,10 +191,6 @@ class Model(Cached):
         """The tensors under the L2 penalty (``Param.decay``)."""
         return [p for _, p in self.named_tensors() if p.decay]
 
-    def zero_grad(self) -> None:
-        for p in self.params():
-            p.zero_grad()
-
 
 class BinaryModel(Model):
     """Embedding -> LSTM -> max over time -> dropout -> dense stack -> sigmoid."""
@@ -210,10 +208,8 @@ class BinaryModel(Model):
         self.time_pool = MaxOverTime()
         self.dropout = Dropout(config.dropout_rate)
         dims = (config.lstm_units, *config.dense_hidden)
-        self.hidden = [
-            (Dense(dims[i], dims[i + 1], rng), LeakyReLULayer(config.leaky_slope))
-            for i in range(len(dims) - 1)
-        ]
+        self.hidden = [Dense(dims[i], dims[i + 1], rng) for i in range(len(dims) - 1)]
+        self.hidden_act = [LeakyReLULayer(config.leaky_slope) for _ in self.hidden]
         self.out = Dense(dims[-1], self.output_dim, rng)
         self.out_act = SigmoidLayer()
 
@@ -230,7 +226,7 @@ class BinaryModel(Model):
         h = self.lstm.forward(x, mask, train=train)
         v = self.time_pool.forward(h, mask, train)
         v = self.dropout.forward(v, train, rng)
-        for dense, act in self.hidden:
+        for dense, act in zip(self.hidden, self.hidden_act):
             v = act.forward(dense.forward(v, train), train)
         self._keep(train)
         return self.out_act.forward(self.out.forward(v, train), train)
@@ -238,7 +234,7 @@ class BinaryModel(Model):
     def backward(self, dp: np.ndarray) -> None:
         self._take()
         dv = self.out.backward(self.out_act.backward(dp))
-        for dense, act in reversed(self.hidden):
+        for dense, act in zip(self.hidden[::-1], self.hidden_act[::-1]):
             dv = dense.backward(act.backward(dv))
         dv = self.dropout.backward(dv)
         dh = self.time_pool.backward(dv)
@@ -246,13 +242,6 @@ class BinaryModel(Model):
         if self.input_pool is not None:
             dx = self.input_pool.backward(dx[:, 0])
         self.embedding.backward(dx)
-
-    def named_tensors(self) -> list[tuple[str, Param]]:
-        named = (self.embedding.named_tensors("embedding")
-                 + self.lstm.named_tensors("lstm"))
-        for i, (dense, _) in enumerate(self.hidden):
-            named += dense.named_tensors(f"hidden{i}")
-        return named + self.out.named_tensors("out")
 
 
 class MultiLabelModel(Model):
@@ -270,13 +259,13 @@ class MultiLabelModel(Model):
         self.config = config
         self.seq_len = seq_len
         self.embedding = EmbeddingLayer(table)
-        self.blocks = []
+        self.conv = []
         c_in = table.dim
         for filters, kernel in config.conv_stack:
-            self.blocks.append(
-                (Conv1D(kernel, c_in, filters, rng), ReLULayer(), MaxPool1D(config.pool))
-            )
+            self.conv.append(Conv1D(kernel, c_in, filters, rng))
             c_in = filters
+        self.relu = [ReLULayer() for _ in self.conv]
+        self.pool = [MaxPool1D(config.pool) for _ in self.conv]
         self.bilstm = BiLSTM(c_in, config.bilstm_units, rng)
         feat = 2 * config.bilstm_units
         self.attention = Attention(feat, rng) if config.use_attention else None
@@ -314,7 +303,7 @@ class MultiLabelModel(Model):
         starts = -(-_real_length(ids) // self.stride)
         cut = self.stride * int(starts.max()) + self.receptive_field
         x = self.embedding.forward(ids[:, :cut], train)
-        for conv, act, pool in self.blocks:
+        for conv, act, pool in zip(self.conv, self.relu, self.pool):
             x = pool.forward(act.forward(conv.forward(x, train), train), train)
         repeats = self.post_stack_length(self.config, length) - x.shape[1]
         x = np.concatenate([x, np.repeat(x[:, -1:], repeats, axis=1)], axis=1)
@@ -337,18 +326,9 @@ class MultiLabelModel(Model):
         kept = dx.shape[1] - repeats
         dx[:, kept - 1] += dx[:, kept:].sum(axis=1)
         dx = dx[:, :kept]
-        for conv, act, pool in reversed(self.blocks):
+        for conv, act, pool in zip(self.conv[::-1], self.relu[::-1], self.pool[::-1]):
             dx = conv.backward(act.backward(pool.backward(dx)))
         self.embedding.backward(dx)
-
-    def named_tensors(self) -> list[tuple[str, Param]]:
-        named = self.embedding.named_tensors("embedding")
-        for i, (conv, _, _) in enumerate(self.blocks):
-            named += conv.named_tensors(f"conv{i}")
-        named += self.bilstm.named_tensors("bilstm")
-        if self.attention is not None:
-            named += self.attention.named_tensors("attention")
-        return named + self.out.named_tensors("out")
 
 
 MODELS = {cls.kind: cls for cls in (BinaryModel, MultiLabelModel)}
@@ -389,10 +369,6 @@ class TrainedModel:
     history: list[dict] = field(default_factory=list)
     train_config: TrainingConfig | None = None
     best_epoch: int = -1
-
-    @property
-    def kind(self) -> str:
-        return self.model.kind
 
 
 def _add_batch_gradients(model: Model, ids: np.ndarray, targets: np.ndarray,

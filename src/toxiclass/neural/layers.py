@@ -66,8 +66,9 @@ def glorot(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-class Cached:
-    """Holds what a backward pass reads from the forward before it."""
+class Layer:
+    """Holds its parameters and sub-layers as attributes, and what a backward
+    pass reads from the forward before it."""
 
     _cache = None
 
@@ -85,21 +86,26 @@ class Cached:
                 "backward has used it already")
         return cache
 
-
-class Layer(Cached):
-    def named_tensors(self, prefix: str) -> list[tuple[str, Param]]:
+    def named_tensors(self, prefix: str = "") -> list[tuple[str, Param]]:
         """This layer's parameters and its sub-layers', in attribute order:
-        ``prefix.name`` for its own, ``prefix.attr.name`` for a sub-layer's."""
+        ``name`` for its own, ``attr.name`` for a sub-layer's and
+        ``attr{i}.name`` for the i-th layer of a list attribute, each after
+        ``prefix.`` when a prefix is given. The walk does not enter a
+        forward's ``_cache``, a tuple."""
+        lead = f"{prefix}." if prefix else ""
         named = []
         for attr, value in vars(self).items():
             if isinstance(value, Param):
-                named.append((f"{prefix}.{value.name}", value))
+                named.append((lead + value.name, value))
             elif isinstance(value, Layer):
-                named += value.named_tensors(f"{prefix}.{attr}")
+                named += value.named_tensors(lead + attr)
+            elif isinstance(value, list):
+                for i, layer in enumerate(value):
+                    named += layer.named_tensors(f"{lead}{attr}{i}")
         return named
 
     def params(self) -> list[Param]:
-        return [p for _, p in self.named_tensors("")]
+        return [p for _, p in self.named_tensors()]
 
     def zero_grad(self) -> None:
         for p in self.params():

@@ -8,8 +8,10 @@ import struct
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from toxiclass import models as M
+from toxiclass.corpus import LABELS
 
 # ``HYPOTHESIS_PROFILE=ci`` draws the same examples on every run and keeps no
 # example database, so a property that fails in CI fails the same way when
@@ -60,6 +62,64 @@ def _rewrite_header(path, header):
 @pytest.fixture
 def rewrite_header():
     return _rewrite_header
+
+
+# Sizes and values a rewritten header field may take: small and huge ints,
+# and values of the wrong type.
+_SIZES = st.one_of(st.integers(-2, 40),
+                   st.sampled_from([10 ** 7, 10 ** 12, 2 ** 63, -(2 ** 63)]))
+_JUNK = st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=3),
+                  st.lists(st.integers(-1, 3), max_size=2),
+                  st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+_VALUES = st.one_of(_SIZES, _JUNK, st.lists(_SIZES, max_size=3),
+                    st.lists(st.lists(_SIZES, max_size=3), max_size=4))
+
+
+def _rewritten(field: dict) -> st.SearchStrategy:
+    """The field with up to three keys set to other values, or junk."""
+    changes = st.dictionaries(st.sampled_from(sorted(field) + ["bogus"]), _VALUES,
+                              min_size=1, max_size=3)
+    return st.one_of(changes.map(lambda c: {**field, **c}), _JUNK)
+
+
+def _rewritten_history(history: list) -> st.SearchStrategy:
+    number = st.one_of(st.integers(-2, 3), st.floats(), st.text(max_size=2), st.none())
+    entry = st.one_of(st.sampled_from(history), st.lists(number, max_size=4), _JUNK)
+    return st.one_of(st.lists(entry, max_size=3), _JUNK)
+
+
+def _rewritten_tensors(tensors: list) -> st.SearchStrategy:
+    names = st.sampled_from([t["name"] for t in tensors] + ["extra"])
+    entry = st.one_of(st.sampled_from(tensors), _JUNK,
+                      st.fixed_dictionaries({"name": names,
+                                             "shape": st.lists(_SIZES, max_size=3)}))
+    return st.one_of(st.lists(entry, max_size=len(tensors) + 1), _JUNK)
+
+
+def header_edits(header: dict) -> st.SearchStrategy:
+    """Non-empty ``{path: value}`` edits of the decoded checkpoint ``header``:
+    each top-level field, or ``embedding.source``, set to another value or
+    to junk; a field that is a dict or list keeps some of its entries."""
+    return st.fixed_dictionaries({}, optional={
+        "tensors": _rewritten_tensors(header["tensors"]),
+        "embedding": _rewritten(header["embedding"]),
+        "model_config": _rewritten(header["model_config"]),
+        "train_config": _rewritten(header["train_config"]),
+        "history": _rewritten_history(header["history"]),
+        "best_epoch": _VALUES,
+        "seq_len": _VALUES,
+        "vocab_hash": st.one_of(st.text(max_size=3), _VALUES),
+        "class_order": st.one_of(st.just(header["class_order"]), _VALUES,
+                                 st.lists(st.sampled_from(["toxic", *LABELS]), max_size=6)),
+        "embedding.source": st.one_of(st.text(max_size=3), _VALUES),
+    }).filter(bool)
+
+
+def edit_header(path, edits: dict) -> None:
+    """Apply ``header_edits`` to the checkpoint at ``path``, a dotted path
+    first, so that a replaced ``embedding`` overrides it."""
+    for key, value in sorted(edits.items(), key=lambda kv: "." not in kv[0]):
+        _rewrite_header(path, {"set": (key, value)})
 
 
 def _write_checkpoint(trained, path):

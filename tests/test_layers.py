@@ -411,7 +411,7 @@ EVAL_CASES = {
 
 def _cached_parts(layer):
     """The layer and its sub-layers."""
-    return [layer] + [v for v in vars(layer).values() if isinstance(v, N.layers.Cached)]
+    return [layer] + [v for v in vars(layer).values() if isinstance(v, N.layers.Layer)]
 
 
 @pytest.mark.parametrize("make, forward", EVAL_CASES.values(), ids=EVAL_CASES.keys())
