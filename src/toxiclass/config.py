@@ -70,6 +70,13 @@ def _parse_float(text: str) -> float:
     return value
 
 
+def _parse_probability(text: str) -> float:
+    value = _parse_float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError("must be in [0, 1]")
+    return value
+
+
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
     parts = [p.strip() for p in text.split(",") if p.strip()]
     return tuple(int(p) for p in parts)
@@ -116,8 +123,8 @@ SCHEMA = {
     "embedding.dim": (DEFAULT_DIM, _parse_int),
     "embedding.path": (None, _parse_opt_str),
     "embedding.trainable": (True, _parse_bool),
-    "thresholds.binary": (0.5, _parse_float),
-    "thresholds.label": (0.5, _parse_float),
+    "thresholds.binary": (0.5, _parse_probability),
+    "thresholds.label": (0.5, _parse_probability),
     "explain.samples": (DEFAULT_SAMPLES, _parse_int),
     "explain.features.binary": (BINARY_TOP_K, _parse_int),
     "explain.features.multilabel": (MULTILABEL_TOP_K, _parse_int),

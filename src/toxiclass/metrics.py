@@ -7,7 +7,6 @@ and the affected label is listed in ``ClassReport.degenerate``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -163,10 +162,6 @@ class RocCurve:
 
     points: tuple[tuple[float, float, float], ...]
     auc: float
-
-    @property
-    def defined(self) -> bool:
-        return not math.isnan(self.auc)
 
 
 def roc_auc(scores, gold) -> RocCurve:

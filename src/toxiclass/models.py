@@ -254,7 +254,7 @@ class MultiLabelModel(Model):
     def __init__(self, config: MultiLabelModelConfig, table: EmbeddingTable,
                  seq_len: int, seed: int = 0):
         self.post_stack_length(config, seq_len)  # raises if the stack collapses
-        self.stride, self.receptive_field = self.stack_window(config)
+        self.stride = self.stack_window(config)[0]
         rng = seeded_rng(seed)
         self.config = config
         self.seq_len = seq_len
@@ -294,41 +294,72 @@ class MultiLabelModel(Model):
 
     def forward(self, ids: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        length = ids.shape[1]
-        # A document's stack output rows from ceil(its real length / stride)
-        # on read padding alone and are all equal: the stack runs on the
-        # input rows that give rows up to the batch's first such row, which
-        # is then repeated. The BiLSTM and attention still see every slot;
-        # the reversed LSTM walks the shared padding tail once per batch.
-        starts = -(-_real_length(ids) // self.stride)
-        cut = self.stride * int(starts.max()) + self.receptive_field
-        x = self.embedding.forward(ids[:, :cut], train)
-        for conv, act, pool in zip(self.conv, self.relu, self.pool):
-            x = pool.forward(act.forward(conv.forward(x, train), train), train)
-        repeats = self.post_stack_length(self.config, length) - x.shape[1]
-        x = np.concatenate([x, np.repeat(x[:, -1:], repeats, axis=1)], axis=1)
-        h = self.bilstm.forward(x, starts=starts, train=train)
+        """Stack output row j reads input rows ``[stride j, stride j +
+        field)``, so a document's rows from ``ceil(real length / stride)``
+        on, its tail, read padding alone and are all one row ``p``. The
+        stack runs on each document's own rows only, those before its tail:
+        ``stride x starts + field - stride`` input rows, laid end to end,
+        with each pool pairing rows of one document. The first document
+        with a tail runs ``stride`` rows more, for one row more, ``p``. The
+        BiLSTM reads its own rows and ``p`` in every tail slot."""
+        length = self.post_stack_length(self.config, ids.shape[1])
+        starts = np.minimum(-(-_real_length(ids) // self.stride), length)
+        tail = starts < length
+        rows = starts.copy()  # each document's stack output rows
+        pad_row = None  # p's row among them all
+        if tail.any():
+            first = int(np.argmax(tail))
+            rows[first] += 1
+            pad_row = int(rows[:first + 1].sum()) - 1
+        # each document's rows in front of each block, and after the last
+        counts = [rows]
+        for _, kernel in reversed(self.config.conv_stack):
+            counts.insert(0, np.where(rows > 0, self.config.pool * counts[0] + kernel - 1, 0))
+        x = self.embedding.forward(ids[_slots(counts[0], ids.shape[1])][None], train)
+        kept = []
+        for conv, act, pool, n in zip(self.conv, self.relu, self.pool, counts):
+            # each document's windows, not the ones across two documents
+            windows = _slots(n - conv.kernel_size + 1, n.max())[_slots(n, n.max())]
+            keep = np.flatnonzero(windows)
+            kept.append((keep, len(windows) - conv.kernel_size + 1))
+            x = pool.forward(act.forward(conv.forward(x, train)[:, keep], train), train)
+        stack, pad = x[0], None
+        if pad_row is not None:
+            pad, stack = stack[pad_row], np.delete(stack, pad_row, axis=0)
+        own = _slots(starts, length)
+        seq = np.zeros((len(ids), length, stack.shape[1]))
+        seq[own] = stack
+        h = self.bilstm.forward(seq, starts, pad, train=train)
         if self.attention is not None:
             _, z = self.attention.forward(h, train=train)
         else:
             z = self.time_pool.forward(h, train=train)
-        self._keep(train, repeats)
+        self._keep(train, kept, own, pad_row)
         return self.out_act.forward(self.out.forward(z, train), train)
 
     def backward(self, dp: np.ndarray) -> None:
-        (repeats,) = self._take()
+        kept, own, pad_row = self._take()
         dz = self.out.backward(self.out_act.backward(dp))
         if self.attention is not None:
             dh = self.attention.backward(dz)
         else:
             dh = self.time_pool.backward(dz)
-        dx = self.bilstm.backward(dh)
-        kept = dx.shape[1] - repeats
-        dx[:, kept - 1] += dx[:, kept:].sum(axis=1)
-        dx = dx[:, :kept]
-        for conv, act, pool in zip(self.conv[::-1], self.relu[::-1], self.pool[::-1]):
-            dx = conv.backward(act.backward(pool.backward(dx)))
+        dx = self.bilstm.backward(dh)[own]
+        if pad_row is not None:
+            dx = np.insert(dx, pad_row, self.bilstm.dpad, axis=0)
+        dx = dx[None]
+        for conv, act, pool, (keep, out_len) in zip(self.conv[::-1], self.relu[::-1],
+                                                    self.pool[::-1], kept[::-1]):
+            dy = np.zeros((1, out_len, dx.shape[2]))
+            dy[:, keep] = act.backward(pool.backward(dx))
+            dx = conv.backward(dy)
         self.embedding.backward(dx)
+
+
+def _slots(lengths: np.ndarray, width: int) -> np.ndarray:
+    """(len(lengths), width) mask of the slots before each row's length; in
+    row-major order its true slots lay the rows' prefixes end to end."""
+    return np.arange(width) < lengths[:, None]
 
 
 MODELS = {cls.kind: cls for cls in (BinaryModel, MultiLabelModel)}

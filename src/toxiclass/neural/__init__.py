@@ -17,7 +17,6 @@ from .layers import (
 )
 from .losses import bce_loss, l2_penalty
 from .optim import Adam
-from .gradcheck import grad_check
 
 __all__ = [
     "Adam",
@@ -34,7 +33,6 @@ __all__ = [
     "ReLULayer",
     "SigmoidLayer",
     "bce_loss",
-    "grad_check",
     "l2_penalty",
     "sigmoid",
 ]

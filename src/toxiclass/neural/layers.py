@@ -2,7 +2,8 @@
 
 Every layer takes a leading batch axis: sequences are ``(B, L, D)`` and
 vectors are ``(B, D)``; one document is a batch of one. ``LSTM`` and
-``MaxOverTime`` also take a ``(B, L)`` mask of the real slots.
+``MaxOverTime`` also take a ``(B, L)`` mask of the real slots, and ``LSTM``
+and ``BiLSTM`` one ``(D,)`` padding row that some slots read instead of ``x``.
 A forward with ``train=True`` (the default, except for ``Dropout``) keeps
 what its backward pass reads; one with ``train=False`` keeps nothing, and a
 backward after it raises. The intended call pattern is one training forward
@@ -295,13 +296,13 @@ class ReLULayer(Layer):
     reads afterwards, and returns it."""
 
     def forward(self, x, train: bool = True):
-        if not train:
-            np.copyto(x, 0.0, where=~(x > 0.0))
-            self._keep(train)
-            return x
-        pos = np.asarray(x) > 0.0
+        pos = np.asarray(x) > 0.0 if train else None
+        # fmax drops NaN and adding 0.0 turns -0.0 into 0.0, with no branch
+        # per entry, which a masked copy of random signs mispredicts
+        y = np.fmax(x, 0.0, out=None if train else x)
+        y += 0.0
         self._keep(train, pos)
-        return np.where(pos, x, 0.0)
+        return y
 
     def backward(self, dy):
         (pos,) = self._take()
@@ -346,6 +347,11 @@ class LSTM(Layer):
     input GEMM runs once over every real step, and each output slot is its
     row's state after the last real step at or before it.
 
+    Given a (D,) ``pad`` row, every slot is a real step, and the slots
+    outside the mask read ``pad`` instead of ``x``: ``pad`` is projected
+    once for all of them, and backward sums their gate gradients into its
+    one row before the input GEMMs, leaving its gradient in ``dpad``.
+
     Each step takes one ``tanh`` over all four gates, with
     ``sigmoid(z) = 0.5 + 0.5 * tanh(z / 2)``: the forward works on copies of
     ``w_x``, ``w_h`` and ``b`` whose i, f and o rows are halved, which is
@@ -360,11 +366,12 @@ class LSTM(Layer):
         self.w_x = Param("w_x", glorot(rng, (4 * hidden_dim, input_dim)), decay=True)
         self.w_h = Param("w_h", glorot(rng, (4 * hidden_dim, hidden_dim)), decay=True)
         self.b = Param("b", np.zeros(4 * hidden_dim))
-        self.dh0 = self.dc0 = None  # the last backward's initial-state gradients
+        # the last backward's gradients of the initial states and of ``pad``
+        self.dh0 = self.dc0 = self.dpad = None
 
     def forward(self, x: np.ndarray, mask: np.ndarray | None = None,
                 h0: np.ndarray | None = None, c0: np.ndarray | None = None,
-                train: bool = True) -> np.ndarray:
+                train: bool = True, pad: np.ndarray | None = None) -> np.ndarray:
         """(B, L, D) inputs -> (B, L, H) hidden states; ``h0`` and ``c0``
         are (B, H). After a training forward ``cells()`` gives the matching
         cell states."""
@@ -373,7 +380,8 @@ class LSTM(Layer):
         if dim != self.input_dim:
             raise ValueError(f"lstm expects input dim {self.input_dim}, got {dim}")
         h_dim = self.hidden_dim
-        valid = _valid(mask, (batch, length))
+        reads_x = _valid(mask, (batch, length))
+        valid = reads_x if pad is None else np.ones_like(reads_x)
         seen = np.cumsum(valid, axis=1)  # real steps at or before each slot
         counts = valid.sum(axis=1)
         rank = np.empty(batch, dtype=np.intp)
@@ -383,18 +391,25 @@ class LSTM(Layer):
         # and ``cs``; their first ``batch`` rows are the initial states.
         active = (counts > np.arange(counts.max(initial=0))[:, None]).sum(axis=1)
         start = np.concatenate([[0], np.cumsum(active)])
-        rows, slots = np.nonzero(valid)
+        rows, slots = np.nonzero(reads_x)
         packed = start[seen[rows, slots] - 1] + rank[rows]
-        x_real = np.empty((start[-1], dim))
-        x_real[packed] = x[rows, slots]
         # i, f and o columns halved, so that one tanh gives every gate
         half = np.full(4 * h_dim, 0.5)
         half[2 * h_dim:3 * h_dim] = 1.0
         w_h = np.multiply(self.w_h.value.T, half, order="C" if batch >= 3 else "F")
+        w_x, b = self.w_x.value.T * half, self.b.value * half
         # the input part of every step's gates, each step's slice turned
         # into i, f, g, o after activation in place
-        gates = x_real @ (self.w_x.value.T * half)
-        gates += self.b.value * half
+        if pad is None:  # x packed step by step, then one GEMM
+            x_real = np.empty((start[-1], dim))
+            x_real[packed] = x[rows, slots]
+            gates = x_real @ w_x
+            gates += b
+        else:  # the steps that read x, then ``pad`` in every other step
+            x_real = x[rows, slots]
+            gates = np.empty((start[-1], 4 * h_dim))
+            gates[...] = pad @ w_x + b
+            gates[packed] = x_real @ w_x + b
         if not train:
             x_real = None  # read by backward alone, as is every step's tanh(c)
         hs = np.zeros((batch + start[-1], h_dim))
@@ -428,7 +443,7 @@ class LSTM(Layer):
             np.multiply(a[:, 3 * h_dim:], tc, out=hs[prev:prev + m])
         out = np.where(seen > 0, batch + start[np.maximum(seen - 1, 0)], 0) + rank[:, None]
         self._keep(train, rows, slots, packed, start, x_real, gates, cs, tanh_c, hs,
-                   out, rank, x.shape)
+                   out, rank, x.shape, pad)
         # Drop the references to what only backward reads, the step loop's
         # views included, so that an eval forward frees it before the gather.
         x_real = gates = cs = tanh_c = a = g = c = tc = None
@@ -444,12 +459,12 @@ class LSTM(Layer):
     def backward(self, dout: np.ndarray, dc: np.ndarray | None = None) -> np.ndarray:
         """Input gradient for the gradients of the hidden states and, if
         given, of the cell states; the initial states' gradients are left
-        in ``dh0`` and ``dc0``."""
+        in ``dh0`` and ``dc0``, and ``pad``'s in ``dpad``."""
         rows, slots, packed, start, x_real, gates, cs, tanh_c, hs, out, rank, \
-            in_shape = self._take()
+            in_shape, pad = self._take()
         batch = in_shape[0]
         h_dim = self.hidden_dim
-        total = len(x_real)
+        total = len(gates)
         steps = len(start) - 1
         # Gradients of output slots that copy a state all reach that state:
         # a real step's, or the initial one before a row's first step.
@@ -489,47 +504,64 @@ class LSTM(Layer):
         self.dh0 = (dh_out[:batch] + dh_next)[rank]
         self.dc0 = (dc_out[:batch] + dc_next)[rank]
         dz = dz.reshape(total, 4 * h_dim)
-        self.w_x.grad += dz.T @ x_real
         self.w_h.grad += dz.T @ h_prev
         self.b.grad += dz.sum(axis=0)
         dx = np.zeros(in_shape)
-        dx[rows, slots] = (dz @ self.w_x.value)[packed]
+        if pad is None:
+            self.w_x.grad += dz.T @ x_real
+            dx[rows, slots] = (dz @ self.w_x.value)[packed]
+            self.dpad = None
+            return dx
+        reads_pad = np.ones((total, 1), dtype=bool)
+        reads_pad[packed] = False
+        dz_pad = dz.sum(axis=0, where=reads_pad)
+        dz = dz[packed]
+        self.w_x.grad += dz.T @ x_real
+        self.w_x.grad += np.outer(dz_pad, pad)
+        self.dpad = dz_pad @ self.w_x.value
+        dx[rows, slots] = dz @ self.w_x.value
         return dx
 
 
 class BiLSTM(Layer):
     """Forward and reversed LSTMs, outputs concatenated per timestep.
 
-    ``starts`` says that the slots of row i from ``starts[i]`` on all hold
-    one row ``p`` shared by the whole batch (the last slot of a row with the
-    earliest start). The reversed LSTM reads such a tail first, from a zero
-    state, so its states there depend only on how many tail steps it has
-    read: it walks ``p`` once, at batch 1, for the longest tail, each row's
-    tail takes its states from that chain, and each row's own slots start
-    from the chain's state for its tail length. Without ``starts`` no slot
-    is a tail. Every slot is read: the BiLSTM takes no mask.
+    Row i reads its slots of ``x`` before ``starts[i]``, and from there on,
+    its tail, the one (D,) row ``pad`` that the whole batch shares; ``x`` is
+    not read in a tail. Without ``starts`` no slot is a tail. The forward
+    LSTM projects ``pad`` once for every tail slot. The reversed LSTM reads
+    a tail first, from a zero state, so its states there depend only on how
+    many tail steps it has read: it walks ``pad`` once, at batch 1, for the
+    longest tail, each row's tail takes its states from that chain, and each
+    row's own slots start from the chain's state for its tail length.
+    Backward returns the input gradient, zero in the tails, and leaves
+    ``pad``'s in ``dpad``. Every slot is read: the BiLSTM takes no mask.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         self.hidden_dim = hidden_dim
         self.fwd = LSTM(input_dim, hidden_dim, rng)
         self.bwd = LSTM(input_dim, hidden_dim, rng)
+        self.dpad = None  # the last backward's gradient of ``pad``
 
     def forward(self, x: np.ndarray, starts: np.ndarray | None = None,
-                train: bool = True) -> np.ndarray:
+                pad: np.ndarray | None = None, train: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         batch, length, dim = x.shape
-        h_f = self.fwd.forward(x, train=train)
         starts = np.minimum(length if starts is None else starts, length)
         starts = np.broadcast_to(starts, (batch,))
         tails = length - starts
-        pad_row = int(np.argmax(tails))
+        if pad is None and tails.any():
+            raise ValueError("a BiLSTM row with a tail needs a pad row")
+        in_tail = np.arange(length) >= starts[:, None]
+        h_f = self.fwd.forward(x, ~in_tail, train=train, pad=pad)
         # bwd's parameters, with caches of its own: the chain is one row, so
         # it keeps them for ``cells()`` in either mode, and an eval forward
         # drops the chain on return
         chain = copy.copy(self.bwd)
-        chain_h = chain.forward(
-            np.broadcast_to(x[pad_row, -1], (1, tails[pad_row], dim)))[0]
+        steps = int(tails.max())  # every one of them reads pad: x is not read
+        chain_h = chain.forward(np.broadcast_to(0.0, (1, steps, dim)),
+                                np.zeros((1, steps)), pad=pad)[0]
         # chain state k: after k tail steps, k = 0 the zero state
         zero = np.zeros((1, self.hidden_dim))
         state_h = np.concatenate([zero, chain_h])
@@ -541,13 +573,12 @@ class BiLSTM(Layer):
                                  state_h[tails], state_c[tails], train=train)
         h_b = np.empty((batch, length, self.hidden_dim))
         h_b[:, :own] = h_own[:, ::-1]
-        in_tail = np.arange(length) >= starts[:, None]
         h_b[in_tail] = state_h[length - np.nonzero(in_tail)[1]]
-        self._keep(train, chain, pad_row, tails, own, in_tail)
+        self._keep(train, chain, tails, own, in_tail)
         return np.concatenate([h_f, h_b], axis=2)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        chain, pad_row, tails, own, in_tail = self._take()
+        chain, tails, own, in_tail = self._take()
         h = self.hidden_dim
         dx = self.fwd.backward(dout[:, :, :h])
         d_own = np.where(in_tail[:, :own, None], 0.0, dout[:, :own, h:])
@@ -560,8 +591,8 @@ class BiLSTM(Layer):
         dc_state = np.zeros_like(d_state)
         np.add.at(d_state, tails, self.bwd.dh0)
         np.add.at(dc_state, tails, self.bwd.dc0)
-        d_pad = chain.backward(d_state[None, 1:], dc_state[None, 1:])
-        dx[pad_row, -1] += d_pad[0].sum(axis=0)
+        chain.backward(d_state[None, 1:], dc_state[None, 1:])
+        self.dpad = None if chain.dpad is None else self.fwd.dpad + chain.dpad
         return dx
 
 

@@ -21,6 +21,17 @@ settings.register_profile("ci", derandomize=True, database=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
+# Dataset files for the ingest and prepare properties: any bytes, and joins of
+# pieces of CSV and JSONL files, well and badly formed (headers, separators,
+# quotes, JSON values and non-UTF-8 bytes).
+DATA_PIECES = [b"id,text,toxic\n", ",".join(LABELS).encode() + b"\n", b",", b"\n",
+               b"\r\n", b'"', b"1", b"0", b"yes", b"x y", b"\x00", b"\xff", b"\xc3",
+               b"\xc3\xa9", b'{"text": "a", "toxic": 1, "id": 2}', b"{", b"}", b"[",
+               b"]", b"null", b'"toxic": ', b'"text": ', b'"vulgar": 1, ', b"3.5"]
+DATASET_BYTES = st.one_of(st.binary(max_size=60),
+                          st.lists(st.sampled_from(DATA_PIECES), max_size=16).map(b"".join))
+
+
 def desk_binary_config() -> M.BinaryModelConfig:
     """Small sizes for fast desk-scale runs and tests."""
     return M.BinaryModelConfig(lstm_units=8, dense_hidden=(8,))

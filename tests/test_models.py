@@ -12,11 +12,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from conftest import (desk_binary_config, desk_multilabel_config, edit_header,
                       header_edits)
+from gradcheck import grad_check
 from toxiclass import models as M
 from toxiclass.corpus import LABELS, PAD_ID, build_vocab, encode
 from toxiclass.embedding import random_table
 from toxiclass.errors import CheckpointError, ConfigError, DataError, NumericError
-from toxiclass.neural import Param, grad_check
+from toxiclass.neural import Param
 from toxiclass.neural.layers import Layer
 from toxiclass.neural.losses import bce_loss
 
@@ -277,13 +278,30 @@ class TestForward:
                                            rtol=0, atol=1e-12)
 
     def test_tagger_cut_covers_real_prefix_plus_field(self):
+        """The stack reads each document's own slots, laid end to end: for
+        its ``rows = min(ceil(real / 8), 36)`` stack rows that read a real
+        token, its first ``8 x rows + 11`` slots, and none if it has no
+        such row. The first document with fewer than 36 gives one row more,
+        the padding row. Alone, a document is never read further than its
+        real prefix plus the receptive field, ``min(300, 8 x ceil(real / 8)
+        + 19)`` slots."""
         model = _desk_tagger(300)
-        for real in (0, 1, 8, 9, 100, 274, 275):
-            model.forward(_ids([" ".join(WORDS[i % len(WORDS)] for i in range(real))],
-                               300), train=True)
+        reals = [0, 1, 8, 9, 100, 274, 275, 281, 300]
+        docs = _ids([" ".join(WORDS[(i + k) % len(WORDS)] for i in range(real))
+                     for k, real in enumerate(reals)], 300)
+        for batch in [[i] for i in range(len(reals))] + [list(range(len(reals))),
+                                                         [8, 6, 0, 3], [7, 8]]:
+            model.forward(docs[batch], train=True)
             (ids,) = model.embedding._cache
-            assert ids.shape[1] == min(300, 8 * -(-real // 8) + 19)
-            assert ids.shape[1] <= real + 26
+            rows = [min(-(-reals[i] // 8), 36) for i in batch]
+            tails = [k for k, r in enumerate(rows) if r < 36]
+            if tails:
+                rows[tails[0]] += 1
+            want = [docs[i, :8 * r + 11 if r else 0] for i, r in zip(batch, rows)]
+            assert np.array_equal(ids, np.concatenate(want)[None]), batch
+            if len(batch) == 1:
+                assert ids.shape[1] <= min(300, 8 * -(-reals[batch[0]] // 8) + 19)
+                assert ids.shape[1] <= reals[batch[0]] + 26
 
 
 def _desk_tagger(seq_len):
