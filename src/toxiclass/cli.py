@@ -208,18 +208,36 @@ def cmd_train_multilabel(cfg: RunConfig, args) -> int:
     return _train_stage(cfg, "multilabel")
 
 
+# The model config fields that size each stage's layers.
+SIZE_FIELDS = {"binary": ("lstm_units", "dense_hidden"),
+               "multilabel": ("conv_stack", "pool", "bilstm_units")}
+
+
+def _config_text(value) -> str:
+    """A size as config text: ``6,4`` for a tuple, ``8x3,4x2`` for a stack."""
+    if isinstance(value, tuple):
+        return ",".join("x".join(map(str, v)) if isinstance(v, tuple) else str(v)
+                        for v in value)
+    return str(value)
+
+
 def _load_checkpoint(cfg: RunConfig, vocab: C.Vocabulary, kind: str) -> M.TrainedModel:
-    """The stage's checkpoint, checked against the vocabulary and, for the
-    tagger, against the configured sequence length it was built for."""
+    """The stage's checkpoint, checked against the vocabulary and against
+    every size the config gives: the tagger's sequence length, the stage's
+    layer sizes, and the table's width unless a table file sets that."""
     trained = M.load_model(_checkpoint_path(cfg, kind), expect_kind=kind)
     if trained.vocab_hash and trained.vocab_hash != vocab.content_hash():
         raise DataError("checkpoint was trained with a different vocabulary")
-    max_len = cfg["tokenize.max_len"]
-    if kind == "multilabel" and trained.model.seq_len != max_len:
-        raise ConfigError(
-            f"tokenize.max_len is {max_len} but the multilabel checkpoint was "
-            f"built for sequence length {trained.model.seq_len}"
-        )
+    model = trained.model
+    built = {f"{kind}.{name}": getattr(model.config, name) for name in SIZE_FIELDS[kind]}
+    if kind == "multilabel":
+        built["tokenize.max_len"] = model.seq_len
+    if not cfg["embedding.path"]:
+        built["embedding.dim"] = model.embedding.table.dim
+    for key, value in built.items():
+        if cfg[key] != value:
+            raise ConfigError(f"{key} is {_config_text(cfg[key])} but the {kind} "
+                              f"checkpoint was built with {_config_text(value)}")
     return trained
 
 

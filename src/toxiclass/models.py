@@ -301,7 +301,10 @@ class MultiLabelModel(Model):
         ``stride x starts + field - stride`` input rows, laid end to end,
         with each pool pairing rows of one document. The first document
         with a tail runs ``stride`` rows more, for one row more, ``p``. The
-        BiLSTM reads its own rows and ``p`` in every tail slot."""
+        first conv reads those rows as ids of the table: it multiplies each
+        distinct id's row by its filters once per batch and builds only each
+        document's own windows. The BiLSTM reads its own rows and ``p`` in
+        every tail slot."""
         length = self.post_stack_length(self.config, ids.shape[1])
         starts = np.minimum(-(-_real_length(ids) // self.stride), length)
         tail = starts < length
@@ -315,14 +318,17 @@ class MultiLabelModel(Model):
         counts = [rows]
         for _, kernel in reversed(self.config.conv_stack):
             counts.insert(0, np.where(rows > 0, self.config.pool * counts[0] + kernel - 1, 0))
-        x = self.embedding.forward(ids[_slots(counts[0], ids.shape[1])][None], train)
+        x = ids[_slots(counts[0], ids.shape[1])][None]
+        self.embedding._keep(train, x)  # its backward reads the ids alone
+        table = self.embedding.param.value  # the first conv reads x as its ids
         kept = []
         for conv, act, pool, n in zip(self.conv, self.relu, self.pool, counts):
             # each document's windows, not the ones across two documents
             windows = _slots(n - conv.kernel_size + 1, n.max())[_slots(n, n.max())]
             keep = np.flatnonzero(windows)
             kept.append((keep, len(windows) - conv.kernel_size + 1))
-            x = pool.forward(act.forward(conv.forward(x, train)[:, keep], train), train)
+            x = pool.forward(act.forward(conv.forward(x, train, keep, table), train), train)
+            table = None  # the next conv reads rows
         stack, pad = x[0], None
         if pad_row is not None:
             pad, stack = stack[pad_row], np.delete(stack, pad_row, axis=0)

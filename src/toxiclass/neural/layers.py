@@ -142,6 +142,11 @@ class Conv1D(Layer):
     The batch's sequences are laid end to end and each kernel tap is a GEMM
     over their rows, ``CONV_BLOCK_ROWS`` at a time; the windows that
     straddle two sequences are computed and dropped.
+
+    Given a ``table``, the input is a batch of its row ids instead, and the
+    conv is linear in each row: each distinct id's row is multiplied by
+    each tap once, and only the windows asked for are built, each from its
+    taps' products gathered and added in tap order, as the GEMMs add them.
     """
 
     def __init__(self, kernel_size: int, c_in: int, c_out: int,
@@ -154,17 +159,32 @@ class Conv1D(Layer):
         self.b = Param("b", np.zeros(c_out))
         self.kernel_size = kernel_size
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        batch, length, c_in = x.shape
+    def forward(self, x: np.ndarray, train: bool = True, keep: np.ndarray | None = None,
+                table: np.ndarray | None = None) -> np.ndarray:
+        """(B, L, c_in) rows -> (B, L - k + 1, c_out) windows, or only the
+        windows that start at the slots ``keep``: (B, len(keep), c_out).
+
+        Given a (V, c_in) ``table``, ``x`` is a (B, L) array of its row ids,
+        and the rows are ``table[x]``; a training forward keeps them for
+        backward, which is the same for either input.
+        """
         k = self.kernel_size
+        filters = self.filters.value
+        if table is None:
+            x = np.asarray(x, dtype=np.float64)
+            (batch, length, c_in), ids = x.shape, None
+        else:
+            ids = np.asarray(x)
+            (batch, length), c_in = ids.shape, table.shape[1]
+            x = table[ids] if train else None
         if length < k:
             raise ValueError(f"sequence length {length} shorter than kernel {k}")
-        if c_in != self.filters.value.shape[1]:
-            raise ValueError(
-                f"conv1d expects {self.filters.value.shape[1]} channels, got {c_in}"
-            )
+        if c_in != filters.shape[1]:
+            raise ValueError(f"conv1d expects {filters.shape[1]} channels, got {c_in}")
         self._keep(train, x)
+        if ids is not None:
+            return self._distinct_rows(ids, table, np.arange(length - k + 1)
+                                       if keep is None else keep)
         rows = x.reshape(batch * length, c_in)
         n = batch * length - k + 1
         y = np.empty((batch * length, self.b.value.shape[0]))
@@ -172,8 +192,30 @@ class Conv1D(Layer):
         for lo in range(0, n, CONV_BLOCK_ROWS):
             hi = min(lo + CONV_BLOCK_ROWS, n)
             for j in range(k):
-                y[lo:hi] += rows[lo + j:hi + j] @ self.filters.value[j]
-        return y.reshape(batch, length, -1)[:, :length - k + 1]
+                y[lo:hi] += rows[lo + j:hi + j] @ filters[j]
+        y = y.reshape(batch, length, -1)[:, :length - k + 1]
+        return y if keep is None else y[:, keep]
+
+    def _distinct_rows(self, ids: np.ndarray, table: np.ndarray,
+                       keep: np.ndarray) -> np.ndarray:
+        """The windows ``keep`` of the rows ``table[ids]``: one product per
+        distinct id and tap, and each window ``b + sum_j product_j`` of the
+        ids in its slots, summed in the GEMM path's order."""
+        batch, length = ids.shape
+        distinct, inv = np.unique(ids.reshape(-1), return_inverse=True)
+        starts = (np.arange(batch)[:, None] * length + keep).reshape(-1)
+        rows = table[distinct]
+        y = np.empty((len(starts), self.b.value.shape[0]))
+        for j, w in enumerate(self.filters.value):
+            tap = rows @ w
+            at = inv[starts + j]
+            if j == 0:  # b + the first tap, as y = b; y += tap adds them
+                tap += self.b.value
+                np.take(tap, at, axis=0, out=y)
+                continue
+            for lo in range(0, len(at), CONV_BLOCK_ROWS):
+                y[lo:lo + CONV_BLOCK_ROWS] += tap[at[lo:lo + CONV_BLOCK_ROWS]]
+        return y.reshape(batch, len(keep), -1)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         (x,) = self._take()
@@ -220,7 +262,11 @@ class MaxPool1D(Layer):
             if train:
                 wins = ~(tap <= top)
                 wins &= top == top
-                np.copyto(argmax, j, where=wins)
+                # j where tap j wins, else the earlier winner, which is
+                # smaller: a max, with no masked copy of random choices
+                step = wins.astype(argmax.dtype)
+                step *= j
+                np.maximum(argmax, step, out=argmax)
             np.maximum(top, tap, out=top)
         self._keep(train, argmax, x.shape)
         return top
@@ -306,7 +352,12 @@ class ReLULayer(Layer):
 
     def backward(self, dy):
         (pos,) = self._take()
-        return np.where(pos, dy, 0.0)
+        # dy's bits where pos, else 0.0, as np.where gives them: an AND with
+        # all ones or none, with no branch, and no inf or NaN times zero
+        mask = pos.astype(np.int64)
+        np.negative(mask, out=mask)
+        mask &= np.asarray(dy, dtype=np.float64).view(np.int64)
+        return mask.view(np.float64)
 
 
 class LeakyReLULayer(Layer):

@@ -1004,6 +1004,49 @@ def test_classify_refuses_non_finite_checkpoint(workspace, tmp_path, capsys,
     assert not (alt / "classified.jsonl").exists()
 
 
+# (key, a value the config gives, the workspace checkpoint's own value)
+SIZE_CHANGES = [
+    ("embedding.dim", "5", "8"),
+    ("binary.lstm_units", "7", "6"),
+    ("binary.dense_hidden", "6,4", "6"),
+    ("multilabel.conv_stack", "8x3,4x2", "8x3"),
+    ("multilabel.pool", "3", "2"),
+    ("multilabel.bilstm_units", "5", "4"),
+]
+
+
+@pytest.mark.parametrize("key, value, built", SIZE_CHANGES,
+                         ids=[key for key, _, _ in SIZE_CHANGES])
+@pytest.mark.parametrize("command", ["classify", "evaluate", "explain"])
+def test_checkpoint_sizes_must_match_config(workspace, capsys, command, key, value,
+                                            built):
+    """A size the config gives that differs from the checkpoint's exits 2,
+    naming the key and both values."""
+    stage = "multilabel" if key.startswith("multilabel") else "binary"
+    argv = {"classify": ["classify", "--input", str(workspace["csv"])],
+            "evaluate": ["evaluate", "--stage", stage],
+            "explain": ["explain", "--text", "hax hox", "--stage", stage]}[command]
+    assert cli.main(workspace["base"] + ["--set", f"{key}={value}"] + argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.endswith(f"{key} is {value} but the {stage} checkpoint was built "
+                        f"with {built}")
+    assert "Traceback" not in err
+
+
+def test_table_file_sets_the_width(workspace, tmp_path):
+    """With ``embedding.path`` set, ``embedding.dim`` is not the table's
+    width, so a checkpoint of another width loads."""
+    alt = tmp_path / "out"
+    shutil.copytree(workspace["out"], alt)
+    table = tmp_path / "table.txt"
+    table.write_text("1 5\nriver 1 2 3 4 5\n", encoding="utf-8")
+    text = tmp_path / "input.txt"
+    text.write_text("vix vox river\n", encoding="utf-8")
+    assert cli.main(workspace["base"] + [
+        "--set", f"output.dir={alt}", "--set", f"embedding.path={table}",
+        "--set", "embedding.dim=5", "classify", "--input", str(text)]) == 0
+
+
 class TestOnlyTheVocabulary:
     @pytest.mark.parametrize("args", [
         ["classify", "--input", "{input}"],

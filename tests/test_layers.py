@@ -286,6 +286,28 @@ class TestConv1D:
         c = N.Conv1D(3, 2, 4, rng(4))
         assert check_layer_grads(c, rng(5).standard_normal((1, 9, 2))) < 1e-6
 
+    @pytest.mark.parametrize("keep", [None, [0, 2, 3, 6]])
+    def test_table_ids_give_what_their_rows_give(self, keep):
+        """Row ids of a table, with repeats: the windows ``keep`` of what the
+        rows give, and after a training forward the rows' backward."""
+        c = N.Conv1D(3, 4, 5, rng(6))
+        c.b.value[...] = rng(7).standard_normal(5)
+        table = rng(8).standard_normal((6, 4))
+        ids = rng(9).integers(0, 6, (2, 9))
+        want = c.forward(table[ids])
+        dy = rng(10).standard_normal(want.shape)
+        want_dx = c.backward(dy)
+        want_grads = [c.filters.grad.copy(), c.b.grad.copy()]
+        sel = slice(None) if keep is None else keep
+        np.testing.assert_allclose(c.forward(ids, False, keep, table), want[:, sel],
+                                   rtol=0, atol=1e-12)
+        c.zero_grad()
+        np.testing.assert_allclose(c.forward(ids, True, keep, table), want[:, sel],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(c.backward(dy), want_dx)
+        for got, grad in zip([c.filters.grad, c.b.grad], want_grads):
+            np.testing.assert_array_equal(got, grad)
+
 
 class TestMaxPool1D:
     def test_values_and_truncation(self):
@@ -449,11 +471,16 @@ def test_lstm_cells_need_a_training_forward():
 
 def test_relu_in_place_keeps_the_bits_of_where():
     """NaN, signed zeros and infinities: the eval ReLU writes into its input
-    and gives the bits of the training one."""
+    and gives the bits of the training one, and backward gives the bits of
+    ``np.where`` for such gradients too."""
     special = np.array([0.0, -0.0, 1.0, -1.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324])
     x = special[rng(78).integers(0, len(special), (3, 7, 5))]
-    want = N.ReLULayer().forward(x)
+    layer = N.ReLULayer()
+    want = layer.forward(x)
     assert np.array_equal(want.view(np.uint64), np.where(x > 0.0, x, 0.0).view(np.uint64))
+    dy = special[rng(79).integers(0, len(special), x.shape)]
+    assert np.array_equal(layer.backward(dy).view(np.uint64),
+                          np.where(x > 0.0, dy, 0.0).view(np.uint64))
     y = x.copy()
     got = N.ReLULayer().forward(y, train=False)
     assert got is y

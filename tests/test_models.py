@@ -14,7 +14,7 @@ from conftest import (desk_binary_config, desk_multilabel_config, edit_header,
                       header_edits)
 from gradcheck import grad_check
 from toxiclass import models as M
-from toxiclass.corpus import LABELS, PAD_ID, build_vocab, encode
+from toxiclass.corpus import LABELS, PAD_ID, UNK_ID, build_vocab, encode
 from toxiclass.embedding import random_table
 from toxiclass.errors import CheckpointError, ConfigError, DataError, NumericError
 from toxiclass.neural import Param
@@ -182,6 +182,28 @@ class TestPostStackLength:
                     assert M.MultiLabelModel.post_stack_length(cfg, length) == want
 
 
+def _perturbations(n=32, words=15, seed=5):
+    """``n`` id rows of one text of ``words`` ids, each keeping a random
+    subset of its words in order, as the explainer's perturbations do; the
+    text repeats some ids."""
+    r = np.random.default_rng(seed)
+    text = r.integers(2, 2 + words * 2 // 3, words)
+    ids = np.full((n, 300), PAD_ID)
+    for row, keep in zip(ids, r.random((n, words)) < r.random((n, 1))):
+        row[:keep.sum()] = text[keep]
+    return ids
+
+
+# First-conv batches at L = 300 over a 400-row table.
+FIRST_CONV_BATCHES = {
+    "perturbations": _perturbations(),
+    "full_length_distinct": np.random.default_rng(7).permutation(np.arange(2, 400))[None, :300],
+    "with_an_all_pad_row": np.concatenate([_perturbations(3), np.full((1, 300), PAD_ID)]),
+    "all_unk": np.full((3, 300), UNK_ID),
+    "one_pad_row": np.full((1, 300), PAD_ID),
+}
+
+
 class TestForward:
     def test_binary_output_is_probability(self):
         model = _binary()
@@ -277,6 +299,25 @@ class TestForward:
                 np.testing.assert_allclose(p.grad, sum(grads[k] for _, grads in want),
                                            rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("case", FIRST_CONV_BATCHES)
+    def test_first_conv_reads_distinct_ids(self, case):
+        """The first conv multiplies each distinct id once per batch and
+        builds only each document's own windows: the eval probabilities, and
+        the training forward's gradients after backward, match one unshared
+        document at a time."""
+        ids = FIRST_CONV_BATCHES[case]
+        model = _desk_tagger(300, vocab_size=400)
+        dp = np.random.default_rng(6).standard_normal((len(ids), 6))
+        want = [_untruncated(model, ids[i:i + 1], dp[i]) for i in range(len(ids))]
+        np.testing.assert_allclose(model.forward(ids), [probs for probs, _ in want],
+                                   rtol=0, atol=1e-12)
+        model.zero_grad()
+        model.forward(ids, train=True)
+        model.backward(dp)
+        for k, p in enumerate(model.params()):
+            np.testing.assert_allclose(p.grad, sum(grads[k] for _, grads in want),
+                                       rtol=0, atol=1e-12)
+
     def test_tagger_cut_covers_real_prefix_plus_field(self):
         """The stack reads each document's own slots, laid end to end: for
         its ``rows = min(ceil(real / 8), 36)`` stack rows that read a real
@@ -304,11 +345,11 @@ class TestForward:
                 assert ids.shape[1] <= reals[batch[0]] + 26
 
 
-def _desk_tagger(seq_len):
+def _desk_tagger(seq_len, vocab_size=len(VOCAB)):
     """The desk tagger with biases that keep padded windows off zero, as
     trained ones are."""
     model = M.MultiLabelModel(desk_multilabel_config(),
-                              random_table(len(VOCAB), 6, seed=1, trainable=True),
+                              random_table(vocab_size, 6, seed=1, trainable=True),
                               seq_len=seq_len, seed=1)
     r = np.random.default_rng(2)
     for conv in model.conv:
