@@ -9,7 +9,6 @@ from .corpus import (
     FormatSpec,
     PreprocessConfig,
     SplitSpec,
-    TokenSequence,
     Vocabulary,
     build_vocab,
     encode,
@@ -17,7 +16,6 @@ from .corpus import (
     preprocess,
     stats,
     stratified_split,
-    tokenize,
 )
 from .embedding import (
     EmbeddingTable,

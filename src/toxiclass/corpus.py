@@ -8,7 +8,7 @@ import json
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -176,9 +176,13 @@ class Vocabulary:
 
     def __init__(self, tokens: list[str]):
         self.id_to_token = [PAD_TOKEN, UNK_TOKEN] + list(tokens)
-        self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
-        if len(self.token_to_id) != len(self.id_to_token):
-            raise DataError("vocabulary contains duplicate tokens")
+        self.token_to_id = {}
+        for i, token in enumerate(self.id_to_token):
+            if self.token_to_id.setdefault(token, i) != i:
+                raise DataError(f"vocabulary line {i + 1} repeats token {token!r}")
+        # the text "<pad>" is out of vocabulary: get reads it as UNK_ID, so
+        # a real position never carries PAD_ID
+        del self.token_to_id[PAD_TOKEN]
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -205,7 +209,10 @@ class Vocabulary:
         tokens = [line.rstrip("\n") for _, line in read_lines(path, "vocabulary")]
         if tokens[:2] != [PAD_TOKEN, UNK_TOKEN]:
             raise DataError(f"vocabulary file {path} lacks reserved PAD/UNK header")
-        return cls(tokens[2:])
+        try:
+            return cls(tokens[2:])
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 def build_vocab(corpus, max_size: int = 50_000, min_freq: int = 1) -> Vocabulary:
@@ -218,7 +225,7 @@ def build_vocab(corpus, max_size: int = 50_000, min_freq: int = 1) -> Vocabulary
     counts: Counter[str] = Counter()
     for text in corpus:
         counts.update(text.split())
-    # Reserved tokens met in the text are out of vocabulary: tokenize maps
+    # Reserved tokens met in the text are out of vocabulary: encode maps
     # them to UNK_ID, so a real position never carries PAD_ID.
     for reserved in (PAD_TOKEN, UNK_TOKEN):
         counts.pop(reserved, None)
@@ -227,39 +234,16 @@ def build_vocab(corpus, max_size: int = 50_000, min_freq: int = 1) -> Vocabulary
     return Vocabulary(kept[: max_size - 2])
 
 
-@dataclass
-class TokenSequence:
-    """Fixed-length id sequence: the text's ids, then ``PAD_ID``."""
-
-    input_ids: np.ndarray
-    true_length: int
-
-    def __post_init__(self):
-        self.input_ids = np.asarray(self.input_ids, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.input_ids)
-
-
-def tokenize(text: str, vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN) -> TokenSequence:
-    """Whitespace tokenization with head truncation and ``PAD_ID`` padding."""
-    if max_len < 1:
-        raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    tokens = text.split()[:max_len]
-    ids = np.full(max_len, PAD_ID, dtype=np.int64)
-    for i, tok in enumerate(tokens):
-        ids[i] = UNK_ID if tok == PAD_TOKEN else vocab.get(tok)
-    return TokenSequence(ids, len(tokens))
-
-
 def encode(texts, vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN) -> np.ndarray:
-    """The (n, max_len) int64 batch of the n ``texts``: row i is
-    ``tokenize(texts[i], vocab, max_len).input_ids``."""
+    """The (n, max_len) int64 batch of the n ``texts``, the one tokenizer:
+    row i holds the ids of the first ``max_len`` whitespace tokens of
+    ``texts[i]`` (head truncation), then ``PAD_ID``."""
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    ids = np.empty((len(texts), max_len), dtype=np.int64)
+    ids = np.full((len(texts), max_len), PAD_ID, dtype=np.int64)
     for row, text in zip(ids, texts):
-        row[:] = tokenize(text, vocab, max_len).input_ids
+        tokens = text.split()[:max_len]
+        row[:len(tokens)] = [vocab.get(tok) for tok in tokens]
     return ids
 
 

@@ -17,7 +17,7 @@ from .corpus import seeded_rng
 from .errors import DataError, NumericError
 
 DEFAULT_SAMPLES = 1000
-DEFAULT_KERNEL_WIDTH = 0.25
+KERNEL_WIDTH = 0.25
 DEFAULT_RIDGE_LAMBDA = 1e-3
 BINARY_TOP_K = 6
 MULTILABEL_TOP_K = 10
@@ -72,14 +72,14 @@ def sample_perturbations(m: int, n: int = DEFAULT_SAMPLES,
     return masks
 
 
-def kernel_weights(masks, width: float = DEFAULT_KERNEL_WIDTH) -> np.ndarray:
-    """Per row of ``masks``: exp(-d^2 / width^2) where d is the cosine
+def kernel_weights(masks) -> np.ndarray:
+    """Per row of ``masks``: exp(-d^2 / KERNEL_WIDTH^2) where d is the cosine
     distance between the row and the all-ones mask. An all-zeros row has no
     direction: weight 0."""
     masks = np.asarray(masks)
     kept = masks.sum(axis=1)
     d = 1.0 - np.sqrt(kept / masks.shape[1])
-    return np.where(kept > 0, np.exp(-(d ** 2) / width ** 2), 0.0)
+    return np.where(kept > 0, np.exp(-(d ** 2) / KERNEL_WIDTH ** 2), 0.0)
 
 
 def _fit(x: np.ndarray, weights: np.ndarray, y: np.ndarray,

@@ -847,6 +847,19 @@ class TestExitCodes:
                                              "--input", str(lines)]) == 3
         assert "different vocabulary" in capsys.readouterr().err
 
+    def test_repeated_vocabulary_line_at_classify(self, workspace, tmp_path, capsys):
+        alt = tmp_path / "out"
+        shutil.copytree(workspace["out"], alt)
+        path = alt / "prepared" / "vocab.txt"
+        tokens = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(tokens + [tokens[2]]) + "\n", encoding="utf-8")
+        lines = tmp_path / "input.txt"
+        lines.write_text("vix vox\n", encoding="utf-8")
+        assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}", "classify",
+                                             "--input", str(lines)]) == 3
+        assert capsys.readouterr().err == (f"data error: {path}: vocabulary line "
+                                           f"{len(tokens) + 1} repeats token {tokens[2]!r}\n")
+
     def test_split_names_unknown_id(self, workspace, tmp_path, capsys):
         alt = tmp_path / "out"
         shutil.copytree(workspace["out"], alt)

@@ -92,9 +92,7 @@ class TestArbitraryText:
         cfg = C.PreprocessConfig(stopwords, *flags)
         vocab = C.build_vocab([text])
         with contextlib.suppress(ToxiclassError):
-            C.tokenize(C.preprocess(text, cfg), vocab, max_len)
-        with contextlib.suppress(ToxiclassError):
-            C.tokenize(text, vocab, max_len)
+            C.encode([C.preprocess(text, cfg)], vocab, max_len)
         with contextlib.suppress(ToxiclassError):
             C.encode([text], vocab, max_len)
 
@@ -218,49 +216,88 @@ class TestVocabulary:
         v = C.build_vocab([text])
         assert v.id_to_token == [C.PAD_TOKEN, C.UNK_TOKEN, "a", "b"]
 
+    def test_pad_text_is_out_of_vocabulary(self):
+        v = C.build_vocab(["a"])
+        assert C.PAD_TOKEN not in v and v.get(C.PAD_TOKEN) == C.UNK_ID
+        assert C.UNK_TOKEN in v and v.get(C.UNK_TOKEN) == C.UNK_ID
+
+    @pytest.mark.parametrize("tokens, line, token", [
+        (["a", "b", "a"], 5, "a"), (["a", C.PAD_TOKEN], 4, C.PAD_TOKEN),
+        (["", ""], 4, "")])
+    def test_repeated_token(self, tmp_path, tokens, line, token):
+        message = f"vocabulary line {line} repeats token {token!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            C.Vocabulary(tokens)
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join([C.PAD_TOKEN, C.UNK_TOKEN, *tokens, ""]), encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            C.Vocabulary.load(path)
+
+
+def tokenize(text, vocab, max_len):
+    """The row encode gives ``text``, written out: split on whitespace, keep
+    the first ``max_len`` tokens, read each as its vocabulary id (the
+    reserved ``<pad>`` and ``<unk>`` and unknown tokens as UNK_ID), then pad
+    with PAD_ID to ``max_len``."""
+    known = {t: i for i, t in enumerate(vocab.id_to_token) if i > C.UNK_ID}
+    row = [known.get(t, C.UNK_ID) for t in text.split()[:max_len]]
+    return row + [C.PAD_ID] * (max_len - len(row))
+
+
+# Unicode whitespace that str.split separates tokens at, ASCII or not
+SEPARATORS = (" ", "\t", "\n", "\x1f", "\x85", "\u00a0", "\u2003", "\u2028", "\u3000")
+WORDS = ("dog", "cat", "bird", "zebra", "<pad>", "<unk>", "\u0995\u09c1\u0995\u09c1\u09b0")
+
+
+def joined(tokens):
+    """Strategy: the text of ``tokens`` with a run of separators after each
+    and possibly a run before the first."""
+    run = st.text(st.sampled_from(SEPARATORS), min_size=1, max_size=3)
+    return st.tuples(st.text(st.sampled_from(SEPARATORS), max_size=2),
+                     st.lists(run, min_size=len(tokens), max_size=len(tokens))).map(
+        lambda parts: parts[0] + "".join(t + sep for t, sep in zip(tokens, parts[1])))
+
 
 class TestTokenize:
+    """The rule encode applies to each text, seen on one text's row."""
+
     @pytest.fixture
     def vocab(self):
         return C.build_vocab(["dog cat dog bird"])
 
+    @staticmethod
+    def row(text, vocab, max_len):
+        return C.encode([text], vocab, max_len)[0].tolist()
+
     def test_pads_to_max_len(self, vocab):
         # ranked: dog (freq 2), then bird/cat alphabetically
-        seq = C.tokenize("dog cat", vocab, max_len=5)
-        assert seq.input_ids.tolist() == [2, 4, 0, 0, 0]
-        assert seq.true_length == 2
+        assert self.row("dog cat", vocab, 5) == [2, 4, 0, 0, 0]
 
     def test_head_truncation(self, vocab):
-        seq = C.tokenize("dog cat bird dog", vocab, max_len=2)
-        assert seq.input_ids.tolist() == [vocab.get("dog"), vocab.get("cat")]
-        assert seq.true_length == 2
+        assert self.row("dog cat bird dog", vocab, 2) == [vocab.get("dog"), vocab.get("cat")]
 
     def test_unknown_token(self, vocab):
-        seq = C.tokenize("zebra", vocab, max_len=3)
-        assert seq.input_ids[0] == C.UNK_ID
+        assert self.row("zebra", vocab, 3)[0] == C.UNK_ID
 
     def test_reserved_tokens_map_to_unk(self, vocab):
-        seq = C.tokenize("<pad> dog <unk>", vocab, max_len=4)
-        assert seq.input_ids.tolist() == [C.UNK_ID, vocab.get("dog"), C.UNK_ID,
-                                          C.PAD_ID]
+        assert self.row("<pad> dog <unk>", vocab, 4) == [C.UNK_ID, vocab.get("dog"),
+                                                         C.UNK_ID, C.PAD_ID]
 
     def test_empty_text(self, vocab):
-        seq = C.tokenize("", vocab, max_len=3)
-        assert seq.true_length == 0 and seq.input_ids.tolist() == [C.PAD_ID] * 3
+        assert self.row("", vocab, 3) == [C.PAD_ID] * 3
 
     def test_bad_max_len(self, vocab):
-        with pytest.raises(ConfigError):
-            C.tokenize("dog", vocab, max_len=0)
+        with pytest.raises(ConfigError, match="max_len must be >= 1, got -1"):
+            C.encode(["dog"], vocab, max_len=-1)
 
     @settings(max_examples=100)
     @given(st.lists(st.sampled_from(["dog", "cat", "bird", "zzz"]), max_size=12))
     def test_mask_marks_exactly_true_length(self, tokens):
         vocab = C.build_vocab(["dog cat bird"])
-        seq = C.tokenize(" ".join(tokens), vocab, max_len=8)
+        row = np.array(self.row(" ".join(tokens), vocab, 8))
         n = min(len(tokens), 8)
-        assert seq.true_length == n
-        assert (seq.input_ids[:n] != C.PAD_ID).all()
-        assert (seq.input_ids[n:] == C.PAD_ID).all()
+        assert (row[:n] != C.PAD_ID).all()
+        assert (row[n:] == C.PAD_ID).all()
 
 
 class TestEncode:
@@ -272,8 +309,21 @@ class TestEncode:
         texts = ["dog cat", "", "bird dog cat zebra dog cat", "<pad> cat"]
         ids = C.encode(texts, vocab, max_len=4)
         assert ids.shape == (4, 4) and ids.dtype == np.int64
-        for row, text in zip(ids, texts):
-            assert row.tolist() == C.tokenize(text, vocab, 4).input_ids.tolist()
+        assert ids.tolist() == [tokenize(text, vocab, 4) for text in texts]
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_equals_reference(self, data):
+        vocab = C.build_vocab([" ".join(data.draw(st.lists(st.sampled_from(WORDS)),
+                                                  label="corpus"))])
+        token_lists = data.draw(st.lists(st.lists(st.sampled_from(WORDS), max_size=12),
+                                         max_size=5), label="tokens")
+        texts = [data.draw(joined(tokens), label="text") for tokens in token_lists]
+        assert [text.split() for text in texts] == token_lists
+        longest = max(map(len, token_lists), default=0)
+        max_len = data.draw(st.integers(1, longest + 2), label="max_len")
+        assert C.encode(texts, vocab, max_len).tolist() \
+            == [tokenize(text, vocab, max_len) for text in texts]
 
     def test_no_texts(self, vocab):
         ids = C.encode([], vocab, max_len=7)

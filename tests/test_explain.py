@@ -81,14 +81,14 @@ class TestSamplePerturbations:
             EX.sample_perturbations(1, n=0)
 
 
-def _scalar_weight(mask, width=EX.DEFAULT_KERNEL_WIDTH):
+def _scalar_weight(mask):
     """One row's weight by the scalar formula, as an oracle for the array."""
     mask = np.asarray(mask, dtype=np.float64)
     kept = mask.sum()
     if kept == 0.0:
         return 0.0
     d = 1.0 - np.sqrt(kept / mask.size)
-    return float(np.exp(-(d ** 2) / width ** 2))
+    return float(np.exp(-(d ** 2) / EX.KERNEL_WIDTH ** 2))
 
 
 class TestKernelWeight:
