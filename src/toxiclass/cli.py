@@ -23,7 +23,7 @@ from . import corpus as C
 from . import explain as X
 from . import metrics as MT
 from . import models as M
-from .config import RunConfig, load_config
+from .config import RunConfig, _section_keys, load_config
 from .embedding import EmbeddingTable, load_table, random_table
 from .errors import ConfigError, DataError, NumericError
 
@@ -208,28 +208,26 @@ def cmd_train_multilabel(cfg: RunConfig, args) -> int:
     return _train_stage(cfg, "multilabel")
 
 
-# The model config fields that size each stage's layers.
-SIZE_FIELDS = {"binary": ("lstm_units", "dense_hidden"),
-               "multilabel": ("conv_stack", "pool", "bilstm_units")}
-
-
 def _config_text(value) -> str:
-    """A size as config text: ``6,4`` for a tuple, ``8x3,4x2`` for a stack."""
+    """A value as config text: ``6,4`` for a tuple, ``8x3,4x2`` for a
+    stack, ``true`` for True."""
     if isinstance(value, tuple):
         return ",".join("x".join(map(str, v)) if isinstance(v, tuple) else str(v)
                         for v in value)
+    if isinstance(value, bool):
+        return str(value).lower()
     return str(value)
 
 
 def _load_checkpoint(cfg: RunConfig, vocab: C.Vocabulary, kind: str) -> M.TrainedModel:
     """The stage's checkpoint, checked against the vocabulary and against
-    every size the config gives: the tagger's sequence length, the stage's
-    layer sizes, and the table's width unless a table file sets that."""
+    the config: every key of the stage's model section, the tagger's
+    sequence length, and the table's width unless a table file sets that."""
     trained = M.load_model(_checkpoint_path(cfg, kind), expect_kind=kind)
     if trained.vocab_hash and trained.vocab_hash != vocab.content_hash():
         raise DataError("checkpoint was trained with a different vocabulary")
     model = trained.model
-    built = {f"{kind}.{name}": getattr(model.config, name) for name in SIZE_FIELDS[kind]}
+    built = {key: getattr(model.config, f.name) for f, _, key in _section_keys(kind)}
     if kind == "multilabel":
         built["tokenize.max_len"] = model.seq_len
     if not cfg["embedding.path"]:

@@ -298,13 +298,14 @@ class MultiLabelModel(Model):
         field)``, so a document's rows from ``ceil(real length / stride)``
         on, its tail, read padding alone and are all one row ``p``. The
         stack runs on each document's own rows only, those before its tail:
-        ``stride x starts + field - stride`` input rows, laid end to end,
-        with each pool pairing rows of one document. The first document
+        ``stride x starts + field - stride`` input rows, laid end to end in
+        one run. Each conv is given each document's row count and keeps
+        only each document's own windows, a multiple of ``pool`` of them,
+        so that each pool pairs rows of one document. The first document
         with a tail runs ``stride`` rows more, for one row more, ``p``. The
         first conv reads those rows as ids of the table: it multiplies each
-        distinct id's row by its filters once per batch and builds only each
-        document's own windows. The BiLSTM reads its own rows and ``p`` in
-        every tail slot."""
+        distinct id's row by its filters once per batch. The BiLSTM reads
+        its own rows and ``p`` in every tail slot."""
         length = self.post_stack_length(self.config, ids.shape[1])
         starts = np.minimum(-(-_real_length(ids) // self.stride), length)
         tail = starts < length
@@ -318,33 +319,28 @@ class MultiLabelModel(Model):
         counts = [rows]
         for _, kernel in reversed(self.config.conv_stack):
             counts.insert(0, np.where(rows > 0, self.config.pool * counts[0] + kernel - 1, 0))
-        x = ids[_slots(counts[0], ids.shape[1])][None]
+        x = ids[_slots(counts[0], ids.shape[1])]
         self.embedding._keep(train, x)  # its backward reads the ids alone
         table = self.embedding.param.value  # the first conv reads x as its ids
-        kept = []
         for conv, act, pool, n in zip(self.conv, self.relu, self.pool, counts):
-            # each document's windows, not the ones across two documents
-            windows = _slots(n - conv.kernel_size + 1, n.max())[_slots(n, n.max())]
-            keep = np.flatnonzero(windows)
-            kept.append((keep, len(windows) - conv.kernel_size + 1))
-            x = pool.forward(act.forward(conv.forward(x, train, keep, table), train), train)
+            x = pool.forward(act.forward(conv.forward(x, n, train, table), train), train)
             table = None  # the next conv reads rows
-        stack, pad = x[0], None
+        pad = None
         if pad_row is not None:
-            pad, stack = stack[pad_row], np.delete(stack, pad_row, axis=0)
+            pad, x = x[pad_row], np.delete(x, pad_row, axis=0)
         own = _slots(starts, length)
-        seq = np.zeros((len(ids), length, stack.shape[1]))
-        seq[own] = stack
+        seq = np.zeros((len(ids), length, x.shape[1]))
+        seq[own] = x
         h = self.bilstm.forward(seq, starts, pad, train=train)
         if self.attention is not None:
             _, z = self.attention.forward(h, train=train)
         else:
             z = self.time_pool.forward(h, train=train)
-        self._keep(train, kept, own, pad_row)
+        self._keep(train, own, pad_row)
         return self.out_act.forward(self.out.forward(z, train), train)
 
     def backward(self, dp: np.ndarray) -> None:
-        kept, own, pad_row = self._take()
+        own, pad_row = self._take()
         dz = self.out.backward(self.out_act.backward(dp))
         if self.attention is not None:
             dh = self.attention.backward(dz)
@@ -353,12 +349,8 @@ class MultiLabelModel(Model):
         dx = self.bilstm.backward(dh)[own]
         if pad_row is not None:
             dx = np.insert(dx, pad_row, self.bilstm.dpad, axis=0)
-        dx = dx[None]
-        for conv, act, pool, (keep, out_len) in zip(self.conv[::-1], self.relu[::-1],
-                                                    self.pool[::-1], kept[::-1]):
-            dy = np.zeros((1, out_len, dx.shape[2]))
-            dy[:, keep] = act.backward(pool.backward(dx))
-            dx = conv.backward(dy)
+        for conv, act, pool in zip(self.conv[::-1], self.relu[::-1], self.pool[::-1]):
+            dx = conv.backward(act.backward(pool.backward(dx)))
         self.embedding.backward(dx)
 
 

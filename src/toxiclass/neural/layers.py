@@ -1,9 +1,12 @@
 """Layers with hand-derived backward passes.
 
-Every layer takes a leading batch axis: sequences are ``(B, L, D)`` and
-vectors are ``(B, D)``; one document is a batch of one. ``LSTM`` and
+Every layer but two takes a leading batch axis: sequences are ``(B, L, D)``
+and vectors are ``(B, D)``; one document is a batch of one. ``LSTM`` and
 ``MaxOverTime`` also take a ``(B, L)`` mask of the real slots, and ``LSTM``
 and ``BiLSTM`` one ``(D,)`` padding row that some slots read instead of ``x``.
+``Conv1D`` and ``MaxPool1D`` read one ``(N, D)`` run of rows instead, the
+documents' rows laid end to end; ``Conv1D`` is also given each document's
+row count, and keeps only each document's own windows.
 A forward with ``train=True`` (the default, except for ``Dropout``) keeps
 what its backward pass reads; one with ``train=False`` keeps nothing, and a
 backward after it raises. The intended call pattern is one training forward
@@ -137,16 +140,15 @@ class Dense(Layer):
 
 
 class Conv1D(Layer):
-    """Valid (no-padding) cross-correlation along the sequence axis.
+    """Valid (no-padding) cross-correlation along a run of documents' rows,
+    laid end to end. Each kernel tap is a GEMM over the run's rows,
+    ``CONV_BLOCK_ROWS`` at a time; the windows that straddle two documents
+    are computed and dropped.
 
-    The batch's sequences are laid end to end and each kernel tap is a GEMM
-    over their rows, ``CONV_BLOCK_ROWS`` at a time; the windows that
-    straddle two sequences are computed and dropped.
-
-    Given a ``table``, the input is a batch of its row ids instead, and the
-    conv is linear in each row: each distinct id's row is multiplied by
-    each tap once, and only the windows asked for are built, each from its
-    taps' products gathered and added in tap order, as the GEMMs add them.
+    Given a ``table``, the run is of its row ids instead, and the conv is
+    linear in each row: each distinct id's row is multiplied by each tap
+    once, and only the kept windows are built, each from its taps' products
+    gathered and added in tap order, as the GEMMs add them.
     """
 
     def __init__(self, kernel_size: int, c_in: int, c_out: int,
@@ -159,51 +161,50 @@ class Conv1D(Layer):
         self.b = Param("b", np.zeros(c_out))
         self.kernel_size = kernel_size
 
-    def forward(self, x: np.ndarray, train: bool = True, keep: np.ndarray | None = None,
+    def forward(self, x: np.ndarray, lengths: np.ndarray, train: bool = True,
                 table: np.ndarray | None = None) -> np.ndarray:
-        """(B, L, c_in) rows -> (B, L - k + 1, c_out) windows, or only the
-        windows that start at the slots ``keep``: (B, len(keep), c_out).
+        """(N, c_in) rows, the documents' ``lengths`` of them laid end to
+        end -> each document's ``max(length - k + 1, 0)`` windows, laid end
+        to end the same way: (their sum, c_out).
 
-        Given a (V, c_in) ``table``, ``x`` is a (B, L) array of its row ids,
+        Given a (V, c_in) ``table``, ``x`` is an (N,) run of its row ids,
         and the rows are ``table[x]``; a training forward keeps them for
         backward, which is the same for either input.
         """
         k = self.kernel_size
         filters = self.filters.value
+        lengths = np.asarray(lengths)
         if table is None:
             x = np.asarray(x, dtype=np.float64)
-            (batch, length, c_in), ids = x.shape, None
+            c_in, ids = x.shape[1], None
         else:
             ids = np.asarray(x)
-            (batch, length), c_in = ids.shape, table.shape[1]
+            c_in = table.shape[1]
             x = table[ids] if train else None
-        if length < k:
-            raise ValueError(f"sequence length {length} shorter than kernel {k}")
         if c_in != filters.shape[1]:
             raise ValueError(f"conv1d expects {filters.shape[1]} channels, got {c_in}")
-        self._keep(train, x)
+        # window i of the run starts at row i plus the rows before it that
+        # start no window of their document's: a document's last k - 1
+        windows = np.maximum(lengths - k + 1, 0)
+        skipped = lengths - windows
+        keep = np.arange(windows.sum()) + np.repeat(np.cumsum(skipped) - skipped, windows)
+        self._keep(train, x, keep)
         if ids is not None:
-            return self._distinct_rows(ids, table, np.arange(length - k + 1)
-                                       if keep is None else keep)
-        rows = x.reshape(batch * length, c_in)
-        n = batch * length - k + 1
-        y = np.empty((batch * length, self.b.value.shape[0]))
-        y[:n] = self.b.value
+            return self._distinct_rows(ids, table, keep)
+        n = max(len(x) - k + 1, 0)
+        y = np.tile(self.b.value, (n, 1))
         for lo in range(0, n, CONV_BLOCK_ROWS):
             hi = min(lo + CONV_BLOCK_ROWS, n)
             for j in range(k):
-                y[lo:hi] += rows[lo + j:hi + j] @ filters[j]
-        y = y.reshape(batch, length, -1)[:, :length - k + 1]
-        return y if keep is None else y[:, keep]
+                y[lo:hi] += x[lo + j:hi + j] @ filters[j]
+        return y[keep]
 
     def _distinct_rows(self, ids: np.ndarray, table: np.ndarray,
-                       keep: np.ndarray) -> np.ndarray:
-        """The windows ``keep`` of the rows ``table[ids]``: one product per
-        distinct id and tap, and each window ``b + sum_j product_j`` of the
-        ids in its slots, summed in the GEMM path's order."""
-        batch, length = ids.shape
-        distinct, inv = np.unique(ids.reshape(-1), return_inverse=True)
-        starts = (np.arange(batch)[:, None] * length + keep).reshape(-1)
+                       starts: np.ndarray) -> np.ndarray:
+        """The windows at ``starts`` of the rows ``table[ids]``: one product
+        per distinct id and tap, and each window ``b + sum_j product_j`` of
+        the ids in its slots, summed in the GEMM path's order."""
+        distinct, inv = np.unique(ids, return_inverse=True)
         rows = table[distinct]
         y = np.empty((len(starts), self.b.value.shape[0]))
         for j, w in enumerate(self.filters.value):
@@ -215,28 +216,26 @@ class Conv1D(Layer):
                 continue
             for lo in range(0, len(at), CONV_BLOCK_ROWS):
                 y[lo:lo + CONV_BLOCK_ROWS] += tap[at[lo:lo + CONV_BLOCK_ROWS]]
-        return y.reshape(batch, len(keep), -1)
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
-        (x,) = self._take()
-        batch, length, c_in = x.shape
-        out_len = length - self.kernel_size + 1
-        # dy laid end to end like the rows, zero at the dropped windows
-        dy_rows = np.zeros((batch, length, dy.shape[2]))
-        dy_rows[:, :out_len] = dy
-        n = batch * length - self.kernel_size + 1
-        dy_rows = dy_rows.reshape(batch * length, -1)[:n]
-        rows = x.reshape(batch * length, c_in)
-        dx = np.zeros_like(rows)
+        """The run's (N, c_in) input gradient for the kept windows' ``dy``."""
+        x, keep = self._take()
+        n = max(len(x) - self.kernel_size + 1, 0)
+        dy_all = np.zeros((n, dy.shape[1]))  # zero at the dropped windows
+        dy_all[keep] = dy
+        dx = np.zeros_like(x)
         for j in range(self.kernel_size):
-            self.filters.grad[j] += rows[j:j + n].T @ dy_rows
-            dx[j:j + n] += dy_rows @ self.filters.value[j].T
-        self.b.grad += dy_rows.sum(axis=0)
-        return dx.reshape(x.shape)
+            self.filters.grad[j] += x[j:j + n].T @ dy_all
+            dx[j:j + n] += dy_all @ self.filters.value[j].T
+        self.b.grad += dy_all.sum(axis=0)
+        return dx
 
 
 class MaxPool1D(Layer):
-    """Non-overlapping max pooling over time, stride = pool, remainder dropped.
+    """Non-overlapping max pooling along a run of rows, stride = pool:
+    (N, C) -> (N // pool, C), the remainder dropped. A run of documents
+    whose row counts are each a multiple of ``pool`` pools each on its own.
 
     Backward routes each output's gradient to the first argmax in its window.
     """
@@ -246,19 +245,17 @@ class MaxPool1D(Layer):
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        batch, length, channels = x.shape
-        if length < self.pool:
-            raise ValueError(f"sequence length {length} shorter than pool {self.pool}")
+        length, channels = x.shape
         out_len = length // self.pool
-        windows = x[:, :out_len * self.pool].reshape(batch, out_len, self.pool, channels)
+        windows = x[:out_len * self.pool].reshape(out_len, self.pool, channels)
         # For backward, the first maximum per window, tap by tap, in the
         # smallest type that holds pool - 1: a tap wins only if it beats
         # every earlier one or is the first NaN, as ``argmax`` has it.
-        top = windows[:, :, 0].copy()
+        top = windows[:, 0].copy()
         argmax = np.zeros(top.shape, dtype=np.min_scalar_type(self.pool - 1)) \
             if train else None
         for j in range(1, self.pool):
-            tap = windows[:, :, j]
+            tap = windows[:, j]
             if train:
                 wins = ~(tap <= top)
                 wins &= top == top
@@ -273,11 +270,11 @@ class MaxPool1D(Layer):
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         argmax, in_shape = self._take()
-        batch, out_len, channels = dy.shape
-        windows = np.zeros((batch, out_len, self.pool, channels))
-        np.put_along_axis(windows, argmax[:, :, None], dy[:, :, None], axis=2)
+        out_len, channels = dy.shape
+        windows = np.zeros((out_len, self.pool, channels))
+        np.put_along_axis(windows, argmax[:, None], dy[:, None], axis=1)
         dx = np.zeros(in_shape)
-        dx[:, :out_len * self.pool] = windows.reshape(batch, -1, channels)
+        dx[:out_len * self.pool] = windows.reshape(-1, channels)
         return dx
 
 

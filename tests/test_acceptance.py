@@ -36,17 +36,16 @@ from toxiclass.neural.losses import add_l2_gradients, bce_loss, l2_penalty
 # --------------------------------------------------------------- criterion 1
 
 
-def _layer_check(layer, x, rng, with_mask=False):
-    """FD-check one layer's parameters and its input gradient; ``x`` has a
-    leading batch axis."""
+def _layer_check(layer, x, rng, *args):
+    """FD-check one layer's parameters and its input gradient for
+    ``layer.forward(x, *args)``."""
     for p in layer.params():
         p.zero_grad()
-    out = layer.forward(x, np.ones(x.shape[:2])) if with_mask else layer.forward(x)
+    out = layer.forward(x, *args)
     r = rng.standard_normal(out.shape)
 
     def loss_fn():
-        o = layer.forward(x, np.ones(x.shape[:2])) if with_mask else layer.forward(x)
-        return float((o * r).sum())
+        return float((layer.forward(x, *args) * r).sum())
 
     dx = layer.backward(r)
     arrays = [p.value for p in layer.params()] + [x]
@@ -62,12 +61,13 @@ def test_criterion_01_gradient_suite():
     dense = Dense(5, 3, rng)
     worst_smooth = max(worst_smooth, _layer_check(dense, rng.standard_normal((1, 5)), rng))
 
+    # the conv and the pool read one run of rows: here one document's
     conv = Conv1D(3, 4, 5, rng)
     worst_smooth = max(worst_smooth,
-                       _layer_check(conv, rng.standard_normal((1, 10, 4)), rng))
+                       _layer_check(conv, rng.standard_normal((10, 4)), rng, [10]))
 
     pool = MaxPool1D(2)
-    x = rng.standard_normal((1, 10, 3))  # distinct entries: locally linear
+    x = rng.standard_normal((10, 3))  # distinct entries: locally linear
     out = pool.forward(x)
     r = rng.standard_normal(out.shape)
     dx = pool.backward(r)
@@ -77,7 +77,7 @@ def test_criterion_01_gradient_suite():
     lstm = LSTM(4, 5, rng)
     worst_smooth = max(worst_smooth,
                        _layer_check(lstm, rng.standard_normal((1, 7, 4)), rng,
-                                    with_mask=True))
+                                    np.ones((1, 7))))
 
     bilstm = BiLSTM(3, 4, rng)
     worst_smooth = max(worst_smooth,

@@ -1022,9 +1022,13 @@ SIZE_CHANGES = [
     ("embedding.dim", "5", "8"),
     ("binary.lstm_units", "7", "6"),
     ("binary.dense_hidden", "6,4", "6"),
+    ("binary.dropout", "0.5", "0.1"),
+    ("binary.leaky_slope", "0.5", "0.01"),
+    ("binary.pooled_input", "true", "false"),
     ("multilabel.conv_stack", "8x3,4x2", "8x3"),
     ("multilabel.pool", "3", "2"),
     ("multilabel.bilstm_units", "5", "4"),
+    ("multilabel.use_attention", "false", "true"),
 ]
 
 
@@ -1033,8 +1037,8 @@ SIZE_CHANGES = [
 @pytest.mark.parametrize("command", ["classify", "evaluate", "explain"])
 def test_checkpoint_sizes_must_match_config(workspace, capsys, command, key, value,
                                             built):
-    """A size the config gives that differs from the checkpoint's exits 2,
-    naming the key and both values."""
+    """A model setting the config gives that differs from the checkpoint's
+    exits 2, naming the key and both values."""
     stage = "multilabel" if key.startswith("multilabel") else "binary"
     argv = {"classify": ["classify", "--input", str(workspace["csv"])],
             "evaluate": ["evaluate", "--stage", stage],

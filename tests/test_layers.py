@@ -12,12 +12,12 @@ def rng(seed=0):
     return np.random.default_rng(np.random.PCG64(seed))
 
 
-def check_layer_grads(layer, x, seed=0, mask=None, reduce=None):
-    """Finite-difference check of every parameter and the input gradient.
-    ``x`` and ``mask`` carry the leading batch axis."""
+def check_layer_grads(layer, x, *args, seed=0):
+    """Finite-difference check of every parameter and the input gradient of
+    ``layer.forward(x, *args)``: a mask, or a conv's document lengths."""
     r = rng(seed)
-    y = layer.forward(x, mask) if mask is not None else layer.forward(x)
-    dout = r.standard_normal(np.shape(y)) if reduce is None else reduce
+    y = layer.forward(x, *args)
+    dout = r.standard_normal(np.shape(y))
     layer.zero_grad()
     dx = layer.backward(dout)
 
@@ -25,8 +25,7 @@ def check_layer_grads(layer, x, seed=0, mask=None, reduce=None):
     analytic = [p.grad for p in layer.params()] + [dx]
 
     def loss():
-        out = layer.forward(x, mask) if mask is not None else layer.forward(x)
-        return float(np.sum(out * dout))
+        return float(np.sum(layer.forward(x, *args) * dout))
 
     return grad_check(loss, arrays, analytic)
 
@@ -108,7 +107,7 @@ def ref_bilstm(bilstm, x, mask, dout):
 
 
 def ref_conv1d(conv, x, dy=None):
-    """``Conv1D`` on one (L, c_in) sequence, window by window: the output,
+    """``Conv1D`` on one (L, c_in) document, window by window: the output,
     and for an output gradient ``dy`` also the gradients of the input, the
     filters and the bias. ``conv`` is only read."""
     k, w = conv.kernel_size, conv.filters.value
@@ -124,7 +123,7 @@ def ref_conv1d(conv, x, dy=None):
 
 
 def ref_maxpool(pool, x, dy=None):
-    """``MaxPool1D`` on one (L, c) sequence, window by window: the output
+    """``MaxPool1D`` on one (L, c) document, window by window: the output
     and its first-argmax rows, and for ``dy`` the input gradient."""
     p = pool.pool
     starts = range(0, x.shape[0] // p * p, p)
@@ -194,11 +193,11 @@ class TestConstantTail:
     def test_conv1d_matches_full_computation(self, make, length):
         x = make(length)
         layer = _conv_layer()
-        got = layer.forward(x[None])[0]
+        got = layer.forward(x, [length])
         dy = rng(54).standard_normal(got.shape)
         want, *want_grads = ref_conv1d(layer, x, dy)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        got_grads = [layer.backward(dy[None])[0], layer.filters.grad, layer.b.grad]
+        got_grads = [layer.backward(dy), layer.filters.grad, layer.b.grad]
         for got_g, want_g in zip(got_grads, want_grads):
             np.testing.assert_allclose(got_g, want_g, rtol=0, atol=1e-12)
 
@@ -208,24 +207,24 @@ class TestConstantTail:
     def test_maxpool_matches_full_computation(self, make, length, pool_size):
         x = make(length)
         layer = N.MaxPool1D(pool_size)
-        got = layer.forward(x[None])[0]
+        got = layer.forward(x)
         dy = rng(55).standard_normal(got.shape)
         want, rows, dx = ref_maxpool(layer, x, dy)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         argmax, _ = layer._cache
-        assert np.array_equal(argmax[0], rows - np.arange(len(rows))[:, None] * pool_size)
-        np.testing.assert_allclose(layer.backward(dy[None])[0], dx, rtol=0, atol=1e-12)
+        assert np.array_equal(argmax, rows - np.arange(len(rows))[:, None] * pool_size)
+        np.testing.assert_allclose(layer.backward(dy), dx, rtol=0, atol=1e-12)
 
     def test_copied_rows_equal_the_computed_one(self):
         layer = _conv_layer()
-        y = layer.forward(tail_input(12, 7)[None])[0]
+        y = layer.forward(tail_input(12, 7), [12])
         assert np.array_equal(y[5:], np.tile(y[5], (5, 1)))  # windows 5.. lie in the tail
         assert not np.array_equal(y[4], y[5])
 
     def test_grad_on_padded_input(self):
         conv = N.Conv1D(3, 2, 4, rng(56))
         conv.b.value[...] = rng(57).standard_normal(4)
-        assert check_layer_grads(conv, tail_input(10, 6, channels=2)[None]) < 1e-6
+        assert check_layer_grads(conv, tail_input(10, 6, channels=2), [10]) < 1e-6
 
 
 LSTM_MASKS = {
@@ -272,76 +271,169 @@ class TestDense:
 class TestConv1D:
     def test_output_length(self):
         c = N.Conv1D(3, 2, 4, rng(1))
-        y = c.forward(rng(2).standard_normal((1, 10, 2)))
-        assert y.shape == (1, 8, 4)
+        y = c.forward(rng(2).standard_normal((10, 2)), [10])
+        assert y.shape == (8, 4)
 
     def test_known_value(self):
         c = N.Conv1D(2, 1, 1, rng(1))
         c.filters.value[...] = np.array([[[1.0]], [[2.0]]])
         c.b.value[...] = [0.25]
-        y = c.forward(np.array([[[1.0], [2.0], [3.0]]]))
-        assert np.allclose(y[0, :, 0], [1 + 4 + 0.25, 2 + 6 + 0.25])
+        y = c.forward(np.array([[1.0], [2.0], [3.0]]), [3])
+        assert np.allclose(y[:, 0], [1 + 4 + 0.25, 2 + 6 + 0.25])
 
     def test_grad(self):
         c = N.Conv1D(3, 2, 4, rng(4))
-        assert check_layer_grads(c, rng(5).standard_normal((1, 9, 2))) < 1e-6
+        assert check_layer_grads(c, rng(5).standard_normal((9, 2)), [9]) < 1e-6
 
-    @pytest.mark.parametrize("keep", [None, [0, 2, 3, 6]])
-    def test_table_ids_give_what_their_rows_give(self, keep):
-        """Row ids of a table, with repeats: the windows ``keep`` of what the
-        rows give, and after a training forward the rows' backward."""
+    @pytest.mark.parametrize("lengths", [[9, 9], [4, 0, 9, 2, 3]],
+                             ids=["equal_lengths", "ragged"])
+    def test_table_ids_give_what_their_rows_give(self, lengths):
+        """A run of row ids of a table, with repeats: what the rows give,
+        and after a training forward the rows' backward."""
         c = N.Conv1D(3, 4, 5, rng(6))
         c.b.value[...] = rng(7).standard_normal(5)
         table = rng(8).standard_normal((6, 4))
-        ids = rng(9).integers(0, 6, (2, 9))
-        want = c.forward(table[ids])
+        ids = rng(9).integers(0, 6, sum(lengths))
+        want = c.forward(table[ids], lengths)
         dy = rng(10).standard_normal(want.shape)
         want_dx = c.backward(dy)
         want_grads = [c.filters.grad.copy(), c.b.grad.copy()]
-        sel = slice(None) if keep is None else keep
-        np.testing.assert_allclose(c.forward(ids, False, keep, table), want[:, sel],
+        np.testing.assert_allclose(c.forward(ids, lengths, False, table), want,
                                    rtol=0, atol=1e-12)
         c.zero_grad()
-        np.testing.assert_allclose(c.forward(ids, True, keep, table), want[:, sel],
+        np.testing.assert_allclose(c.forward(ids, lengths, True, table), want,
                                    rtol=0, atol=1e-12)
         np.testing.assert_array_equal(c.backward(dy), want_dx)
         for got, grad in zip([c.filters.grad, c.b.grad], want_grads):
             np.testing.assert_array_equal(got, grad)
 
 
+# Runs of documents for a kernel of 3: ragged, with an empty document, one
+# shorter than the kernel and one of exactly the kernel's rows; documents
+# all of one length, a (B, L, D) batch laid end to end; and one document.
+RUN_LENGTHS = {"ragged": [5, 0, 3, 9, 2, 4, 3], "equal_lengths": [7, 7, 7],
+               "exactly_k": [3], "one_document": [12], "all_empty": [0, 0]}
+
+
+def _run_conv(table):
+    """A kernel-3 conv with a nonzero bias, and the input of its run: a
+    (V, 4) table's row ids or its rows."""
+    layer = N.Conv1D(3, 4, 5, rng(80))
+    layer.b.value[...] = rng(81).standard_normal(5)
+    return layer, (rng(82).standard_normal((6, 4)) if table else None)
+
+
+def _run_input(table, lengths):
+    """A run of ``lengths`` rows: ids of ``table``, or (N, 4) rows."""
+    if table is not None:
+        return rng(83).integers(0, len(table), sum(lengths))
+    return rng(83).standard_normal((sum(lengths), 4))
+
+
+@pytest.mark.parametrize("table", [False, True], ids=["rows", "table"])
+@pytest.mark.parametrize("lengths", RUN_LENGTHS.values(), ids=RUN_LENGTHS.keys())
+class TestConv1DRun:
+    """A run of documents gives what each document alone gives: its own
+    windows, ``max(length - k + 1, 0)`` of them, in the run's order.
+
+    Compared to 1e-12, not bit for bit: a document of one window alone is a
+    one-row GEMM, which BLAS may sum in another order than the run's.
+    """
+
+    def test_windows_equal_each_document_alone(self, table, lengths):
+        layer, tab = _run_conv(table)
+        x = _run_input(tab, lengths)
+        for train in (False, True):
+            got = layer.forward(x, lengths, train, tab)
+            assert got.shape == (sum(max(n - 2, 0) for n in lengths), 5)
+            bounds = np.cumsum([0] + lengths)
+            wins = np.cumsum([0] + [max(n - 2, 0) for n in lengths])
+            for d, n in enumerate(lengths):
+                alone = layer.forward(x[bounds[d]:bounds[d + 1]], [n], train, tab)
+                np.testing.assert_allclose(got[wins[d]:wins[d + 1]], alone,
+                                           rtol=0, atol=1e-12)
+
+    def test_backward_is_the_sum_over_documents(self, table, lengths):
+        layer, tab = _run_conv(table)
+        x = _run_input(tab, lengths)
+        y = layer.forward(x, lengths, True, tab)
+        dy = rng(84).standard_normal(y.shape)
+        layer.zero_grad()
+        dx = layer.backward(dy)
+        grads = [p.grad.copy() for p in layer.params()]
+        summed = [np.zeros_like(g) for g in grads]
+        bounds = np.cumsum([0] + lengths)
+        wins = np.cumsum([0] + [max(n - 2, 0) for n in lengths])
+        for d, n in enumerate(lengths):
+            layer.forward(x[bounds[d]:bounds[d + 1]], [n], True, tab)
+            layer.zero_grad()
+            np.testing.assert_allclose(layer.backward(dy[wins[d]:wins[d + 1]]),
+                                       dx[bounds[d]:bounds[d + 1]], rtol=0, atol=1e-12)
+            for total, p in zip(summed, layer.params()):
+                total += p.grad
+        for got, want in zip(grads, summed):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_matches_window_by_window_reference(self, table, lengths):
+        layer, tab = _run_conv(table)
+        x = _run_input(tab, lengths)
+        rows = x if tab is None else tab[x]
+        y = layer.forward(x, lengths, True, tab)
+        dy = rng(85).standard_normal(y.shape)
+        layer.zero_grad()
+        dx = layer.backward(dy)
+        want = [np.zeros(5), np.zeros_like(layer.filters.value), np.zeros(5)]
+        bounds = np.cumsum([0] + lengths)
+        wins = np.cumsum([0] + [max(n - 2, 0) for n in lengths])
+        for d, n in enumerate(lengths):
+            if n < 3:
+                continue
+            doc = rows[bounds[d]:bounds[d + 1]]
+            want_y, want_dx, want_dw, want_db = ref_conv1d(layer, doc, dy[wins[d]:wins[d + 1]])
+            np.testing.assert_allclose(y[wins[d]:wins[d + 1]], want_y, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(dx[bounds[d]:bounds[d + 1]], want_dx,
+                                       rtol=0, atol=1e-12)
+            want[1] += want_dw
+            want[2] += want_db
+        np.testing.assert_allclose(layer.filters.grad, want[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(layer.b.grad, want[2], rtol=0, atol=1e-12)
+        short = np.repeat(np.array(lengths) < 3, lengths)
+        assert not dx[short].any()
+
+
 class TestMaxPool1D:
     def test_values_and_truncation(self):
         p = N.MaxPool1D(2)
-        y = p.forward(np.array([[[1.0], [5.0], [2.0], [3.0], [9.0]]]))
-        assert y[0, :, 0].tolist() == [5.0, 3.0]  # trailing odd row dropped
+        y = p.forward(np.array([[1.0], [5.0], [2.0], [3.0], [9.0]]))
+        assert y[:, 0].tolist() == [5.0, 3.0]  # trailing odd row dropped
 
     def test_grad_routes_to_argmax(self):
         p = N.MaxPool1D(2)
-        x = np.array([[[1.0], [5.0], [7.0], [3.0]]])
+        x = np.array([[1.0], [5.0], [7.0], [3.0]])
         p.forward(x)
         assert p._cache[0].dtype == np.uint8  # the smallest type holding pool - 1
-        dx = p.backward(np.array([[[1.0], [2.0]]]))
-        assert dx[0, :, 0].tolist() == [0.0, 1.0, 2.0, 0.0]
+        dx = p.backward(np.array([[1.0], [2.0]]))
+        assert dx[:, 0].tolist() == [0.0, 1.0, 2.0, 0.0]
 
     @pytest.mark.parametrize("pool, dtype", [(1, np.uint8), (256, np.uint8),
                                              (257, np.uint16)])
     def test_argmax_dtype_follows_pool(self, pool, dtype):
         p = N.MaxPool1D(pool)
-        x = rng(5).standard_normal((2, 2 * pool + pool // 2, 3))
+        x = rng(5).standard_normal((4 * pool + pool // 2, 3))
         y = p.forward(x)
         assert p._cache[0].dtype == dtype
-        windows = x[:, :2 * pool].reshape(2, 2, pool, 3)
-        assert np.array_equal(y, windows.max(axis=2))
+        windows = x[:4 * pool].reshape(4, pool, 3)
+        assert np.array_equal(y, windows.max(axis=1))
         dy = rng(6).standard_normal(y.shape)
         want = np.zeros_like(windows)
-        np.put_along_axis(want, windows.argmax(axis=2)[:, :, None], dy[:, :, None], axis=2)
+        np.put_along_axis(want, windows.argmax(axis=1)[:, None], dy[:, None], axis=1)
         dx = p.backward(dy)
-        assert np.array_equal(dx[:, :2 * pool], want.reshape(2, -1, 3))
-        assert not dx[:, 2 * pool:].any()
+        assert np.array_equal(dx[:4 * pool], want.reshape(-1, 3))
+        assert not dx[4 * pool:].any()
 
     def test_grad_numeric(self):
         p = N.MaxPool1D(2)
-        assert check_layer_grads(p, rng(6).standard_normal((1, 8, 3))) < 1e-6
+        assert check_layer_grads(p, rng(6).standard_normal((8, 3))) < 1e-6
 
     @pytest.mark.parametrize("pool", [1, 2, 3, 5])
     def test_first_maximum_matches_argmax_bits(self, pool):
@@ -349,13 +441,28 @@ class TestMaxPool1D:
         the bits of ``max`` and the routed taps are ``argmax``'s, whose
         first NaN wins."""
         special = np.array([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf])
-        x = special[rng(7).integers(0, len(special), (3, 4 * pool + 1, 64))]
+        x = special[rng(7).integers(0, len(special), (12 * pool + 1, 64))]
         p = N.MaxPool1D(pool)
         y = p.forward(x)
-        out_len = x.shape[1] // pool
-        windows = x[:, :out_len * pool].reshape(3, out_len, pool, 64)
-        assert np.array_equal(y.view(np.uint64), windows.max(axis=2).view(np.uint64))
-        assert np.array_equal(p._cache[0], windows.argmax(axis=2))
+        out_len = len(x) // pool
+        windows = x[:out_len * pool].reshape(out_len, pool, 64)
+        assert np.array_equal(y.view(np.uint64), windows.max(axis=1).view(np.uint64))
+        assert np.array_equal(p._cache[0], windows.argmax(axis=1))
+
+    def test_run_pools_each_document_alone(self):
+        """Documents whose row counts are multiples of the pool, laid end to
+        end, pool as each does alone, forward and backward."""
+        lengths = [6, 0, 2, 4]
+        x = rng(8).standard_normal((sum(lengths), 3))
+        p = N.MaxPool1D(2)
+        y = p.forward(x)
+        dy = rng(9).standard_normal(y.shape)
+        dx = p.backward(dy)
+        for lo, n in zip(np.cumsum([0] + lengths), lengths):
+            want, _, want_dx = ref_maxpool(p, x[lo:lo + n], dy[lo // 2:(lo + n) // 2])
+            assert np.array_equal(y[lo // 2:(lo + n) // 2].reshape(-1, 3),
+                                  np.reshape(want, (-1, 3)))
+            assert np.array_equal(dx[lo:lo + n], want_dx)
 
 
 class TestMaxOverTime:
@@ -368,7 +475,7 @@ class TestMaxOverTime:
     def test_grad(self):
         m = N.MaxOverTime()
         x = rng(7).standard_normal((1, 6, 4))
-        assert check_layer_grads(m, x, mask=np.array([[1, 1, 1, 1, 0, 0.0]])) < 1e-6
+        assert check_layer_grads(m, x, np.array([[1, 1, 1, 1, 0, 0.0]])) < 1e-6
 
     def test_fully_masked_is_zero_and_blocks_grads(self):
         m = N.MaxOverTime()
@@ -414,8 +521,12 @@ EVAL_CASES = {
     "dense": (lambda: N.Dense(4, 3, rng(71)),
               lambda layer, t: layer.forward(EVAL_X[:, 0], train=t)),
     "conv1d": (lambda: N.Conv1D(3, 4, 5, rng(72)),
-               lambda layer, t: layer.forward(EVAL_X, train=t)),
-    "maxpool": (lambda: N.MaxPool1D(2), lambda layer, t: layer.forward(EVAL_X, train=t)),
+               lambda layer, t: layer.forward(EVAL_X.reshape(12, 4), [6, 6], train=t)),
+    "conv1d_table": (lambda: N.Conv1D(3, 4, 5, rng(72)),
+                     lambda layer, t: layer.forward(np.arange(12) % 5, [6, 6], t,
+                                                    EVAL_X[0])),
+    "maxpool": (lambda: N.MaxPool1D(2),
+                lambda layer, t: layer.forward(EVAL_X.reshape(12, 4), train=t)),
     "max_over_time": (N.MaxOverTime,
                       lambda layer, t: layer.forward(EVAL_X, np.ones((2, 6)), train=t)),
     "dropout": (lambda: N.Dropout(0.0),
@@ -521,20 +632,20 @@ class TestLSTM:
     def test_grad_full_mask(self):
         lstm = N.LSTM(3, 4, rng(20))
         assert check_layer_grads(
-            lstm, rng(21).standard_normal((1, 5, 3)), mask=np.ones((1, 5))) < 1e-5
+            lstm, rng(21).standard_normal((1, 5, 3)), np.ones((1, 5))) < 1e-5
 
     def test_grad_with_gaps(self):
         lstm = N.LSTM(2, 3, rng(22))
         mask = np.array([[1.0, 0.0, 1.0, 1.0, 0.0, 1.0]])
         assert check_layer_grads(
-            lstm, rng(23).standard_normal((1, 6, 2)), mask=mask) < 1e-5
+            lstm, rng(23).standard_normal((1, 6, 2)), mask) < 1e-5
 
     @pytest.mark.parametrize("mask", [[1, 1, 1, 0, 0], [0, 0, 0, 0, 0]],
                              ids=["trailing_pads", "fully_masked"])
     def test_grad_padded(self, mask):
         lstm = N.LSTM(2, 3, rng(45))
         assert check_layer_grads(
-            lstm, rng(46).standard_normal((1, 5, 2)), mask=np.array([mask], float)) < 1e-5
+            lstm, rng(46).standard_normal((1, 5, 2)), np.array([mask], float)) < 1e-5
 
     def test_initial_states_copy_into_leading_masked_slots(self):
         lstm = N.LSTM(3, 4, rng(47))
@@ -608,11 +719,30 @@ RAGGED_MASK = np.array([[1, 1, 1, 1, 1, 1, 1],
                         [1, 0, 1, 1, 0, 0, 1],
                         [1, 1, 1, 0, 0, 0, 0],
                         [0, 0, 1, 0, 0, 0, 0]], dtype=np.float64)
+class _RunOfEqualDocuments(N.layers.Layer):
+    """A layer that reads a run of rows, over a (B, L, D) batch: its rows
+    as one run of B documents of L rows each."""
+
+    def __init__(self, layer):
+        self.layer = layer
+
+    def forward(self, x):
+        batch, length, dim = x.shape
+        lengths = [[length] * batch] if isinstance(self.layer, N.Conv1D) else []
+        y = self.layer.forward(x.reshape(-1, dim), *lengths)
+        self._keep(True, x.shape)
+        return y.reshape(batch, -1, y.shape[1])
+
+    def backward(self, dy):
+        (shape,) = self._take()
+        return self.layer.backward(dy.reshape(-1, dy.shape[2])).reshape(shape)
+
+
 # layer factory, input shape, mask (None: the layer takes none)
 RAGGED_CASES = {
     "dense": (lambda: N.Dense(4, 3, rng(60)), (5, 4), None),
-    "conv1d": (lambda: N.Conv1D(3, 4, 2, rng(60)), (5, 7, 4), None),
-    "maxpool": (lambda: N.MaxPool1D(2), (5, 7, 4), None),
+    "conv1d": (lambda: _RunOfEqualDocuments(N.Conv1D(3, 4, 2, rng(60))), (5, 7, 4), None),
+    "maxpool": (lambda: _RunOfEqualDocuments(N.MaxPool1D(2)), (5, 8, 4), None),
     "max_over_time": (lambda: N.MaxOverTime(), (5, 7, 4), RAGGED_MASK),
     "lstm": (lambda: N.LSTM(4, 3, rng(60)), (5, 7, 4), RAGGED_MASK),
     "bilstm": (lambda: N.BiLSTM(4, 3, rng(60)), (5, 7, 4), None),

@@ -339,10 +339,10 @@ class TestForward:
             if tails:
                 rows[tails[0]] += 1
             want = [docs[i, :8 * r + 11 if r else 0] for i, r in zip(batch, rows)]
-            assert np.array_equal(ids, np.concatenate(want)[None]), batch
+            assert np.array_equal(ids, np.concatenate(want)), batch
             if len(batch) == 1:
-                assert ids.shape[1] <= min(300, 8 * -(-reals[batch[0]] // 8) + 19)
-                assert ids.shape[1] <= reals[batch[0]] + 26
+                assert len(ids) <= min(300, 8 * -(-reals[batch[0]] // 8) + 19)
+                assert len(ids) <= reals[batch[0]] + 26
 
 
 def _desk_tagger(seq_len, vocab_size=len(VOCAB)):
@@ -376,14 +376,14 @@ def _untruncated(model, ids, dp):
     gradient for the output gradient ``dp``, with the conv stack run over
     every slot and the BiLSTM unshared."""
     model.zero_grad()
-    x = model.embedding.forward(ids)
+    x = model.embedding.forward(ids[0])
     for conv, act, pool in zip(model.conv, model.relu, model.pool):
-        x = pool.forward(act.forward(conv.forward(x)))
-    h, bilstm_backward = _unshared_bilstm(model.bilstm, x)
+        x = pool.forward(act.forward(conv.forward(x, [len(x)])))
+    h, bilstm_backward = _unshared_bilstm(model.bilstm, x[None])
     _, z = model.attention.forward(h)
     probs = model.out_act.forward(model.out.forward(z))
     dx = bilstm_backward(model.attention.backward(
-        model.out.backward(model.out_act.backward(dp[None]))))
+        model.out.backward(model.out_act.backward(dp[None]))))[0]
     for conv, act, pool in reversed(list(zip(model.conv, model.relu, model.pool))):
         dx = conv.backward(act.backward(pool.backward(dx)))
     model.embedding.backward(dx)
