@@ -152,8 +152,13 @@ class EmbeddingLayer(Layer):
         self.param = Param("table", table.matrix)
 
     def forward(self, ids: np.ndarray, train: bool = True) -> np.ndarray:
+        return self.table_for(ids, train)[ids]
+
+    def table_for(self, ids: np.ndarray, train: bool = True) -> np.ndarray:
+        """The (V, D) table, for a layer that reads the rows ``table[ids]``
+        itself; a training call keeps ``ids`` for backward, as forward does."""
         self._keep(train, ids)
-        return self.param.value[ids]
+        return self.param.value
 
     def backward(self, dx: np.ndarray) -> None:
         (ids,) = self._take()
@@ -219,11 +224,12 @@ class BinaryModel(Model):
         # LSTM stops there.
         ids = ids[:, :max(int(_real_length(ids).max()), 1)]
         mask = ids != PAD_ID
-        x = self.embedding.forward(ids, train)
-        if self.input_pool is not None:
-            x = self.input_pool.forward(x, mask, train)[:, None]
-            mask = None
-        h = self.lstm.forward(x, mask, train=train)
+        if self.input_pool is None:  # the LSTM reads the ids' rows itself
+            x, table = ids, self.embedding.table_for(ids, train)
+        else:
+            x = self.input_pool.forward(self.embedding.forward(ids, train), mask, train)
+            x, mask, table = x[:, None], None, None
+        h = self.lstm.forward(x, mask, train=train, table=table)
         v = self.time_pool.forward(h, mask, train)
         v = self.dropout.forward(v, train, rng)
         for dense, act in zip(self.hidden, self.hidden_act):
@@ -320,8 +326,7 @@ class MultiLabelModel(Model):
         for _, kernel in reversed(self.config.conv_stack):
             counts.insert(0, np.where(rows > 0, self.config.pool * counts[0] + kernel - 1, 0))
         x = ids[_slots(counts[0], ids.shape[1])]
-        self.embedding._keep(train, x)  # its backward reads the ids alone
-        table = self.embedding.param.value  # the first conv reads x as its ids
+        table = self.embedding.table_for(x, train)  # the first conv reads x as its ids
         for conv, act, pool, n in zip(self.conv, self.relu, self.pool, counts):
             x = pool.forward(act.forward(conv.forward(x, n, train, table), train), train)
             table = None  # the next conv reads rows

@@ -6,7 +6,9 @@ and vectors are ``(B, D)``; one document is a batch of one. ``LSTM`` and
 and ``BiLSTM`` one ``(D,)`` padding row that some slots read instead of ``x``.
 ``Conv1D`` and ``MaxPool1D`` read one ``(N, D)`` run of rows instead, the
 documents' rows laid end to end; ``Conv1D`` is also given each document's
-row count, and keeps only each document's own windows.
+row count, and keeps only each document's own windows. Given a ``(V, D)``
+``table``, ``LSTM`` and ``Conv1D`` read row ids of it in place of its rows:
+a ``(B, L)`` array of them, or an ``(N,)`` run.
 A forward with ``train=True`` (the default, except for ``Dropout``) keeps
 what its backward pass reads; one with ``train=False`` keeps nothing, and a
 backward after it raises. The intended call pattern is one training forward
@@ -25,6 +27,10 @@ DEFAULT_LEAKY_SLOPE = 0.01
 # Output rows per tap GEMM in ``Conv1D.forward``: each tap's product is
 # added a block at a time, so its temporary stays small beside the output.
 CONV_BLOCK_ROWS = 256
+# An eval ``LSTM.forward`` over table ids projects at least this many rows,
+# or all of its real steps' if fewer, and its steps read their rows of the
+# products from a buffer refilled this many rows at a time.
+LSTM_ID_ROWS = 64
 
 
 def sigmoid(x):
@@ -400,6 +406,13 @@ class LSTM(Layer):
     once for all of them, and backward sums their gate gradients into its
     one row before the input GEMMs, leaving its gradient in ``dpad``.
 
+    Given a (V, D) ``table`` instead, ``x`` is a (B, L) array of its row
+    ids. An eval forward projects each distinct id's row once, and the
+    steps read their rows of the products from one buffer, refilled
+    ``LSTM_ID_ROWS`` packed rows at a time: it builds neither the real
+    steps' rows nor their (N, 4H) input part. A training forward keeps
+    both for backward, and projects the rows as it does given ``x``.
+
     Each step takes one ``tanh`` over all four gates, with
     ``sigmoid(z) = 0.5 + 0.5 * tanh(z / 2)``: the forward works on copies of
     ``w_x``, ``w_h`` and ``b`` whose i, f and o rows are halved, which is
@@ -419,12 +432,24 @@ class LSTM(Layer):
 
     def forward(self, x: np.ndarray, mask: np.ndarray | None = None,
                 h0: np.ndarray | None = None, c0: np.ndarray | None = None,
-                train: bool = True, pad: np.ndarray | None = None) -> np.ndarray:
+                train: bool = True, pad: np.ndarray | None = None,
+                table: np.ndarray | None = None) -> np.ndarray:
         """(B, L, D) inputs -> (B, L, H) hidden states; ``h0`` and ``c0``
         are (B, H). After a training forward ``cells()`` gives the matching
-        cell states."""
-        x = np.asarray(x, dtype=np.float64)
-        batch, length, dim = x.shape
+        cell states.
+
+        Given a (V, D) ``table``, ``x`` is a (B, L) array of its row ids,
+        and the inputs are ``table[x]``; a training forward keeps the real
+        steps' rows for backward, which is the same for either input.
+        """
+        if table is None:
+            x = np.asarray(x, dtype=np.float64)
+            batch, length, dim = x.shape
+        else:
+            x = np.asarray(x)
+            (batch, length), dim = x.shape, table.shape[1]
+            if pad is not None:
+                raise ValueError("an lstm over table ids takes no pad row")
         if dim != self.input_dim:
             raise ValueError(f"lstm expects input dim {self.input_dim}, got {dim}")
         h_dim = self.hidden_dim
@@ -448,9 +473,31 @@ class LSTM(Layer):
         w_x, b = self.w_x.value.T * half, self.b.value * half
         # the input part of every step's gates, each step's slice turned
         # into i, f, g, o after activation in place
-        if pad is None:  # x packed step by step, then one GEMM
-            x_real = np.empty((start[-1], dim))
-            x_real[packed] = x[rows, slots]
+        proj = None
+        if table is not None:
+            ids = np.empty(start[-1], dtype=x.dtype)  # each packed step's id
+            ids[packed] = x[rows, slots]
+        if table is not None and not train:
+            # Each distinct id's row is projected once, and the step loop
+            # gathers its steps' rows of ``proj``: no (N, 4H) ``gates``.
+            distinct, src = np.unique(ids, return_inverse=True)
+            # BLAS takes a small product through other kernels, which order
+            # their sums otherwise (gemv for one row; OpenBLAS 0.3.31 has a
+            # small-matrix kernel up to about 1,200 outputs). Repeats of the
+            # distinct rows make it x_real's own product when there are few
+            # steps, and a large one when there are many.
+            n_proj = min(len(ids), LSTM_ID_ROWS)
+            if len(distinct) < n_proj:
+                distinct = np.resize(distinct, n_proj)
+            proj = table[distinct] @ w_x
+            proj += b
+            x_real = gates = None
+        elif pad is None:  # x packed step by step, then one GEMM
+            if table is None:
+                x_real = np.empty((start[-1], dim))
+                x_real[packed] = x[rows, slots]
+            else:
+                x_real = table[ids]
             gates = x_real @ w_x
             gates += b
         else:  # the steps that read x, then ``pad`` in every other step
@@ -468,12 +515,25 @@ class LSTM(Layer):
             cs[rank] = c0
         tanh_c = np.empty((start[-1] if train else batch, h_dim))
         z_buf = np.empty((batch, 4 * h_dim))
+        if proj is not None:  # the rows of the next steps' input parts
+            a_buf = np.empty((max(batch, LSTM_ID_ROWS), 4 * h_dim))
+            win_lo = win_hi = 0
         ig_buf = np.empty((batch, h_dim))
         bounds = start.tolist()
         prev = 0  # state row of the previous step's first active row
         for lo, hi in zip(bounds, bounds[1:]):
             m = hi - lo
-            a, z, ig = gates[lo:hi], z_buf[:m], ig_buf[:m]
+            z, ig = z_buf[:m], ig_buf[:m]
+            if proj is None:
+                a = gates[lo:hi]
+            else:
+                if hi > win_hi:  # the next window of rows, from this step's on
+                    win_lo, win_hi = lo, min(lo + len(a_buf), start[-1])
+                    # mode="clip": the indices are in range, and "raise"
+                    # would gather into a temporary and copy it
+                    np.take(proj, src[win_lo:win_hi], axis=0,
+                            out=a_buf[:win_hi - win_lo], mode="clip")
+                a = a_buf[lo - win_lo:hi - win_lo]
             np.matmul(hs[prev:prev + m], w_h, out=z)
             z += a
             np.tanh(z, out=z)
@@ -491,10 +551,10 @@ class LSTM(Layer):
             np.multiply(a[:, 3 * h_dim:], tc, out=hs[prev:prev + m])
         out = np.where(seen > 0, batch + start[np.maximum(seen - 1, 0)], 0) + rank[:, None]
         self._keep(train, rows, slots, packed, start, x_real, gates, cs, tanh_c, hs,
-                   out, rank, x.shape, pad)
+                   out, rank, (batch, length, dim), pad)
         # Drop the references to what only backward reads, the step loop's
         # views included, so that an eval forward frees it before the gather.
-        x_real = gates = cs = tanh_c = a = g = c = tc = None
+        x_real = gates = proj = cs = tanh_c = a = g = c = tc = None
         return hs[out]
 
     def cells(self) -> np.ndarray:

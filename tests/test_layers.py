@@ -821,6 +821,67 @@ def test_lstm_packs_rows_by_real_steps():
         np.testing.assert_allclose(p.grad, want, rtol=0, atol=1e-12)
 
 
+def _assert_same_bits(got, want):
+    np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(want).view(np.uint64))
+
+
+def _lstm_id_cases():
+    """Batches of ids of a 300-row table: ids, mask, whether h0 and c0 are
+    given, and the LSTM's input and hidden sizes. Past ``LSTM_ID_ROWS``
+    real steps, or rows, an eval forward gathers its projections again, and
+    projects fewer rows than the steps."""
+    r = rng(90)
+    return {
+        "gaps": (r.integers(0, 8, (5, 7)), RAGGED_MASK, False, 4, 3),
+        "one_row": (r.integers(0, 8, (1, 6)), np.array([[1, 0, 1, 1, 0, 1.0]]), False, 4, 3),
+        "initial_states": (r.integers(0, 8, (5, 7)), RAGGED_MASK, True, 4, 3),
+        "one_repeated_id": (np.full((3, 5), 6), None, False, 100, 128),
+        "few_ids_many_steps": (r.integers(0, 3, (4, 50)), None, False, 100, 16),
+        "all_distinct": (r.permutation(300)[:180].reshape(3, 60),
+                         (r.random((3, 60)) < 0.8).astype(float), True, 4, 3),
+        "long_one_row": (r.integers(0, 8, (1, 150)), None, False, 4, 3),
+        "wide_batch": (r.integers(0, 300, (70, 3)), None, True, 4, 3),
+        "paper_size_all_distinct": (r.permutation(300)[:240].reshape(8, 30), None,
+                                    False, 100, 128),
+    }
+
+
+LSTM_ID_CASES = _lstm_id_cases()
+
+
+@pytest.mark.parametrize("ids, mask, states, dim, hidden", LSTM_ID_CASES.values(),
+                         ids=LSTM_ID_CASES.keys())
+def test_lstm_table_ids_give_what_their_rows_give(ids, mask, states, dim, hidden):
+    """Eval and training forwards over a table's ids give the bits that its
+    rows give: the outputs, the cells, and after backward the input
+    gradient, the initial states' and every parameter's."""
+    lstm = N.LSTM(dim, hidden, rng(91))
+    lstm.b.value[...] = rng(92).standard_normal(4 * hidden)
+    table = rng(93).standard_normal((300, dim))
+    h0, c0 = rng(94).standard_normal((2, len(ids), hidden)) if states else (None, None)
+    dh, dc = rng(95).standard_normal((2, *ids.shape, hidden))
+    want = lstm.forward(table[ids], mask, h0, c0)
+    want_cells = lstm.cells()
+    lstm.zero_grad()
+    want_dx = lstm.backward(dh, dc)
+    want_grads = [p.grad.copy() for p in lstm.params()] + [lstm.dh0, lstm.dc0]
+    _assert_same_bits(lstm.forward(ids, mask, h0, c0, train=False, table=table), want)
+    lstm.zero_grad()
+    _assert_same_bits(lstm.forward(ids, mask, h0, c0, table=table), want)
+    _assert_same_bits(lstm.cells(), want_cells)
+    _assert_same_bits(lstm.backward(dh, dc), want_dx)
+    for got, grad in zip([p.grad for p in lstm.params()] + [lstm.dh0, lstm.dc0],
+                         want_grads):
+        _assert_same_bits(got, grad)
+
+
+def test_lstm_over_table_ids_takes_no_pad_row():
+    lstm = N.LSTM(4, 3, rng(96))
+    with pytest.raises(ValueError, match="pad"):
+        lstm.forward(np.zeros((1, 2), dtype=int), table=np.ones((3, 4)), pad=np.ones(4))
+
+
 def _paper_batch(batch, seed):
     """A gate-sized LSTM (D=100, H=128) with a nonzero bias, and 300 slots of
     input, output gradients, a mask and initial states. One row is all real;

@@ -18,7 +18,7 @@ from toxiclass.corpus import LABELS, PAD_ID, UNK_ID, build_vocab, encode
 from toxiclass.embedding import random_table
 from toxiclass.errors import CheckpointError, ConfigError, DataError, NumericError
 from toxiclass.neural import Param
-from toxiclass.neural.layers import Layer
+from toxiclass.neural.layers import LSTM_ID_ROWS, Layer
 from toxiclass.neural.losses import bce_loss
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -194,8 +194,8 @@ def _perturbations(n=32, words=15, seed=5):
     return ids
 
 
-# First-conv batches at L = 300 over a 400-row table.
-FIRST_CONV_BATCHES = {
+# Batches at L = 300 over a 400-row table, for the layers that read ids.
+DISTINCT_ID_BATCHES = {
     "perturbations": _perturbations(),
     "full_length_distinct": np.random.default_rng(7).permutation(np.arange(2, 400))[None, :300],
     "with_an_all_pad_row": np.concatenate([_perturbations(3), np.full((1, 300), PAD_ID)]),
@@ -299,13 +299,13 @@ class TestForward:
                 np.testing.assert_allclose(p.grad, sum(grads[k] for _, grads in want),
                                            rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("case", FIRST_CONV_BATCHES)
+    @pytest.mark.parametrize("case", DISTINCT_ID_BATCHES)
     def test_first_conv_reads_distinct_ids(self, case):
         """The first conv multiplies each distinct id once per batch and
         builds only each document's own windows: the eval probabilities, and
         the training forward's gradients after backward, match one unshared
         document at a time."""
-        ids = FIRST_CONV_BATCHES[case]
+        ids = DISTINCT_ID_BATCHES[case]
         model = _desk_tagger(300, vocab_size=400)
         dp = np.random.default_rng(6).standard_normal((len(ids), 6))
         want = [_untruncated(model, ids[i:i + 1], dp[i]) for i in range(len(ids))]
@@ -317,6 +317,57 @@ class TestForward:
         for k, p in enumerate(model.params()):
             np.testing.assert_allclose(p.grad, sum(grads[k] for _, grads in want),
                                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", DISTINCT_ID_BATCHES)
+    def test_gate_lstm_reads_distinct_ids(self, case, monkeypatch):
+        """The gate's eval forward builds no embedding rows: its LSTM's
+        input GEMM multiplies each distinct real id's row once, repeated up
+        to ``LSTM_ID_ROWS`` rows or the real steps' count. Eval
+        probabilities, and training gradients after backward, are the bits
+        of the LSTM run on rows."""
+        ids = DISTINCT_ID_BATCHES[case]
+        model = M.BinaryModel(desk_binary_config(),
+                              random_table(400, 6, seed=1, trainable=True), seed=1)
+        table = model.embedding.param.value
+        dp = np.random.default_rng(6).standard_normal((len(ids), 1))
+        on_table = model.lstm.forward
+
+        def on_rows(x, mask, train, table):
+            return on_table(table[x], mask, train=train)
+
+        monkeypatch.setattr(model.lstm, "forward", on_rows)
+        want = model.forward(ids)
+        model.zero_grad()
+        model.forward(ids, train=True, rng=np.random.default_rng(0))
+        model.backward(dp)
+        want_grads = [p.grad.copy() for p in model.params()]
+        monkeypatch.setattr(model.lstm, "forward", on_table)
+        left = []  # the rows that the input weights are multiplied by
+
+        class InputWeights(np.ndarray):
+            def __rmatmul__(self, rows):
+                left.append(np.array(rows))
+                return np.asarray(rows) @ np.asarray(self)
+
+        model.lstm.w_x.value = model.lstm.w_x.value.view(InputWeights)
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("the gate's eval forward built embedding rows")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(M.EmbeddingLayer, "forward", no_rows)
+            got = model.forward(ids)
+        real = ids[ids != PAD_ID]
+        distinct = np.unique(real)
+        n_proj = max(len(distinct), min(len(real), LSTM_ID_ROWS))
+        assert len(left) == 1
+        np.testing.assert_array_equal(left[0], table[np.resize(distinct, n_proj)])
+        np.testing.assert_array_equal(got, want)
+        model.zero_grad()
+        model.forward(ids, train=True, rng=np.random.default_rng(0))
+        model.backward(dp)
+        for p, grad in zip(model.params(), want_grads):
+            np.testing.assert_array_equal(p.grad, grad)
 
     def test_tagger_cut_covers_real_prefix_plus_field(self):
         """The stack reads each document's own slots, laid end to end: for
