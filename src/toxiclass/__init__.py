@@ -17,12 +17,7 @@ from .corpus import (
     stats,
     stratified_split,
 )
-from .embedding import (
-    EmbeddingTable,
-    load_table,
-    random_table,
-    write_table,
-)
+from .embedding import EmbeddingTable, load_table, random_table
 from .errors import (
     CheckpointError,
     ConfigError,

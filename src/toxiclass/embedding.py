@@ -94,11 +94,3 @@ def load_table(path, vocab: Vocabulary, trainable: bool = False) -> EmbeddingTab
     for idx, token in enumerate(vocab.id_to_token):
         matrix[idx] = vectors.get(token, unk_row)
     return EmbeddingTable(matrix, trainable=trainable, source="file")
-
-
-def write_table(path, table: EmbeddingTable, vocab: Vocabulary) -> None:
-    """Write the table in the load_table text format (floats via repr)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{table.vocab_size} {table.dim}\n")
-        for token, row in zip(vocab.id_to_token, table.matrix):
-            fh.write(token + " " + " ".join(repr(float(v)) for v in row) + "\n")

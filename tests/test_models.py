@@ -18,7 +18,7 @@ from toxiclass.corpus import LABELS, PAD_ID, UNK_ID, build_vocab, encode
 from toxiclass.embedding import random_table
 from toxiclass.errors import CheckpointError, ConfigError, DataError, NumericError
 from toxiclass.neural import Param
-from toxiclass.neural.layers import LSTM_ID_ROWS, Layer
+from toxiclass.neural.layers import Layer
 from toxiclass.neural.losses import bce_loss
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -321,27 +321,35 @@ class TestForward:
     @pytest.mark.parametrize("case", DISTINCT_ID_BATCHES)
     def test_gate_lstm_reads_distinct_ids(self, case, monkeypatch):
         """The gate's eval forward builds no embedding rows: its LSTM's
-        input GEMM multiplies each distinct real id's row once, repeated up
-        to ``LSTM_ID_ROWS`` rows or the real steps' count. Eval
-        probabilities, and training gradients after backward, are the bits
-        of the LSTM run on rows."""
+        input GEMM multiplies each distinct real id's row once, and no
+        other row. Eval probabilities, and training gradients after
+        backward, are those of the LSTM with a row of its own per slot."""
         ids = DISTINCT_ID_BATCHES[case]
         model = M.BinaryModel(desk_binary_config(),
                               random_table(400, 6, seed=1, trainable=True), seed=1)
         table = model.embedding.param.value
         dp = np.random.default_rng(6).standard_normal((len(ids), 1))
-        on_table = model.lstm.forward
+        on_ids, on_ids_backward = model.lstm.forward, model.lstm.backward
+        read = []  # the table id of each slot of the last forward
 
-        def on_rows(x, mask, train, table):
-            return on_table(table[x], mask, train=train)
+        def on_slots(x, table, mask, train):  # slot k reads row k of its own
+            read[:] = [x.reshape(-1)]
+            return on_ids(np.arange(x.size).reshape(x.shape),
+                          table[x].reshape(x.size, -1), mask, train=train)
 
-        monkeypatch.setattr(model.lstm, "forward", on_rows)
+        def on_slots_backward(dh):
+            slots, rows = on_ids_backward(dh)
+            return read[0][slots], rows
+
+        monkeypatch.setattr(model.lstm, "forward", on_slots)
+        monkeypatch.setattr(model.lstm, "backward", on_slots_backward)
         want = model.forward(ids)
         model.zero_grad()
         model.forward(ids, train=True, rng=np.random.default_rng(0))
         model.backward(dp)
         want_grads = [p.grad.copy() for p in model.params()]
-        monkeypatch.setattr(model.lstm, "forward", on_table)
+        monkeypatch.setattr(model.lstm, "forward", on_ids)
+        monkeypatch.setattr(model.lstm, "backward", on_ids_backward)
         left = []  # the rows that the input weights are multiplied by
 
         class InputWeights(np.ndarray):
@@ -357,17 +365,14 @@ class TestForward:
         with monkeypatch.context() as patch:
             patch.setattr(M.EmbeddingLayer, "forward", no_rows)
             got = model.forward(ids)
-        real = ids[ids != PAD_ID]
-        distinct = np.unique(real)
-        n_proj = max(len(distinct), min(len(real), LSTM_ID_ROWS))
         assert len(left) == 1
-        np.testing.assert_array_equal(left[0], table[np.resize(distinct, n_proj)])
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(left[0], table[np.unique(ids[ids != PAD_ID])])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         model.zero_grad()
         model.forward(ids, train=True, rng=np.random.default_rng(0))
         model.backward(dp)
         for p, grad in zip(model.params(), want_grads):
-            np.testing.assert_array_equal(p.grad, grad)
+            np.testing.assert_allclose(p.grad, grad, rtol=0, atol=1e-12)
 
     def test_tagger_cut_covers_real_prefix_plus_field(self):
         """The stack reads each document's own slots, laid end to end: for
@@ -409,15 +414,21 @@ def _desk_tagger(seq_len, vocab_size=len(VOCAB)):
 
 
 def _unshared_bilstm(bilstm, x):
-    """``bilstm`` over (B, L, D) as two LSTMs that each walk every slot, the
-    reversed one its padding tail too: its output and its backward."""
+    """``bilstm`` over (B, L, D) rows as two LSTMs that each walk every
+    slot, the reversed one its padding tail too, each slot reading its own
+    row: its output and its backward, which gives the rows' gradient."""
     h = bilstm.hidden_dim
-    out = np.concatenate([bilstm.fwd.forward(x),
-                          bilstm.bwd.forward(x[:, ::-1])[:, ::-1]], axis=2)
+    ids = np.arange(x.shape[0] * x.shape[1]).reshape(x.shape[:2])
+    table = x.reshape(-1, x.shape[2])
+    out = np.concatenate([bilstm.fwd.forward(ids, table),
+                          bilstm.bwd.forward(ids[:, ::-1], table)[:, ::-1]], axis=2)
 
     def backward(dout):
-        return (bilstm.fwd.backward(dout[:, :, :h])
-                + bilstm.bwd.backward(dout[:, ::-1, h:])[:, ::-1])
+        dx = np.zeros_like(table)
+        for lstm, d in ((bilstm.fwd, dout[:, :, :h]), (bilstm.bwd, dout[:, ::-1, h:])):
+            read, rows = lstm.backward(d)
+            dx[read] += rows
+        return dx.reshape(x.shape)
 
     return out, backward
 
