@@ -323,8 +323,8 @@ def cmd_explain(cfg: RunConfig, args) -> int:
     n, k = cfg["explain.samples"], cfg[k_key]
     if n < 1:
         raise ConfigError(f"explain.samples must be >= 1, got {n}")
-    if k < 0:
-        raise ConfigError(f"{k_key} must be >= 0, got {k}")
+    if k < 1:
+        raise ConfigError(f"{k_key} must be >= 1, got {k}")
 
     vocab = _load_vocab(cfg)
     max_len = cfg["tokenize.max_len"]

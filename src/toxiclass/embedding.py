@@ -1,5 +1,5 @@
 """Embedding tables: seeded random initialisation and the text file format.
-The models look rows up through ``models.EmbeddingLayer``."""
+The models hold a table, and add to its gradient, through ``models.EmbeddingLayer``."""
 
 from __future__ import annotations
 

@@ -143,30 +143,20 @@ def _real_length(ids: np.ndarray) -> np.ndarray:
 
 
 class EmbeddingLayer(Layer):
-    """Row lookup. The PAD row is zero, so PAD slots read zeros: the table
-    pins it, its gradient is zeroed, it carries no decay, and ``load_model``
-    refuses a checkpoint where it is not zero."""
+    """The (V, D) table, ``param.value``, whose rows a model's first layer
+    reads by id itself. The PAD row is zero, so PAD slots read zeros: the
+    table pins it, its gradient is zeroed, it carries no decay, and
+    ``load_model`` refuses a checkpoint where it is not zero."""
 
     def __init__(self, table: EmbeddingTable):
         self.table = table
         self.param = Param("table", table.matrix)
 
-    def forward(self, ids: np.ndarray, train: bool = True) -> np.ndarray:
-        return self.table_for(ids, train)[ids]
-
-    def table_for(self, ids: np.ndarray, train: bool = True) -> np.ndarray:
-        """The (V, D) table, for a layer that reads the rows ``table[ids]``
-        itself; a training call keeps ``ids`` for backward, as forward does."""
-        self._keep(train, ids)
-        return self.param.value
-
-    def backward(self, dx: np.ndarray, ids: np.ndarray | None = None) -> None:
-        """Add ``dx``, the gradient of the table rows ``ids``, to the
-        table's; without ``ids``, of the rows the last training forward read."""
-        (read,) = self._take()
+    def backward(self, dx: np.ndarray, ids: np.ndarray) -> None:
+        """Add ``dx``, the gradient of the table rows ``ids``, to the table's."""
         if not self.table.trainable:
             return
-        np.add.at(self.param.grad, read if ids is None else ids, dx)
+        np.add.at(self.param.grad, ids, dx)
         self.param.grad[PAD_ID, :] = 0.0
 
 
@@ -226,21 +216,20 @@ class BinaryModel(Model):
         # LSTM stops there.
         ids = ids[:, :max(int(_real_length(ids).max()), 1)]
         mask = ids != PAD_ID
-        if self.input_pool is None:  # the LSTM reads the ids' rows itself
-            x, table = ids, self.embedding.table_for(ids, train)
-        else:  # row i of the pooled vectors is read by document i's one step
-            table = self.input_pool.forward(self.embedding.forward(ids, train), mask, train)
+        x, table = ids, self.embedding.param.value  # the LSTM reads the ids' rows itself
+        if self.input_pool is not None:  # row i of the pooled vectors is document i's one step
+            table = self.input_pool.forward(table[ids], mask, train)
             x, mask = np.arange(len(ids))[:, None], None
         h = self.lstm.forward(x, table, mask, train=train)
         v = self.time_pool.forward(h, mask, train)
         v = self.dropout.forward(v, train, rng)
         for dense, act in zip(self.hidden, self.hidden_act):
             v = act.forward(dense.forward(v, train), train)
-        self._keep(train)
+        self._keep(train, ids)
         return self.out_act.forward(self.out.forward(v, train), train)
 
     def backward(self, dp: np.ndarray) -> None:
-        self._take()
+        (ids,) = self._take()
         dv = self.out.backward(self.out_act.backward(dp))
         for dense, act in zip(self.hidden[::-1], self.hidden_act[::-1]):
             dv = dense.backward(act.backward(dv))
@@ -248,7 +237,7 @@ class BinaryModel(Model):
         dh = self.time_pool.backward(dv)
         read, dx = self.lstm.backward(dh)
         if self.input_pool is not None:  # read is every pooled row, in order
-            read, dx = None, self.input_pool.backward(dx)
+            read, dx = ids, self.input_pool.backward(dx)
         self.embedding.backward(dx, read)
 
 
@@ -311,10 +300,11 @@ class MultiLabelModel(Model):
         only each document's own windows, a multiple of ``pool`` of them,
         so that each pool pairs rows of one document. The first document
         with a tail runs ``stride`` rows more, for one row more, ``p``. The
-        first conv reads those rows as ids of the table: it multiplies each
-        distinct id's row by its filters once per batch. The BiLSTM reads
-        the stack's output run as its table: each document's own rows in
-        its own slots, and ``p`` in every tail slot."""
+        first conv reads those slots' ids of the embedding table: it
+        multiplies each distinct id's row by its filters once per batch.
+        Each pool's output run is the next layer's table: each conv reads
+        its rows in order, and the BiLSTM each document's own rows in its
+        own slots, and ``p`` in every tail slot."""
         length = self.post_stack_length(self.config, ids.shape[1])
         starts = np.minimum(-(-_real_length(ids) // self.stride), length)
         tail = starts < length
@@ -328,15 +318,14 @@ class MultiLabelModel(Model):
         counts = [rows]
         for _, kernel in reversed(self.config.conv_stack):
             counts.insert(0, np.where(rows > 0, self.config.pool * counts[0] + kernel - 1, 0))
-        x = ids[_slots(counts[0], ids.shape[1])]
-        table = self.embedding.table_for(x, train)  # the first conv reads x as its ids
+        x, table = ids[_slots(counts[0], ids.shape[1])], self.embedding.param.value
         for conv, act, pool, n in zip(self.conv, self.relu, self.pool, counts):
-            x = pool.forward(act.forward(conv.forward(x, n, train, table), train), train)
-            table = None  # the next conv reads rows
+            table = pool.forward(act.forward(conv.forward(x, table, n, train), train), train)
+            x = np.arange(len(table))
         # own slot t of a document reads its rows' t-th, every tail slot p
         read = np.where(_slots(starts, length),
                         (np.cumsum(rows) - rows)[:, None] + np.arange(length), pad_row)
-        h = self.bilstm.forward(read, x, starts, train=train)
+        h = self.bilstm.forward(read, table, starts, train=train)
         if self.attention is not None:
             _, z = self.attention.forward(h, train=train)
         else:
@@ -352,9 +341,11 @@ class MultiLabelModel(Model):
         else:
             dh = self.time_pool.backward(dz)
         dx = self.bilstm.backward(dh)
+        # a conv over a pool's rows reads each once, so its distinct ids are
+        # every row, in order; the first conv's are token ids
         for conv, act, pool in zip(self.conv[::-1], self.relu[::-1], self.pool[::-1]):
-            dx = conv.backward(act.backward(pool.backward(dx)))
-        self.embedding.backward(dx)
+            read, dx = conv.backward(act.backward(pool.backward(dx)))
+        self.embedding.backward(dx, read)
 
 
 def _slots(lengths: np.ndarray, width: int) -> np.ndarray:

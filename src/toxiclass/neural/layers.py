@@ -3,12 +3,12 @@
 Every layer but four takes a leading batch axis: sequences are ``(B, L, D)``
 and vectors are ``(B, D)``; one document is a batch of one. ``LSTM`` and
 ``BiLSTM`` read a ``(B, L)`` array of row ids of a ``(V, D)`` table instead,
+``Conv1D`` an ``(N,)`` run of them, the documents' slots laid end to end,
 and their backward passes give the gradient of the table rows they read.
 ``LSTM`` and ``MaxOverTime`` also take a ``(B, L)`` mask of the real slots.
-``Conv1D`` and ``MaxPool1D`` read one ``(N, D)`` run of rows, the
-documents' rows laid end to end; ``Conv1D`` is also given each document's
-row count, and keeps only each document's own windows. Given a ``table``,
-``Conv1D`` reads an ``(N,)`` run of its row ids in place of its rows.
+``Conv1D`` is also given each document's slot count, and keeps only each
+document's own windows; ``MaxPool1D`` reads the ``(N, D)`` run of rows
+they give, laid end to end the same way.
 A forward with ``train=True`` (the default, except for ``Dropout``) keeps
 what its backward pass reads; one with ``train=False`` keeps nothing, and a
 backward after it raises. The intended call pattern is one training forward
@@ -22,10 +22,12 @@ from __future__ import annotations
 import copy
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_LEAKY_SLOPE = 0.01
-# Output rows per tap GEMM in ``Conv1D.forward``: each tap's product is
-# added a block at a time, so its temporary stays small beside the output.
+# Windows per gathered block in ``Conv1D.forward``: each tap's products are
+# gathered and added a block at a time, so the temporary stays small beside
+# the output.
 CONV_BLOCK_ROWS = 256
 # The steps of an eval ``LSTM.forward`` read their rows of the distinct
 # ids' products from a buffer refilled this many rows at a time; its
@@ -147,14 +149,13 @@ class Dense(Layer):
 
 class Conv1D(Layer):
     """Valid (no-padding) cross-correlation along a run of documents' rows,
-    laid end to end. Each kernel tap is a GEMM over the run's rows,
-    ``CONV_BLOCK_ROWS`` at a time; the windows that straddle two documents
-    are computed and dropped.
+    laid end to end and read as an (N,) run of row ids of a (V, c_in) table.
 
-    Given a ``table``, the run is of its row ids instead, and the conv is
-    linear in each row: each distinct id's row is multiplied by each tap
-    once, and only the kept windows are built, each from its taps' products
-    gathered and added in tap order, as the GEMMs add them.
+    The conv is linear in each row: each distinct id's row is multiplied by
+    each tap once, and only each document's own windows are built, each
+    from its taps' products gathered and added in tap order. Backward sums
+    each distinct id's tap gradients before the GEMMs and returns the
+    gradient of those ids' rows of the table.
     """
 
     def __init__(self, kernel_size: int, c_in: int, c_out: int,
@@ -167,75 +168,56 @@ class Conv1D(Layer):
         self.b = Param("b", np.zeros(c_out))
         self.kernel_size = kernel_size
 
-    def forward(self, x: np.ndarray, lengths: np.ndarray, train: bool = True,
-                table: np.ndarray | None = None) -> np.ndarray:
-        """(N, c_in) rows, the documents' ``lengths`` of them laid end to
-        end -> each document's ``max(length - k + 1, 0)`` windows, laid end
-        to end the same way: (their sum, c_out).
-
-        Given a (V, c_in) ``table``, ``x`` is an (N,) run of its row ids,
-        and the rows are ``table[x]``; a training forward keeps them for
-        backward, which is the same for either input.
-        """
+    def forward(self, ids: np.ndarray, table: np.ndarray, lengths: np.ndarray,
+                train: bool = True) -> np.ndarray:
+        """(N,) ids of the rows of a (V, c_in) ``table``, the documents'
+        ``lengths`` of them laid end to end -> each document's
+        ``max(length - k + 1, 0)`` windows, laid end to end the same way:
+        (their sum, c_out)."""
         k = self.kernel_size
         filters = self.filters.value
+        if table.shape[1] != filters.shape[1]:
+            raise ValueError(f"conv1d expects {filters.shape[1]} channels, "
+                             f"got {table.shape[1]}")
         lengths = np.asarray(lengths)
-        if table is None:
-            x = np.asarray(x, dtype=np.float64)
-            c_in, ids = x.shape[1], None
-        else:
-            ids = np.asarray(x)
-            c_in = table.shape[1]
-            x = table[ids] if train else None
-        if c_in != filters.shape[1]:
-            raise ValueError(f"conv1d expects {filters.shape[1]} channels, got {c_in}")
-        # window i of the run starts at row i plus the rows before it that
+        # window i of the run starts at slot i plus the slots before it that
         # start no window of their document's: a document's last k - 1
         windows = np.maximum(lengths - k + 1, 0)
         skipped = lengths - windows
         keep = np.arange(windows.sum()) + np.repeat(np.cumsum(skipped) - skipped, windows)
-        self._keep(train, x, keep)
-        if ids is not None:
-            return self._distinct_rows(ids, table, keep)
-        n = max(len(x) - k + 1, 0)
-        y = np.tile(self.b.value, (n, 1))
-        for lo in range(0, n, CONV_BLOCK_ROWS):
-            hi = min(lo + CONV_BLOCK_ROWS, n)
-            for j in range(k):
-                y[lo:hi] += x[lo + j:hi + j] @ filters[j]
-        return y[keep]
-
-    def _distinct_rows(self, ids: np.ndarray, table: np.ndarray,
-                       starts: np.ndarray) -> np.ndarray:
-        """The windows at ``starts`` of the rows ``table[ids]``: one product
-        per distinct id and tap, and each window ``b + sum_j product_j`` of
-        the ids in its slots, summed in the GEMM path's order."""
-        distinct, inv = np.unique(ids, return_inverse=True)
+        distinct, inv = np.unique(np.asarray(ids), return_inverse=True)
         rows = table[distinct]
-        y = np.empty((len(starts), self.b.value.shape[0]))
-        for j, w in enumerate(self.filters.value):
+        y = np.empty((len(keep), filters.shape[2]))
+        for j, w in enumerate(filters):
             tap = rows @ w
-            at = inv[starts + j]
-            if j == 0:  # b + the first tap, as y = b; y += tap adds them
+            at = inv[keep + j]
+            if j == 0:  # b + the first tap
                 tap += self.b.value
-                np.take(tap, at, axis=0, out=y)
+                # mode="clip": the indices are in range, and "raise" would
+                # gather into a temporary and copy it
+                np.take(tap, at, axis=0, out=y, mode="clip")
                 continue
             for lo in range(0, len(at), CONV_BLOCK_ROWS):
                 y[lo:lo + CONV_BLOCK_ROWS] += tap[at[lo:lo + CONV_BLOCK_ROWS]]
+        self._keep(train, distinct, inv, rows, keep)
         return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        """The run's (N, c_in) input gradient for the kept windows' ``dy``."""
-        x, keep = self._take()
-        n = max(len(x) - self.kernel_size + 1, 0)
-        dy_all = np.zeros((n, dy.shape[1]))  # zero at the dropped windows
-        dy_all[keep] = dy
-        dx = np.zeros_like(x)
-        for j in range(self.kernel_size):
-            self.filters.grad[j] += x[j:j + n].T @ dy_all
-            dx[j:j + n] += dy_all @ self.filters.value[j].T
-        self.b.grad += dy_all.sum(axis=0)
-        return dx
+    def backward(self, dy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For the kept windows' ``dy``: the distinct ids of the run, sorted,
+        and the gradient of their rows of the table, one row per id."""
+        distinct, inv, rows, keep = self._take()
+        k, c_in, c_out = self.filters.value.shape
+        # Slot s's gradient through tap j is that of the window that starts
+        # j slots before it: with window i's in row keep[i] + k - 1 of a run
+        # of zeros, its row s + k - 1 - j, read through an (N, k, c_out) view.
+        d_run = np.zeros((len(inv) + k - 1, c_out))
+        d_run[keep + k - 1] = dy
+        d_taps = sliding_window_view(d_run, len(inv), axis=0)[::-1].transpose(2, 0, 1)
+        d_taps = _sum_by_id(d_taps, inv)  # (U, k c_out)
+        self.filters.grad += (rows.T @ d_taps).reshape(c_in, k, c_out).transpose(1, 0, 2)
+        self.b.grad += dy.sum(axis=0)
+        w_cat = self.filters.value.transpose(1, 0, 2).reshape(c_in, k * c_out)
+        return distinct, d_taps @ w_cat.T
 
 
 class MaxPool1D(Layer):
@@ -570,22 +552,24 @@ class LSTM(Layer):
 
 
 def _sum_by_id(rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """The (N, n) ``rows`` summed per value of the (N,) ``ids``, which take
-    every value in ``range(U)``: (U, n). Each value's first row is copied,
-    and its other rows, sorted by value, are added through one-hot products
-    over ``LSTM_ID_ROWS`` of them at a time, each of which spans few values;
-    ``np.add.at`` and ``np.add.reduceat`` over rows are slower at every size."""
+    """The (N, ...) ``rows``, each flattened to n entries, summed per value
+    of the (N,) ``ids``, which take every value in ``range(U)``: (U, n).
+    Each value's first row is copied, and its other rows, sorted by value,
+    are added through one-hot products over ``LSTM_ID_ROWS`` of them at a
+    time, each of which spans few values; ``np.add.at`` and
+    ``np.add.reduceat`` over rows are slower at every size."""
     order = np.argsort(ids, kind="stable")
     sorted_ids = ids[order]
     first = np.ones(len(ids), dtype=bool)
     first[1:] = sorted_ids[1:] != sorted_ids[:-1]
-    total = rows[order[first]]
+    width = int(np.prod(rows.shape[1:]))
+    total = rows[order[first]].reshape(-1, width)
     rest, rest_ids = order[~first], sorted_ids[~first]
     for lo in range(0, len(rest), LSTM_ID_ROWS):
         block = rest_ids[lo:lo + LSTM_ID_ROWS]
         one_hot = block == np.arange(block[0], block[-1] + 1)[:, None]
         total[block[0]:block[-1] + 1] += \
-            one_hot.astype(np.float64) @ rows[rest[lo:lo + LSTM_ID_ROWS]]
+            one_hot.astype(np.float64) @ rows[rest[lo:lo + LSTM_ID_ROWS]].reshape(-1, width)
     return total
 
 

@@ -50,7 +50,7 @@ def _layer_check(layer, x, rng, *args, ids=None):
         return float((layer.forward(*inputs, *args) * r).sum())
 
     dx = layer.backward(r)
-    if isinstance(dx, tuple):  # an LSTM's ids read and their rows' gradient
+    if isinstance(dx, tuple):  # the ids read and their rows' gradient
         read, rows = dx
         dx = np.zeros_like(x)
         dx[read] = rows
@@ -67,10 +67,12 @@ def test_criterion_01_gradient_suite():
     dense = Dense(5, 3, rng)
     worst_smooth = max(worst_smooth, _layer_check(dense, rng.standard_normal((1, 5)), rng))
 
-    # the conv and the pool read one run of rows: here one document's
+    # the conv reads a run of row ids of a table, and the pool the run of
+    # rows it gives: here one document's, one row per slot
     conv = Conv1D(3, 4, 5, rng)
     worst_smooth = max(worst_smooth,
-                       _layer_check(conv, rng.standard_normal((10, 4)), rng, [10]))
+                       _layer_check(conv, rng.standard_normal((10, 4)), rng, [10],
+                                    ids=np.arange(10)))
 
     pool = MaxPool1D(2)
     x = rng.standard_normal((10, 3))  # distinct entries: locally linear

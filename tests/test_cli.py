@@ -735,6 +735,8 @@ class TestExitCodes:
         ("explain.samples=-5", "multilabel"),
         ("explain.features.binary=-1", "binary"),
         ("explain.features.multilabel=-1", "multilabel"),
+        ("explain.features.binary=0", "binary"),
+        ("explain.features.multilabel=0", "multilabel"),
     ])
     def test_explain_budget_out_of_range(self, tmp_path, capsys, setting, stage):
         # checked before any file is read: the output dir holds nothing

@@ -14,7 +14,8 @@ def rng(seed=0):
 
 def check_layer_grads(layer, x, *args, seed=0):
     """Finite-difference check of every parameter and the input gradient of
-    ``layer.forward(x, *args)``: a mask, or a conv's document lengths."""
+    ``layer.forward(x, *args)``: a mask, or a conv's document lengths; a
+    layer that reads ids of a table reads ``x`` through ``OwnRows``."""
     r = rng(seed)
     y = layer.forward(x, *args)
     dout = r.standard_normal(np.shape(y))
@@ -31,16 +32,16 @@ def check_layer_grads(layer, x, *args, seed=0):
 
 
 def as_table(x):
-    """A (B, L, D) batch of rows as (B, L) ids of a table whose row k is
-    slot k's, a view of ``x`` when ``x`` is contiguous: the input form of
-    ``LSTM`` and ``BiLSTM``."""
-    batch, length, dim = x.shape
-    return np.arange(batch * length).reshape(batch, length), x.reshape(-1, dim)
+    """A (B, L, D) batch or an (N, D) run of rows as (B, L) or (N,) ids of a
+    table whose row k is slot k's, a view of ``x`` when ``x`` is
+    contiguous: the input form of ``LSTM``, ``BiLSTM`` and ``Conv1D``."""
+    dim = x.shape[-1]
+    return np.arange(x.size // dim).reshape(x.shape[:-1]), x.reshape(-1, dim)
 
 
 def table_grad(grad, table):
-    """The gradient of the whole ``table`` from an LSTM backward's (ids
-    read, their rows' gradient); a BiLSTM backward's is that already."""
+    """The gradient of the whole ``table`` from an LSTM or conv backward's
+    (ids read, their rows' gradient); a BiLSTM backward's is that already."""
     if isinstance(grad, np.ndarray):
         return grad
     read, rows = grad
@@ -50,8 +51,10 @@ def table_grad(grad, table):
 
 
 class OwnRows(N.layers.Layer):
-    """An ``LSTM`` or ``BiLSTM`` over a (B, L, D) batch of rows, each slot
-    reading its own row (``as_table``); backward gives the rows' gradient."""
+    """An ``LSTM`` or ``BiLSTM`` over a (B, L, D) batch of rows, or a
+    ``Conv1D`` over an (N, D) run of them, each slot reading its own row
+    (``as_table``), as a conv after the first reads a pool's rows; backward
+    gives the rows' gradient."""
 
     def __init__(self, layer):
         self.layer = layer
@@ -163,6 +166,29 @@ def ref_conv1d(conv, x, dy=None):
     return y, dx, dw, dy.sum(axis=0)
 
 
+def ref_conv1d_run(conv, ids, table, lengths, dy):
+    """``ref_conv1d`` over each document of a run of ``lengths`` slots that
+    read the rows ``table[ids]``: the run's output, and for its gradient
+    ``dy`` the table's gradient, scattered one row per slot, and the
+    filters' and the bias's."""
+    k, rows = conv.kernel_size, table[ids]
+    bounds = np.cumsum([0] + list(lengths))
+    wins = np.cumsum([0] + [max(n - k + 1, 0) for n in lengths])
+    out = [np.zeros((0, len(conv.b.value)))]
+    grads = [np.zeros_like(table), np.zeros_like(conv.filters.value),
+             np.zeros_like(conv.b.value)]
+    for d, n in enumerate(lengths):
+        if n < k:  # no window
+            continue
+        doc = slice(bounds[d], bounds[d + 1])
+        y, dx, dw, db = ref_conv1d(conv, rows[doc], dy[wins[d]:wins[d + 1]])
+        out.append(y)
+        np.add.at(grads[0], ids[doc], dx)
+        grads[1] += dw
+        grads[2] += db
+    return np.concatenate(out), grads
+
+
 def ref_maxpool(pool, x, dy=None):
     """``MaxPool1D`` on one (L, c) document, window by window: the output
     and its first-argmax rows, and for ``dy`` the input gradient."""
@@ -234,11 +260,11 @@ class TestConstantTail:
     def test_conv1d_matches_full_computation(self, make, length):
         x = make(length)
         layer = _conv_layer()
-        got = layer.forward(x, [length])
+        got = layer.forward(*as_table(x), [length])
         dy = rng(54).standard_normal(got.shape)
         want, *want_grads = ref_conv1d(layer, x, dy)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        got_grads = [layer.backward(dy), layer.filters.grad, layer.b.grad]
+        got_grads = [table_grad(layer.backward(dy), x), layer.filters.grad, layer.b.grad]
         for got_g, want_g in zip(got_grads, want_grads):
             np.testing.assert_allclose(got_g, want_g, rtol=0, atol=1e-12)
 
@@ -258,14 +284,14 @@ class TestConstantTail:
 
     def test_copied_rows_equal_the_computed_one(self):
         layer = _conv_layer()
-        y = layer.forward(tail_input(12, 7), [12])
+        y = layer.forward(*as_table(tail_input(12, 7)), [12])
         assert np.array_equal(y[5:], np.tile(y[5], (5, 1)))  # windows 5.. lie in the tail
         assert not np.array_equal(y[4], y[5])
 
     def test_grad_on_padded_input(self):
         conv = N.Conv1D(3, 2, 4, rng(56))
         conv.b.value[...] = rng(57).standard_normal(4)
-        assert check_layer_grads(conv, tail_input(10, 6, channels=2), [10]) < 1e-6
+        assert check_layer_grads(OwnRows(conv), tail_input(10, 6, channels=2), [10]) < 1e-6
 
 
 LSTM_MASKS = {
@@ -312,41 +338,57 @@ class TestDense:
 class TestConv1D:
     def test_output_length(self):
         c = N.Conv1D(3, 2, 4, rng(1))
-        y = c.forward(rng(2).standard_normal((10, 2)), [10])
+        y = c.forward(*as_table(rng(2).standard_normal((10, 2))), [10])
         assert y.shape == (8, 4)
 
     def test_known_value(self):
         c = N.Conv1D(2, 1, 1, rng(1))
         c.filters.value[...] = np.array([[[1.0]], [[2.0]]])
         c.b.value[...] = [0.25]
-        y = c.forward(np.array([[1.0], [2.0], [3.0]]), [3])
-        assert np.allclose(y[:, 0], [1 + 4 + 0.25, 2 + 6 + 0.25])
+        y = c.forward(np.array([1, 2, 0, 2]), np.array([[3.0], [1.0], [2.0]]), [4])
+        assert np.allclose(y[:, 0], [1 + 4 + 0.25, 2 + 6 + 0.25, 3 + 4 + 0.25])
 
     def test_grad(self):
-        c = N.Conv1D(3, 2, 4, rng(4))
+        c = OwnRows(N.Conv1D(3, 2, 4, rng(4)))
         assert check_layer_grads(c, rng(5).standard_normal((9, 2)), [9]) < 1e-6
+
+    def test_grad_repeated_ids(self):
+        """Finite differences over the parameters and a table whose rows
+        0, 2 and 4 shuffled, repeated ids read, and 1, 3 and 5 none."""
+        c = N.Conv1D(3, 2, 4, rng(4))
+        table = rng(12).standard_normal((6, 2))
+        ids, lengths = 2 * rng(11).permutation(np.arange(12) % 3), [5, 2, 5]
+        dy = rng(13).standard_normal(c.forward(ids, table, lengths).shape)
+        c.zero_grad()
+        d_table = table_grad(c.backward(dy), table)
+
+        def loss():
+            return float(np.sum(c.forward(ids, table, lengths) * dy))
+
+        arrays = [p.value for p in c.params()] + [table]
+        assert grad_check(loss, arrays, [p.grad for p in c.params()] + [d_table]) < 1e-6
 
     @pytest.mark.parametrize("lengths", [[9, 9], [4, 0, 9, 2, 3]],
                              ids=["equal_lengths", "ragged"])
     def test_table_ids_give_what_their_rows_give(self, lengths):
-        """A run of row ids of a table, with repeats: what the rows give,
-        and after a training forward the rows' backward."""
+        """A run of row ids of a table, with repeats, gives what the
+        window-by-window reference gives over their rows, in either mode,
+        and after a training forward the table's gradient, one row per
+        distinct id."""
         c = N.Conv1D(3, 4, 5, rng(6))
         c.b.value[...] = rng(7).standard_normal(5)
         table = rng(8).standard_normal((6, 4))
         ids = rng(9).integers(0, 6, sum(lengths))
-        want = c.forward(table[ids], lengths)
-        dy = rng(10).standard_normal(want.shape)
-        want_dx = c.backward(dy)
-        want_grads = [c.filters.grad.copy(), c.b.grad.copy()]
-        np.testing.assert_allclose(c.forward(ids, lengths, False, table), want,
+        dy = rng(10).standard_normal((sum(max(n - 2, 0) for n in lengths), 5))
+        want, want_grads = ref_conv1d_run(c, ids, table, lengths, dy)
+        np.testing.assert_allclose(c.forward(ids, table, lengths, False), want,
                                    rtol=0, atol=1e-12)
         c.zero_grad()
-        np.testing.assert_allclose(c.forward(ids, lengths, True, table), want,
+        np.testing.assert_allclose(c.forward(ids, table, lengths, True), want,
                                    rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(c.backward(dy), want_dx)
-        for got, grad in zip([c.filters.grad, c.b.grad], want_grads):
-            np.testing.assert_array_equal(got, grad)
+        got_grads = [table_grad(c.backward(dy), table), c.filters.grad, c.b.grad]
+        for got, grad in zip(got_grads, want_grads):
+            np.testing.assert_allclose(got, grad, rtol=0, atol=1e-12)
 
 
 # Runs of documents for a kernel of 3: ragged, with an empty document, one
@@ -356,22 +398,32 @@ RUN_LENGTHS = {"ragged": [5, 0, 3, 9, 2, 4, 3], "equal_lengths": [7, 7, 7],
                "exactly_k": [3], "one_document": [12], "all_empty": [0, 0]}
 
 
-def _run_conv(table):
-    """A kernel-3 conv with a nonzero bias, and the input of its run: a
-    (V, 4) table's row ids or its rows."""
+# How a run's slots read a table: each slot its own row, as each conv after
+# the first reads a pool's rows; random ids of a six-row table; and three
+# of its ids, shuffled, each read by a third of the slots.
+RUN_READS = ["rows", "table", "shuffled_repeats"]
+
+
+def _run_conv():
+    """A kernel-3 conv with a nonzero bias."""
     layer = N.Conv1D(3, 4, 5, rng(80))
     layer.b.value[...] = rng(81).standard_normal(5)
-    return layer, (rng(82).standard_normal((6, 4)) if table else None)
+    return layer
 
 
-def _run_input(table, lengths):
-    """A run of ``lengths`` rows: ids of ``table``, or (N, 4) rows."""
-    if table is not None:
-        return rng(83).integers(0, len(table), sum(lengths))
-    return rng(83).standard_normal((sum(lengths), 4))
+def _run_input(reads, lengths):
+    """The (ids, table) of a run of ``lengths`` slots that read a table as
+    ``reads`` names (``RUN_READS``)."""
+    n = sum(lengths)
+    if reads == "rows":
+        return as_table(rng(83).standard_normal((n, 4)))
+    table = rng(82).standard_normal((6, 4))
+    if reads == "table":
+        return rng(83).integers(0, len(table), n), table
+    return 2 * rng(83).permutation(np.arange(n) % 3), table
 
 
-@pytest.mark.parametrize("table", [False, True], ids=["rows", "table"])
+@pytest.mark.parametrize("reads", RUN_READS)
 @pytest.mark.parametrize("lengths", RUN_LENGTHS.values(), ids=RUN_LENGTHS.keys())
 class TestConv1DRun:
     """A run of documents gives what each document alone gives: its own
@@ -381,65 +433,56 @@ class TestConv1DRun:
     one-row GEMM, which BLAS may sum in another order than the run's.
     """
 
-    def test_windows_equal_each_document_alone(self, table, lengths):
-        layer, tab = _run_conv(table)
-        x = _run_input(tab, lengths)
+    def test_windows_equal_each_document_alone(self, reads, lengths):
+        layer = _run_conv()
+        ids, table = _run_input(reads, lengths)
         for train in (False, True):
-            got = layer.forward(x, lengths, train, tab)
+            got = layer.forward(ids, table, lengths, train)
             assert got.shape == (sum(max(n - 2, 0) for n in lengths), 5)
             bounds = np.cumsum([0] + lengths)
             wins = np.cumsum([0] + [max(n - 2, 0) for n in lengths])
             for d, n in enumerate(lengths):
-                alone = layer.forward(x[bounds[d]:bounds[d + 1]], [n], train, tab)
+                alone = layer.forward(ids[bounds[d]:bounds[d + 1]], table, [n], train)
                 np.testing.assert_allclose(got[wins[d]:wins[d + 1]], alone,
                                            rtol=0, atol=1e-12)
 
-    def test_backward_is_the_sum_over_documents(self, table, lengths):
-        layer, tab = _run_conv(table)
-        x = _run_input(tab, lengths)
-        y = layer.forward(x, lengths, True, tab)
+    def test_backward_is_the_sum_over_documents(self, reads, lengths):
+        layer = _run_conv()
+        ids, table = _run_input(reads, lengths)
+        y = layer.forward(ids, table, lengths, True)
         dy = rng(84).standard_normal(y.shape)
         layer.zero_grad()
-        dx = layer.backward(dy)
-        grads = [p.grad.copy() for p in layer.params()]
+        grads = [table_grad(layer.backward(dy), table)]
+        grads += [p.grad.copy() for p in layer.params()]
         summed = [np.zeros_like(g) for g in grads]
         bounds = np.cumsum([0] + lengths)
         wins = np.cumsum([0] + [max(n - 2, 0) for n in lengths])
         for d, n in enumerate(lengths):
-            layer.forward(x[bounds[d]:bounds[d + 1]], [n], True, tab)
+            layer.forward(ids[bounds[d]:bounds[d + 1]], table, [n], True)
             layer.zero_grad()
-            np.testing.assert_allclose(layer.backward(dy[wins[d]:wins[d + 1]]),
-                                       dx[bounds[d]:bounds[d + 1]], rtol=0, atol=1e-12)
-            for total, p in zip(summed, layer.params()):
+            summed[0] += table_grad(layer.backward(dy[wins[d]:wins[d + 1]]), table)
+            for total, p in zip(summed[1:], layer.params()):
                 total += p.grad
         for got, want in zip(grads, summed):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    def test_matches_window_by_window_reference(self, table, lengths):
-        layer, tab = _run_conv(table)
-        x = _run_input(tab, lengths)
-        rows = x if tab is None else tab[x]
-        y = layer.forward(x, lengths, True, tab)
+    def test_matches_window_by_window_reference(self, reads, lengths):
+        """The output and the gradients; backward gives the distinct ids of
+        the run, sorted, each once, and a zero row for an id that only the
+        slots of documents shorter than the kernel read."""
+        layer = _run_conv()
+        ids, table = _run_input(reads, lengths)
+        y = layer.forward(ids, table, lengths, True)
         dy = rng(85).standard_normal(y.shape)
         layer.zero_grad()
-        dx = layer.backward(dy)
-        want = [np.zeros(5), np.zeros_like(layer.filters.value), np.zeros(5)]
-        bounds = np.cumsum([0] + lengths)
-        wins = np.cumsum([0] + [max(n - 2, 0) for n in lengths])
-        for d, n in enumerate(lengths):
-            if n < 3:
-                continue
-            doc = rows[bounds[d]:bounds[d + 1]]
-            want_y, want_dx, want_dw, want_db = ref_conv1d(layer, doc, dy[wins[d]:wins[d + 1]])
-            np.testing.assert_allclose(y[wins[d]:wins[d + 1]], want_y, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(dx[bounds[d]:bounds[d + 1]], want_dx,
-                                       rtol=0, atol=1e-12)
-            want[1] += want_dw
-            want[2] += want_db
-        np.testing.assert_allclose(layer.filters.grad, want[1], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(layer.b.grad, want[2], rtol=0, atol=1e-12)
-        short = np.repeat(np.array(lengths) < 3, lengths)
-        assert not dx[short].any()
+        read, rows = layer.backward(dy)
+        want_y, want_grads = ref_conv1d_run(layer, ids, table, lengths, dy)
+        np.testing.assert_array_equal(read, np.unique(ids))
+        for got, want in zip([y, rows, layer.filters.grad, layer.b.grad],
+                             [want_y, want_grads[0][read]] + want_grads[1:]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        windowed = ids[np.repeat(np.array(lengths) >= 3, lengths)]
+        assert not rows[~np.isin(read, windowed)].any()
 
 
 class TestMaxPool1D:
@@ -562,10 +605,10 @@ EVAL_CASES = {
     "dense": (lambda: N.Dense(4, 3, rng(71)),
               lambda layer, t: layer.forward(EVAL_X[:, 0], train=t)),
     "conv1d": (lambda: N.Conv1D(3, 4, 5, rng(72)),
-               lambda layer, t: layer.forward(EVAL_X.reshape(12, 4), [6, 6], train=t)),
+               lambda layer, t: layer.forward(*as_table(EVAL_X.reshape(12, 4)), [6, 6],
+                                              train=t)),
     "conv1d_table": (lambda: N.Conv1D(3, 4, 5, rng(72)),
-                     lambda layer, t: layer.forward(np.arange(12) % 5, [6, 6], t,
-                                                    EVAL_X[0])),
+                     lambda layer, t: layer.forward(np.arange(12) % 5, EVAL_X[0], [6, 6], t)),
     "maxpool": (lambda: N.MaxPool1D(2),
                 lambda layer, t: layer.forward(EVAL_X.reshape(12, 4), train=t)),
     "max_over_time": (N.MaxOverTime,
@@ -789,14 +832,15 @@ RAGGED_MASK = np.array([[1, 1, 1, 1, 1, 1, 1],
                         [0, 0, 1, 0, 0, 0, 0]], dtype=np.float64)
 class _RunOfEqualDocuments(N.layers.Layer):
     """A layer that reads a run of rows, over a (B, L, D) batch: its rows
-    as one run of B documents of L rows each."""
+    as one run of B documents of L rows each; a conv reads them through
+    ``OwnRows``, each slot by its own id."""
 
     def __init__(self, layer):
         self.layer = layer
 
     def forward(self, x):
         batch, length, dim = x.shape
-        lengths = [[length] * batch] if isinstance(self.layer, N.Conv1D) else []
+        lengths = [[length] * batch] if isinstance(self.layer, OwnRows) else []
         y = self.layer.forward(x.reshape(-1, dim), *lengths)
         self._keep(True, x.shape)
         return y.reshape(batch, -1, y.shape[1])
@@ -809,7 +853,8 @@ class _RunOfEqualDocuments(N.layers.Layer):
 # layer factory, input shape, mask (None: the layer takes none)
 RAGGED_CASES = {
     "dense": (lambda: N.Dense(4, 3, rng(60)), (5, 4), None),
-    "conv1d": (lambda: _RunOfEqualDocuments(N.Conv1D(3, 4, 2, rng(60))), (5, 7, 4), None),
+    "conv1d": (lambda: _RunOfEqualDocuments(OwnRows(N.Conv1D(3, 4, 2, rng(60)))),
+               (5, 7, 4), None),
     "maxpool": (lambda: _RunOfEqualDocuments(N.MaxPool1D(2)), (5, 8, 4), None),
     "max_over_time": (lambda: N.MaxOverTime(), (5, 7, 4), RAGGED_MASK),
     "lstm": (lambda: OwnRows(N.LSTM(4, 3, rng(60))), (5, 7, 4), RAGGED_MASK),

@@ -204,6 +204,15 @@ DISTINCT_ID_BATCHES = {
 }
 
 
+def _table_gradient_ids(model, monkeypatch):
+    """A list that gets the ids of each ``EmbeddingLayer.backward`` call of
+    ``model``."""
+    handed, backward = [], model.embedding.backward
+    monkeypatch.setattr(model.embedding, "backward",
+                        lambda dx, ids: handed.append(ids) or backward(dx, ids))
+    return handed
+
+
 class TestForward:
     def test_binary_output_is_probability(self):
         model = _binary()
@@ -300,11 +309,12 @@ class TestForward:
                                            rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("case", DISTINCT_ID_BATCHES)
-    def test_first_conv_reads_distinct_ids(self, case):
+    def test_first_conv_reads_distinct_ids(self, case, monkeypatch):
         """The first conv multiplies each distinct id once per batch and
         builds only each document's own windows: the eval probabilities, and
         the training forward's gradients after backward, match one unshared
-        document at a time."""
+        document at a time, whose table gradient is scattered one row per
+        slot. The embedding is handed one gradient row per distinct id."""
         ids = DISTINCT_ID_BATCHES[case]
         model = _desk_tagger(300, vocab_size=400)
         dp = np.random.default_rng(6).standard_normal((len(ids), 6))
@@ -313,7 +323,11 @@ class TestForward:
                                    rtol=0, atol=1e-12)
         model.zero_grad()
         model.forward(ids, train=True)
+        handed = _table_gradient_ids(model, monkeypatch)
         model.backward(dp)
+        (read,) = handed
+        np.testing.assert_array_equal(read, np.unique(read))
+        assert np.isin(read, ids).all()
         for k, p in enumerate(model.params()):
             np.testing.assert_allclose(p.grad, sum(grads[k] for _, grads in want),
                                        rtol=0, atol=1e-12)
@@ -323,7 +337,9 @@ class TestForward:
         """The gate's eval forward builds no embedding rows: its LSTM's
         input GEMM multiplies each distinct real id's row once, and no
         other row. Eval probabilities, and training gradients after
-        backward, are those of the LSTM with a row of its own per slot."""
+        backward, are those of the LSTM with a row of its own per slot, whose
+        table gradient is scattered one row per slot. The embedding is
+        handed one gradient row per distinct real id."""
         ids = DISTINCT_ID_BATCHES[case]
         model = M.BinaryModel(desk_binary_config(),
                               random_table(400, 6, seed=1, trainable=True), seed=1)
@@ -359,22 +375,20 @@ class TestForward:
 
         model.lstm.w_x.value = model.lstm.w_x.value.view(InputWeights)
 
-        def no_rows(*args, **kwargs):
-            raise AssertionError("the gate's eval forward built embedding rows")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(M.EmbeddingLayer, "forward", no_rows)
-            got = model.forward(ids)
+        got = model.forward(ids)
         assert len(left) == 1
         np.testing.assert_array_equal(left[0], table[np.unique(ids[ids != PAD_ID])])
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         model.zero_grad()
         model.forward(ids, train=True, rng=np.random.default_rng(0))
+        handed = _table_gradient_ids(model, monkeypatch)
         model.backward(dp)
+        assert len(handed) == 1
+        np.testing.assert_array_equal(handed[0], np.unique(ids[ids != PAD_ID]))
         for p, grad in zip(model.params(), want_grads):
             np.testing.assert_allclose(p.grad, grad, rtol=0, atol=1e-12)
 
-    def test_tagger_cut_covers_real_prefix_plus_field(self):
+    def test_tagger_cut_covers_real_prefix_plus_field(self, monkeypatch):
         """The stack reads each document's own slots, laid end to end: for
         its ``rows = min(ceil(real / 8), 36)`` stack rows that read a real
         token, its first ``8 x rows + 11`` slots, and none if it has no
@@ -386,10 +400,13 @@ class TestForward:
         reals = [0, 1, 8, 9, 100, 274, 275, 281, 300]
         docs = _ids([" ".join(WORDS[(i + k) % len(WORDS)] for i in range(real))
                      for k, real in enumerate(reals)], 300)
+        first, read = model.conv[0].forward, []  # the ids the first conv reads
+        monkeypatch.setattr(model.conv[0], "forward",
+                            lambda x, *args: read.append(x) or first(x, *args))
         for batch in [[i] for i in range(len(reals))] + [list(range(len(reals))),
                                                          [8, 6, 0, 3], [7, 8]]:
             model.forward(docs[batch], train=True)
-            (ids,) = model.embedding._cache
+            ids = read.pop()
             rows = [min(-(-reals[i] // 8), 36) for i in batch]
             tails = [k for k, r in enumerate(rows) if r < 36]
             if tails:
@@ -436,19 +453,21 @@ def _unshared_bilstm(bilstm, x):
 def _untruncated(model, ids, dp):
     """The tagger's probabilities for one (1, L) id row, and every parameter
     gradient for the output gradient ``dp``, with the conv stack run over
-    every slot and the BiLSTM unshared."""
+    every slot, each slot reading a row of its own, the table's gradient
+    scattered one row per slot, and the BiLSTM unshared."""
     model.zero_grad()
-    x = model.embedding.forward(ids[0])
+    x, table = np.arange(ids.shape[1]), model.embedding.param.value[ids[0]]
     for conv, act, pool in zip(model.conv, model.relu, model.pool):
-        x = pool.forward(act.forward(conv.forward(x, [len(x)])))
-    h, bilstm_backward = _unshared_bilstm(model.bilstm, x[None])
+        table = pool.forward(act.forward(conv.forward(x, table, [len(x)])))
+        x = np.arange(len(table))
+    h, bilstm_backward = _unshared_bilstm(model.bilstm, table[None])
     _, z = model.attention.forward(h)
     probs = model.out_act.forward(model.out.forward(z))
     dx = bilstm_backward(model.attention.backward(
         model.out.backward(model.out_act.backward(dp[None]))))[0]
     for conv, act, pool in reversed(list(zip(model.conv, model.relu, model.pool))):
-        dx = conv.backward(act.backward(pool.backward(dx)))
-    model.embedding.backward(dx)
+        _, dx = conv.backward(act.backward(pool.backward(dx)))
+    model.embedding.backward(dx, ids[0])
     return probs[0], [p.grad.copy() for p in model.params()]
 
 
