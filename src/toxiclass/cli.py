@@ -12,6 +12,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -327,15 +328,11 @@ def cmd_explain(cfg: RunConfig, args) -> int:
         raise ConfigError(f"{k_key} must be >= 1, got {k}")
 
     vocab = _load_vocab(cfg)
-    max_len = cfg["tokenize.max_len"]
-    text = C.preprocess(args.text, cfg.preprocess_config())
+    tokens = C.preprocess(args.text, cfg.preprocess_config()).split()
     model = _load_checkpoint(cfg, vocab, args.stage).model
-
-    def predict(texts: list[str]) -> np.ndarray:
-        return M.predict(model, C.encode(texts, vocab, max_len))
-
     explanation = X.explain_instance(
-        predict, text, class_index, n=n, k=k,
+        functools.partial(M.predict, model), tokens, C.encode(tokens, vocab, 1)[:, 0],
+        cfg["tokenize.max_len"], class_index, n=n, k=k,
         seed=cfg["seed"], class_name=class_name)
     out = _make_dir(cfg.output_dir())
     _write_json(out / f"explanation_{args.stage}_{class_name}.json",

@@ -234,17 +234,24 @@ def build_vocab(corpus, max_size: int = 50_000, min_freq: int = 1) -> Vocabulary
     return Vocabulary(kept[: max_size - 2])
 
 
-def encode(texts, vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN) -> np.ndarray:
-    """The (n, max_len) int64 batch of the n ``texts``, the one tokenizer:
-    row i holds the ids of the first ``max_len`` whitespace tokens of
-    ``texts[i]`` (head truncation), then ``PAD_ID``."""
+def id_rows(sequences, n: int, max_len: int) -> np.ndarray:
+    """The (n, max_len) int64 batch of n id ``sequences``, each read once, the
+    one row layout: row i holds the first ``max_len`` ids of sequence i in
+    order (head truncation), then ``PAD_ID``."""
     if max_len < 1:
         raise ConfigError(f"max_len must be >= 1, got {max_len}")
-    ids = np.full((len(texts), max_len), PAD_ID, dtype=np.int64)
-    for row, text in zip(ids, texts):
-        tokens = text.split()[:max_len]
-        row[:len(tokens)] = [vocab.get(tok) for tok in tokens]
+    ids = np.full((n, max_len), PAD_ID, dtype=np.int64)
+    for row, seq in zip(ids, sequences):
+        seq = seq[:max_len]
+        row[:len(seq)] = seq
     return ids
+
+
+def encode(texts, vocab: Vocabulary, max_len: int = DEFAULT_MAX_LEN) -> np.ndarray:
+    """The ``id_rows`` batch of the n ``texts``, the one tokenizer: row i
+    holds the ids of the whitespace tokens of ``texts[i]``."""
+    return id_rows(([vocab.get(tok) for tok in text.split()[:max_len]] for text in texts),
+                   len(texts), max_len)
 
 
 @dataclass(frozen=True)

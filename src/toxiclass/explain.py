@@ -1,19 +1,18 @@
 """Local surrogate explanations for text classifiers.
 
-The instance's distinct words are binary presence features. Perturbed texts
-drop deactivated words; a weighted ridge model over the presence masks,
-with samples weighted by similarity to the intact instance, yields per-word
-attributions for one output class.
+The instance's distinct words are binary presence features. A perturbed
+instance is the id row of the words its mask keeps; a weighted ridge model
+over the presence masks, with samples weighted by similarity to the intact
+instance, yields per-word attributions for one output class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
-from .corpus import seeded_rng
+from .corpus import id_rows, seeded_rng
 from .errors import DataError, NumericError
 
 DEFAULT_SAMPLES = 1000
@@ -46,10 +45,7 @@ class Explanation:
 
 
 def distinct_words(tokens) -> list[str]:
-    seen = {}
-    for t in tokens:
-        seen.setdefault(t, None)
-    return list(seen)
+    return list(dict.fromkeys(tokens))
 
 
 def sample_perturbations(m: int, n: int = DEFAULT_SAMPLES,
@@ -149,31 +145,31 @@ def fit_surrogate(masks, weights, targets,
     return coef, intercept, r2
 
 
-def explain_instance(predict, document: str, class_index: int,
+def explain_instance(predict, tokens, ids, max_len: int, class_index: int,
                      n: int = DEFAULT_SAMPLES, k: int = BINARY_TOP_K,
                      seed: int = 0, class_name: str | None = None) -> Explanation:
-    """Explain one class probability of ``predict`` on ``document``.
+    """Explain one class probability of ``predict`` on the instance of
+    whitespace ``tokens``, whose vocabulary ids are the int array ``ids``.
 
-    ``predict`` maps a list of n texts to an (n, classes) array of
-    probabilities; perturbed texts re-enter the model through whatever
-    tokenization ``predict`` applies. It is called once, on one text per
-    distinct mask, in the order the masks are first drawn.
+    ``predict`` maps an (n, max_len) int64 id array to an (n, classes) array
+    of probabilities. It is called once, on one ``id_rows`` row per distinct
+    mask, in the order the masks are first drawn: the ids of the tokens the
+    mask keeps, which is what ``encode`` lays out for their text. Words past
+    ``max_len`` stay features, since dropping an earlier word brings them in.
     """
-    tokens = document.split()
     words = distinct_words(tokens)
     masks = sample_perturbations(len(words), n=n, seed=seed)
-    # a mask fixes its text, so one text per distinct mask, in first-seen order
+    # a mask fixes its row, so one row per distinct mask, in first-seen order
     _, first, inverse = np.unique(masks, axis=0, return_index=True,
                                   return_inverse=True)
     seen = np.argsort(first)
-    row = np.argsort(seen)[inverse.reshape(-1)]  # each sample's row in texts
+    row = np.argsort(seen)[inverse.reshape(-1)]  # each sample's row in rows
     column = {w: j for j, w in enumerate(words)}
-    kept = masks[first[seen]][:, [column[t] for t in tokens]].tolist()
-    texts = [" ".join(compress(tokens, keep)) for keep in kept]
-    outputs = np.asarray(predict(texts), dtype=np.float64)
-    if outputs.ndim != 2 or len(outputs) != len(texts):
-        raise DataError(
-            f"predict returned shape {outputs.shape} for {len(texts)} texts")
+    kept = masks[first[seen]][:, [column[t] for t in tokens]].astype(bool)
+    rows = id_rows((ids[keep] for keep in kept), len(kept), max_len)
+    outputs = np.asarray(predict(rows), dtype=np.float64)
+    if outputs.ndim != 2 or len(outputs) != len(rows):
+        raise DataError(f"predict returned shape {outputs.shape} for {len(rows)} rows")
     if class_index >= outputs.shape[1] or class_index < 0:
         raise DataError(
             f"class index {class_index} out of range for model with "

@@ -27,6 +27,7 @@ from toxiclass.corpus import (
     FormatSpec,
     stats,
     stratified_split,
+    Vocabulary,
 )
 from toxiclass.embedding import random_table
 from toxiclass.neural import Attention, BiLSTM, Conv1D, Dense, LSTM, MaxPool1D, Param
@@ -383,15 +384,15 @@ def test_criterion_06_lime_fidelity():
             coef[i] = (0.5 + rng.random()) * (1 if rng.random() < 0.5 else -1)
         bias = rng.random()
 
-        def predict_one(text, coef=coef, bias=bias, words=words):
-            present = set(text.split())
-            v = bias + sum(c for w, c in zip(words, coef) if c and w in present)
-            return np.array([1.0 - v, v])
+        ids = encode(words, Vocabulary(words), 1)[:, 0]
 
-        def predict(texts, predict_one=predict_one):
-            return np.array([predict_one(t) for t in texts])
+        def predict(rows, coef=coef, bias=bias, ids=ids):
+            present = (rows[:, :, None] == ids).any(axis=1)  # (n, m) id presence
+            v = bias + sum((c * present[:, j] for j, c in enumerate(coef) if c),
+                           np.zeros(len(rows)))
+            return np.stack([1.0 - v, v], axis=1)
 
-        exp = X.explain_instance(predict, " ".join(words), class_index=1,
+        exp = X.explain_instance(predict, words, ids, m, class_index=1,
                                  n=500, k=len(support), seed=seed)
         got = dict(exp.features)
         planted = {words[i]: coef[i] for i in support}

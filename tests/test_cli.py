@@ -481,6 +481,29 @@ class TestExplain:
         assert data["class_name"] == "hate"
         assert data["class_index"] == LABELS.index("hate")
 
+    @pytest.mark.parametrize("stage", ["binary", "multilabel"])
+    @pytest.mark.parametrize("text", ["", "  !!! ... ?? ", "\U0001F600 \U0001F602\U0001F602"],
+                             ids=["empty", "punctuation", "emoji"])
+    def test_text_with_no_words(self, workspace, capsys, stage, text):
+        # preprocessing leaves no token, so the perturbation sampler refuses it
+        assert cli.main(workspace["base"]
+                        + ["explain", "--text", text, "--stage", stage,
+                           "--label", "hate"]) == 3
+        assert capsys.readouterr().err.splitlines() \
+            == ["data error: cannot perturb an instance with no words"]
+
+    @pytest.mark.parametrize("stage", ["binary", "multilabel"])
+    def test_text_of_unknown_words(self, workspace, capsys, stage):
+        # every word reads as UNK, yet each is a feature of its own
+        assert cli.main(workspace["base"]
+                        + ["explain", "--text", "qqq zzz qqq www", "--stage", stage,
+                           "--label", "hate"]) == 0
+        assert capsys.readouterr().err == ""
+        name = "toxic" if stage == "binary" else "hate"
+        data = json.loads(
+            (workspace["out"] / f"explanation_{stage}_{name}.json").read_text())
+        assert {w for w, _ in data["features"]} <= {"qqq", "zzz", "www"}
+
     def test_unknown_label(self, workspace, capsys):
         assert cli.main(workspace["base"]
                         + ["explain", "--text", "hax hox",

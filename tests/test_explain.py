@@ -6,7 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toxiclass import explain as EX
+from toxiclass.corpus import PAD_ID, Vocabulary, encode
 from toxiclass.errors import DataError
+
+# Every word the instances below use has an id of its own; others read as UNK.
+VOCAB = Vocabulary("alpha beta gamma delta epsilon zeta red blue green lonely".split())
+MAX_LEN = 8
+
+
+def _instance(document: str):
+    """(tokens, ids): ``document`` as the explainer takes it."""
+    tokens = document.split()
+    return tokens, encode(tokens, VOCAB, 1)[:, 0]
+
+
+def _explain(predict, document: str, class_index: int, **kwargs):
+    return EX.explain_instance(predict, *_instance(document), MAX_LEN, class_index,
+                               **kwargs)
 
 
 class TestDistinctWords:
@@ -74,7 +90,7 @@ class TestSamplePerturbations:
         with pytest.raises(DataError):
             EX.sample_perturbations(0, n=10)
         with pytest.raises(DataError, match="no words"):
-            EX.explain_instance(_linear_model({}, bias=0.5), "   ", 0, n=10)
+            _explain(_linear_model({}, bias=0.5), "   ", 0, n=10)
 
     def test_zero_samples_rejected(self):
         with pytest.raises(DataError):
@@ -216,15 +232,31 @@ class TestFitSurrogate:
 
 
 def _linear_model(support: dict[str, float], bias: float):
-    """Texts -> rows of 2-vectors whose [1] entry is linear in word presence."""
-    def predict_one(text: str):
-        present = set(text.split())
-        v = bias + sum(w for word, w in support.items() if word in present)
-        return np.array([1.0 - v, v])
-
-    def predict(texts: list[str]):
-        return np.array([predict_one(t) for t in texts])
+    """(n, L) id rows -> rows of 2-vectors whose [1] entry is linear in the
+    presence of each word's id."""
+    def predict(rows: np.ndarray):
+        v = bias + sum((w * (rows == VOCAB.get(word)).any(axis=1)
+                        for word, w in support.items()), np.zeros(len(rows)))
+        return np.stack([1.0 - v, v], axis=1)
     return predict
+
+
+def _recorder():
+    """(calls, predict): a predict of 0.5 everywhere that keeps each id
+    array it is given in ``calls``."""
+    calls = []
+
+    def predict(rows):
+        calls.append(rows)
+        return np.full((len(rows), 2), 0.5)
+    return calls, predict
+
+
+def _kept_rows(tokens, n, seed, max_len):
+    """``encode`` of the text each distinct mask of the explainer's draws
+    keeps, in first-seen order: the rows it must hand ``predict``."""
+    masks = _reference_masks(len(EX.distinct_words(tokens)), n, seed)
+    return encode(list(dict.fromkeys(_texts(tokens, masks))), VOCAB, max_len)
 
 
 class TestExplainInstance:
@@ -232,8 +264,7 @@ class TestExplainInstance:
 
     def test_planted_support_recovered(self):
         predict = _linear_model({"beta": 0.6, "delta": -0.9}, bias=0.5)
-        exp = EX.explain_instance(predict, self.DOC, class_index=1,
-                                  n=400, k=2, seed=0)
+        exp = _explain(predict, self.DOC, class_index=1, n=400, k=2, seed=0)
         got = dict(exp.features)
         assert set(got) == {"beta", "delta"}
         assert got["beta"] == pytest.approx(0.6, abs=0.05)
@@ -244,30 +275,28 @@ class TestExplainInstance:
 
     def test_probability_is_unperturbed_output(self):
         predict = _linear_model({"alpha": 0.25}, bias=0.25)
-        exp = EX.explain_instance(predict, self.DOC, class_index=1,
-                                  n=100, k=1, seed=1)
+        exp = _explain(predict, self.DOC, class_index=1, n=100, k=1, seed=1)
         assert exp.probability == pytest.approx(0.5, abs=1e-12)
 
     def test_inert_words_not_selected(self):
         predict = _linear_model({"gamma": 1.0}, bias=0.0)
-        exp = EX.explain_instance(predict, self.DOC, class_index=1,
-                                  n=400, k=4, seed=2)
+        exp = _explain(predict, self.DOC, class_index=1, n=400, k=4, seed=2)
         assert exp.features[0][0] == "gamma"
         for word, coef in exp.features[1:]:
             assert abs(coef) < 0.05
 
     def test_seed_determinism(self):
         predict = _linear_model({"zeta": 0.5, "alpha": -0.2}, bias=0.4)
-        a = EX.explain_instance(predict, self.DOC, 1, n=200, k=3, seed=9)
-        b = EX.explain_instance(predict, self.DOC, 1, n=200, k=3, seed=9)
+        a = _explain(predict, self.DOC, 1, n=200, k=3, seed=9)
+        b = _explain(predict, self.DOC, 1, n=200, k=3, seed=9)
         assert a == b
 
     def test_scale_equivariance(self):
         base = {"beta": 0.4, "epsilon": -0.3}
         p1 = _linear_model(base, bias=0.5)
         p2 = _linear_model({w: 2 * c for w, c in base.items()}, bias=1.0)
-        e1 = EX.explain_instance(p1, self.DOC, 1, n=300, k=2, seed=3)
-        e2 = EX.explain_instance(p2, self.DOC, 1, n=300, k=2, seed=3)
+        e1 = _explain(p1, self.DOC, 1, n=300, k=2, seed=3)
+        e2 = _explain(p2, self.DOC, 1, n=300, k=2, seed=3)
         c1, c2 = dict(e1.features), dict(e2.features)
         assert set(c1) == set(c2)
         for w in c1:
@@ -275,20 +304,19 @@ class TestExplainInstance:
 
     def test_class_index_selects_output(self):
         predict = _linear_model({"alpha": 0.8}, bias=0.1)
-        e0 = EX.explain_instance(predict, self.DOC, 0, n=300, k=1, seed=4)
-        e1 = EX.explain_instance(predict, self.DOC, 1, n=300, k=1, seed=4)
+        e0 = _explain(predict, self.DOC, 0, n=300, k=1, seed=4)
+        e1 = _explain(predict, self.DOC, 1, n=300, k=1, seed=4)
         assert e0.features[0][0] == e1.features[0][0] == "alpha"
         assert e0.features[0][1] == pytest.approx(-e1.features[0][1], abs=1e-9)
 
     def test_class_index_out_of_range(self):
         predict = _linear_model({}, bias=0.5)
         with pytest.raises(DataError):
-            EX.explain_instance(predict, self.DOC, class_index=5, n=10)
+            _explain(predict, self.DOC, class_index=5, n=10)
 
     def test_render_and_to_dict(self):
         predict = _linear_model({"beta": 0.6}, bias=0.2)
-        exp = EX.explain_instance(predict, self.DOC, 1, n=200, k=2, seed=5,
-                                  class_name="hate")
+        exp = _explain(predict, self.DOC, 1, n=200, k=2, seed=5, class_name="hate")
         d = dataclasses.asdict(exp)
         assert d["class_name"] == "hate"
         assert d["n_samples"] == 200
@@ -300,35 +328,58 @@ class TestExplainInstance:
         calls = []
         linear = _linear_model({"beta": 0.6}, bias=0.2)
 
-        def predict(texts):
-            calls.append(texts)
-            return linear(texts)
+        def predict(rows):
+            calls.append(rows)
+            return linear(rows)
 
-        EX.explain_instance(predict, self.DOC, 1, n=300, k=2, seed=5)
-        sampled = _texts(self.DOC.split(), _reference_masks(6, 300, 5))
+        _explain(predict, self.DOC, 1, n=300, k=2, seed=5)
         assert len(calls) == 1
-        assert calls[0] == list(dict.fromkeys(sampled))  # first-seen order
-        assert len(calls[0]) < len(sampled)
+        # first-seen order
+        assert np.array_equal(calls[0], _kept_rows(self.DOC.split(), 300, 5, MAX_LEN))
+        assert len(calls[0]) < 300
 
     def test_texts_match_masks(self):
-        calls = []
-
-        def predict(texts):
-            calls.append(texts)
-            return np.full((len(texts), 2), 0.5)
-
         for document in ("red blue red green", "lonely"):
-            calls.clear()
-            EX.explain_instance(predict, document, 1, n=50, k=1, seed=2)
-            tokens = document.split()
-            masks = _reference_masks(len(EX.distinct_words(tokens)), 50, 2)
-            assert calls == [list(dict.fromkeys(_texts(tokens, masks)))]
-        assert calls == [["lonely", ""]]
+            calls, predict = _recorder()
+            _explain(predict, document, 1, n=50, k=1, seed=2)
+            assert len(calls) == 1
+            assert np.array_equal(calls[0], _kept_rows(document.split(), 50, 2, MAX_LEN))
+        # one real row and one all-PAD_ID row
+        lonely = [VOCAB.get("lonely")] + [PAD_ID] * (MAX_LEN - 1)
+        assert calls[0].tolist() == [lonely, [PAD_ID] * MAX_LEN]
+
+    @pytest.mark.parametrize("document, max_len", [
+        ("red blue red green blue red", 8),
+        ("red owl blue yak owl", 8),
+        ("<pad> red <unk> blue <pad> red", 8),
+        ("lonely", 8),
+        ("alpha beta gamma delta epsilon zeta beta red blue green", 4),
+        ("red blue green alpha", 1),
+    ], ids=["repeated", "out_of_vocabulary", "reserved_literals", "one_word",
+            "longer_than_max_len", "max_len_1"])
+    def test_rows_are_encode_of_kept_texts(self, document, max_len):
+        """Each distinct mask's row is what ``encode`` makes of the text of
+        the tokens it keeps, also past ``max_len``."""
+        calls, predict = _recorder()
+        tokens, ids = _instance(document)
+        EX.explain_instance(predict, tokens, ids, max_len, 1, n=200, k=1, seed=6)
+        assert len(calls) == 1 and calls[0].dtype == np.int64
+        assert np.array_equal(calls[0], _kept_rows(tokens, 200, 6, max_len))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from(["red", "blue", "green", "owl", "<pad>", "<unk>"]),
+                    min_size=1, max_size=14),
+           st.integers(1, 10), st.integers(0, 2 ** 16))
+    def test_rows_are_encode_of_kept_texts_drawn(self, tokens, max_len, seed):
+        calls, predict = _recorder()
+        EX.explain_instance(predict, tokens, encode(tokens, VOCAB, 1)[:, 0], max_len, 1,
+                            n=40, k=1, seed=seed)
+        assert np.array_equal(calls[0], _kept_rows(tokens, 40, seed, max_len))
 
     @pytest.mark.parametrize("predict", [
-        lambda texts: np.zeros(len(texts)),
-        lambda texts: np.zeros((len(texts) + 1, 2)),
+        lambda rows: np.zeros(len(rows)),
+        lambda rows: np.zeros((len(rows) + 1, 2)),
     ], ids=["one_dimensional", "wrong_row_count"])
     def test_predict_shape_checked(self, predict):
         with pytest.raises(DataError, match="predict returned shape"):
-            EX.explain_instance(predict, self.DOC, class_index=0, n=10)
+            _explain(predict, self.DOC, class_index=0, n=10)

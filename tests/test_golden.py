@@ -36,6 +36,14 @@ FIXTURES = Path(__file__).parent / "fixtures"
 WORDS = ["ash", "bat", "cod", "dew", "elm", "fig", "gnu", "hay", "ivy", "jay"]
 # Repeated words, and one ("owl") that reads as UNK.
 TEXT = "ash bat cod ash dew elm fig gnu owl hay ivy jay bat elm cod ash"
+# 52 words at ``tokenize.max_len`` 40: "jay" and the UNK words "yak" and "kid"
+# appear only past the cut, so a drop of earlier words pulls them in.
+LONG_TEXT = ("ash bat cod ash dew elm fig gnu owl hay ivy bat elm cod ash "
+             "ivy hay gnu fig elm dew cod bat ash owl "
+             "ash bat cod dew elm fig gnu hay ivy ash bat cod dew elm fig "
+             "jay yak elm kid jay ash yak bat jay hay kid cod")
+# fixture name -> the explained text
+TEXTS = {"": TEXT, "_long": LONG_TEXT}
 # stage -> (explained class, the checkpoint's sizes as config lines)
 STAGES = {
     "binary": ("toxic", "binary.lstm_units = 8\nbinary.dense_hidden = 8\n"),
@@ -44,8 +52,8 @@ STAGES = {
 }
 
 
-def explain(stage: str, root: Path) -> dict:
-    """The explanation JSON that ``explain`` writes for ``TEXT`` from the
+def explain(stage: str, root: Path, text: str = TEXT) -> dict:
+    """The explanation JSON that ``explain`` writes for ``text`` from the
     stage's fixture checkpoint, run in a fresh ``root``."""
     label, sizes = STAGES[stage]
     vocab = build_vocab([" ".join(WORDS)])
@@ -58,7 +66,7 @@ def explain(stage: str, root: Path) -> dict:
     cfg.write_text(f"output.dir = {root}\ntokenize.max_len = 40\nembedding.dim = 5\n"
                    f"{sizes}explain.samples = 1000\nseed = 3\n", encoding="utf-8")
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["--config", str(cfg), "explain", "--text", TEXT,
+        code = cli.main(["--config", str(cfg), "explain", "--text", text,
                          "--stage", stage, "--label", label])
     assert code == 0
     return json.loads((root / f"explanation_{stage}_{label}.json")
@@ -112,8 +120,8 @@ def train_histories(root: Path) -> dict:
             for stage in STAGES}
 
 
-def _expected_path(stage: str) -> Path:
-    return FIXTURES / f"desk_explanation_{stage}.json"
+def _expected_path(stage: str, name: str = "") -> Path:
+    return FIXTURES / f"desk_explanation_{stage}{name}.json"
 
 
 def _numbers(obj) -> list[float]:
@@ -129,6 +137,18 @@ def _numbers(obj) -> list[float]:
 def test_explanation_matches_golden(stage, tmp_path):
     got = explain(stage, tmp_path)
     want = json.loads(_expected_path(stage).read_text(encoding="utf-8"))
+    _assert_matches(got, want)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_long_text_explanation_matches_golden(stage, tmp_path):
+    assert len(LONG_TEXT.split()) > 40
+    got = explain(stage, tmp_path, LONG_TEXT)
+    want = json.loads(_expected_path(stage, "_long").read_text(encoding="utf-8"))
+    _assert_matches(got, want)
+
+
+def _assert_matches(got: dict, want: dict) -> None:
     assert [word for word, _ in got["features"]] == [word for word, _ in want["features"]]
     assert sorted(got) == sorted(want)
     assert len(_numbers(got)) == len(_numbers(want))
@@ -150,11 +170,12 @@ if __name__ == "__main__":
     import tempfile
 
     for stage in STAGES:
-        with tempfile.TemporaryDirectory() as tmp:
-            result = explain(stage, Path(tmp))
-        _expected_path(stage).write_text(json.dumps(result, indent=1) + "\n",
-                                         encoding="utf-8")
-        print(f"wrote {_expected_path(stage)}", file=sys.stderr)
+        for name, text in TEXTS.items():
+            with tempfile.TemporaryDirectory() as tmp:
+                result = explain(stage, Path(tmp), text)
+            path = _expected_path(stage, name)
+            path.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
+            print(f"wrote {path}", file=sys.stderr)
     with tempfile.TemporaryDirectory() as tmp:
         result = train_histories(Path(tmp))
     TRAIN_HISTORY.write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
