@@ -38,11 +38,13 @@ from .neural.losses import add_l2_gradients, bce_loss, l2_penalty
 
 CHECKPOINT_MAGIC = b"TXCKPT01"
 CHECKPOINT_VERSION = 1
-# Most documents per batched forward in ``predict``. A chunk also stops
-# before its documents' real slots (count x longest real length) exceed
-# PREDICT_LONG_CHUNK full-length documents' worth, so short documents go 32
-# at a time and full-length ones 8: eval forwards keep no backward caches,
-# and this bounds the forward's own arrays whatever the number of documents.
+# A chunk of ``predict`` stops before its documents' slots (count x longest
+# real length, at least 1) exceed PREDICT_LONG_CHUNK full-length documents'
+# worth: eval forwards keep no backward caches, and this bounds the
+# forward's own arrays whatever the number of documents. The tagger also
+# takes at most PREDICT_CHUNK documents per chunk, so short documents go 32
+# at a time and full-length ones 8: its BiLSTM reads every document's full
+# post-stack length. The gate reads up to the longest real length alone.
 PREDICT_CHUNK = 32
 PREDICT_LONG_CHUNK = 8
 # Documents per forward and backward in each training mini-batch: a chunk's
@@ -362,20 +364,24 @@ def predict(model: Model, ids: np.ndarray) -> np.ndarray:
     ``ids``, in their order.
 
     The documents go through eval forwards sorted by real length, so that
-    each chunk's real prefix is close to its documents' own. A chunk holds
-    up to ``PREDICT_CHUNK`` documents, and stops before their count times
-    its longest real length exceeds ``PREDICT_LONG_CHUNK`` x L slots.
+    each chunk's real prefix is close to its documents' own. A chunk stops
+    before its count times its longest real length, at least 1, exceeds
+    ``PREDICT_LONG_CHUNK`` x L slots; a tagger's chunk also holds at most
+    ``PREDICT_CHUNK`` documents.
     """
     out = np.empty((len(ids), model.output_dim))
     reals = _real_length(ids)
     order = np.argsort(reals, kind="stable")
     budget = PREDICT_LONG_CHUNK * ids.shape[1]
-    counts = np.arange(1, PREDICT_CHUNK + 1)
+    # The gate's cap is the budget itself: a row with no real slot is one
+    # slot wide in a forward.
+    cap = PREDICT_CHUNK if isinstance(model, MultiLabelModel) else budget
+    counts = np.arange(1, cap + 1)
     lo = 0
     while lo < len(ids):
         # a sorted chunk's last document is its longest, so the first k
         # documents fit while k x the k-th one's real length does
-        sizes = reals[order[lo:lo + PREDICT_CHUNK]]
+        sizes = reals[order[lo:lo + cap]]
         hi = lo + int(np.count_nonzero(counts[:len(sizes)] * sizes <= budget))
         rows = order[lo:hi]
         out[rows] = model.forward(ids[rows])

@@ -391,12 +391,21 @@ class LSTM(Layer):
     distinct id before the input GEMMs and returns the gradient of those
     ids' rows of the table.
 
+    An eval forward with no ``h0`` or ``c0`` steps each distinct prefix once:
+    where a step's rows hold fewer distinct prefixes (ids of the real steps
+    so far) than rows, it runs its GEMM and gates on one row per prefix and
+    copies the states to the rows that share it (``_shared_steps``), so the
+    per-row states and outputs are those of the unshared step. A training
+    forward never merges rows.
+
     Each step takes one ``tanh`` over all four gates, with
     ``sigmoid(z) = 0.5 + 0.5 * tanh(z / 2)``: the forward works on copies of
     ``w_x``, ``w_h`` and ``b`` whose i, f and o rows are halved, which is
     exact in fp64. The halved ``w_h`` is stored as its (4H, H) rows and read
-    transposed below 3 rows, and stored as a C-contiguous (H, 4H) array from
-    3 rows on: whichever makes the faster step GEMM at that batch size.
+    transposed in a batch of fewer than 3 rows, and stored as a C-contiguous
+    (H, 4H) array from 3 rows on: whichever makes the faster step GEMM at
+    that batch size. A step that merges rows still multiplies 3 rows or
+    more, so each row's GEMM runs on the kernels of the unshared step's.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
@@ -454,38 +463,54 @@ class LSTM(Layer):
         tanh_c = np.empty((start[-1] if train else batch, h_dim))
         z_buf = np.empty((batch, 4 * h_dim))
         ig_buf = np.empty((batch, h_dim))
+        shared = {} if train or h0 is not None or c0 is not None else \
+            _shared_steps(step_ids, start, batch)
+        hc_buf = np.empty((4, batch, h_dim)) if shared else None
         bounds = start.tolist()
         prev = 0  # state row of the previous step's first active row
-        for lo, hi in zip(bounds, bounds[1:]):
+        for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
             m = hi - lo
+            if k in shared:  # the step's kept rows only, copied to the rest below
+                kept, source = shared[k]
+                m = len(kept)
+                a = np.take(proj, src[lo + kept], axis=0, out=a_buf[:m], mode="clip")
+                win_hi = 0  # a_buf no longer holds the window
+                h_prev, c_prev, h, c = hc_buf[:, :m]
+                np.take(hs, prev + kept, axis=0, out=h_prev, mode="clip")
+                np.take(cs, prev + kept, axis=0, out=c_prev, mode="clip")
+            else:
+                if hi > win_hi:  # the next window of rows, from this step's on
+                    win_lo, win_hi = lo, min(lo + len(a_buf), start[-1])
+                    # mode="clip": the indices are in range, and "raise" would
+                    # gather into a temporary and copy it
+                    np.take(proj, src[win_lo:win_hi], axis=0,
+                            out=a_buf[:win_hi - win_lo], mode="clip")
+                a = a_buf[lo - win_lo:hi - win_lo]
+                h_prev, c_prev = hs[prev:prev + m], cs[prev:prev + m]
+                h, c = hs[batch + lo:batch + hi], cs[batch + lo:batch + hi]
             z, ig = z_buf[:m], ig_buf[:m]
-            if hi > win_hi:  # the next window of rows, from this step's on
-                win_lo, win_hi = lo, min(lo + len(a_buf), start[-1])
-                # mode="clip": the indices are in range, and "raise" would
-                # gather into a temporary and copy it
-                np.take(proj, src[win_lo:win_hi], axis=0,
-                        out=a_buf[:win_hi - win_lo], mode="clip")
-            a = a_buf[lo - win_lo:hi - win_lo]
-            np.matmul(hs[prev:prev + m], w_h, out=z)
+            np.matmul(h_prev, w_h, out=z)
             z += a
             np.tanh(z, out=z)
             np.multiply(z, 0.5, out=a)
             a += 0.5
             g = a[:, 2 * h_dim:3 * h_dim]
             np.copyto(g, z[:, 2 * h_dim:3 * h_dim])
-            c = cs[batch + lo:batch + hi]
-            np.multiply(a[:, h_dim:2 * h_dim], cs[prev:prev + m], out=c)
+            np.multiply(a[:, h_dim:2 * h_dim], c_prev, out=c)
             np.multiply(a[:, :h_dim], g, out=ig)
             c += ig
             tc = tanh_c[lo:hi] if train else tanh_c[:m]
             np.tanh(c, out=tc)
+            np.multiply(a[:, 3 * h_dim:], tc, out=h)
+            if k in shared:
+                np.take(c, source, axis=0, out=cs[batch + lo:batch + hi], mode="clip")
+                np.take(h, source, axis=0, out=hs[batch + lo:batch + hi], mode="clip")
             prev = batch + lo
-            np.multiply(a[:, 3 * h_dim:], tc, out=hs[prev:prev + m])
         out = np.where(seen > 0, batch + start[np.maximum(seen - 1, 0)], 0) + rank[:, None]
         self._keep(train, start, a_buf, cs, tanh_c, hs, out, rank, src, distinct, x_u)
         # Drop the references to what only backward reads, the step loop's
         # views included, so that an eval forward frees it before the gather.
-        a_buf = proj = cs = tanh_c = a = g = c = tc = None
+        a_buf = proj = cs = tanh_c = a = g = c = tc = c_prev = None
         return hs[out]
 
     def cells(self) -> np.ndarray:
@@ -549,6 +574,45 @@ class LSTM(Layer):
         dz = _sum_by_id(dz, src)
         self.w_x.grad += dz.T @ x_u
         return distinct, dz @ self.w_x.value
+
+
+def _shared_steps(step_ids: np.ndarray, start: np.ndarray, batch: int) -> dict:
+    """The packed steps of an ``LSTM.forward`` (see there) whose rows hold
+    fewer distinct prefixes, ids of the real steps so far, than rows:
+    {step k: (kept, source)}. Step k computes the states of its rows
+    ``kept`` alone, and its row j copies those of row ``kept[source[j]]``.
+    ``kept`` holds each prefix's first row, and the step's first 3 rows,
+    so that its GEMM has 3 rows or more, as the unshared step's has: a row
+    of 1 or 2 goes through other BLAS kernels, with other bits. Empty when
+    no two rows share a first id, which costs one sort of B ids."""
+    if batch <= 3 or start[-1] == 0:
+        return {}
+    active = np.diff(start)
+    # sorted by argsort, as np.unique in the forward sorts: np.sort and a
+    # bare np.unique run other kernels, which cost 0.3-0.7 MB more RSS
+    first_ids = step_ids[:active[0]]
+    first_ids = first_ids[np.argsort(first_ids)]
+    if (first_ids[1:] != first_ids[:-1]).all():
+        return {}
+    steps, col = len(active), np.arange(batch)
+    live = col < active[:, None]  # (steps, batch): row j has a step k
+    paths = np.full((steps, batch), -1, dtype=np.int64)
+    paths[live] = step_ids  # row j's ids down column j, -1 after its last
+    # Sorted by their ids, a row has the prefix of the one before it at step
+    # k if they agree on steps 0 to k: if ``agree``, their first differing
+    # step, exceeds k. ``new`` marks where each prefix's run of rows starts.
+    order = np.lexsort(paths[::-1])
+    differ = paths[:, order[1:]] != paths[:, order[:-1]]
+    agree = np.where(differ.any(axis=0), differ.argmax(axis=0), steps)
+    new = np.ones((steps, batch), dtype=bool)
+    new[:, 1:] = agree <= np.arange(steps)[:, None]
+    first = np.minimum.reduceat(np.tile(order, steps), np.flatnonzero(new))
+    firsts = np.empty((steps, batch), dtype=np.intp)  # each row's prefix's first row
+    firsts[:, order] = first[np.cumsum(new) - 1].reshape(steps, batch)
+    kept = live & ((firsts == col) | (col < 3))
+    source = np.take_along_axis(np.cumsum(kept, axis=1) - 1, firsts, axis=1)
+    return {k: (np.flatnonzero(kept[k]), source[k, :active[k]])
+            for k in np.flatnonzero(kept.sum(axis=1) < active).tolist()}
 
 
 def _sum_by_id(rows: np.ndarray, ids: np.ndarray) -> np.ndarray:

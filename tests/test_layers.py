@@ -998,6 +998,105 @@ def test_lstm_table_ids_give_what_their_rows_give(ids, mask, states, dim, hidden
         np.testing.assert_allclose(got, grad, rtol=0, atol=1e-12)
 
 
+def _shared_prefix_batches(length, seed):
+    """Batches of ids of a 300-row table whose rows share prefixes, the ids
+    of their real steps so far, each with its mask (None: every slot real)."""
+    r = rng(seed)
+    a, b, c, d = r.integers(0, 300, (4, length))
+    half = length // 2
+    c[:half] = a[:half]  # c shares its first half with a
+    b[0] = d[0] = a[0]  # b and d share only their first id with a
+    left = np.arange(length) < np.array([length, half, 1, length - 1, 0])[:, None]
+    # a's first length - 1 ids, read through a gap at slot 1, at slot 2, or none
+    gapped = np.array([np.insert(a[:-1], k, r.integers(300)) for k in (1, 2, length - 1)])
+    gaps = np.ones(gapped.shape)
+    gaps[[0, 1, 2], [1, 2, length - 1]] = 0.0
+    return {
+        "duplicates": (np.array([a, a, c, a, a]), None),
+        "prefix_of_another": (np.array([a, a, a, a, c]), left.astype(float)),
+        "first_id_only": (np.array([a, b, d, c[::-1], b]), None),
+        "one_or_two_prefixes": (np.array([a, a, a, c, c, c]), None),
+        "all_pad_row": (np.array([a, a, b, c, c]),
+                        np.array([1, 1, 0, 1, 1.0])[:, None] * np.ones(length)),
+        "gaps": (np.concatenate([gapped, [c, c]]),
+                 np.concatenate([gaps, np.ones((2, length))])),
+    }
+
+
+SHARED_PREFIX_CASES = _shared_prefix_batches(7, 96)
+
+
+def _record_shared_steps(monkeypatch):
+    """A list that gets each ``_shared_steps`` result an LSTM forward uses."""
+    plans, shared_steps = [], N.layers._shared_steps
+    monkeypatch.setattr(N.layers, "_shared_steps",
+                        lambda *args: plans.append(shared_steps(*args)) or plans[-1])
+    return plans
+
+
+def check_shared_eval_forward(lstm, table, ids, mask, monkeypatch):
+    """An eval forward over ``ids`` merges some step's rows and gives, row
+    by row, what the step-loop reference gives, within 1e-12."""
+    plans = _record_shared_steps(monkeypatch)
+    out = lstm.forward(ids, table, mask, train=False)
+    assert len(plans) == 1 and plans[0]
+    zeros = np.zeros((ids.shape[1], lstm.hidden_dim))
+    for b in range(len(ids)):
+        want = ref_lstm(lstm, table[ids[b]], None if mask is None else mask[b], zeros)[0]
+        np.testing.assert_allclose(out[b], want, rtol=0, atol=1e-12)
+    return plans[0]
+
+
+@pytest.mark.parametrize("case", SHARED_PREFIX_CASES)
+def test_lstm_eval_steps_each_prefix_once(case, monkeypatch):
+    ids, mask = SHARED_PREFIX_CASES[case]
+    lstm = N.LSTM(4, 3, rng(97))
+    lstm.b.value[...] = rng(98).standard_normal(12)
+    table = rng(99).standard_normal((300, 4))
+    plan = check_shared_eval_forward(lstm, table, ids, mask, monkeypatch)
+    # each merged step still multiplies 3 rows or more, whatever its prefixes
+    assert all(len(kept) >= 3 for kept, _ in plan.values())
+    if case == "one_or_two_prefixes":
+        assert {len(np.unique(source)) for _, source in plan.values()} == {1, 2}
+
+
+def test_lstm_never_merges_rows_from_given_states_or_in_training(monkeypatch):
+    """Rows that share every id but start from their own ``h0``/``c0`` are
+    stepped one by one; a training forward never merges rows, and its
+    outputs, cells and gradients match the step-loop reference."""
+    ids, mask = SHARED_PREFIX_CASES["prefix_of_another"]
+    lstm = N.LSTM(4, 3, rng(100))
+    lstm.b.value[...] = rng(101).standard_normal(12)
+    table = rng(102).standard_normal((300, 4))
+    h0, c0 = rng(103).standard_normal((2, len(ids), 3))
+    dh, dc = rng(104).standard_normal((2, *ids.shape, 3))
+    plans = _record_shared_steps(monkeypatch)
+    for states in [(h0, c0), (h0, None), (None, c0)]:
+        out = lstm.forward(ids, table, mask, *states, train=False)
+        for b in range(len(ids)):
+            initial = [None if s is None else s[b] for s in states]
+            want = ref_lstm(lstm, table[ids[b]], mask[b], dh[b], *initial)[0]
+            np.testing.assert_allclose(out[b], want, rtol=0, atol=1e-12)
+    lstm.zero_grad()
+    out = lstm.forward(ids, table, mask)
+    cells = lstm.cells()
+    read, rows = lstm.backward(dh, dc)
+    assert plans == []
+    want_dx = np.zeros_like(table)
+    want_grads = [np.zeros_like(p.value) for p in lstm.params()]
+    for b in range(len(ids)):
+        want_out, dx, grads, (want_cells, _, _) = ref_lstm(lstm, table[ids[b]], mask[b],
+                                                           dh[b], dc=dc[b])
+        np.testing.assert_allclose(out[b], want_out, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cells[b], want_cells, rtol=0, atol=1e-12)
+        np.add.at(want_dx, ids[b], dx)
+        for total, g in zip(want_grads, grads):
+            total += g
+    np.testing.assert_allclose(rows, want_dx[read], rtol=0, atol=1e-12)
+    for p, want in zip(lstm.params(), want_grads):
+        np.testing.assert_allclose(p.grad, want, rtol=0, atol=1e-12)
+
+
 def _paper_batch(batch, seed):
     """A gate-sized LSTM (D=100, H=128) with a nonzero bias, and 300 slots of
     input, output gradients, a mask and initial states. One row is all real;
@@ -1043,6 +1142,12 @@ class TestLSTMPaperSize:
                 total += g
         for p, want in zip(lstm.params(), summed):
             np.testing.assert_allclose(p.grad, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", SHARED_PREFIX_CASES)
+    def test_eval_steps_each_prefix_once(self, case, monkeypatch):
+        ids, mask = _shared_prefix_batches(300, 72)[case]
+        lstm, table = _paper_batch(1, 73)[0], rng(74).standard_normal((300, 100))
+        check_shared_eval_forward(lstm, table, ids, mask, monkeypatch)
 
     @pytest.mark.parametrize("batch", [1, 8])
     def test_weights_keep_their_bits(self, batch):

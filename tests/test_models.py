@@ -492,12 +492,17 @@ class TestBatch:
         for doc, row in zip(ids, got):
             np.testing.assert_allclose(row, model.forward(doc[None])[0], rtol=0, atol=1e-12)
 
-    def test_predict_keeps_order_across_chunks(self, make):
+    def test_predict_keeps_order_across_chunks(self, make, monkeypatch):
         model = make()
         ids = np.concatenate([np.tile(_ragged_batch(), (8, 1)),
                               _ids([" ".join(WORDS[:n]) for n in range(12)])])
-        assert len(ids) > M.PREDICT_CHUNK
+        calls, forward = [], model.forward
+        monkeypatch.setattr(model, "forward",
+                            lambda ids, *args, **kw: calls.append(len(ids))
+                            or forward(ids, *args, **kw))
         got = M.predict(model, ids)
+        monkeypatch.undo()
+        assert len(calls) > 1 and sum(calls) == len(ids)
         assert got.shape == (len(ids), model.output_dim)
         for doc, row in zip(ids, got):
             np.testing.assert_allclose(row, model.forward(doc[None])[0], rtol=0, atol=1e-12)
@@ -587,17 +592,22 @@ class TestEvalForward:
             np.testing.assert_allclose(row, model.forward(doc[None])[0], rtol=0, atol=1e-12)
 
     def test_predict_chunk_sizes(self, make, monkeypatch):
-        """Up to 32 documents a chunk, and at most 8 x 12 real slots."""
+        """At most 8 x 12 slots a chunk, a row with none real counting as 1,
+        and up to 32 documents a chunk for the tagger alone."""
         model = make()
+        tagger = isinstance(model, M.MultiLabelModel)
         sizes = []
         forward = model.forward
 
         def spy(ids, *args, **kwargs):
-            sizes.append((len(ids), int((ids != PAD_ID).sum(axis=1).max())))
+            sizes.append((len(ids), max(int((ids != PAD_ID).sum(axis=1).max()), 1)))
             return forward(ids, *args, **kwargs)
 
         monkeypatch.setattr(model, "forward", spy)
-        for real, want in [(3, [32, 32, 6]), (6, [16, 16, 16, 16, 6]),
+        for real, want in [(0, [32, 32, 6] if tagger else [70]),
+                           (1, [32, 32, 6] if tagger else [70]),
+                           (2, [32, 32, 6] if tagger else [48, 22]),
+                           (3, [32, 32, 6]), (6, [16, 16, 16, 16, 6]),
                            (12, [8] * 8 + [6])]:
             sizes.clear()
             M.predict(model, _ids([" ".join((WORDS * 2)[:real])] * 70))
@@ -605,7 +615,7 @@ class TestEvalForward:
         sizes.clear()
         M.predict(model, _mixed_ids(70))
         assert sum(n for n, _ in sizes) == 70
-        assert all(n <= 32 and n * longest <= 8 * 12 for n, longest in sizes)
+        assert all(n * longest <= 8 * 12 and (n <= 32 or not tagger) for n, longest in sizes)
         assert sizes[0][0] > 8 and sizes[-1] == (6, 12)
 
     def test_predict_keeps_no_cache(self, make):
@@ -1428,6 +1438,33 @@ class TestPipeline:
             else:
                 assert g["label_probs"] == pytest.approx(w["label_probs"],
                                                          rel=0, abs=1e-12)
+
+    def test_blank_lines_go_in_chunks_within_the_slot_budget(self, monkeypatch):
+        """About 3 x the slot budget's worth of blank texts among a few
+        real ones: every gate chunk holds at most 8 x 12 slots, a blank row
+        counting as one, every tagger chunk at most ``PREDICT_CHUNK`` rows,
+        and every result is the one text's own, in order."""
+        texts = [""] * 290
+        for i, n in enumerate(range(0, 290, 29)):
+            texts[n] = " ".join(WORDS[:i + 1])
+        pipe = self._pipeline()
+        pipe.tau_binary = 0.0  # the tagger scores every text
+        want = [pipe.classify(t) for t in texts]
+        shapes = {pipe.binary: [], pipe.multilabel: []}
+        for model in shapes:
+            def spy(ids, *args, forward=model.forward, seen=shapes[model], **kw):
+                real = (ids != PAD_ID).sum(axis=1).max(initial=0)
+                seen.append((len(ids), max(int(real), 1)))
+                return forward(ids, *args, **kw)
+            monkeypatch.setattr(model, "forward", spy)
+        got = pipe.classify_many(texts)
+        assert max(n for n, _ in shapes[pipe.binary]) > M.PREDICT_CHUNK
+        assert all(n * width <= M.PREDICT_LONG_CHUNK * 12 for n, width in shapes[pipe.binary])
+        assert max(n for n, _ in shapes[pipe.multilabel]) == M.PREDICT_CHUNK
+        for g, w in zip(got, want):
+            assert g["labels"] == w["labels"]
+            assert g["p_toxic"] == pytest.approx(w["p_toxic"], rel=0, abs=1e-12)
+            assert g["label_probs"] == pytest.approx(w["label_probs"], rel=0, abs=1e-12)
 
     def test_tagger_sees_exactly_the_passed_documents(self, monkeypatch):
         texts = self._mixed_texts()
