@@ -15,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -176,17 +177,18 @@ def _stage_data(cfg: RunConfig, docs: list[C.Document], vocab: C.Vocabulary,
 
 
 def _train_stage(cfg: RunConfig, kind: str) -> int:
+    # a bad config fails before any file is read
+    model_config, train_config = cfg.section(kind), cfg.training_config()
     docs, vocab = _load_prepared(cfg)
-    max_len = cfg["tokenize.max_len"]
     table = _embedding_table(cfg, vocab)
     folds = {fold: _stage_data(cfg, docs, vocab, kind, fold) for fold in ("train", "val")}
 
     if kind == "binary":
-        model = M.BinaryModel(cfg.binary_model_config(), table, seed=cfg["seed"])
+        model = M.BinaryModel(model_config, table, seed=cfg["seed"])
     else:
-        model = M.MultiLabelModel(cfg.multilabel_model_config(), table,
-                                  seq_len=max_len, seed=cfg["seed"])
-    trained = M.train(model, folds["train"], folds["val"], cfg.training_config(),
+        model = M.MultiLabelModel(model_config, table,
+                                  seq_len=cfg["tokenize.max_len"], seed=cfg["seed"])
+    trained = M.train(model, folds["train"], folds["val"], train_config,
                       vocab_hash=vocab.content_hash())
     out = _make_dir(cfg.output_dir())
     _write(_checkpoint_path(cfg, kind), lambda p: M.save_model(trained, p))
@@ -462,7 +464,7 @@ COMMANDS = {
 
 # the exit code and stderr prefix of each failure a user can reach
 FAILURES = ((ConfigError, 2, "config error"), (DataError, 3, "data error"),
-            (NumericError, 4, "numeric error"),
+            (NumericError, 4, "numeric error"), (RuntimeWarning, 4, "numeric error"),
             # a config value sized an array past memory
             (MemoryError, 2, "config error: out of memory"))
 
@@ -470,8 +472,10 @@ FAILURES = ((ConfigError, 2, "config error"), (DataError, 3, "data error"),
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.set)
-        return COMMANDS[args.command](cfg, args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # a numpy overflow exits 4
+            cfg = load_config(args.config, args.set)
+            return COMMANDS[args.command](cfg, args)
     except tuple(cls for cls, _, _ in FAILURES) as exc:
         code, what = next((c, w) for cls, c, w in FAILURES if isinstance(exc, cls))
         # one stderr line, whatever line breaks a path or value in the message holds

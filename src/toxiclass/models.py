@@ -94,9 +94,11 @@ class BinaryModelConfig:
     dense_hidden: tuple[int, ...] = (128, 64)
     dropout_rate: float = 0.3
     leaky_slope: float = 0.01
-    pooled_input: bool = False  # feed the max-pooled sentence vector instead of (L, D)
+    pooled_input: bool = False  # retired: configs and checkpoints that name it load
 
     def __post_init__(self):
+        if self.pooled_input:
+            raise ConfigError("pooled_input was removed; only false is accepted")
         _check_sizes(lstm_units=self.lstm_units)
         for size in self.dense_hidden:
             _check_sizes(dense_hidden=size)
@@ -132,7 +134,7 @@ class TrainingConfig:
         _check_sizes(batch_size=self.batch_size)
         if self.learning_rate < 0.0:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        _check_sizes(epochs=self.epochs)
+        _check_sizes(epochs=self.epochs, patience=self.patience)
         if self.l2_lambda < 0.0:
             raise ConfigError(f"l2_lambda must be >= 0, got {self.l2_lambda}")
 
@@ -155,10 +157,10 @@ class EmbeddingLayer(Layer):
         self.param = Param("table", table.matrix)
 
     def backward(self, dx: np.ndarray, ids: np.ndarray) -> None:
-        """Add ``dx``, the gradient of the table rows ``ids``, to the table's."""
+        """Add ``dx``, one gradient row for each of the distinct ``ids``, to the table's."""
         if not self.table.trainable:
             return
-        np.add.at(self.param.grad, ids, dx)
+        self.param.grad[ids] += dx
         self.param.grad[PAD_ID, :] = 0.0
 
 
@@ -202,7 +204,6 @@ class BinaryModel(Model):
         rng = seeded_rng(seed)
         self.config = config
         self.embedding = EmbeddingLayer(table)
-        self.input_pool = MaxOverTime() if config.pooled_input else None
         self.lstm = LSTM(table.dim, config.lstm_units, rng)
         self.time_pool = MaxOverTime()
         self.dropout = Dropout(config.dropout_rate)
@@ -218,28 +219,22 @@ class BinaryModel(Model):
         # LSTM stops there.
         ids = ids[:, :max(int(_real_length(ids).max()), 1)]
         mask = ids != PAD_ID
-        x, table = ids, self.embedding.param.value  # the LSTM reads the ids' rows itself
-        if self.input_pool is not None:  # row i of the pooled vectors is document i's one step
-            table = self.input_pool.forward(table[ids], mask, train)
-            x, mask = np.arange(len(ids))[:, None], None
-        h = self.lstm.forward(x, table, mask, train=train)
+        h = self.lstm.forward(ids, self.embedding.param.value, mask, train=train)
         v = self.time_pool.forward(h, mask, train)
         v = self.dropout.forward(v, train, rng)
         for dense, act in zip(self.hidden, self.hidden_act):
             v = act.forward(dense.forward(v, train), train)
-        self._keep(train, ids)
+        self._keep(train)
         return self.out_act.forward(self.out.forward(v, train), train)
 
     def backward(self, dp: np.ndarray) -> None:
-        (ids,) = self._take()
+        self._take()
         dv = self.out.backward(self.out_act.backward(dp))
         for dense, act in zip(self.hidden[::-1], self.hidden_act[::-1]):
             dv = dense.backward(act.backward(dv))
         dv = self.dropout.backward(dv)
         dh = self.time_pool.backward(dv)
         read, dx = self.lstm.backward(dh)
-        if self.input_pool is not None:  # read is every pooled row, in order
-            read, dx = ids, self.input_pool.backward(dx)
         self.embedding.backward(dx, read)
 
 

@@ -787,6 +787,37 @@ class TestExitCodes:
                                              "--set", setting, command]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting, command", [
+        ("train.batch_size=0", "train-binary"),
+        ("train.patience=0", "train-binary"),
+        ("train.patience=-1", "train-multilabel"),
+        ("binary.dropout=1.5", "train-binary"),
+        ("binary.pooled_input=true", "train-binary"),
+        ("multilabel.bilstm_units=0", "train-multilabel"),
+    ])
+    def test_stage_config_checked_before_reading_files(self, tmp_path, capsys,
+                                                       setting, command):
+        # the output dir holds no prepared corpus
+        assert cli.main(["--set", f"output.dir={tmp_path / 'out'}",
+                         "--set", setting, command]) == 2
+        err = capsys.readouterr().err
+        field = setting.split("=")[0].split(".")[1]
+        assert err.startswith("config error: ") and field in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("setting", ["train.l2_lambda=1e200", "train.l2_lambda=1e308",
+                                         "train.learning_rate=1e300"])
+    def test_overflow_is_a_numeric_error(self, workspace, tmp_path, capsys, setting):
+        """A numpy overflow in training exits 4 with one stderr line, and
+        writes no checkpoint."""
+        alt = tmp_path / "out"
+        for part in ("prepared", "splits"):
+            shutil.copytree(workspace["out"] / part, alt / part)
+        assert cli.main(workspace["base"] + ["--set", f"output.dir={alt}",
+                                             "--set", setting, "train-binary"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: ") and err.count("\n") == 1, err
+        assert not (alt / "binary.ckpt").exists()
+
     @pytest.mark.parametrize("kind, change", [
         ("binary", {"lstm_units": 0}),
         ("binary", {"dropout_rate": -0.5}),

@@ -30,8 +30,8 @@ def _ids(texts, max_len=12):
     return encode(texts, VOCAB, max_len)
 
 
-def _binary(seed=0, dim=5, **kw):
-    cfg = M.BinaryModelConfig(lstm_units=4, dense_hidden=(4,), **kw)
+def _binary(seed=0, dim=5, dense_hidden=(4,), **kw):
+    cfg = M.BinaryModelConfig(lstm_units=4, dense_hidden=dense_hidden, **kw)
     return M.BinaryModel(cfg, random_table(len(VOCAB), dim, seed=seed,
                                            trainable=True), seed=seed)
 
@@ -54,6 +54,8 @@ class TestConfigs:
             M.TrainingConfig(learning_rate=-1e-3)
         with pytest.raises(ConfigError, match="epochs"):
             M.TrainingConfig(epochs=0)
+        with pytest.raises(ConfigError, match="patience"):
+            M.TrainingConfig(patience=0)
         M.TrainingConfig(l2_lambda=0.0)  # no penalty is legal
         with pytest.raises(ConfigError, match="l2_lambda"):
             M.TrainingConfig(l2_lambda=-1.0)
@@ -70,7 +72,7 @@ class TestConfigs:
     @pytest.mark.parametrize("kwargs", [
         {"lstm_units": 0}, {"lstm_units": -2}, {"dense_hidden": (4, 0)},
         {"dense_hidden": (-1,)}, {"dropout_rate": 1.0}, {"dropout_rate": -0.1},
-        {"dropout_rate": float("nan")},
+        {"dropout_rate": float("nan")}, {"pooled_input": True},
     ])
     def test_binary_sizes_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -204,13 +206,27 @@ DISTINCT_ID_BATCHES = {
 }
 
 
-def _table_gradient_ids(model, monkeypatch):
+def _table_gradient_ids(model, monkeypatch, rows=None):
     """A list that gets the ids of each ``EmbeddingLayer.backward`` call of
-    ``model``."""
+    ``model``, and ``rows``, if given, the number of gradient rows of each."""
     handed, backward = [], model.embedding.backward
-    monkeypatch.setattr(model.embedding, "backward",
-                        lambda dx, ids: handed.append(ids) or backward(dx, ids))
+
+    def spy(dx, ids):
+        handed.append(ids)
+        if rows is not None:
+            rows.append(len(dx))
+        backward(dx, ids)
+
+    monkeypatch.setattr(model.embedding, "backward", spy)
     return handed
+
+
+def _per_id(ids, rows):
+    """The distinct ``ids``, sorted, and the sum of ``rows`` of each."""
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    summed = np.zeros((len(distinct), rows.shape[1]))
+    np.add.at(summed, inverse.reshape(-1), rows)
+    return distinct, summed
 
 
 class TestForward:
@@ -233,11 +249,6 @@ class TestForward:
         a = model.forward(_ids(["ash bat cod"], max_len=8))[0]
         b = model.forward(_ids(["ash bat cod"], max_len=20))[0]
         assert a[0] == pytest.approx(b[0], abs=1e-12)
-
-    def test_pooled_input_variant_runs(self):
-        model = _binary(pooled_input=True)
-        p = model.forward(_ids(["ash bat"]))[0]
-        assert 0.0 < p[0] < 1.0
 
     def test_max_over_time_variant_runs(self):
         cfg = M.MultiLabelModelConfig(conv_stack=((6, 3),), bilstm_units=3,
@@ -355,7 +366,7 @@ class TestForward:
 
         def on_slots_backward(dh):
             slots, rows = on_ids_backward(dh)
-            return read[0][slots], rows
+            return _per_id(read[0][slots], rows)
 
         monkeypatch.setattr(model.lstm, "forward", on_slots)
         monkeypatch.setattr(model.lstm, "backward", on_slots_backward)
@@ -467,7 +478,8 @@ def _untruncated(model, ids, dp):
         model.out.backward(model.out_act.backward(dp[None]))))[0]
     for conv, act, pool in reversed(list(zip(model.conv, model.relu, model.pool))):
         _, dx = conv.backward(act.backward(pool.backward(dx)))
-    model.embedding.backward(dx, ids[0])
+    distinct, rows = _per_id(ids[0], dx)
+    model.embedding.backward(rows, distinct)
     return probs[0], [p.grad.copy() for p in model.params()]
 
 
@@ -480,10 +492,10 @@ def _ragged_batch(max_len=12):
     return np.where(real, r.integers(2, len(VOCAB), real.shape), PAD_ID)
 
 
-@pytest.mark.parametrize("make", [_binary, lambda: _binary(pooled_input=True),
+@pytest.mark.parametrize("make", [_binary, lambda: _binary(dense_hidden=()),
                                   _multilabel,
                                   lambda: _multilabel(use_attention=False)],
-                         ids=["binary", "pooled", "multilabel", "max-over-time"])
+                         ids=["binary", "no-hidden", "multilabel", "max-over-time"])
 class TestBatch:
     def test_batch_equals_per_document(self, make):
         model = make()
@@ -578,10 +590,10 @@ def _cached_parts(model):
     return parts
 
 
-@pytest.mark.parametrize("make", [_binary, lambda: _binary(pooled_input=True),
+@pytest.mark.parametrize("make", [_binary, lambda: _binary(dense_hidden=()),
                                   _multilabel,
                                   lambda: _multilabel(use_attention=False)],
-                         ids=["binary", "pooled", "multilabel", "max-over-time"])
+                         ids=["binary", "no-hidden", "multilabel", "max-over-time"])
 class TestEvalForward:
     @pytest.mark.parametrize("size", [1, 31, 32, 33, 70])
     def test_predict_matches_per_document(self, make, size):
@@ -908,6 +920,20 @@ class TestBatchedTraining:
             assert g["val_loss"] == pytest.approx(w["val_loss"], rel=0, abs=1e-9)
         assert got.best_epoch == want.best_epoch
 
+    def test_table_gradient_ids_are_distinct(self, kind, make, monkeypatch):
+        """Every training backward hands the embedding strictly increasing
+        ids, one per gradient row, as its one indexed add needs."""
+        model = make()
+        rows = []
+        handed = _table_gradient_ids(model, monkeypatch, rows)
+        data = _ragged_training_set(kind, 2 * M.TRAIN_CHUNK + 7)
+        M.train(model, data, data, M.TrainingConfig(batch_size=M.TRAIN_CHUNK + 3,
+                                                    learning_rate=0.02, epochs=2))
+        assert len(handed) == 2 * 5  # mini-batches of 11, 11 and 1: chunks 8+3, 8+3, 1
+        for ids, n in zip(handed, rows):
+            assert ids.ndim == 1 and len(ids) == n
+            assert np.all(np.diff(ids) > 0)
+
 
 class TestRoute:
     def test_gate_below_threshold(self):
@@ -1128,7 +1154,7 @@ class TestCheckpoint:
             == (tmp_path / "b.ckpt").read_bytes()
 
     @pytest.mark.parametrize("model", [
-        _binary(), _binary(pooled_input=True),
+        _binary(),
         M.BinaryModel(M.BinaryModelConfig(lstm_units=3, dense_hidden=()),
                       random_table(len(VOCAB), 4)),
         _multilabel(),
@@ -1136,7 +1162,7 @@ class TestCheckpoint:
                                                   bilstm_units=3,
                                                   use_attention=False),
                           random_table(len(VOCAB), 5), seq_len=12),
-    ], ids=["binary", "pooled", "no_hidden", "multilabel", "max_over_time"])
+    ], ids=["binary", "no_hidden", "multilabel", "max_over_time"])
     def test_tensor_shapes_from_sizes(self, model):
         table = model.embedding.table
         assert M._tensor_shapes(model.config, table.vocab_size, table.dim) \
@@ -1157,6 +1183,13 @@ class TestCheckpoint:
             == [t["name"] for t in header["tensors"]]
         M.save_model(trained, tmp_path / "again.ckpt")
         assert (tmp_path / "again.ckpt").read_bytes() == body
+
+    def test_pooled_input_true_in_header_is_refused(self, tmp_path, rewrite_header):
+        path = tmp_path / "pooled.ckpt"
+        path.write_bytes((FIXTURES / "desk_binary.ckpt").read_bytes())
+        rewrite_header(path, {"set": ("model_config.pooled_input", True)})
+        with pytest.raises(CheckpointError, match="pooled_input was removed"):
+            M.load_model(path)
 
     def _wide_binary(self, tmp_path):
         """A small binary checkpoint with 4096-wide embeddings: a
