@@ -179,6 +179,10 @@ def _stage_data(cfg: RunConfig, docs: list[C.Document], vocab: C.Vocabulary,
 def _train_stage(cfg: RunConfig, kind: str) -> int:
     # a bad config fails before any file is read
     model_config, train_config = cfg.section(kind), cfg.training_config()
+    if kind == "multilabel":
+        M.MultiLabelModel.post_stack_length(model_config, cfg["tokenize.max_len"])
+    if not cfg["embedding.path"] and cfg["embedding.dim"] < 1:
+        raise ConfigError(f"embedding.dim must be >= 1, got {cfg['embedding.dim']}")
     docs, vocab = _load_prepared(cfg)
     table = _embedding_table(cfg, vocab)
     folds = {fold: _stage_data(cfg, docs, vocab, kind, fold) for fold in ("train", "val")}

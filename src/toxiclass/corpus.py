@@ -99,13 +99,14 @@ class PreprocessConfig:
 def read_lines(path, what: str, error=DataError, newline=None, hint: str = ""):
     """Yield ``(line number, line)`` over the UTF-8 text file ``path``, split
     and terminated as iterating ``open(path, newline=newline)`` gives them.
+    A leading byte-order mark, which spreadsheet exports write, is dropped.
 
     A missing, unreadable or not-UTF-8 file raises ``error`` naming ``what``,
     the path, the 1-based line of the first bad byte and ``hint``.
     """
     hint = f" ({hint})" if hint else ""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             yield from enumerate(fh, start=1)
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc.strerror or exc}{hint}") from exc

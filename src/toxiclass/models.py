@@ -149,19 +149,22 @@ def _real_length(ids: np.ndarray) -> np.ndarray:
 class EmbeddingLayer(Layer):
     """The (V, D) table, ``param.value``, whose rows a model's first layer
     reads by id itself. The PAD row is zero, so PAD slots read zeros: the
-    table pins it, its gradient is zeroed, it carries no decay, and
-    ``load_model`` refuses a checkpoint where it is not zero."""
+    table pins it, its gradient leaves it out, it carries no decay, and
+    ``load_model`` refuses a checkpoint where it is not zero. The table's
+    gradient is the rows a batch touches (``Param`` ``by_rows``): a batch
+    of comments reads few of its rows."""
 
     def __init__(self, table: EmbeddingTable):
         self.table = table
-        self.param = Param("table", table.matrix)
+        self.param = Param("table", table.matrix, by_rows=True)
 
     def backward(self, dx: np.ndarray, ids: np.ndarray) -> None:
-        """Add ``dx``, one gradient row for each of the distinct ``ids``, to the table's."""
+        """Add ``dx``, one gradient row for each of the sorted, distinct
+        ``ids``, to the table's."""
         if not self.table.trainable:
             return
-        self.param.grad[ids] += dx
-        self.param.grad[PAD_ID, :] = 0.0
+        keep = ids != PAD_ID
+        self.param.add_rows(ids[keep], dx[keep])
 
 
 class Model(Layer):
@@ -273,8 +276,8 @@ class MultiLabelModel(Model):
         receptive field at its stride. Raises ConfigError if there is none."""
         stride, field = MultiLabelModel.stack_window(config)
         if length < field:
-            raise ConfigError(f"sequence length {length} is shorter than the "
-                              f"conv/pool stack's receptive field {field}")
+            raise ConfigError(f"sequence length {length} (tokenize.max_len) is shorter "
+                              f"than the conv/pool stack's receptive field {field}")
         return (length - field) // stride + 1
 
     @staticmethod

@@ -14,7 +14,7 @@ what its backward pass reads; one with ``train=False`` keeps nothing, and a
 backward after it raises. The intended call pattern is one training forward
 followed by one backward per instance, which drops the caches (models are
 single-threaded per instance). Parameter gradients accumulate into
-``Param.grad`` buffers and are zeroed explicitly between optimizer steps.
+``Param.grad`` and are zeroed explicitly between optimizer steps.
 """
 
 from __future__ import annotations
@@ -47,21 +47,43 @@ def sigmoid(x):
 
 
 class Param:
-    """Named parameter tensor with a same-shaped gradient buffer.
+    """Named parameter tensor and its gradient.
 
-    ``decay`` marks the tensor for the trainer's L2 penalty.
+    The gradient is a same-shaped buffer, ``rows`` None. A tensor made
+    with ``by_rows=True`` holds the gradient of the leading-axis rows it
+    touches instead: ``rows``, sorted and distinct, and ``grad``, one row
+    for each, which ``add_rows`` merges into. ``decay`` marks the tensor
+    for the trainer's L2 penalty, which needs a same-shaped buffer.
     """
 
-    __slots__ = ("name", "value", "grad", "decay")
+    __slots__ = ("name", "value", "grad", "rows", "decay")
 
-    def __init__(self, name: str, value: np.ndarray, decay: bool = False):
+    def __init__(self, name: str, value: np.ndarray, decay: bool = False,
+                 by_rows: bool = False):
         self.name = name
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.rows = np.zeros(0, dtype=np.intp) if by_rows else None
+        # np.zeros maps pages only as they are written, so an eval-only
+        # model never makes its gradient buffers resident
+        self.grad = np.zeros((0, *self.value.shape[1:]) if by_rows else self.value.shape)
         self.decay = decay
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self.rows is None:
+            self.grad[...] = 0.0
+        else:
+            # copies, which hold no reference to the dropped rows
+            self.rows, self.grad = self.rows[:0].copy(), self.grad[:0].copy()
+
+    def add_rows(self, rows: np.ndarray, grad: np.ndarray) -> None:
+        """Add ``grad``, one row for each of the sorted, distinct ``rows``,
+        to a ``by_rows`` gradient. Each row's sum starts from zero, as in
+        a same-shaped buffer, so each has that buffer's bits."""
+        merged = np.union1d(self.rows, rows)
+        total = np.zeros((len(merged), *self.grad.shape[1:]))
+        total[np.searchsorted(merged, self.rows)] += self.grad
+        total[np.searchsorted(merged, rows)] += grad
+        self.rows, self.grad = merged, total
 
     def __repr__(self) -> str:
         return f"Param({self.name!r}, shape={self.value.shape})"
@@ -270,6 +292,9 @@ class MaxOverTime(Layer):
     """Masked elementwise max over the time axis: (B, L, d) -> (B, d).
 
     A fully masked row yields zeros; backward then routes nothing to it.
+    Both modes give each row's first maximum among its real slots. Only a
+    training forward finds where each is, for backward; an eval forward
+    takes the max, and the first only in rows whose max is a zero or NaN.
     """
 
     def forward(self, x: np.ndarray, mask: np.ndarray | None = None,
@@ -277,9 +302,15 @@ class MaxOverTime(Layer):
         x = np.asarray(x, dtype=np.float64)
         valid = _valid(mask, x.shape[:2])
         empty = ~valid.any(axis=1)
-        # first argmax among each row's real slots
-        rows = np.where(valid[:, :, None], x, -np.inf).argmax(axis=1)[:, None]
-        y = np.take_along_axis(x, rows, axis=1)[:, 0]
+        masked = np.where(valid[:, :, None], x, -np.inf)
+        if train:
+            y, rows = _first_max(masked)
+        else:
+            y, rows = masked.max(axis=1), None
+            # a max over tied zeros of both signs, or over NaNs, may give
+            # another of them than the first, which training's gives
+            redo = np.flatnonzero(((y == 0.0) | np.isnan(y)).any(axis=1))
+            y[redo] = _first_max(masked[redo])[0]
         y[empty] = 0.0
         self._keep(train, rows, empty, x.shape)
         return y
@@ -290,6 +321,13 @@ class MaxOverTime(Layer):
         dy = np.where(empty[:, None], 0.0, dy)
         np.put_along_axis(dx, rows, dy[:, None], axis=1)
         return dx
+
+
+def _first_max(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first maximum along axis 1 of the (B, L, d) ``x``, (B, d), and
+    its (B, 1, d) index."""
+    rows = x.argmax(axis=1)[:, None]
+    return np.take_along_axis(x, rows, axis=1)[:, 0], rows
 
 
 class Dropout(Layer):
@@ -533,11 +571,7 @@ class LSTM(Layer):
         steps = len(start) - 1
         # Gradients of output slots that copy a state all reach that state:
         # a real step's, or the initial one before a row's first step.
-        dh_out = np.zeros((batch + total, h_dim))
-        np.add.at(dh_out, out, np.asarray(dout, dtype=np.float64))
-        dc_out = np.zeros((batch + total, h_dim))
-        if dc is not None:
-            np.add.at(dc_out, out, np.asarray(dc, dtype=np.float64))
+        dh_out, dc_out = (_sum_runs(grad, out, (batch + total, h_dim)) for grad in (dout, dc))
         # state row of each packed step's predecessor: its row's previous
         # step, or the initial state
         step = np.repeat(np.arange(steps), np.diff(start))
@@ -613,6 +647,26 @@ def _shared_steps(step_ids: np.ndarray, start: np.ndarray, batch: int) -> dict:
     source = np.take_along_axis(np.cumsum(kept, axis=1) - 1, firsts, axis=1)
     return {k: (np.flatnonzero(kept[k]), source[k, :active[k]])
             for k in np.flatnonzero(kept.sum(axis=1) < active).tolist()}
+
+
+def _sum_runs(grad: np.ndarray | None, out: np.ndarray, shape) -> np.ndarray:
+    """The (N, H) ``shape`` sums of the (B, L, H) slot gradients ``grad``,
+    zeros if it is None: slot (b, t)'s goes to state row ``out[b, t]``.
+
+    Within a row of an ``LSTM.forward``'s ``out`` the state rows never
+    decrease and no two rows share one, so each state's slots are one run
+    in row-major order, with its one real slot, if any, first; one
+    ``np.add.reduceat`` sums the runs. Its order within a run is numpy's,
+    not the slots': each sum has ``np.add.at``'s bits where every masked
+    slot's gradient is zero, as in both models, and is within rounding of
+    them otherwise."""
+    total = np.zeros(shape)
+    flat = out.reshape(-1)
+    if grad is not None and flat.size:
+        first = np.flatnonzero(np.concatenate([[True], flat[1:] != flat[:-1]]))
+        total[flat[first]] += np.add.reduceat(
+            np.asarray(grad, dtype=np.float64).reshape(len(flat), -1), first, axis=0)
+    return total
 
 
 def _sum_by_id(rows: np.ndarray, ids: np.ndarray) -> np.ndarray:

@@ -45,22 +45,31 @@ class Adam:
         bc2 = 1.0 - self.beta2 ** self.t
         # Each operation keeps the operands and order of ``m = b1*m + (1-b1)*g;
         # v = b2*v + (1-b2)*g**2; p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)``, so
-        # the bits are those of the whole-tensor expression.
+        # the bits are those of the whole-tensor expression. The gradient
+        # terms are added to the rows that have a gradient: every row of a
+        # same-shaped one, the touched rows of a ``by_rows`` one. A row with
+        # none then keeps ``b1*m`` for ``b1*m + 0``, which differs only where
+        # b1*m is -0.0, a negative moment that underflowed; the parameter's
+        # bits then differ only if it is -0.0 too.
         for p, m, v, rows in zip(self.params, self.m, self.v, self._rows):
-            g = p.grad
+            g, touched = p.grad, p.rows
             if not np.all(np.isfinite(g)):
                 raise NumericError(f"non-finite gradient for {p.name!r}")
-            for lo in range(0, len(g), rows):
+            for lo in range(0, len(m), rows):
                 block = slice(lo, lo + rows)
-                gb, mb, vb = g[block], m[block], v[block]
-                a, b = (s[:gb.size].reshape(gb.shape) for s in self._scratch)
+                mb, vb, gb, at = m[block], v[block], g[block], None
+                if touched is not None:  # the block's touched rows, at ``at`` in it
+                    i, j = np.searchsorted(touched, (lo, lo + rows))
+                    gb, at = g[i:j], touched[i:j] - lo
+                a, b = (s[:mb.size].reshape(mb.shape) for s in self._scratch)
+                ga = a[:len(gb)]
                 mb *= self.beta1
-                np.multiply(gb, 1.0 - self.beta1, out=a)
-                mb += a
+                np.multiply(gb, 1.0 - self.beta1, out=ga)
+                _add(mb, at, ga)
                 vb *= self.beta2
-                np.square(gb, out=a)
-                a *= 1.0 - self.beta2
-                vb += a
+                np.square(gb, out=ga)
+                ga *= 1.0 - self.beta2
+                _add(vb, at, ga)
                 np.divide(mb, bc1, out=a)
                 a *= self.lr
                 np.divide(vb, bc2, out=b)
@@ -68,3 +77,12 @@ class Adam:
                 b += self.eps
                 a /= b
                 p.value[block] -= a
+
+
+def _add(block: np.ndarray, at: np.ndarray | None, terms: np.ndarray) -> None:
+    """``block[at] += terms``, or ``block += terms`` if ``at`` is None,
+    which ``block[:] += terms`` would follow with a copy onto itself."""
+    if at is None:
+        block += terms
+    else:
+        block[at] += terms

@@ -34,3 +34,13 @@ def grad_check(loss_fn, arrays, analytic_grads, h: float = 1e-5) -> float:
             denom = max(abs(analytic), abs(numeric), 1e-8)
             worst = max(worst, abs(analytic - numeric) / denom)
     return worst
+
+
+def full_grad(param) -> np.ndarray:
+    """``param``'s gradient as an array of its value's shape: a ``by_rows``
+    gradient's touched rows, the other rows zero."""
+    if param.rows is None:
+        return param.grad
+    full = np.zeros_like(param.value)
+    full[param.rows] = param.grad
+    return full

@@ -113,6 +113,11 @@ class TestRunConfig:
         assert cfg.split_spec() == SplitSpec(
             train_fraction=0.6, val_fraction=0.24, test_fraction=0.16, seed=7)
 
+    def test_config_with_byte_order_mark_loads(self, workspace, tmp_path):
+        path = tmp_path / "bom.cfg"
+        path.write_bytes(b"\xef\xbb\xbf" + workspace["cfg"].read_bytes())
+        assert load_config(path).values == load_config(workspace["cfg"]).values
+
     def test_defaults(self):
         cfg = RunConfig()
         assert cfg["train.batch_size"] == 16
@@ -299,6 +304,19 @@ class TestPrepareAndSplit:
                     "splits/val.ids", "splits/test.ids"):
             assert (alt / rel).read_bytes() \
                 == (workspace["out"] / rel).read_bytes(), rel
+
+    def test_csv_with_byte_order_mark_prepares(self, workspace, tmp_path):
+        """A "CSV UTF-8" spreadsheet export starts with a byte-order mark;
+        it prepares as the file without one does."""
+        csv_path = tmp_path / "bom.csv"
+        csv_path.write_bytes(b"\xef\xbb\xbf" + workspace["csv"].read_bytes())
+        alt = tmp_path / "out"
+        assert cli.main(workspace["base"] + ["--set", f"data.path={csv_path}",
+                                             "--set", f"output.dir={alt}",
+                                             "prepare"]) == 0
+        for name in ("documents.jsonl", "vocab.txt"):
+            assert (alt / "prepared" / name).read_bytes() \
+                == (workspace["out"] / "prepared" / name).read_bytes(), name
 
     def test_blank_prepared_lines_are_skipped(self, workspace, tmp_path):
         alt = tmp_path / "out"
@@ -794,6 +812,8 @@ class TestExitCodes:
         ("binary.dropout=1.5", "train-binary"),
         ("binary.pooled_input=true", "train-binary"),
         ("multilabel.bilstm_units=0", "train-multilabel"),
+        ("embedding.dim=0", "train-binary"),
+        ("tokenize.max_len=5", "train-multilabel"),
     ])
     def test_stage_config_checked_before_reading_files(self, tmp_path, capsys,
                                                        setting, command):

@@ -561,6 +561,21 @@ class TestMaxOverTime:
         x = rng(7).standard_normal((1, 6, 4))
         assert check_layer_grads(m, x, np.array([[1, 1, 1, 1, 0, 0.0]])) < 1e-6
 
+    @pytest.mark.parametrize("train", [True, False])
+    def test_nan_and_infinite_entries(self, train):
+        """A NaN among a row's real slots is its max, and a column whose
+        real slots are all -inf has max -inf, whatever its masked slots
+        hold; a fully masked row is zero. Of tied maxima, zeros of both
+        signs or NaNs, the first is the max in either mode."""
+        y = N.MaxOverTime().forward(*MAX_OVER_TIME_CASE, train=train)
+        x = MAX_OVER_TIME_CASE[0]
+        assert np.isnan(y[0, 0]) and y[0, 2] == -np.inf
+        assert y[1].tolist() == [0.0, 0.0, 0.0]
+        assert y[2, 0] == -np.inf
+        assert y[3].tolist() == [x[3, [0, 2, 3], 0].max(), x[3, [0, 2, 3], 1].max(),
+                                 x[3, [0, 2, 3], 2].max()]
+        assert y[4].view(np.uint64).tolist() == x[4, 0].view(np.uint64).tolist()
+
     def test_fully_masked_is_zero_and_blocks_grads(self):
         m = N.MaxOverTime()
         y = m.forward(np.ones((1, 3, 2)), np.zeros((1, 3)))
@@ -600,6 +615,31 @@ class TestDropout:
 
 
 EVAL_X = rng(70).standard_normal((2, 6, 4))
+
+
+# a NaN whose payload differs from the one that arithmetic makes
+NAN_PAYLOAD = np.array([0x7FF8000000000123], dtype=np.uint64).view(np.float64)[0]
+
+
+def _max_over_time_case():
+    """(5, 5, 3) states and their mask: row 0 all real, with a NaN and -inf
+    entries; row 1 fully masked; row 2 a masked slot before real slots whose
+    column 0 is all -inf; row 3 a NaN and a -inf in masked slots; row 4
+    maxima tied between zeros of both signs, -0.0 first in column 0 and
+    +0.0 in column 2, and NaNs of two payloads in column 1, the odd one
+    first."""
+    x = rng(77).standard_normal((5, 5, 3))
+    mask = np.array([[1, 1, 1, 1, 1], [0, 0, 0, 0, 0], [0, 1, 1, 0, 1], [1, 0, 1, 1, 0],
+                     [1, 1, 1, 1, 0]])
+    x[0, 2, 0], x[0, 1, 1], x[0, 3, 1], x[0, :, 2] = np.nan, -np.inf, -np.inf, -np.inf
+    x[2, 0, 0], x[2, 1:, 0] = 5.0, -np.inf
+    x[3, 1, 0], x[3, 4, 1] = np.nan, -np.inf
+    x[4] = [[-0.0, NAN_PAYLOAD, 0.0], [0.0, np.nan, -0.0], [-1.0, 1.0, -3.0],
+            [-0.0, 2.0, -2.0], [5.0, 0.0, 9.0]]
+    return x, mask
+
+
+MAX_OVER_TIME_CASE = _max_over_time_case()
 # name -> (layer factory, forward of the layer on EVAL_X with train=t)
 EVAL_CASES = {
     "dense": (lambda: N.Dense(4, 3, rng(71)),
@@ -613,6 +653,11 @@ EVAL_CASES = {
                 lambda layer, t: layer.forward(EVAL_X.reshape(12, 4), train=t)),
     "max_over_time": (N.MaxOverTime,
                       lambda layer, t: layer.forward(EVAL_X, np.ones((2, 6)), train=t)),
+    "max_over_time_masked": (N.MaxOverTime,
+                             lambda layer, t: layer.forward(*MAX_OVER_TIME_CASE, train=t)),
+    # one column: numpy's max of a contiguous run of NaNs need not be the first
+    "max_over_time_nan_column": (N.MaxOverTime, lambda layer, t: layer.forward(
+        MAX_OVER_TIME_CASE[0][:, :, 1:2], MAX_OVER_TIME_CASE[1], train=t)),
     "dropout": (lambda: N.Dropout(0.0),
                 lambda layer, t: layer.forward(EVAL_X, train=t, rng=rng(73))),
     "relu": (N.ReLULayer, lambda layer, t: layer.forward(EVAL_X.copy(), train=t)),
@@ -657,6 +702,56 @@ class TestEvalForward:
         assert all(part._cache is None for part in _cached_parts(layer))
         with pytest.raises(RuntimeError, match="backward needs a forward with train=True"):
             layer.backward(dy)
+
+
+def _add_at_runs(grad, out, shape):
+    """The reference for ``layers._sum_runs``: ``np.add.at`` into zeros."""
+    total = np.zeros(shape)
+    if grad is not None:
+        np.add.at(total, out, np.asarray(grad, dtype=np.float64))
+    return total
+
+
+@pytest.mark.parametrize("masked", ["zero", "nonzero"])
+def test_lstm_state_sums_match_add_at(masked, monkeypatch):
+    """Backward's per-state sums of the slot gradients, one reduceat over
+    the runs of each row's slots that read one state, on the ragged mask
+    (trailing pads, gaps, a row with no real slot, leading pads), from
+    given ``h0`` and ``c0`` and with a cell gradient. Where every masked
+    slot's gradient is zero, as both models' are, every output has the
+    bits that ``np.add.at``'s sums give, signed zeros included; otherwise
+    they are within rounding of them."""
+    lstm = N.LSTM(4, 3, rng(80))
+    ids, table = as_table(rng(81).standard_normal((5, 7, 4)))
+    h0, c0 = rng(82).standard_normal((2, 5, 3))
+    dout, dc = rng(83).standard_normal((2, 5, 7, 3))
+    if masked == "zero":
+        dout[RAGGED_MASK == 0] = dc[RAGGED_MASK == 0] = 0.0
+    dout[0, 6, 0] = dout[4, 2, 1] = -0.0  # each the only slot of its state
+
+    def backward():
+        lstm.zero_grad()
+        lstm.forward(ids, table, RAGGED_MASK, h0, c0)
+        read, rows = lstm.backward(dout, dc)
+        return [read, rows, lstm.dh0, lstm.dc0] + [p.grad.copy() for p in lstm.params()]
+
+    got = backward()
+    monkeypatch.setattr(N.layers, "_sum_runs", _add_at_runs)
+    want = backward()
+    for g, w in zip(got, want):
+        if masked == "zero":
+            assert g.tobytes() == w.tobytes()
+        else:
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0)], ids=["no_rows", "no_slots"])
+def test_lstm_backward_of_an_empty_batch(shape):
+    lstm = N.LSTM(4, 3, rng(84))
+    out = lstm.forward(np.zeros(shape, dtype=np.int64), rng(85).standard_normal((2, 4)))
+    read, rows = lstm.backward(np.zeros(out.shape))
+    assert read.size == 0 and rows.shape == (0, 4)
+    assert lstm.dh0.shape == lstm.dc0.shape == (shape[0], 3)
 
 
 def test_lstm_cells_need_a_training_forward():
@@ -1408,13 +1503,19 @@ class TestAdam:
         """The in-place update gives, bit for bit, what the allocating
         expression gives, over several steps and tensors of mixed sizes and
         gradient scales, in one block and in several: rows shorter than a
-        block, and a row longer than one. Parameters start near zero, so that
-        a last-bit change in the update shows in them."""
+        block, and a row longer than one. A ``by_rows`` tensor's gradient is
+        none, some or all of its rows, and the expression reads it as a
+        same-shaped gradient, zero in the other rows. Parameters start near
+        zero, so that a last-bit change in the update shows in them."""
         r = rng(11)
         shapes = [(7, 3), (5,), (2, 4, 3), (1,), (BLOCK // 40 + 3, 5, 8),
                   (3, BLOCK + 5), (2 * BLOCK + 1,)]
+        by_rows = [(9, 4), (BLOCK // 40 + 3, 40)]
         params = [N.Param(f"p{i}", 1e-4 * r.standard_normal(s))
                   for i, s in enumerate(shapes)]
+        params += [N.Param(f"r{i}", 1e-4 * r.standard_normal(s), by_rows=True)
+                   for i, s in enumerate(by_rows)]
+        shapes += by_rows
         want = [p.value.copy() for p in params]
         ms = [np.zeros(s) for s in shapes]
         vs = [np.zeros(s) for s in shapes]
@@ -1423,7 +1524,13 @@ class TestAdam:
         for t in range(1, 13):
             for p, x, m, v in zip(params, want, ms, vs):
                 g = r.standard_normal(p.value.shape) * 10.0 ** r.integers(-7, 3)
-                p.grad[...] = g
+                if p.rows is None:
+                    p.grad[...] = g
+                else:
+                    touched = r.random(len(g)) < r.choice([0.0, 0.1, 1.0])
+                    g[~touched] = 0.0
+                    p.zero_grad()
+                    p.add_rows(np.flatnonzero(touched), g[touched])
                 m *= b1
                 m += (1.0 - b1) * g
                 v *= b2

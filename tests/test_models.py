@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from conftest import (desk_binary_config, desk_multilabel_config, edit_header,
                       header_edits)
-from gradcheck import grad_check
+from gradcheck import full_grad, grad_check
 from toxiclass import models as M
 from toxiclass.corpus import LABELS, PAD_ID, UNK_ID, build_vocab, encode
 from toxiclass.embedding import random_table
@@ -292,7 +292,7 @@ class TestForward:
             model.backward(dp[None])
             np.testing.assert_allclose(got[0], want, rtol=0, atol=1e-12)
             for p, g in zip(model.params(), want_grads):
-                np.testing.assert_allclose(p.grad, g, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(full_grad(p), g, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("length", [40, 41, 100])
     def test_ragged_tagger_batches_match_unshared_reference(self, length):
@@ -316,7 +316,7 @@ class TestForward:
             np.testing.assert_allclose(got, [probs for probs, _ in want],
                                        rtol=0, atol=1e-12)
             for k, p in enumerate(model.params()):
-                np.testing.assert_allclose(p.grad, sum(grads[k] for _, grads in want),
+                np.testing.assert_allclose(full_grad(p), sum(grads[k] for _, grads in want),
                                            rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("case", DISTINCT_ID_BATCHES)
@@ -340,7 +340,7 @@ class TestForward:
         np.testing.assert_array_equal(read, np.unique(read))
         assert np.isin(read, ids).all()
         for k, p in enumerate(model.params()):
-            np.testing.assert_allclose(p.grad, sum(grads[k] for _, grads in want),
+            np.testing.assert_allclose(full_grad(p), sum(grads[k] for _, grads in want),
                                        rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("case", DISTINCT_ID_BATCHES)
@@ -480,7 +480,7 @@ def _untruncated(model, ids, dp):
         _, dx = conv.backward(act.backward(pool.backward(dx)))
     distinct, rows = _per_id(ids[0], dx)
     model.embedding.backward(rows, distinct)
-    return probs[0], [p.grad.copy() for p in model.params()]
+    return probs[0], [full_grad(p).copy() for p in model.params()]
 
 
 def _ragged_batch(max_len=12):
@@ -545,7 +545,7 @@ class TestBatch:
         # The PAD row is pinned to zero, so no check moves it: PAD slots
         # read it, and its gradient is zeroed.
         table = model.embedding.param
-        free = [(p.value[PAD_ID + 1:], p.grad[PAD_ID + 1:]) if p is table
+        free = [(p.value[PAD_ID + 1:], full_grad(p)[PAD_ID + 1:]) if p is table
                 else (p.value, p.grad) for p in named]
 
         def loss():
@@ -563,7 +563,7 @@ class TestBatch:
                 p.value[...] = base + step[0] * v
                 return loss()
 
-            worst = max(worst, grad_check(along, [step], [np.array([np.sum(p.grad * v)])]))
+            worst = max(worst, grad_check(along, [step], [np.array([np.sum(full_grad(p) * v)])]))
             p.value[...] = base
         assert worst < 1e-6
         assert grad_check(loss, [v for v, _ in free], [g for _, g in free]) < 1e-4
@@ -933,6 +933,76 @@ class TestBatchedTraining:
         for ids, n in zip(handed, rows):
             assert ids.ndim == 1 and len(ids) == n
             assert np.all(np.diff(ids) > 0)
+
+
+def _dense_table_gradient(model):
+    """The reference for the table's touched-row gradient: a same-shaped
+    buffer that the embedding's backward adds each id's row into, with
+    the PAD row zeroed after, and that Adam steps in full."""
+    emb = model.embedding
+    emb.param = Param("table", emb.param.value)
+
+    def backward(dx, ids):
+        emb.param.grad[ids] += dx
+        emb.param.grad[PAD_ID] = 0.0
+
+    emb.backward = backward
+    return model
+
+
+@pytest.mark.parametrize("make", [lambda: _binary(seed=2, dropout_rate=0.5),
+                                  lambda: _multilabel(seed=2)],
+                         ids=["binary", "multilabel"])
+def test_touched_row_training_matches_a_dense_table_gradient(make):
+    """Four epochs of mini-batch training leave every parameter, bit for
+    bit, and the history where the same-shaped table gradient does."""
+    kind = make().kind
+    data = _ragged_training_set(kind, 2 * M.TRAIN_CHUNK + 7)
+    config = M.TrainingConfig(batch_size=M.TRAIN_CHUNK + 3, learning_rate=0.02,
+                              epochs=4, patience=50, seed=4)
+    val = (data[0][:9], data[1][:9])
+    got = M.train(make(), data, val, config)
+    want = M.train(_dense_table_gradient(make()), data, val, config)
+    assert got.history == want.history
+    for (name, p), (_, q) in zip(got.model.named_tensors(), want.model.named_tensors()):
+        assert p.value.tobytes() == q.value.tobytes(), name
+
+
+@pytest.mark.parametrize("kind", ["binary", "multilabel"])
+def test_training_holds_no_table_sized_gradient(kind, monkeypatch):
+    """The table's gradient is its touched rows, PAD left out, after every
+    backward and step; and a training step allocates no array the size of
+    the table's values (tracemalloc counts an allocation whether or not
+    its pages are touched)."""
+    table = random_table(20_000, 8, seed=1, trainable=True)
+    model = M.BinaryModel(M.BinaryModelConfig(lstm_units=4, dense_hidden=(4,)), table) \
+        if kind == "binary" else M.MultiLabelModel(
+            M.MultiLabelModelConfig(conv_stack=((6, 3), (4, 2)), bilstm_units=3), table,
+            seq_len=12)
+    param = model.embedding.param
+    shapes = [param.grad.shape]
+    for owner, name in ((model.embedding, "backward"), (M.Adam, "step")):
+        def spy(*args, _call=getattr(owner, name)):
+            _call(*args)
+            shapes.append(param.grad.shape)
+            assert len(param.rows) == len(param.grad) and PAD_ID not in param.rows
+        monkeypatch.setattr(owner, name, spy)
+    ids, targets = _ragged_training_set(kind, 2 * M.TRAIN_CHUNK + 7)
+    opt = M.Adam(model.params(), 0.02)
+    rng = np.random.default_rng(0)
+    tracemalloc.start()
+    try:
+        for lo in range(0, len(ids), M.TRAIN_CHUNK + 3):
+            rows = slice(lo, lo + M.TRAIN_CHUNK + 3)
+            model.zero_grad()
+            M._add_batch_gradients(model, ids[rows], targets[rows], rng)
+            opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < param.value.nbytes / 4
+    assert len(shapes) == 1 + 5 + 3  # chunks 8+3, 8+3, 1 and three steps
+    assert all(rows < len(VOCAB) and dim == 8 for rows, dim in shapes)
 
 
 class TestRoute:
